@@ -189,7 +189,16 @@ class CharacterCache:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         text = format_fixture_record(FixtureRecord("chi", m, poly))
-        path.write_text(text + "\n", encoding="utf-8")
+        # written beside the target and renamed over it, so a reader never
+        # sees a partial entry; the name is unique per process and thread
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            tmp.write_text(text + "\n", encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 @dataclass

@@ -7,16 +7,27 @@ iterate over every weight of the smaller factor, dominant-reflect the
 ρ-shifted sum, drop terms fixed by a wall, and accumulate signs.  Weight
 multiplicities come from the Freudenthal recursion, evaluated over exact
 rationals and asserted integral.
+
+The Klimyk sum has two implementations, chosen per product from the
+smaller factor's Freudenthal table.  When its largest Weyl orbit has fewer
+than ``_ARRAY_MIN_ORBIT`` (2^17) weights, a Python loop walks each orbit
+with :meth:`Algebra.weyl_orbit` and reflects one weight at a time.  Its
+visited set costs about 150 B per weight of the largest orbit, which below
+2^17 weights is less than importing numpy (about 12 MB) and running the
+array kernel, so numpy is never imported for such products.  Longer orbits go to an array kernel that walks each
+orbit as a tree with no visited set and reflects whole batches with numpy,
+in fixed-width integers guarded against overflow.  In E8 only the products
+with λ4 or λ5 as the smaller factor take the array kernel.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 from typing import Iterator
 
-from .errors import BudgetError
+from .errors import BudgetError, LabelOverflowError
 from .rootsys import CartanMatrix, Weight, build_cartan
 
 __all__ = [
@@ -27,6 +38,14 @@ __all__ = [
 ]
 
 DEFAULT_TENSOR_BUDGET = 20_000_000
+
+# Products whose smaller factor has a Weyl orbit at least this long use the
+# array kernel.  Below it the Python loop's visited set (about 150 B per
+# weight of the largest orbit) costs less memory than importing numpy and
+# running the kernel.
+_ARRAY_MIN_ORBIT = 2 ** 17
+# columns per batch of the array kernel, which bounds its working memory
+_ARRAY_CHUNK = 2 ** 16
 
 
 class WeightMultiplicityTable:
@@ -162,10 +181,16 @@ class Algebra:
         self._ainv = cartan.inverse
         self._d = cartan.symmetrizer
         self.roots = cartan.positive_roots
-        # (ρ, α) = sum_j c_j d_j and (α, α) per positive root
-        self._root_rho_ip = tuple(
-            sum(c * d for c, d in zip(root.coeffs, self._d))
+        # (w + ρ, α) * scale = sum_j (w_j + 1) e_j per positive root, with
+        # e_j = c_j d_j scale integral; the product of (ρ, α) * scale over
+        # the positive roots divides the Weyl dimension numerator exactly
+        scale = lcm(*(d.denominator for d in self._d))
+        self._dim_terms = tuple(
+            tuple((j, int(c * d * scale))
+                  for j, (c, d) in enumerate(zip(root.coeffs, self._d)) if c)
             for root in self.roots)
+        self._dim_denominator = prod(
+            sum(e for _, e in terms) for terms in self._dim_terms)
         self._root_norm = tuple(
             sum(l * c * d for l, c, d in zip(root.labels, root.coeffs, self._d))
             for root in self.roots)
@@ -332,13 +357,13 @@ class Algebra:
         cached = self._dims.get(w)
         if cached is not None:
             return cached
-        result = Fraction(1)
-        for idx in range(len(self.roots)):
-            rho_part = self._root_rho_ip[idx]
-            result *= (self._weight_root_ip(w, idx) + rho_part) / rho_part
-        if result.denominator != 1:
+        shifted = [x + 1 for x in w]
+        numerator = 1
+        for terms in self._dim_terms:
+            numerator *= sum(shifted[j] * e for j, e in terms)
+        value, remainder = divmod(numerator, self._dim_denominator)
+        if remainder:
             raise AssertionError(f"non-integral dimension for {w}")
-        value = int(result)
         with self._lock:
             self._dims[w] = value
         return value
@@ -444,7 +469,10 @@ class Algebra:
 
         Iterates over the full weight system of the smaller factor; raises
         :class:`BudgetError` when that factor's dimension exceeds the budget
-        (default ``self.tensor_budget``).
+        (default ``self.tensor_budget``).  When that factor has a Weyl orbit
+        of at least 2^17 weights the sum runs in the numpy array kernel,
+        which raises :class:`LabelOverflowError` for labels beyond its
+        fixed-width integers.
         """
         lam = self._check_dominant(left)
         nu = self._check_dominant(right)
@@ -465,8 +493,28 @@ class Algebra:
                 f"budget {budget}",
                 pair=(Weight(lam), Weight(nu)), dim=small_dim, budget=budget)
         shifted = tuple(x + 1 for x in big)
-        n = self.rank
         table = self.freudenthal(small)
+        # no orbit is longer than the module is wide, so small factors skip
+        # the orbit sizes altogether
+        orbits = ({mu: self.orbit_size(mu) for mu in table.entries}
+                  if small_dim >= _ARRAY_MIN_ORBIT else {})
+        if orbits and max(orbits.values()) >= _ARRAY_MIN_ORBIT:
+            acc = _klimyk_array(self, table, orbits, shifted, small_dim)
+        else:
+            acc = self._klimyk_loop(table, shifted)
+        if any(v < 0 for v in acc.values()):
+            raise AssertionError("negative multiplicity in tensor decomposition")
+        top = tuple(a + b for a, b in zip(lam, nu))
+        if acc.get(top) != 1:
+            raise AssertionError("highest component must appear exactly once")
+        result = Decomposition({Weight(w): m for w, m in acc.items()})
+        with self._lock:
+            self._tensor[key] = result
+        return result
+
+    def _klimyk_loop(self, table, shifted) -> dict:
+        """Klimyk sum over the weights of ``table``, one weight at a time."""
+        n = self.rank
         acc: dict = {}
         reflect = self._reflect_no_walls
         for w, mult in table.entries.items():
@@ -481,12 +529,128 @@ class Algebra:
                     acc[key_w] = val
                 elif key_w in acc:
                     del acc[key_w]
-        if any(v < 0 for v in acc.values()):
-            raise AssertionError("negative multiplicity in tensor decomposition")
-        top = tuple(a + b for a, b in zip(lam, nu))
-        if acc.get(top) != 1:
-            raise AssertionError("highest component must appear exactly once")
-        result = Decomposition({Weight(w): m for w, m in acc.items()})
-        with self._lock:
-            self._tensor[key] = result
-        return result
+        return acc
+
+
+def _klimyk_array(alg, table, orbits, shifted, small_dim) -> dict:
+    """Klimyk sum over the weights of ``table``, in batches of numpy arrays.
+
+    ``orbits`` maps each dominant weight of the table to its orbit size and
+    ``shifted`` is the larger factor's highest weight plus ρ.  Weights are
+    stored label-major, one column per weight, so that every reflection
+    step is a few operations on contiguous label rows.
+    """
+    import numpy as np
+
+    n = alg.rank
+    nbrs = alg._nbrs
+    # Every label formed below is (x, β^∨) for a coroot β^∨ and some
+    # x = shifted + u, u a weight of the small factor.  Coroot coefficients
+    # are at most 6, so |u_k| <= 6 Σ small, Σ|x_k| <= S with
+    # S = Σ shifted + 6 n Σ small, every label is at most 6 S, and one
+    # reflection step adds at most 3 times a label to another.  The signed
+    # sums are bounded by the small factor's dimension.
+    small = table.highest
+    bound = 18 * (sum(shifted) + 6 * n * sum(small))
+    if bound >= 2 ** 31 or small_dim >= 2 ** 63:
+        raise LabelOverflowError(
+            f"tensor product of V{tuple(small)} with highest weight "
+            f"{tuple(x - 1 for x in shifted)} exceeds the array kernel's "
+            f"integer range")
+    bits = 63 // n
+    shift = np.array(shifted, dtype=np.int32).reshape(n, 1)
+    acc: dict = {}
+
+    def pack(dom):
+        # one int64 key per dominant ρ-shifted weight, label 1 in the top bits
+        if dom.shape[1] and int(dom.max()) >= 1 << bits:
+            raise LabelOverflowError(
+                f"dominant label {int(dom.max())} exceeds the array kernel's "
+                f"{bits}-bit key field")
+        keys = np.zeros(dom.shape[1], dtype=np.int64)
+        for row in dom:
+            keys <<= bits
+            keys |= row
+        return keys
+
+    def flush(batch, mults):
+        # ρ-shifted sums, reflected to the dominant chamber by any sequence
+        # of reflections at negative labels, each flipping the sign; a
+        # weight with a zero label lies on a wall and cancels, so it is
+        # dropped as soon as it shows one
+        x = np.concatenate(batch, axis=1)
+        vals = np.concatenate(mults)
+        batch.clear()
+        mults.clear()
+        x += shift
+        keys, signed = [], []
+        while x.shape[1]:
+            regular = (x > 0).all(axis=0)
+            keys.append(pack(x[:, regular]))
+            signed.append(vals[regular])
+            rest = ~regular & (x != 0).all(axis=0)
+            x, vals = x[:, rest], vals[rest]
+            for i in range(n):
+                c = np.minimum(x[i], 0)
+                neg = c < 0
+                np.abs(x[i], out=x[i])
+                for j, a in nbrs[i]:
+                    x[j] += a * c
+                np.negative(vals, out=vals, where=neg)
+        uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        sums = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(sums, inverse, np.concatenate(signed))
+        for k, v in zip(uniq.tolist(), sums.tolist()):
+            acc[k] = acc.get(k, 0) + v
+
+    batch, mults, pending = [], [], 0
+    for mu, mult in table.entries.items():
+        size = 0
+        for level in _orbit_levels(nbrs, mu):
+            size += level.shape[1]
+            batch.append(level)
+            mults.append(np.full(level.shape[1], mult, dtype=np.int64))
+            pending += level.shape[1]
+            if pending >= _ARRAY_CHUNK:
+                flush(batch, mults)
+                pending = 0
+        if size != orbits[mu]:
+            raise AssertionError(f"orbit of {mu} has {size} weights, "
+                                 f"expected {orbits[mu]}")
+    if batch:
+        flush(batch, mults)
+    mask = (1 << bits) - 1
+    return {tuple(((k >> (bits * (n - 1 - i))) & mask) - 1 for i in range(n)): v
+            for k, v in acc.items() if v}
+
+
+def _orbit_levels(nbrs, mu):
+    """The Weyl orbit of dominant ``mu`` as label-major arrays, level by level.
+
+    The orbit is a tree under the canonical-parent rule: the parent of a
+    non-dominant v reflects it at its first negative label, as
+    :meth:`Algebra._dominant_of` does.  A child s_i v of v is kept only when
+    i is its first negative label, so each weight is reached exactly once
+    and no visited set is needed (D. Snow, "Weyl group orbits", ACM TOMS
+    1990).
+    """
+    import numpy as np
+
+    n = len(mu)
+    level = np.array(mu, dtype=np.int32).reshape(n, 1)
+    while level.shape[1]:
+        yield level
+        children = []
+        for i in range(n):
+            child = level[:, level[i] > 0]
+            if not child.shape[1]:
+                continue
+            x = child[i].copy()
+            child[i] = -x
+            for j, a in nbrs[i]:
+                child[j] += a * x
+            if i:
+                child = child[:, (child[:i] >= 0).all(axis=0)]
+            children.append(child)
+        level = (np.concatenate(children, axis=1) if children
+                 else level[:, :0])

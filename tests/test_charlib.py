@@ -1,4 +1,6 @@
+import errno
 import random
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +208,24 @@ class TestPersistence:
         stored.write_text("chi[2,2] = z1*z2\n")
         fresh = CharacterCache(a2, cache_dir=tmp_path)
         assert fresh.character_poly((2, 2)) == chi
+
+    def test_interrupted_write_leaves_no_entry(self, tmp_path, monkeypatch):
+        a2 = Algebra("A2")
+        write_text = Path.write_text
+
+        def fail_half_way(self, data, *args, **kwargs):
+            write_text(self, data[:len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", fail_half_way)
+        with pytest.raises(OSError):
+            CharacterCache(a2, cache_dir=tmp_path).character_poly((2, 2))
+        monkeypatch.undo()
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        fresh = CharacterCache(a2, cache_dir=tmp_path)
+        assert fresh.character_poly((2, 2)) == \
+            CharacterCache(a2).character_poly((2, 2))
+        assert (tmp_path / "a2" / "2-2.chi").is_file()
 
 
 class TestPropertySuites:

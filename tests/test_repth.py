@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liechar
 import oracles
-from liechar import Algebra, BudgetError
+from liechar import Algebra, BudgetError, LabelOverflowError, repth
 
 E8_FUNDAMENTAL_DIMS = [3875, 147250, 6696000, 6899079264, 146325270,
                        2450240, 30380, 248]
@@ -268,3 +273,80 @@ class TestEmitters:
         data = a2.freudenthal((1, 1)).to_json_dict()
         assert data["highest"] == [1, 1]
         assert {"labels": [0, 0], "mult": "2"} in data["entries"]
+
+
+# the Python loop never runs for any product, the array kernel for all
+FORCE_LOOP = 2 ** 200
+FORCE_ARRAY = 0
+
+
+@pytest.fixture(scope="module")
+def e8_lifted():
+    return Algebra("E8", tensor_budget=10_000_000_000)
+
+
+class TestKlimykKernels:
+    @pytest.mark.parametrize("name, left, right", [
+        ("A2", (2, 1), (1, 2)),
+        ("B3", (1, 0, 1), (0, 1, 1)),
+        ("C3", (1, 1, 0), (0, 1, 1)),
+        ("G2", (2, 1), (1, 1)),
+        ("D4", (1, 0, 0, 1), (0, 1, 0, 0)),
+        ("F4", (0, 0, 1, 1), (1, 0, 0, 1)),
+        ("E6", (1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 1)),
+        ("E7", (0, 0, 0, 0, 0, 1, 1), (1, 0, 0, 0, 0, 0, 1)),
+        ("E8", (0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0)),
+        ("E8", (0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+    ])
+    def test_kernels_agree(self, monkeypatch, name, left, right):
+        results = []
+        for threshold in (FORCE_LOOP, FORCE_ARRAY):
+            monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
+            results.append(Algebra(name).tensor_decompose(left, right))
+        assert results[0] == results[1]
+        if name in ("A2", "B3", "C3", "G2", "D4"):
+            assert results[1].entries == oracles.tensor_oracle(
+                Algebra(name), left, right)
+
+    @pytest.mark.parametrize("index", [4, 5])
+    def test_array_kernel_on_the_largest_e8_squares(self, monkeypatch,
+                                                    e8_lifted, index):
+        calls = []
+        array_kernel = repth._klimyk_array
+
+        def spy(*args):
+            calls.append(args[1].highest)
+            return array_kernel(*args)
+
+        monkeypatch.setattr(repth, "_klimyk_array", spy)
+        lam = e8_lifted.fundamental(index)
+        dec = e8_lifted.tensor_decompose(lam, lam)
+        assert calls == [lam]
+        total = sum(m * e8_lifted.weyl_dim(w) for w, m in dec.items())
+        assert total == e8_lifted.weyl_dim(lam) ** 2
+        top = tuple(2 * x for x in lam)
+        assert dec[top] == 1
+
+    def test_labels_beyond_the_integer_range_raise(self, monkeypatch):
+        monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
+        with pytest.raises(LabelOverflowError):
+            Algebra("A2").tensor_decompose((2 ** 30, 0), (1, 1))
+
+    def test_labels_beyond_the_key_field_raise(self, monkeypatch):
+        # E8 packs 7 bits per ρ-shifted label, and the top one is 201
+        monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
+        with pytest.raises(LabelOverflowError):
+            Algebra("E8").tensor_decompose((200, 0, 0, 0, 0, 0, 0, 0),
+                                           (0, 0, 0, 0, 0, 0, 0, 1))
+
+    def test_small_products_do_not_import_numpy(self):
+        code = (
+            "import sys, liechar, liechar.cli\n"
+            "e8 = liechar.Algebra('E8')\n"
+            "e8.tensor_decompose(e8.fundamental(8), e8.fundamental(7))\n"
+            "print('numpy' in sys.modules)\n")
+        src = str(Path(liechar.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
