@@ -11,8 +11,8 @@ from .charlib import (CACHE_ENV_VAR, CharacterCache, DimReport, EigenReport,
                       load_fixtures, verify_eigen)
 from .csop import (Delta1Operator, a_coeff, apply_delta1, b_coeffs,
                    build_delta1, epsilon, ground_energy, level_energy)
-from .errors import (BudgetError, LabelOverflowError, LiecharError,
-                     OperatorIncompleteError, ParseError, RankMismatchError)
+from .errors import (BudgetError, LiecharError, OperatorIncompleteError,
+                     ParseError, RankMismatchError)
 from .repth import (DEFAULT_TENSOR_BUDGET, Algebra, Decomposition,
                     WeightMultiplicityTable)
 from .rootsys import (CartanMatrix, RationalMatrix, Root, Weight,
@@ -37,7 +37,6 @@ __all__ = [
     "EigenReport",
     "FixtureDiff",
     "FixtureRecord",
-    "LabelOverflowError",
     "LiecharError",
     "OperatorIncompleteError",
     "ParseError",

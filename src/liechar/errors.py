@@ -22,10 +22,6 @@ class BudgetError(LiecharError, RuntimeError):
         self.budget = budget
 
 
-class LabelOverflowError(LiecharError, OverflowError):
-    """A tensor product's labels exceed the array Klimyk kernel's integers."""
-
-
 class ParseError(LiecharError, ValueError):
     """Syntax error in polynomial or fixture text, with a byte offset."""
 

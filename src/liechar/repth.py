@@ -14,20 +14,22 @@ than ``_ARRAY_MIN_ORBIT`` (2^17) weights, a Python loop walks each orbit
 with :meth:`Algebra.weyl_orbit` and reflects one weight at a time.  Its
 visited set costs about 150 B per weight of the largest orbit, which below
 2^17 weights is less than importing numpy (about 12 MB) and running the
-array kernel, so numpy is never imported for such products.  Longer orbits go to an array kernel that walks each
-orbit as a tree with no visited set and reflects whole batches with numpy,
-in fixed-width integers guarded against overflow.  In E8 only the products
-with λ4 or λ5 as the smaller factor take the array kernel.
+array kernel, so numpy is never imported for such products.  Longer orbits
+go to an array kernel that walks each orbit as a tree with no visited set
+and reflects whole batches with numpy, in fixed-width integers.  A product
+whose labels could leave those integers stays on the Python loop, which
+has no such limit.  In E8 only the products with λ4 or λ5 as the smaller
+factor take the array kernel.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, isqrt, lcm, prod
 from typing import Iterator
 
-from .errors import BudgetError, LabelOverflowError
+from .errors import BudgetError
 from .rootsys import CartanMatrix, Weight, build_cartan
 
 __all__ = [
@@ -470,9 +472,8 @@ class Algebra:
         Iterates over the full weight system of the smaller factor; raises
         :class:`BudgetError` when that factor's dimension exceeds the budget
         (default ``self.tensor_budget``).  When that factor has a Weyl orbit
-        of at least 2^17 weights the sum runs in the numpy array kernel,
-        which raises :class:`LabelOverflowError` for labels beyond its
-        fixed-width integers.
+        of at least 2^17 weights and the labels fit the kernel's fixed-width
+        integers, the sum runs in the numpy array kernel.
         """
         lam = self._check_dominant(left)
         nu = self._check_dominant(right)
@@ -498,8 +499,9 @@ class Algebra:
         # the orbit sizes altogether
         orbits = ({mu: self.orbit_size(mu) for mu in table.entries}
                   if small_dim >= _ARRAY_MIN_ORBIT else {})
-        if orbits and max(orbits.values()) >= _ARRAY_MIN_ORBIT:
-            acc = _klimyk_array(self, table, orbits, shifted, small_dim)
+        if (orbits and max(orbits.values()) >= _ARRAY_MIN_ORBIT
+                and self._fits_array_kernel(big, small, small_dim)):
+            acc = _klimyk_array(self, table, orbits, shifted)
         else:
             acc = self._klimyk_loop(table, shifted)
         if any(v < 0 for v in acc.values()):
@@ -511,6 +513,30 @@ class Algebra:
         with self._lock:
             self._tensor[key] = result
         return result
+
+    def _label_bound(self, big, small) -> int:
+        """Bound on every label the Klimyk sum of V_big ⊗ V_small forms.
+
+        Each label is (y, α_k^∨) = 2 (y, α_k) / (α_k, α_k) for a Weyl image
+        y of big + ρ + u, u a weight of V_small, so by Cauchy-Schwarz it is
+        at most 2 |y| / |α_k| with |y| <= |big + ρ| + |small|.  The bound
+        returned squares that and uses (a + b)^2 <= 2 (a^2 + b^2).
+        """
+        norm = self._shifted_norm(big) + self.weight_form(small, small)
+        square = 8 * norm / min(self._root_norm)
+        root = isqrt(square.numerator // square.denominator)
+        return root if root * root >= square else root + 1
+
+    def _fits_array_kernel(self, big, small, small_dim) -> bool:
+        """Whether the array kernel's integers hold V_big ⊗ V_small.
+
+        Labels are ``int32`` with room for three times a label in one
+        reflection step, dominant ρ-shifted labels are packed into
+        63 // rank bits of an ``int64`` key, and the signed sums, bounded
+        by the small factor's dimension, are ``int64``.
+        """
+        limit = min(1 << (63 // self.rank), 1 << 29)
+        return small_dim < 1 << 63 and self._label_bound(big, small) < limit
 
     def _klimyk_loop(self, table, shifted) -> dict:
         """Klimyk sum over the weights of ``table``, one weight at a time."""
@@ -532,31 +558,19 @@ class Algebra:
         return acc
 
 
-def _klimyk_array(alg, table, orbits, shifted, small_dim) -> dict:
+def _klimyk_array(alg, table, orbits, shifted) -> dict:
     """Klimyk sum over the weights of ``table``, in batches of numpy arrays.
 
     ``orbits`` maps each dominant weight of the table to its orbit size and
     ``shifted`` is the larger factor's highest weight plus ρ.  Weights are
     stored label-major, one column per weight, so that every reflection
-    step is a few operations on contiguous label rows.
+    step is a few operations on contiguous label rows.  The caller checks
+    with :meth:`Algebra._fits_array_kernel` that every label fits.
     """
     import numpy as np
 
     n = alg.rank
     nbrs = alg._nbrs
-    # Every label formed below is (x, β^∨) for a coroot β^∨ and some
-    # x = shifted + u, u a weight of the small factor.  Coroot coefficients
-    # are at most 6, so |u_k| <= 6 Σ small, Σ|x_k| <= S with
-    # S = Σ shifted + 6 n Σ small, every label is at most 6 S, and one
-    # reflection step adds at most 3 times a label to another.  The signed
-    # sums are bounded by the small factor's dimension.
-    small = table.highest
-    bound = 18 * (sum(shifted) + 6 * n * sum(small))
-    if bound >= 2 ** 31 or small_dim >= 2 ** 63:
-        raise LabelOverflowError(
-            f"tensor product of V{tuple(small)} with highest weight "
-            f"{tuple(x - 1 for x in shifted)} exceeds the array kernel's "
-            f"integer range")
     bits = 63 // n
     shift = np.array(shifted, dtype=np.int32).reshape(n, 1)
     acc: dict = {}
@@ -564,9 +578,8 @@ def _klimyk_array(alg, table, orbits, shifted, small_dim) -> dict:
     def pack(dom):
         # one int64 key per dominant ρ-shifted weight, label 1 in the top bits
         if dom.shape[1] and int(dom.max()) >= 1 << bits:
-            raise LabelOverflowError(
-                f"dominant label {int(dom.max())} exceeds the array kernel's "
-                f"{bits}-bit key field")
+            raise AssertionError(f"dominant label {int(dom.max())} exceeds "
+                                 f"the {bits}-bit key field")
         keys = np.zeros(dom.shape[1], dtype=np.int64)
         for row in dom:
             keys <<= bits

@@ -8,7 +8,7 @@ import pytest
 
 import liechar
 import oracles
-from liechar import Algebra, BudgetError, LabelOverflowError, repth
+from liechar import Algebra, BudgetError, repth
 
 E8_FUNDAMENTAL_DIMS = [3875, 147250, 6696000, 6899079264, 146325270,
                        2450240, 30380, 248]
@@ -275,7 +275,8 @@ class TestEmitters:
         assert {"labels": [0, 0], "mult": "2"} in data["entries"]
 
 
-# the Python loop never runs for any product, the array kernel for all
+# FORCE_LOOP sends every product to the Python loop, FORCE_ARRAY every
+# product whose labels fit the array kernel's integers to that kernel
 FORCE_LOOP = 2 ** 200
 FORCE_ARRAY = 0
 
@@ -327,17 +328,57 @@ class TestKlimykKernels:
         top = tuple(2 * x for x in lam)
         assert dec[top] == 1
 
-    def test_labels_beyond_the_integer_range_raise(self, monkeypatch):
-        monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
-        with pytest.raises(LabelOverflowError):
-            Algebra("A2").tensor_decompose((2 ** 30, 0), (1, 1))
+    @pytest.mark.parametrize("name, big, small", [
+        ("A2", (2, 1), (1, 2)),
+        ("B3", (1, 0, 1), (0, 1, 1)),
+        ("C3", (0, 2, 0), (1, 0, 1)),
+        ("G2", (2, 1), (1, 1)),
+        ("G2", (0, 3), (2, 0)),
+    ])
+    def test_label_bound_holds_on_every_weyl_image(self, name, big, small):
+        alg = Algebra(name)
+        bound = alg._label_bound(big, small)
+        worst = 0
+        for mu in alg.freudenthal(small).entries:
+            for u in alg.weyl_orbit(mu):
+                x = tuple(b + 1 + v for b, v in zip(big, u))
+                for y in alg.weyl_orbit(alg._dominant_of(x)):
+                    worst = max(worst, max(abs(v) for v in y))
+        assert 0 < worst <= bound
 
-    def test_labels_beyond_the_key_field_raise(self, monkeypatch):
+    @pytest.mark.parametrize("name, big, small", [
+        # a label beyond int32
+        ("A2", (2 ** 31, 0), (1, 1)),
         # E8 packs 7 bits per ρ-shifted label, and the top one is 201
-        monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
-        with pytest.raises(LabelOverflowError):
-            Algebra("E8").tensor_decompose((200, 0, 0, 0, 0, 0, 0, 0),
-                                           (0, 0, 0, 0, 0, 0, 0, 1))
+        ("E8", (200, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+    ])
+    def test_labels_beyond_the_kernel_integers_take_the_loop(
+            self, monkeypatch, name, big, small):
+        alg = Algebra(name)
+        assert not alg._fits_array_kernel(big, small, alg.weyl_dim(small))
+        results = []
+        for threshold in (FORCE_LOOP, FORCE_ARRAY):
+            monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
+            results.append(Algebra(name).tensor_decompose(big, small))
+        assert results[0] == results[1]
+
+    def test_long_orbit_with_wide_labels_takes_the_loop(self, monkeypatch):
+        # λ8 of A20 has an orbit of 203,490 weights, beyond the threshold,
+        # but A20 packs only 3 bits per label
+        def refuse(*args):
+            raise AssertionError("array kernel called")
+
+        monkeypatch.setattr(repth, "_klimyk_array", refuse)
+        a20 = Algebra("A20")
+        lam8 = a20.fundamental(8)
+        assert a20.orbit_size(lam8) >= repth._ARRAY_MIN_ORBIT
+        seven = tuple(7 * x for x in a20.fundamental(1))
+        dec = a20.tensor_decompose(lam8, seven)
+        # Pieri: e_8 h_7 = s_(8,1^7) + s_(7,1^8)
+        hooks = [tuple(a + b for a, b in zip(seven, lam8)),
+                 tuple(6 * x + y for x, y in zip(a20.fundamental(1),
+                                                  a20.fundamental(9)))]
+        assert dec.entries == {w: 1 for w in hooks}
 
     def test_small_products_do_not_import_numpy(self):
         code = (
