@@ -74,20 +74,6 @@ class CharacterCache:
         with self._lock:
             return sorted(self._mem)
 
-    def seed(self, m, poly: ZPolynomial, validate: bool = True):
-        """Install a known character (e.g. a golden record whose own tensor
-        route is over budget) so recursions can resolve through it."""
-        m = tuple(self.algebra._check_dominant(m))
-        if validate:
-            self._validate(m, poly)
-            report = dim_identity(self.algebra, m, poly)
-            if not report.ok:
-                raise ValueError(
-                    f"seed for {m} fails the dimension identity: "
-                    f"{report.value} != {report.expected}")
-        with self._lock:
-            self._mem[m] = poly
-
     def verify_eigen(self, m, operator: Delta1Operator) -> "EigenReport":
         return verify_eigen(self.algebra, m, self.character_poly(m), operator)
 

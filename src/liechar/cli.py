@@ -71,17 +71,12 @@ def _algebra(args) -> Algebra:
 
 def _cache(args, algebra: Algebra) -> charlib.CharacterCache:
     cache_dir = getattr(args, "cache_dir", None) or charlib.default_cache_dir()
-    cache = charlib.CharacterCache(algebra, cache_dir=cache_dir)
-    path = getattr(args, "char_fixtures", None)
-    if path:
-        for weight, poly in charlib.load_fixtures(path, algebra.rank).items():
-            cache.seed(weight, poly)
-    return cache
+    return charlib.CharacterCache(algebra, cache_dir=cache_dir)
 
 
 def _operator_records(args, algebra: Algebra):
-    path = getattr(args, "fixtures", None)
-    if path is None and not getattr(args, "no_fixtures", False):
+    path = args.fixtures
+    if path is None and not args.no_fixtures:
         packaged = _packaged_operator_path(algebra.cartan.label)
         if packaged is not None:
             return zpoly.read_fixture_text(packaged.read_text("utf-8"),
@@ -102,9 +97,7 @@ def _operator_for(args, algebra: Algebra, poly: ZPolynomial,
         for k in range(j, algebra.rank + 1):
             if not dj.partial_derivative(k).is_zero:
                 pairs.add((j, k))
-    records = _operator_records(args, algebra)
-    return csop.build_delta1(algebra, cache, fixture_records=records,
-                             pairs=sorted(pairs))
+    return csop.build_delta1(algebra, cache, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -186,25 +179,10 @@ def _cmd_acoeff(args, parser):
     j, k = args.j, args.k
     if not (1 <= j <= algebra.rank and 1 <= k <= algebra.rank):
         raise LiecharError(f"indices ({j}, {k}) out of range 1..{algebra.rank}")
-    cache = _cache(args, algebra)
-    try:
-        poly = csop.a_coeff(algebra, j, k, cache)
-        provenance = "computed"
-    except BudgetError:
-        records = _operator_records(args, algebra)
-        entry = None
-        if records:
-            for record in records:
-                if record.kind == "a" and tuple(sorted(record.index)) == \
-                        (min(j, k), max(j, k)):
-                    entry = record.poly
-                    break
-        if entry is None:
-            raise
-        poly, provenance = entry, "loaded-from-fixture"
+    poly = csop.a_coeff(algebra, j, k, _cache(args, algebra))
     _emit(args,
           [f"a[{min(j, k)},{max(j, k)}] = {print_poly(poly)}"],
-          {"j": min(j, k), "k": max(j, k), "provenance": provenance,
+          {"j": min(j, k), "k": max(j, k), "provenance": "computed",
            "poly": print_poly(poly)})
     return 0
 
@@ -305,19 +283,17 @@ def _add_common(sub, budget=False, cache=False, fixtures=False):
     sub.add_argument("algebra", help="algebra type, e.g. E8, A2, D4")
     if budget:
         sub.add_argument("--budget", type=int, default=None,
-                         help="tensor weight-instance budget "
-                              f"(default {DEFAULT_TENSOR_BUDGET})")
+                         help="most distinct weights a tensor product may "
+                              f"visit (default {DEFAULT_TENSOR_BUDGET})")
     if cache:
         sub.add_argument("--cache-dir", default=None,
                          help="character cache root (default: "
                               f"${charlib.CACHE_ENV_VAR})")
-        sub.add_argument("--char-fixtures", default=None,
-                         help="chi fixture file used to seed the cache")
     if fixtures:
         sub.add_argument("--fixtures", default=None,
                          help="operator fixture file (default: packaged E8 tables)")
         sub.add_argument("--no-fixtures", action="store_true",
-                         help="do not fall back to packaged operator tables")
+                         help="compute the operator, not the packaged tables")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_bcoeffs)
 
     sub = subs.add_parser("acoeff", help="second-order operator coefficient")
-    _add_common(sub, budget=True, cache=True, fixtures=True)
+    _add_common(sub, budget=True, cache=True)
     sub.add_argument("j", type=int)
     sub.add_argument("k", type=int)
     sub.set_defaults(func=_cmd_acoeff)
@@ -374,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_char)
 
     sub = subs.add_parser("delta1-apply", help="apply the operator to a polynomial")
-    _add_common(sub, budget=True, cache=True, fixtures=True)
+    _add_common(sub, budget=True, cache=True)
     sub.add_argument("--poly", default=None,
                      help="polynomial text (default: read stdin)")
     sub.set_defaults(func=_cmd_delta1_apply)
 
     sub = subs.add_parser("verify", help="eigen-equation and dimension identity")
-    _add_common(sub, budget=True, cache=True, fixtures=True)
+    _add_common(sub, budget=True, cache=True)
     sub.add_argument("weight")
     sub.set_defaults(func=_cmd_verify)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import BudgetError, OperatorIncompleteError
+from .errors import OperatorIncompleteError
 from .repth import Algebra
 from .zpoly import ZPolynomial, print_poly
 
@@ -137,8 +137,9 @@ class Delta1Operator:
     """The kappa=1 operator: b_j scalars plus the symmetric a_jk matrix.
 
     ``entries`` is keyed on ordered pairs (j, k) with j <= k; ``provenance``
-    records for each populated pair whether it was computed here or loaded
-    from a fixture table.
+    records for each populated pair whether it was computed from a character
+    provider ("computed") or loaded from fixture records
+    ("loaded-from-fixture").
     """
 
     rank: int
@@ -211,12 +212,13 @@ def build_delta1(algebra: Algebra, char_provider=None,
                  fixture_records: Iterable | None = None,
                  pairs: Iterable | None = None,
                  budget: int | None = None) -> Delta1Operator:
-    """Assemble the operator, cheapest tensor products first.
+    """Assemble the operator for ``pairs`` (default: all of them).
 
-    Pairs whose product exceeds the budget fall back to fixture records when
-    available and are flagged ``loaded-from-fixture``; otherwise they are
-    left unpopulated.  Fixture b records, when present, must agree with the
-    computed values.
+    With a character provider every pair is computed, cheapest tensor
+    product first; a product over the budget raises :class:`BudgetError`.
+    Without one the pairs are loaded from the a records of
+    ``fixture_records``, and pairs they lack stay unpopulated.  Fixture b
+    records, when present, must agree with the computed values.
     """
     _require_simply_laced(algebra)
     rank = algebra.rank
@@ -236,25 +238,17 @@ def build_delta1(algebra: Algebra, char_provider=None,
                         f"{b[j - 1]}*z{j}")
     if pairs is None:
         pairs = [(j, k) for j in range(1, rank + 1) for k in range(j, rank + 1)]
-    else:
-        pairs = [(min(j, k), max(j, k)) for j, k in pairs]
+    pairs = {(min(j, k), max(j, k)) for j, k in pairs}
     op = Delta1Operator(rank=rank, b=b)
+    if char_provider is None:
+        for pair in sorted(pairs & fixture_a.keys()):
+            op.entries[pair] = fixture_a[pair]
+            op.provenance[pair] = "loaded-from-fixture"
+        return op
     for j, k in _pairs_by_cost(algebra, pairs):
-        if (j, k) in op.entries:
-            continue
-        try:
-            if char_provider is None:
-                raise BudgetError("no character provider supplied",
-                                  pair=(j, k))
-            op.entries[(j, k)] = a_coeff(algebra, j, k, char_provider,
-                                         budget=budget)
-            op.provenance[(j, k)] = "computed"
-        except BudgetError:
-            fixture = fixture_a.get((j, k))
-            if fixture is None:
-                continue
-            op.entries[(j, k)] = fixture
-            op.provenance[(j, k)] = "loaded-from-fixture"
+        op.entries[(j, k)] = a_coeff(algebra, j, k, char_provider,
+                                     budget=budget)
+        op.provenance[(j, k)] = "computed"
     return op
 
 

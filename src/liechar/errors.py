@@ -10,15 +10,16 @@ class RankMismatchError(LiecharError, ValueError):
 
 
 class BudgetError(LiecharError, RuntimeError):
-    """A tensor product was refused because its smaller factor is too large.
+    """A tensor product was refused because its Klimyk sum is too large.
 
-    Carries the offending pair so callers know which fixture to load instead.
+    Carries the offending pair, the cost (the number of distinct weights of
+    the smaller factor that the sum would visit) and the budget it exceeds.
     """
 
-    def __init__(self, message, pair=None, dim=None, budget=None):
+    def __init__(self, message, pair=None, cost=None, budget=None):
         super().__init__(message)
         self.pair = pair
-        self.dim = dim
+        self.cost = cost
         self.budget = budget
 
 

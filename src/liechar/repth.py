@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 from typing import Iterator
 
 from .errors import BudgetError
@@ -112,56 +112,6 @@ class Decomposition:
         return [{"labels": list(w), "mult": str(m)} for w, m in self.items()]
 
 
-def _component_weyl_order(nodes, entries) -> int:
-    """|W| of one connected sub-diagram, classified by shape."""
-    n = len(nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    adj = [[] for _ in nodes]
-    marks = []
-    for a in nodes:
-        for b in nodes:
-            if a < b and entries[a][b] != 0:
-                marks.append(entries[a][b] * entries[b][a])
-                adj[index[a]].append(index[b])
-                adj[index[b]].append(index[a])
-    if any(m == 3 for m in marks):
-        return 12  # G2
-    if any(m == 2 for m in marks):
-        if n == 2:
-            return 8
-        double = next(i for i, m in enumerate(marks) if m == 2)
-        a, b = [(x, y) for x in nodes for y in nodes
-                if x < y and entries[x][y] != 0][double]
-        if len(adj[index[a]]) == 2 and len(adj[index[b]]) == 2:
-            return 1152  # F4
-        return 2 ** n * factorial(n)  # B/C
-    degrees = [len(x) for x in adj]
-    if not degrees or max(degrees) <= 2:
-        return factorial(n + 1)  # A_n
-    branch = degrees.index(3)
-    arms = []
-    for first in adj[branch]:
-        length = 1
-        prev, cur = branch, first
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return 2 ** (n - 1) * factorial(n)  # D_n
-    if arms == [1, 2, 2]:
-        return 51840  # E6
-    if arms == [1, 2, 3]:
-        return 2903040  # E7
-    if arms == [1, 2, 4]:
-        return 696729600  # E8
-    raise ValueError("sub-diagram is not of finite type")
-
-
 class Algebra:
     """Precomputed root data plus the weight-combinatorics operations."""
 
@@ -174,7 +124,6 @@ class Algebra:
         if self.tensor_budget <= 0:
             raise ValueError("tensor budget must be positive")
         rows = cartan.entries
-        self._rows = rows
         # per node: (neighbor, -A[i][j]) pairs for the reflection update
         self._nbrs = tuple(
             tuple((j, -rows[i][j]) for j in range(self.rank)
@@ -193,6 +142,11 @@ class Algebra:
             for root in self.roots)
         self._dim_denominator = prod(
             sum(e for _, e in terms) for terms in self._dim_terms)
+        # per positive root: its support as a bit mask of nodes, its height
+        self._root_heights = tuple(
+            (sum(1 << i for i, c in enumerate(root.coeffs) if c),
+             sum(root.coeffs))
+            for root in self.roots)
         self._root_norm = tuple(
             sum(l * c * d for l, c, d in zip(root.labels, root.coeffs, self._d))
             for root in self.roots)
@@ -374,22 +328,18 @@ class Algebra:
         return self._weyl_order_of(range(self.rank))
 
     def _weyl_order_of(self, nodes) -> int:
-        nodes = sorted(nodes)
-        remaining = set(nodes)
-        order = 1
-        while remaining:
-            comp = []
-            stack = [min(remaining)]
-            remaining.discard(stack[0])
-            while stack:
-                a = stack.pop()
-                comp.append(a)
-                for b in list(remaining):
-                    if self._rows[a][b] != 0:
-                        remaining.discard(b)
-                        stack.append(b)
-            order *= _component_weyl_order(sorted(comp), self._rows)
-        return order
+        """|W_J| of the parabolic subgroup on ``nodes``.
+
+        The product of (ht α + 1) / ht α over the positive roots α supported
+        in J (I. G. Macdonald, Math. Ann. 199, 1972).
+        """
+        inside = sum(1 << i for i in nodes)
+        numerator = denominator = 1
+        for support, height in self._root_heights:
+            if not support & ~inside:
+                numerator *= height + 1
+                denominator *= height
+        return numerator // denominator
 
     def orbit_size(self, w) -> int:
         """|W| / |Stab(w)| via the parabolic sub-diagram of zero labels."""
@@ -469,36 +419,46 @@ class Algebra:
     def tensor_decompose(self, left, right, budget: int | None = None) -> Decomposition:
         """Clebsch-Gordan series of V_left ⊗ V_right (Klimyk rule).
 
-        Iterates over the full weight system of the smaller factor; raises
-        :class:`BudgetError` when that factor's dimension exceeds the budget
-        (default ``self.tensor_budget``).  When that factor has a Weyl orbit
-        of at least 2^17 weights and the labels fit the kernel's fixed-width
-        integers, the sum runs in the numpy array kernel.
+        Iterates over the weight system of the factor of smaller dimension,
+        visiting each of its distinct weights once.  Raises
+        :class:`BudgetError` when that count, the sum of the orbit sizes
+        over its Freudenthal table, exceeds the budget (default
+        ``self.tensor_budget``); the count is at most the dimension, so a
+        factor whose dimension is within the budget is never counted.  The
+        budget is checked on every call, cached product or not.  When that
+        factor has a Weyl orbit of at least 2^17 weights and the labels fit
+        the kernel's fixed-width integers, the sum runs in the numpy array
+        kernel.
         """
         lam = self._check_dominant(left)
         nu = self._check_dominant(right)
-        key = (lam, nu) if lam <= nu else (nu, lam)
-        cached = self._tensor.get(key)
-        if cached is not None:
-            return cached
         if budget is None:
             budget = self.tensor_budget
         dim_l = self.weyl_dim(lam)
         dim_r = self.weyl_dim(nu)
         big, small = (lam, nu) if dim_l >= dim_r else (nu, lam)
         small_dim = min(dim_l, dim_r)
+        # no orbit is longer than the module is wide, so the orbit sizes are
+        # needed only for a factor wider than the budget or the threshold
+        orbits = {}
         if small_dim > budget:
-            raise BudgetError(
-                f"tensor product V{lam} (dim {dim_l}) x V{nu} (dim {dim_r}): "
-                f"smaller factor has dimension {small_dim} exceeding the "
-                f"budget {budget}",
-                pair=(Weight(lam), Weight(nu)), dim=small_dim, budget=budget)
+            orbits = self._orbit_sizes(small)
+            cost = sum(orbits.values())
+            if cost > budget:
+                raise BudgetError(
+                    f"tensor product V{lam} (dim {dim_l}) x V{nu} "
+                    f"(dim {dim_r}): Klimyk would visit {cost} distinct "
+                    f"weights of the smaller factor, exceeding the budget "
+                    f"{budget}",
+                    pair=(Weight(lam), Weight(nu)), cost=cost, budget=budget)
+        key = (lam, nu) if lam <= nu else (nu, lam)
+        cached = self._tensor.get(key)
+        if cached is not None:
+            return cached
+        if not orbits and small_dim >= _ARRAY_MIN_ORBIT:
+            orbits = self._orbit_sizes(small)
         shifted = tuple(x + 1 for x in big)
         table = self.freudenthal(small)
-        # no orbit is longer than the module is wide, so small factors skip
-        # the orbit sizes altogether
-        orbits = ({mu: self.orbit_size(mu) for mu in table.entries}
-                  if small_dim >= _ARRAY_MIN_ORBIT else {})
         if (orbits and max(orbits.values()) >= _ARRAY_MIN_ORBIT
                 and self._fits_array_kernel(big, small, small_dim)):
             acc = _klimyk_array(self, table, orbits, shifted)
@@ -513,6 +473,11 @@ class Algebra:
         with self._lock:
             self._tensor[key] = result
         return result
+
+    def _orbit_sizes(self, highest) -> dict:
+        """Orbit size of each dominant weight of V_highest."""
+        return {mu: self.orbit_size(mu)
+                for mu in self.freudenthal(highest).entries}
 
     def _label_bound(self, big, small) -> int:
         """Bound on every label the Klimyk sum of V_big ⊗ V_small forms.

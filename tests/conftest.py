@@ -15,12 +15,6 @@ OPERATOR_FILE = DATA / "e8_delta1_operator.txt"
 ORDER2_FILE = DATA / "e8_characters_order2.chi"
 HIGHER_FILE = DATA / "e8_characters_higher.chi"
 
-# pairs whose smaller tensor factor exceeds the weight-instance budget
-HEAVY_PAIRS = {(4, 4), (4, 5), (5, 5)}
-# the one character whose own tensor route is over budget but which the
-# desk-scale pairs need (it occurs inside V_λ3 ⊗ V_λ4)
-SEEDED_WEIGHT = (0, 0, 0, 0, 2, 0, 0, 0)
-
 TIER1_PAIRS = sorted(
     (min(j, k), max(j, k))
     for j, k in [(8, 8), (1, 8), (1, 1), (7, 8), (2, 8), (1, 7), (6, 8),
@@ -61,13 +55,11 @@ def higher_chars(e8):
 
 
 @pytest.fixture(scope="session")
-def e8_build(e8, operator_fixtures, order2_chars):
-    """Full operator: every desk-scale pair computed (and timed) from
-    scratch, the three over-budget pairs loaded from the fixture tables."""
+def e8_build(e8):
+    """Full operator: all 36 pairs computed (and timed) from nothing,
+    cheapest tensor product first."""
     cache = lc.CharacterCache(e8)
-    cache.seed(SEEDED_WEIGHT, order2_chars[lc.Weight(SEEDED_WEIGHT)])
     entries = {}
-    provenance = {}
     timings = {}
     all_pairs = [(j, k) for j in range(1, 9) for k in range(j, 9)]
 
@@ -77,14 +69,9 @@ def e8_build(e8, operator_fixtures, order2_chars):
                     e8.weyl_dim(e8.fundamental(k))), j, k)
 
     for j, k in sorted(all_pairs, key=cost):
-        if (j, k) in HEAVY_PAIRS:
-            entries[(j, k)] = operator_fixtures.a[(j, k)]
-            provenance[(j, k)] = "loaded-from-fixture"
-            continue
         start = time.monotonic()
         entries[(j, k)] = lc.a_coeff(e8, j, k, cache)
         timings[(j, k)] = time.monotonic() - start
-        provenance[(j, k)] = "computed"
-    operator = lc.Delta1Operator(rank=8, b=lc.b_coeffs(e8),
-                                 entries=entries, provenance=provenance)
+    operator = lc.Delta1Operator(rank=8, b=lc.b_coeffs(e8), entries=entries,
+                                 provenance=dict.fromkeys(entries, "computed"))
     return SimpleNamespace(cache=cache, operator=operator, timings=timings)

@@ -93,7 +93,9 @@ _char_cache = {}
 
 def wcf_character(alg, lam, group=None):
     """Torus character of V_lam as a Laurent dict, via the alternating sum."""
-    key = (id(alg), tuple(lam))
+    # keyed on the Cartan matrix, not on the algebra object, whose id a
+    # later algebra may reuse once it is freed
+    key = (alg.cartan.entries, tuple(lam))
     hit = _char_cache.get(key)
     if hit is not None:
         return hit

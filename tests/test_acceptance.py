@@ -7,40 +7,14 @@ comes from the session fixtures in conftest.py.
 import random
 import time
 
-import pytest
-
 import oracles
-from conftest import HEAVY_PAIRS, TIER1_PAIRS, TIER2_PAIRS
-from liechar import (Algebra, BudgetError, CharacterCache, ZPolynomial,
+from conftest import TIER1_PAIRS, TIER2_PAIRS
+from liechar import (Algebra, CharacterCache, ZPolynomial,
                      b_coeffs, dim_identity, epsilon, ground_energy,
                      inner_product, parse_poly, print_poly, verify_eigen,
                      weyl_vector)
 
 E8_B_GOLDEN = (192, 288, 392, 600, 480, 360, 240, 120)
-
-# golden order-two entries whose recursion inevitably crosses an over-budget
-# tensor product: the three with support in {4, 5} plus λ3+λ4 (its series
-# contains the constituent 2λ5, whose only route is V_λ5 ⊗ V_λ5)
-BUDGET_BLOCKED = {
-    (0, 0, 0, 2, 0, 0, 0, 0),
-    (0, 0, 0, 1, 1, 0, 0, 0),
-    (0, 0, 0, 0, 2, 0, 0, 0),
-    (0, 0, 1, 1, 0, 0, 0, 0),
-}
-
-MINIMUM_RECOMPUTED = [
-    (0, 0, 0, 0, 0, 0, 0, 2),
-    (1, 0, 0, 0, 0, 0, 0, 1),
-    (2, 0, 0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 0, 1, 1),
-    (0, 1, 0, 0, 0, 0, 0, 1),
-    (1, 0, 0, 0, 0, 0, 1, 0),
-    (0, 0, 0, 0, 0, 1, 0, 1),
-    (0, 0, 0, 0, 0, 0, 2, 0),
-    (1, 1, 0, 0, 0, 0, 0, 0),
-    (0, 0, 1, 0, 0, 0, 0, 1),
-]
-
 
 def report(number, name):
     print(f"ACCEPTANCE {number} ({name}): PASS")
@@ -72,22 +46,19 @@ def test_criterion_2_tier1_coefficients(e8_build, operator_fixtures, capsys):
         report(2, f"tier-1 coefficients, {len(TIER1_PAIRS)} pairs")
 
 
-def test_criterion_3_tier2_coefficients(e8, e8_build, operator_fixtures,
-                                        capsys):
-    for pair in TIER2_PAIRS:
+def test_criterion_3_tier2_coefficients(e8_build, operator_fixtures, capsys):
+    # tier 2 and the three remaining pairs, (4,4), (4,5) and (5,5): every
+    # one of the 36 tables is computed under the default budget
+    rest = sorted(set(e8_build.operator.entries) - set(TIER1_PAIRS))
+    assert len(rest) == len(TIER2_PAIRS) + 3
+    for pair in rest:
         assert e8_build.operator.entries[pair] == operator_fixtures.a[pair], \
             f"a{pair} disagrees with the reference table"
-    total = sum(e8_build.timings[pair] for pair in TIER2_PAIRS)
+        assert e8_build.operator.provenance[pair] == "computed"
+    total = sum(e8_build.timings[pair] for pair in rest)
     assert total <= 7200.0
-    # the three remaining pairs are declared not desk-scale: computation is
-    # refused and the fixture entry is used instead (validated by criterion 5)
-    for j, k in sorted(HEAVY_PAIRS):
-        with pytest.raises(BudgetError):
-            from liechar import a_coeff
-            a_coeff(e8, j, k, e8_build.cache)
-        assert e8_build.operator.provenance[(j, k)] == "loaded-from-fixture"
     with capsys.disabled():
-        report(3, f"tier-2 coefficients, {len(TIER2_PAIRS)} pairs, "
+        report(3, f"tier-2 coefficients, {len(rest)} pairs, "
                   f"{total:.1f}s total")
 
 
@@ -110,22 +81,13 @@ def test_criterion_3b_deep_products_close(e8, e8_build, capsys):
 
 
 def test_criterion_4_second_order_characters(e8, order2_chars, capsys):
-    fresh = CharacterCache(e8)  # unseeded: only tier-1/2 products available
-    recomputed, blocked = [], []
+    fresh = CharacterCache(e8)  # nothing seeded or loaded
     for m, expected in sorted(order2_chars.items()):
-        try:
-            chi = fresh.character_poly(m)
-        except BudgetError:
-            blocked.append(tuple(m))
-            continue
+        chi = fresh.character_poly(m)
         assert chi == expected, f"recomputed character {tuple(m)} disagrees"
-        recomputed.append(tuple(m))
-    assert set(blocked) == BUDGET_BLOCKED
-    assert set(MINIMUM_RECOMPUTED) <= set(recomputed)
-    assert len(recomputed) == 32
+    assert len(order2_chars) == 36
     with capsys.disabled():
-        report(4, f"second-order characters, {len(recomputed)} recomputed, "
-                  f"{len(blocked)} fixture-only")
+        report(4, f"second-order characters, {len(order2_chars)} recomputed")
 
 
 def test_criterion_5_eigen_sweep(e8, e8_build, order2_chars, higher_chars,

@@ -95,15 +95,20 @@ class TestOperatorCommands:
         assert code == 0
         assert out == "a[8,8] = -124 - 28*z1 - 4*z7 - 64*z8 + 4*z8^2\n"
 
-    def test_acoeff_fixture_fallback(self, capsys):
-        # (4,4) is over budget; the packaged tables provide it
+    def test_acoeff_heavy_pair_computed(self, capsys, operator_fixtures):
+        # V_λ5 has dimension 146,325,270 but 763,681 distinct weights,
+        # within the default budget
+        from liechar import print_poly
         code, out, _ = run_cli(capsys, "--format", "json", "acoeff", "E8",
-                               "4", "4")
+                               "5", "5")
         assert code == 0
-        assert json.loads(out)["provenance"] == "loaded-from-fixture"
+        data = json.loads(out)
+        assert data["provenance"] == "computed"
+        assert data["poly"] == print_poly(operator_fixtures.a[(5, 5)])
 
     def test_acoeff_budget_error_without_fixtures(self, capsys):
-        code, _, err = run_cli(capsys, "acoeff", "E8", "4", "4", "--no-fixtures")
+        code, _, err = run_cli(capsys, "acoeff", "E8", "4", "4",
+                               "--budget", "3207120")
         assert code == 3
         assert "budget" in err
 
@@ -158,7 +163,9 @@ class TestFixturesCheck:
         m = Weight((0, 0, 0, 0, 2, 0, 0, 0))
         path = tmp_path / "heavy.chi"
         path.write_text(f"chi[0,0,0,0,2,0,0,0] = {print_poly(order2_chars[m])}\n")
-        code, out, _ = run_cli(capsys, "fixtures-check", str(path), "E8")
+        # V_λ5 ⊗ V_λ5 visits 763,681 distinct weights
+        code, out, _ = run_cli(capsys, "fixtures-check", str(path), "E8",
+                               "--budget", "763680")
         assert code == 0
         assert "recompute=SKIP" in out
         assert "1 recomputations skipped over budget" in out
@@ -187,7 +194,8 @@ class TestExitCodes:
         assert "cannot parse" in err
 
     def test_budget_exit(self, capsys):
-        code, _, err = run_cli(capsys, "char", "E8", "0,0,0,2,0,0,0,0")
+        code, _, err = run_cli(capsys, "char", "E8", "0,0,0,2,0,0,0,0",
+                               "--budget", "3207120")
         assert code == 3
         assert "budget" in err
 

@@ -100,8 +100,10 @@ class TestACoeff:
         assert a_coeff(e8, 1, 8, cache) == a_coeff(e8, 8, 1, cache)
 
     def test_budget_propagates(self, e8):
-        with pytest.raises(BudgetError):
-            a_coeff(e8, 4, 4, CharacterCache(e8))
+        # V_λ4 ⊗ V_λ4 visits 3,207,121 distinct weights of V_λ4
+        with pytest.raises(BudgetError) as err:
+            a_coeff(e8, 4, 4, CharacterCache(e8), budget=3_207_120)
+        assert err.value.cost == 3_207_121
 
     def test_index_range(self, e8):
         with pytest.raises(ValueError):
@@ -140,13 +142,13 @@ class TestOperator:
         with pytest.raises(OperatorIncompleteError):
             partial_op.apply(parse_poly("z2^2", 8))
 
-    def test_provenance_tracking(self, e8, operator_fixtures):
-        cache = CharacterCache(e8)
-        op = build_delta1(e8, cache,
+    def test_provenance_tracking(self, e8, e8_build, operator_fixtures):
+        # with a character provider every pair is computed, records or not
+        op = build_delta1(e8, e8_build.cache,
                           fixture_records=operator_fixtures.records,
                           pairs=[(8, 8), (4, 4)])
-        assert op.provenance[(8, 8)] == "computed"
-        assert op.provenance[(4, 4)] == "loaded-from-fixture"
+        assert op.provenance == {(8, 8): "computed", (4, 4): "computed"}
+        assert op.a(4, 4) == operator_fixtures.a[(4, 4)]
         assert op.has(4, 4) and not op.has(2, 2)
 
     def test_fixture_only_build(self, e8, operator_fixtures):
@@ -154,9 +156,13 @@ class TestOperator:
         assert len(op.entries) == 36
         assert set(op.provenance.values()) == {"loaded-from-fixture"}
 
-    def test_unfixable_budget_pair_left_absent(self, e8):
-        op = build_delta1(e8, CharacterCache(e8), pairs=[(4, 4), (8, 8)])
-        assert op.has(8, 8) and not op.has(4, 4)
+    def test_over_budget_pair_raises(self, e8, operator_fixtures):
+        # records never stand in for a product the budget refuses
+        with pytest.raises(BudgetError) as err:
+            build_delta1(e8, CharacterCache(e8),
+                         fixture_records=operator_fixtures.records,
+                         pairs=[(4, 4), (8, 8)], budget=3_207_120)
+        assert err.value.pair == ((0, 0, 0, 1, 0, 0, 0, 0),) * 2
 
     def test_b_fixture_mismatch_rejected(self, e8):
         from liechar.zpoly import FixtureRecord

@@ -125,6 +125,10 @@ class TestOrbits:
         assert Algebra("G2").weyl_order() == 12
         assert Algebra("F4").weyl_order() == 1152
         assert Algebra("B3").weyl_order() == 48
+        assert Algebra("C4").weyl_order() == 384
+        assert Algebra("D6").weyl_order() == 23040
+        assert Algebra("E6").weyl_order() == 51840
+        assert Algebra("E7").weyl_order() == 2903040
 
     def test_enumeration_matches_size(self, d4):
         rng = random.Random(3)
@@ -245,18 +249,32 @@ class TestTensor:
         assert dec.entries == oracles.tensor_oracle(a2, (2, 1), (1, 2))
 
     def test_budget_error(self, e8):
+        # the budget counts the distinct weights of V_λ4, not its dimension
+        # 6,899,079,264
         lam4 = e8.fundamental(4)
         with pytest.raises(BudgetError) as err:
-            e8.tensor_decompose(lam4, lam4)
-        assert err.value.dim == 6899079264
-        assert err.value.budget == e8.tensor_budget
+            e8.tensor_decompose(lam4, lam4, budget=3_207_120)
+        assert err.value.cost == 3_207_121
+        assert err.value.budget == 3_207_120
 
     def test_budget_override(self):
+        # V_(1,1) of A2 has dimension 8 and 7 distinct weights
         fresh = Algebra("A2")  # bypass the session memo
         with pytest.raises(BudgetError):
-            fresh.tensor_decompose((1, 1), (1, 1), budget=7)
+            fresh.tensor_decompose((1, 1), (1, 1), budget=6)
         with pytest.raises(BudgetError):
-            Algebra("A2", tensor_budget=7).tensor_decompose((1, 1), (1, 1))
+            Algebra("A2", tensor_budget=6).tensor_decompose((1, 1), (1, 1))
+
+    def test_budget_counts_distinct_weights(self, a2):
+        # dimension 8 is over a budget of 7, the 7 distinct weights are not
+        dec = Algebra("A2", tensor_budget=7).tensor_decompose((1, 1), (1, 1))
+        assert dec == a2.tensor_decompose((1, 1), (1, 1))
+
+    def test_budget_checked_on_cached_products(self):
+        fresh = Algebra("A2")
+        fresh.tensor_decompose((1, 1), (1, 1))
+        with pytest.raises(BudgetError):
+            fresh.tensor_decompose((1, 1), (1, 1), budget=6)
 
     def test_non_dominant_rejected(self, a2):
         with pytest.raises(ValueError):
@@ -282,8 +300,8 @@ FORCE_ARRAY = 0
 
 
 @pytest.fixture(scope="module")
-def e8_lifted():
-    return Algebra("E8", tensor_budget=10_000_000_000)
+def e8_fresh():
+    return Algebra("E8")
 
 
 class TestKlimykKernels:
@@ -311,7 +329,7 @@ class TestKlimykKernels:
 
     @pytest.mark.parametrize("index", [4, 5])
     def test_array_kernel_on_the_largest_e8_squares(self, monkeypatch,
-                                                    e8_lifted, index):
+                                                    e8_fresh, index):
         calls = []
         array_kernel = repth._klimyk_array
 
@@ -320,11 +338,11 @@ class TestKlimykKernels:
             return array_kernel(*args)
 
         monkeypatch.setattr(repth, "_klimyk_array", spy)
-        lam = e8_lifted.fundamental(index)
-        dec = e8_lifted.tensor_decompose(lam, lam)
+        lam = e8_fresh.fundamental(index)
+        dec = e8_fresh.tensor_decompose(lam, lam)
         assert calls == [lam]
-        total = sum(m * e8_lifted.weyl_dim(w) for w, m in dec.items())
-        assert total == e8_lifted.weyl_dim(lam) ** 2
+        total = sum(m * e8_fresh.weyl_dim(w) for w, m in dec.items())
+        assert total == e8_fresh.weyl_dim(lam) ** 2
         top = tuple(2 * x for x in lam)
         assert dec[top] == 1
 
