@@ -130,13 +130,10 @@ class CharacterCache:
     def _validate(self, m: tuple, poly: ZPolynomial):
         if poly.coefficient(m) != 1:
             raise AssertionError(f"character of {m} lacks a unit leading term")
-        alg = self.algebra
+        below = self.algebra._below
         for exps in poly.terms:
             # the weight of z^e is sum_i e_i λ_i, i.e. the label vector e
-            if exps == m:
-                continue
-            gap = alg.dominance_gap(m, exps)
-            if any(x < 0 or x.denominator != 1 for x in gap):
+            if exps != m and not below(m, exps):
                 raise AssertionError(
                     f"monomial {exps} of character {m} is not below it "
                     "in dominance order")
@@ -153,21 +150,28 @@ class CharacterCache:
         path = self._path_for(m)
         if path is None or not path.is_file():
             return None
+        # corrupt cache entries are ignored and recomputed, never trusted
         try:
             records = read_fixture_file(path, self.rank)
             if len(records) != 1:
-                return None
-            record = records[0]
-            if record.kind != "chi" or tuple(record.index) != m:
-                return None
-            self._validate(m, record.poly)
-            report = dim_identity(self.algebra, m, record.poly)
-            if not report.ok:
-                return None
-            return record.poly
-        except Exception:
-            # corrupt cache entries are ignored and recomputed, never trusted
-            return None
+                reason = f"{len(records)} records, expected 1"
+            elif records[0].kind != "chi" or tuple(records[0].index) != m:
+                reason = (f"record {records[0].kind}{list(records[0].index)} "
+                          f"is not chi{list(m)}")
+            else:
+                poly = records[0].poly
+                self._validate(m, poly)
+                if dim_identity(self.algebra, m, poly).ok:
+                    return poly
+                reason = "dimension identity fails"
+        except Exception as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        # imported only here: the module costs about 0.7 MB of RSS, which a
+        # process that rejects no entry does not pay
+        import logging
+        logging.getLogger("liechar").debug(
+            "rejected disk cache entry %s: %s", path, reason)
+        return None
 
     def _store_to_disk(self, m: tuple, poly: ZPolynomial):
         path = self._path_for(m)

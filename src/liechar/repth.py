@@ -10,23 +10,27 @@ rationals and asserted integral.
 
 The Klimyk sum has two implementations, chosen per product from the
 smaller factor's Freudenthal table.  When its largest Weyl orbit has fewer
-than ``_ARRAY_MIN_ORBIT`` (2^17) weights, a Python loop walks each orbit
-with :meth:`Algebra.weyl_orbit` and reflects one weight at a time.  Its
-visited set costs about 150 B per weight of the largest orbit, which below
-2^17 weights is less than importing numpy (about 12 MB) and running the
-array kernel, so numpy is never imported for such products.  Longer orbits
-go to an array kernel that walks each orbit as a tree with no visited set
-and reflects whole batches with numpy, in fixed-width integers.  A product
-whose labels could leave those integers stays on the Python loop, which
-has no such limit.  In E8 only the products with λ4 or λ5 as the smaller
-factor take the array kernel.
+than ``_ARRAY_MIN_ORBIT`` (2^17) weights, a Python loop reflects one weight
+at a time.  It reads the factor's weight system from a per-algebra cache:
+every orbit is walked once with :meth:`Algebra.weyl_orbit` and packed into
+an ``array`` of labels, about ``rank`` bytes per weight, which every later
+product with the same small factor reuses.  numpy (about 12 MB) is never
+imported for such products.  Longer orbits go to an array kernel that
+walks each orbit as a tree and reflects whole batches with numpy, in
+fixed-width integers; it never fills the cache.  A product whose labels
+could leave those integers stays on the Python loop.  In E8 only the
+products with λ4 or λ5 as the smaller factor take the array kernel.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, lcm, prod
+from operator import add
+from struct import iter_unpack
 from typing import Iterator
 
 from .errors import BudgetError
@@ -42,10 +46,13 @@ __all__ = [
 DEFAULT_TENSOR_BUDGET = 20_000_000
 
 # Products whose smaller factor has a Weyl orbit at least this long use the
-# array kernel.  Below it the Python loop's visited set (about 150 B per
-# weight of the largest orbit) costs less memory than importing numpy and
-# running the kernel.
+# array kernel, which is several times faster but imports numpy (about
+# 12 MB).  Below it the loop's time is small, and a process that takes only
+# such products, as a CLI request for a small E8 character does, keeps
+# numpy out of its peak memory.
 _ARRAY_MIN_ORBIT = 2 ** 17
+# array typecodes for packed orbits, narrowest first
+_PACK_CODES = "bhiq"
 # columns per batch of the array kernel, which bounds its working memory
 _ARRAY_CHUNK = 2 ** 16
 
@@ -154,10 +161,21 @@ class Algebra:
         self._metric = tuple(
             tuple(self._d[j] * self._ainv.entries[k][j] for k in range(self.rank))
             for j in range(self.rank))
+        # det(A) * A^-1 is the adjugate, an integer matrix; column m gives
+        # det(A) times the m-th root coordinate of a label vector
+        self._det = int(cartan.determinant)
+        adjugate = tuple(tuple(x * self._det for x in row)
+                         for row in self._ainv.entries)
+        if any(x.denominator != 1 for row in adjugate for x in row):
+            raise AssertionError("det(A) * A^-1 is not integral")
+        self._adj_cols = tuple(
+            tuple(int(adjugate[k][m]) for k in range(self.rank))
+            for m in range(self.rank))
         self.rho = Weight((1,) * self.rank)
         self._dims: dict = {}
         self._freudenthal: dict = {}
         self._tensor: dict = {}
+        self._weight_systems: dict = {}
         self._lock = threading.RLock()
 
     # -- basics ---------------------------------------------------------
@@ -212,8 +230,23 @@ class Algebra:
         return self.root_coords(diff)
 
     def is_dominance_below(self, low, high) -> bool:
-        gap = self.dominance_gap(high, low)
-        return all(x >= 0 and x.denominator == 1 for x in gap)
+        high = self._check_weight(high)
+        low = self._check_weight(low)
+        return self._below(high, low)
+
+    def _below(self, high: tuple, low: tuple) -> bool:
+        """``low <= high`` for checked label tuples, in integers.
+
+        det(A) times each root coordinate of high - low must be >= 0 and
+        divisible by det(A).
+        """
+        diff = [a - b for a, b in zip(high, low)]
+        det = self._det
+        for col in self._adj_cols:
+            g = sum(map(int.__mul__, diff, col))
+            if g < 0 or g % det:
+                return False
+        return True
 
     # -- reflections ------------------------------------------------------
 
@@ -281,14 +314,16 @@ class Algebra:
     def weyl_orbit(self, w) -> Iterator[tuple]:
         """All distinct images of a dominant weight under the Weyl group.
 
-        Descends from the dominant representative by flipping positive labels;
-        the visited set keyed on the label vector makes each element appear
-        exactly once, in a deterministic order.
+        The orbit is a tree under the canonical-parent rule: the parent of a
+        non-dominant v reflects it at its first negative label, as
+        :meth:`_dominant_of` does.  A child s_i v of v is kept only when i
+        is its first negative label, so each weight is reached exactly once
+        and no visited set is held (D. Snow, "Weyl group orbits", ACM TOMS
+        1990).  The walk is depth first, in a deterministic order.
         """
         start = tuple(self._check_dominant(w))
         nbrs = self._nbrs
         n = self.rank
-        seen = {start}
         stack = [start]
         while stack:
             v = stack.pop()
@@ -300,10 +335,8 @@ class Algebra:
                     u[i] = -x
                     for j, c in nbrs[i]:
                         u[j] += c * x
-                    t = tuple(u)
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
+                    if i == 0 or min(u[:i]) >= 0:
+                        stack.append(tuple(u))
 
     # -- dimensions and orbit sizes ----------------------------------------
 
@@ -503,14 +536,49 @@ class Algebra:
         limit = min(1 << (63 // self.rank), 1 << 29)
         return small_dim < 1 << 63 and self._label_bound(big, small) < limit
 
+    def _weight_system(self, table) -> list:
+        """``(mult, packed orbit)`` per dominant weight of ``table``, cached.
+
+        Each orbit is walked once and its labels are packed row by row into
+        an ``array`` of the narrowest typecode that holds every label of
+        V_λ, λ the table's highest weight.  A label of a weight y of V_λ is
+        2 (y, α_k) / (α_k, α_k) <= 2 |λ| / |α_k|, since |y| <= |λ|.
+        """
+        lam = tuple(table.highest)
+        cached = self._weight_systems.get(lam)
+        if cached is not None:
+            return cached
+        n = self.rank
+        square = 4 * self.weight_form(lam, lam) / min(self._root_norm)
+        # the widest code fails only for a factor with a label of order
+        # 2^63, whose root string through λ alone has that many weights,
+        # more than the loop could visit; array raises OverflowError there
+        code = next((c for c in _PACK_CODES
+                     if square < 1 << 2 * (8 * array(c).itemsize - 1)), "q")
+        entry = []
+        for mu, mult in table.entries.items():
+            packed = array(code, chain.from_iterable(self.weyl_orbit(mu)))
+            size = self.orbit_size(mu)
+            if len(packed) != n * size:
+                raise AssertionError(f"orbit of {mu} has {len(packed) // n} "
+                                     f"weights, expected {size}")
+            entry.append((mult, packed))
+        with self._lock:
+            self._weight_systems[lam] = entry
+        return entry
+
     def _klimyk_loop(self, table, shifted) -> dict:
-        """Klimyk sum over the weights of ``table``, one weight at a time."""
+        """Klimyk sum over the weights of ``table``, one weight at a time.
+
+        The weights come from the cached packed weight system of
+        ``table``'s highest weight, so a factor's orbits are walked once.
+        """
         n = self.rank
         acc: dict = {}
         reflect = self._reflect_no_walls
-        for w, mult in table.entries.items():
-            for u in self.weyl_orbit(w):
-                res = reflect([shifted[i] + u[i] for i in range(n)])
+        for mult, packed in self._weight_system(table):
+            for u in iter_unpack(f"{n}{packed.typecode}", packed):
+                res = reflect(list(map(add, shifted, u)))
                 if res is None:
                     continue
                 dom, sign = res

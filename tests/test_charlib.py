@@ -1,4 +1,5 @@
 import errno
+import logging
 import random
 from pathlib import Path
 
@@ -85,6 +86,16 @@ class TestValidationLayers:
             assert chi.coefficient(m) == 1
             for exps in chi.terms:
                 assert a2.is_dominance_below(exps, m)
+
+    def test_monomial_above_m_is_rejected(self, a2):
+        m = (2, 2)
+        chi = CharacterCache(a2).character_poly(m)
+        CharacterCache(a2)._validate(m, chi)
+        terms = dict(chi.terms)
+        # move the monomial z1^3 to m + α1 = (4, 1), above m
+        terms[(4, 1)] = terms.pop((3, 0))
+        with pytest.raises(AssertionError, match="dominance"):
+            CharacterCache(a2)._validate(m, ZPolynomial(2, terms))
 
     def test_dim_identity(self, e8, order2_chars):
         m = Weight((0, 0, 0, 0, 0, 0, 0, 2))
@@ -195,6 +206,20 @@ class TestPersistence:
         stored.write_text("chi[2,2] = z1*z2\n")
         fresh = CharacterCache(a2, cache_dir=tmp_path)
         assert fresh.character_poly((2, 2)) == chi
+
+    def test_rejected_entry_is_logged(self, tmp_path, caplog):
+        a2 = Algebra("A2")
+        chi = CharacterCache(a2, cache_dir=tmp_path).character_poly((2, 2))
+        stored = tmp_path / "a2" / "2-2.chi"
+        text = stored.read_text()
+        stored.write_text(text[:len(text) // 2])
+        with caplog.at_level(logging.DEBUG, logger="liechar"):
+            fresh = CharacterCache(a2, cache_dir=tmp_path)
+            assert fresh.character_poly((2, 2)) == chi
+        assert len(caplog.records) == 1
+        assert caplog.records[0].levelno == logging.DEBUG
+        assert str(stored) in caplog.records[0].getMessage()
+        assert stored.read_text() == text
 
     def test_interrupted_write_leaves_no_entry(self, tmp_path, monkeypatch):
         a2 = Algebra("A2")

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -136,6 +137,62 @@ class TestOrbits:
             w = [rng.randint(0, 2) for _ in range(4)]
             orbit = list(d4.weyl_orbit(w))
             assert len(orbit) == len(set(orbit)) == d4.orbit_size(w)
+
+    @staticmethod
+    def closure(alg, w):
+        """The orbit by every simple reflection, with a visited set."""
+        rows = alg.cartan.entries
+        seen = {tuple(w)}
+        todo = [tuple(w)]
+        while todo:
+            v = todo.pop()
+            for i in range(alg.rank):
+                # s_i v = v - <v, α_i^∨> α_i, and row i holds α_i's labels
+                u = tuple(x - v[i] * a for x, a in zip(v, rows[i]))
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return seen
+
+    @pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2", "D4"])
+    def test_tree_walk_on_small_labels(self, name):
+        alg = Algebra(name)
+        for w in itertools.product(range(3), repeat=alg.rank):
+            orbit = list(alg.weyl_orbit(w))
+            assert len(orbit) == len(set(orbit)) == alg.orbit_size(w)
+            assert set(orbit) == self.closure(alg, w)
+
+    @pytest.mark.parametrize("name, samples", [("F4", 8), ("E6", 4)])
+    def test_tree_walk_on_random_weights(self, name, samples):
+        alg = Algebra(name)
+        rng = random.Random(7)
+        for _ in range(samples):
+            w = tuple(rng.randint(0, 1) for _ in range(alg.rank))
+            orbit = list(alg.weyl_orbit(w))
+            assert len(orbit) == len(set(orbit)) == alg.orbit_size(w)
+            assert set(orbit) == self.closure(alg, w)
+
+
+class TestDominanceOrder:
+    @pytest.mark.parametrize("name, det", [
+        ("A2", 3), ("B3", 2), ("G2", 1), ("D4", 4), ("E6", 3)])
+    def test_integer_rule_matches_fraction_gap(self, name, det):
+        alg = Algebra(name)
+        assert alg._det == det
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(400):
+            high = tuple(rng.randint(0, 3) for _ in range(alg.rank))
+            low = tuple(rng.randint(0, 3) for _ in range(alg.rank))
+            gap = alg.dominance_gap(high, low)
+            integral = all(x.denominator == 1 for x in gap)
+            below = integral and all(x >= 0 for x in gap)
+            assert alg.is_dominance_below(low, high) == below
+            seen.add((integral, below))
+        # both outcomes occur, and so do gaps that are not integral
+        # wherever det(A) > 1
+        assert (True, True) in seen and (True, False) in seen
+        assert ((False, False) in seen) == (det > 1)
 
 
 class TestFreudenthal:
@@ -409,3 +466,37 @@ class TestKlimykKernels:
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "False"
+
+
+class TestWeightSystemCache:
+    def test_each_weight_system_walked_once(self, monkeypatch):
+        walked = []
+        weyl_orbit = Algebra.weyl_orbit
+
+        def counted(self, w):
+            walked.append(tuple(w))
+            return weyl_orbit(self, w)
+
+        monkeypatch.setattr(Algebra, "weyl_orbit", counted)
+        e8 = Algebra("E8")
+        lam1, lam7, lam8 = (e8.fundamental(i) for i in (1, 7, 8))
+        e8.tensor_decompose(lam8, lam7)
+        assert sorted(walked) == sorted(e8.freudenthal(lam8).entries)
+        e8.tensor_decompose(lam8, lam1)
+        assert len(walked) == 2
+
+    @pytest.mark.parametrize("k, code", [(127, "b"), (128, "h"), (200, "h")])
+    def test_labels_beyond_a_signed_byte(self, k, code):
+        a1 = Algebra("A1")
+        dec = a1.tensor_decompose((k,), (k + 1,))
+        assert dec.entries == {(j,): 1 for j in range(1, 2 * k + 2, 2)}
+        # packed in the narrowest code that holds the labels ±k
+        system = a1._weight_system(a1.freudenthal((k,)))
+        assert {packed.typecode for _, packed in system} == {code}
+
+    def test_orbit_length_is_checked(self, monkeypatch):
+        orbit_size = Algebra.orbit_size
+        monkeypatch.setattr(Algebra, "orbit_size",
+                            lambda self, w: orbit_size(self, w) + 1)
+        with pytest.raises(AssertionError, match="orbit of"):
+            Algebra("A2").tensor_decompose((1, 1), (1, 0))
