@@ -15,7 +15,6 @@ independent verification layers.
 from __future__ import annotations
 
 import os
-import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,11 +63,7 @@ class CharacterCache:
     # -- public API --------------------------------------------------------
 
     def character_poly(self, m) -> ZPolynomial:
-        m = tuple(self.algebra._check_dominant(m))
-        # dominance chains can nest a few hundred frames on E8
-        if sys.getrecursionlimit() < 10000:
-            sys.setrecursionlimit(10000)
-        return self._get(m)
+        return self._get(tuple(self.algebra._check_dominant(m)))
 
     def cached_weights(self):
         with self._lock:
@@ -83,6 +78,48 @@ class CharacterCache:
     # -- internals ----------------------------------------------------------
 
     def _get(self, m: tuple) -> ZPolynomial:
+        """The character of ``m``, computing first every character it needs.
+
+        A worklist stands in for recursion, so dominance chains of any
+        depth leave the interpreter's recursion limit alone.  The weight on
+        top is claimed, then read from disk or expanded once every
+        character its expansion names is present; until then those are
+        pushed above it.  A weight claimed by another thread is waited for.
+        """
+        stack = [m]
+        held: dict = {}  # claimed weight -> the characters it needs
+        try:
+            while stack:
+                w = stack[-1]
+                poly = None
+                if w not in held:
+                    if self._claim(w) is not None:
+                        stack.pop()
+                        continue
+                    held[w] = ()  # claimed: released below, or on an error
+                    poly = self._load_from_disk(w)
+                    if poly is None:
+                        held[w] = self._needs(w)
+                if poly is None:
+                    missing = [x for x in held[w] if x not in self._mem]
+                    if missing:
+                        stack.extend(reversed(missing))
+                        continue
+                    poly = self._expand(w)
+                    self._store_to_disk(w, poly)
+                del held[w]
+                self._release(w, poly)
+                stack.pop()
+        finally:
+            for w in held:
+                self._release(w)
+        return self._mem[m]
+
+    def _claim(self, m: tuple) -> ZPolynomial | None:
+        """The character of ``m`` if present, else None with ``m`` claimed.
+
+        Waits while another thread holds the claim on ``m``.
+        """
         while True:
             with self._lock:
                 hit = self._mem.get(m)
@@ -90,22 +127,17 @@ class CharacterCache:
                     return hit
                 event = self._inflight.get(m)
                 if event is None:
-                    event = threading.Event()
-                    self._inflight[m] = event
-                    break
+                    self._inflight[m] = threading.Event()
+                    return None
             event.wait()
-        try:
-            poly = self._load_from_disk(m)
-            if poly is None:
-                poly = self._expand(m)
-                self._store_to_disk(m, poly)
-            with self._lock:
+
+    def _release(self, m: tuple, poly: ZPolynomial | None = None):
+        """Store ``poly`` (unless None) and wake the threads waiting on ``m``."""
+        with self._lock:
+            if poly is not None:
                 self._mem[m] = poly
-            return poly
-        finally:
-            with self._lock:
-                del self._inflight[m]
-            event.set()
+            event = self._inflight.pop(m)
+        event.set()
 
     def _split_index(self, m: tuple) -> int:
         alg = self.algebra
@@ -113,12 +145,23 @@ class CharacterCache:
         return min(candidates,
                    key=lambda i: (alg.weyl_dim(alg.fundamental(i + 1)), i)) + 1
 
-    def _expand(self, m: tuple, split_index: int | None = None) -> ZPolynomial:
+    def _plan(self, m: tuple, split_index: int | None = None) -> tuple:
+        """``(i, ν, V_{λ_i} ⊗ V_ν)`` with ν = m - e_i."""
         i = self._split_index(m) if split_index is None else split_index
         if not m[i - 1] > 0:
             raise ValueError(f"label {i} of {m} is not positive")
         nu = tuple(x - (1 if j == i - 1 else 0) for j, x in enumerate(m))
-        decomposition = self.algebra.tensor_decompose(self.algebra.fundamental(i), nu)
+        alg = self.algebra
+        return i, nu, alg.tensor_decompose(alg.fundamental(i), nu)
+
+    def _needs(self, m: tuple) -> list:
+        """The characters that :meth:`_expand` reads for ``m``."""
+        _, nu, decomposition = self._plan(m)
+        return [nu] + [mu for mu in map(tuple, decomposition.entries)
+                       if mu != m]
+
+    def _expand(self, m: tuple, split_index: int | None = None) -> ZPolynomial:
+        i, nu, decomposition = self._plan(m, split_index)
         poly = ZPolynomial.variable(self.rank, i) * self._get(nu)
         for mu, mult in decomposition.items():
             mu = tuple(mu)

@@ -90,14 +90,31 @@ def test_criterion_4_second_order_characters(e8, order2_chars, capsys):
         report(4, f"second-order characters, {len(order2_chars)} recomputed")
 
 
+def test_criterion_4b_every_character_recomputed(e8_build, order2_chars,
+                                                higher_chars, capsys):
+    # the cache that built the operator holds every shipped character
+    cache = e8_build.cache
+    checked = 0
+    for chars in (order2_chars, higher_chars):
+        for m, expected in sorted(chars.items()):
+            assert cache.character_poly(m) == expected, \
+                f"recomputed character {tuple(m)} disagrees"
+            checked += 1
+    assert checked == 36 + 151
+    with capsys.disabled():
+        report("4b", f"every shipped character, {checked} recomputed")
+
+
 def test_criterion_5_eigen_sweep(e8, e8_build, order2_chars, higher_chars,
                                  capsys):
+    # on the recomputed characters; 4b compares them with the tables
     operator = e8_build.operator
     assert len(operator.entries) == 36
     start = time.monotonic()
     checked = 0
     for chars in (order2_chars, higher_chars):
-        for m, chi in sorted(chars.items()):
+        for m in sorted(chars):
+            chi = e8_build.cache.character_poly(m)
             result = verify_eigen(e8, m, chi, operator)
             assert result.ok, (
                 f"eigen equation fails at {tuple(m)}: expected "
@@ -110,12 +127,13 @@ def test_criterion_5_eigen_sweep(e8, e8_build, order2_chars, higher_chars,
         report(5, f"eigen sweep, {checked} characters, {elapsed:.1f}s")
 
 
-def test_criterion_6_dimension_identity(e8, order2_chars, higher_chars,
-                                        capsys):
+def test_criterion_6_dimension_identity(e8, e8_build, order2_chars,
+                                        higher_chars, capsys):
+    # on the recomputed characters; 4b compares them with the tables
     checked = 0
     for chars in (order2_chars, higher_chars):
-        for m, chi in sorted(chars.items()):
-            result = dim_identity(e8, m, chi)
+        for m in sorted(chars):
+            result = dim_identity(e8, m, e8_build.cache.character_poly(m))
             assert result.ok, (
                 f"dimension identity fails at {tuple(m)}: "
                 f"{result.value} != {result.expected}")

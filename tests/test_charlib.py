@@ -1,10 +1,14 @@
 import errno
 import logging
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import liechar
 import oracles
 from liechar import (Algebra, BudgetError, CharacterCache, Weight,
                      ZPolynomial, build_delta1, compare_fixture, dim_identity,
@@ -49,6 +53,26 @@ class TestRecursion:
         assert err.value.pair is not None
         assert tuple(err.value.pair[0]) == (0, 0, 0, 1, 0, 0, 0, 0)
 
+    def test_failure_releases_every_claim(self, monkeypatch):
+        # (3,3) claims (3,3), (2,3), (1,3) and (0,3) before V_λ2 ⊗ V_(0,2)
+        alg = Algebra("A2")
+        cache = CharacterCache(alg)
+        decompose = alg.tensor_decompose
+
+        def failing(left, right, budget=None):
+            if tuple(right) == (0, 2):
+                raise BudgetError("refused")
+            return decompose(left, right, budget)
+
+        monkeypatch.setattr(alg, "tensor_decompose", failing)
+        with pytest.raises(BudgetError):
+            cache.character_poly((3, 3))
+        assert not cache._inflight
+        assert (0, 3) not in cache._mem
+        monkeypatch.undo()
+        assert cache.character_poly((3, 3)) == \
+            CharacterCache(Algebra("A2")).character_poly((3, 3))
+
     def test_path_independence_small(self, a2):
         cache = CharacterCache(a2)
         for m in [(1, 1), (2, 1), (2, 2), (3, 1)]:
@@ -61,6 +85,30 @@ class TestRecursion:
         m = (1, 0, 0, 0, 0, 0, 0, 1)
         assert cache._expand(m, split_index=1) == \
             cache._expand(m, split_index=8)
+
+    def test_recursion_limit_left_alone(self):
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(1000)
+            CharacterCache(Algebra("A1")).character_poly((40,))
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_deep_chain_at_the_default_limit(self):
+        # A1 V_600 rests on a chain of 600 lower characters
+        code = (
+            "import sys, liechar\n"
+            "assert sys.getrecursionlimit() == 1000\n"
+            "a1 = liechar.Algebra('A1')\n"
+            "chi = liechar.CharacterCache(a1).character_poly((600,))\n"
+            "print(chi.evaluate([2]), sys.getrecursionlimit())\n")
+        src = str(Path(liechar.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        # chi_600 at z1 = dim V_1 = 2 is dim V_600 = 601
+        assert out.stdout.split() == ["601", "1000"]
 
     def test_third_order_recomputed(self, e8, higher_chars):
         cache = CharacterCache(e8)
@@ -176,6 +224,49 @@ class TestConcurrency:
         for idx, m in enumerate(targets):
             assert results[idx] == reference.character_poly(m)
         assert len(calls) == len(set(calls))
+
+    def test_many_threads_on_one_cache(self):
+        # more threads than cores, switching every 10 microseconds: every
+        # character is expanded once, and every answer is right
+        import threading
+        a3 = Algebra("A3")
+        cache = CharacterCache(a3)
+        calls = []
+        original = cache._expand
+
+        def counting_expand(m, split_index=None):
+            calls.append(m)
+            return original(m, split_index)
+
+        cache._expand = counting_expand
+        rng = random.Random(29)
+        targets = [tuple(rng.randint(0, 2) for _ in range(3))
+                   for _ in range(24)]
+        results = [None] * 8
+
+        def worker(idx):
+            order = targets[:]
+            random.Random(idx).shuffle(order)
+            results[idx] = {m: cache.character_poly(m) for m in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        reference = CharacterCache(a3)
+        for answers in results:
+            assert answers == {m: reference.character_poly(m)
+                               for m in targets}
+        assert len(calls) == len(set(calls))
+        assert not cache._inflight
 
 
 class TestPersistence:

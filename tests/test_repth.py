@@ -485,14 +485,57 @@ class TestWeightSystemCache:
         e8.tensor_decompose(lam8, lam1)
         assert len(walked) == 2
 
-    @pytest.mark.parametrize("k, code", [(127, "b"), (128, "h"), (200, "h")])
+    @pytest.mark.parametrize("k, code", [(127, "b"), (128, "h"), (200, "h"),
+                                         (300, "h")])
     def test_labels_beyond_a_signed_byte(self, k, code):
         a1 = Algebra("A1")
         dec = a1.tensor_decompose((k,), (k + 1,))
         assert dec.entries == {(j,): 1 for j in range(1, 2 * k + 2, 2)}
-        # packed in the narrowest code that holds the labels ±k
+        # packed in the narrowest code that holds the labels ±k, and each
+        # weight indexed by its negative part min(u, 0), up to -k
         system = a1._weight_system(a1.freudenthal((k,)))
-        assert {packed.typecode for _, packed in system} == {code}
+        assert {packed.typecode for _, packed, _, _ in system} == {code}
+        for _, packed, parts, ids in system:
+            assert parts.typecode == code
+            assert [parts[i] for i in ids] == [min(u, 0) for u in packed]
+
+    @pytest.mark.parametrize("code", "bhiq")
+    def test_negative_parts_in_every_code(self, code):
+        # 700 rows of 3 labels span three chunks; the extremes of the code
+        # test the sign bits
+        from array import array
+        rng = random.Random(31)
+        top = 1 << 8 * array(code).itemsize - 1
+        rows = [tuple(rng.choice((-top, top - 1, -1, 0, 1,
+                                  rng.randrange(-top, top)))
+                      for _ in range(3)) for _ in range(700)]
+        packed = array(code, itertools.chain.from_iterable(rows))
+        parts, ids = repth._negative_parts(packed, 3)
+        negative = [tuple(min(x, 0) for x in row) for row in rows]
+        assert parts.typecode == code
+        assert len(parts) == 3 * len(set(negative))
+        assert [tuple(parts[3 * i:3 * i + 3]) for i in ids] == negative
+
+    @pytest.mark.parametrize("big, small", [(7, 8), (6, 1)])
+    def test_only_sums_off_a_wall_are_reflected(self, monkeypatch, big, small):
+        e8 = Algebra("E8")
+        nu, lam = e8.fundamental(big), e8.fundamental(small)
+        shifted = [x + 1 for x in nu]
+        reflected = []
+        reflect = Algebra._reflect_no_walls
+
+        def counted(self, v):
+            # the weight u of V_lam behind the sum v = nu + rho + u
+            reflected.append(tuple(a - s for a, s in zip(v, shifted)))
+            return reflect(self, v)
+
+        monkeypatch.setattr(Algebra, "_reflect_no_walls", counted)
+        e8.tensor_decompose(lam, nu)
+        assert not any(x == -s for u in reflected for x, s in zip(u, shifted))
+        off_wall = sum(
+            all(x != -s for x, s in zip(u, shifted))
+            for mu in e8.freudenthal(lam).entries for u in e8.weyl_orbit(mu))
+        assert len(reflected) == off_wall
 
     def test_orbit_length_is_checked(self, monkeypatch):
         orbit_size = Algebra.orbit_size
