@@ -6,9 +6,11 @@ in the fundamental characters as
 
     sum_{j,k} a_jk(z) d_j d_k  +  sum_j b_j z_j d_j,
 
-with b_j = eps_j(1) fixed by the inverse Cartan matrix and the a_jk obtained
-by applying the operator to the Clebsch-Gordan expansion of z_j z_k.  The
-excitation energies eps_m(kappa) are exact rationals for rational kappa.
+with b_j = eps_j(1) and the a_jk obtained by applying the operator to the
+Clebsch-Gordan expansion of z_j z_k.  The energies are taken in the
+Weyl-invariant form ( , ) of :meth:`Algebra.weight_form`, long roots of
+norm 2: E_m = 2 (m + kappa rho, m + kappa rho), and the excitation energies
+eps_m(kappa) = E_m - E_0 are exact rationals for rational kappa.
 """
 
 from __future__ import annotations
@@ -34,39 +36,26 @@ __all__ = [
 
 
 def epsilon(algebra: Algebra, m, kappa=1) -> Fraction:
-    """Excitation energy 2 sum A^-1_jk m_j m_k + 4 kappa sum A^-1_jk m_j."""
+    """Excitation energy 2 (m, m) + 4 kappa (m, rho) = E_m - E_0."""
     m = algebra._check_weight(m)
-    kappa = Fraction(kappa)
-    ainv = algebra.cartan.inverse.entries
-    quad = Fraction(0)
-    lin = Fraction(0)
-    for j, mj in enumerate(m):
-        if mj:
-            row = ainv[j]
-            quad += mj * sum(mk * row[k] for k, mk in enumerate(m) if mk)
-            lin += mj * sum(row)
-    return 2 * quad + 4 * kappa * lin
+    return (2 * algebra.weight_form(m, m)
+            + 4 * Fraction(kappa) * algebra.weight_form(m, algebra.rho))
 
 
 def ground_energy(algebra: Algebra, kappa) -> Fraction:
-    """E_0 = 2 (rho, rho) kappa^2 in the A^-1 quadratic form."""
-    kappa = Fraction(kappa)
-    ainv = algebra.cartan.inverse.entries
-    rho_norm = sum(sum(row) for row in ainv)
-    return 2 * rho_norm * kappa ** 2
+    """E_0 = 2 (kappa rho, kappa rho)."""
+    return 2 * algebra.weight_form(algebra.rho, algebra.rho) * Fraction(kappa) ** 2
 
 
 def level_energy(algebra: Algebra, m, kappa) -> Fraction:
-    """E_m = 2 (m + kappa rho, m + kappa rho); E_m - E_0 = eps_m exactly."""
-    m = algebra._check_weight(m)
+    """E_m = 2 (m + kappa rho, m + kappa rho); E_m - E_0 = eps_m exactly.
+
+    With kappa = p/q, q (m + kappa rho) = q m + p rho is a label vector.
+    """
     kappa = Fraction(kappa)
-    ainv = algebra.cartan.inverse.entries
-    shifted = [mj + kappa for mj in m]
-    total = Fraction(0)
-    for j, xj in enumerate(shifted):
-        row = ainv[j]
-        total += xj * sum(xk * row[k] for k, xk in enumerate(shifted))
-    return 2 * total
+    q = kappa.denominator
+    x = [q * mj + kappa.numerator for mj in algebra._check_weight(m)]
+    return 2 * algebra.weight_form(x, x) / q ** 2
 
 
 def _epsilon_int(algebra: Algebra, m) -> int:

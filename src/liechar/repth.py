@@ -5,8 +5,8 @@ Cartan matrix and memoizes the expensive results (dimensions, multiplicity
 tables, tensor decompositions).  Tensor products follow the Klimyk rule:
 iterate over every weight of the smaller factor, dominant-reflect the
 ρ-shifted sum, drop terms fixed by a wall, and accumulate signs.  Weight
-multiplicities come from the Freudenthal recursion, evaluated over exact
-rationals and asserted integral.
+multiplicities come from the Freudenthal recursion, evaluated in integers
+with the invariant form :meth:`Algebra._form` and asserted integral.
 
 The Klimyk sum has two implementations, chosen per product from the
 smaller factor's Freudenthal table.  When its largest Weyl orbit has fewer
@@ -36,7 +36,7 @@ from array import array
 from fractions import Fraction
 from itertools import chain, compress
 from math import isqrt, lcm, prod
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from struct import Struct, iter_unpack
 from sys import byteorder
 from typing import Iterator
@@ -65,38 +65,6 @@ _PACK_CODES = "bhiq"
 _ARRAY_CHUNK = 2 ** 16
 # rows per chunk when an orbit's negative parts are taken
 _PARTS_CHUNK = 2 ** 8
-
-
-class WeightMultiplicityTable:
-    """Dominant weight -> multiplicity map for one irreducible module."""
-
-    __slots__ = ("highest", "entries")
-
-    def __init__(self, highest: Weight, entries: dict):
-        self.highest = highest
-        self.entries = dict(entries)
-
-    def __getitem__(self, weight):
-        return self.entries[tuple(weight)]
-
-    def get(self, weight, default=0):
-        return self.entries.get(tuple(weight), default)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.items())
-
-    def items(self):
-        return sorted(self.entries.items())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "highest": list(self.highest),
-            "entries": [{"labels": list(w), "mult": str(m)}
-                        for w, m in self.items()],
-        }
 
 
 class Decomposition:
@@ -129,6 +97,20 @@ class Decomposition:
         return [{"labels": list(w), "mult": str(m)} for w, m in self.items()]
 
 
+class WeightMultiplicityTable(Decomposition):
+    """Dominant weight -> multiplicity map for one irreducible module."""
+
+    __slots__ = ("highest",)
+
+    def __init__(self, highest: Weight, entries: dict):
+        super().__init__(entries)
+        self.highest = highest
+
+    def to_json_dict(self) -> dict:
+        return {"highest": list(self.highest),
+                "entries": super().to_json_dict()}
+
+
 class Algebra:
     """Precomputed root data plus the weight-combinatorics operations."""
 
@@ -151,16 +133,27 @@ class Algebra:
         self._child_nodes = tuple(
             tuple(range(f)) + tuple(j for j, _ in self._nbrs[f] if j > f)
             for f in range(self.rank)) + (tuple(range(self.rank)),)
-        self._ainv = cartan.inverse
-        self._d = cartan.symmetrizer
+        # the invariant form in integers (see _form): the half root lengths
+        # d_j, long roots 1, times the lcm L of their denominators, and the
+        # adjugate det(A) * A^-1, whose column m gives det(A) times the m-th
+        # root coordinate of a label vector
+        d = cartan.symmetrizer
+        scale = lcm(*(x.denominator for x in d))
+        self._lengths = tuple(int(x * scale) for x in d)
+        self._det = int(cartan.determinant)
+        self._unit = self._det * scale
+        adjugate = [[x * self._det for x in row]
+                    for row in cartan.inverse.entries]
+        if any(x.denominator != 1 for row in adjugate for x in row):
+            raise AssertionError("det(A) * A^-1 is not integral")
+        self._adj_cols = tuple(zip(*(map(int, row) for row in adjugate)))
         self.roots = cartan.positive_roots
-        # (w + ρ, α) * scale = sum_j (w_j + 1) e_j per positive root, with
-        # e_j = c_j d_j scale integral; the product of (ρ, α) * scale over
-        # the positive roots divides the Weyl dimension numerator exactly
-        scale = lcm(*(d.denominator for d in self._d))
+        # (w + ρ, α) * L = sum_j (w_j + 1) c_j L d_j per positive root; the
+        # product of (ρ, α) * L over the positive roots divides the Weyl
+        # dimension numerator exactly
         self._dim_terms = tuple(
-            tuple((j, int(c * d * scale))
-                  for j, (c, d) in enumerate(zip(root.coeffs, self._d)) if c)
+            tuple((j, c * e) for j, (c, e)
+                  in enumerate(zip(root.coeffs, self._lengths)) if c)
             for root in self.roots)
         self._dim_denominator = prod(
             sum(e for _, e in terms) for terms in self._dim_terms)
@@ -169,28 +162,14 @@ class Algebra:
             (sum(1 << i for i, c in enumerate(root.coeffs) if c),
              sum(root.coeffs))
             for root in self.roots)
-        self._root_norm = tuple(
-            sum(l * c * d for l, c, d in zip(root.labels, root.coeffs, self._d))
-            for root in self.roots)
-        # metric on weights: G[j][k] = (λ_j, λ_k) = d_j * (A^-1)_kj
-        self._metric = tuple(
-            tuple(self._d[j] * self._ainv.entries[k][j] for k in range(self.rank))
-            for j in range(self.rank))
-        # det(A) * A^-1 is the adjugate, an integer matrix; column m gives
-        # det(A) times the m-th root coordinate of a label vector
-        self._det = int(cartan.determinant)
-        adjugate = tuple(tuple(x * self._det for x in row)
-                         for row in self._ainv.entries)
-        if any(x.denominator != 1 for row in adjugate for x in row):
-            raise AssertionError("det(A) * A^-1 is not integral")
-        self._adj_cols = tuple(
-            tuple(int(adjugate[k][m]) for k in range(self.rank))
-            for m in range(self.rank))
+        self._root_norm = tuple(self._form(root.labels, root.labels)
+                                for root in self.roots)
         self.rho = Weight((1,) * self.rank)
         self._dims: dict = {}
         self._freudenthal: dict = {}
         self._tensor: dict = {}
         self._weight_systems: dict = {}
+        self._orbit_tables: dict = {}
         self._lock = threading.RLock()
 
     # -- basics ---------------------------------------------------------
@@ -213,29 +192,27 @@ class Algebra:
             raise ValueError(f"weight {t} is not dominant")
         return t
 
+    def _form(self, x, y) -> int:
+        """det(A) * L times the invariant form (x, y) on label vectors.
+
+        (x, y) = sum_jk x_j y_k (A^-1)_jk d_k, so this is the integer
+        sum_k y_k (L d_k) sum_j x_j adj(A)_jk.
+        """
+        return sum(yk * e * sum(map(mul, x, col))
+                   for yk, e, col in zip(y, self._lengths, self._adj_cols)
+                   if yk)
+
     def weight_form(self, x, y) -> Fraction:
         """Weyl-invariant symmetric form on label vectors (long roots norm 2)."""
         x = self._check_weight(x)
         y = self._check_weight(y)
-        total = Fraction(0)
-        for j, xj in enumerate(x):
-            if xj:
-                row = self._metric[j]
-                total += xj * sum(yk * row[k] for k, yk in enumerate(y) if yk)
-        return total
-
-    def _weight_root_ip(self, w, root_index: int) -> Fraction:
-        coeffs = self.roots[root_index].coeffs
-        return sum(wj * c * d
-                   for wj, c, d in zip(w, coeffs, self._d) if wj and c)
+        return Fraction(self._form(x, y), self._unit)
 
     def root_coords(self, w) -> tuple:
         """Coordinates of a label vector in the simple-root basis."""
         w = self._check_weight(w)
-        cols = self._ainv.entries
-        return tuple(
-            sum(w[k] * cols[k][m] for k in range(self.rank) if w[k])
-            for m in range(self.rank))
+        return tuple(Fraction(sum(map(mul, w, col)), self._det)
+                     for col in self._adj_cols)
 
     def dominance_gap(self, high, low):
         """Root coords of ``high - low``; all >= 0 and integral iff low <= high."""
@@ -258,7 +235,7 @@ class Algebra:
         diff = [a - b for a, b in zip(high, low)]
         det = self._det
         for col in self._adj_cols:
-            g = sum(map(int.__mul__, diff, col))
+            g = sum(map(mul, diff, col))
             if g < 0 or g % det:
                 return False
         return True
@@ -273,33 +250,21 @@ class Algebra:
         in the dominant representative; for ρ-shifted inputs this is exactly
         the wall-cancellation test).
         """
-        v = list(self._check_weight(w))
-        nbrs = self._nbrs
-        sign = 1
-        i = 0
-        n = self.rank
-        while i < n:
-            x = v[i]
-            if x < 0:
-                v[i] = -x
-                for j, c in nbrs[i]:
-                    v[j] += c * x
-                sign = -sign
-                i = 0
-            else:
-                i += 1
+        v, sign = self._reflect(list(self._check_weight(w)))
         return Weight(v), sign, 0 in v
 
-    def _reflect_no_walls(self, v):
-        """Klimyk inner loop: dominant form and sign, or None when singular."""
+    def _reflect(self, v: list) -> tuple:
+        """``(dominant tuple, sign)`` of the label list ``v``.
+
+        ``v`` is reflected in place, each time at its first negative label,
+        and the sign is (-1)^reflections.
+        """
         nbrs = self._nbrs
         sign = 1
         i = 0
         n = self.rank
         while i < n:
             x = v[i]
-            if x == 0:
-                return None
             if x < 0:
                 v[i] = -x
                 for j, c in nbrs[i]:
@@ -310,28 +275,12 @@ class Algebra:
                 i += 1
         return tuple(v), sign
 
-    def _dominant_of(self, v):
-        v = list(v)
-        nbrs = self._nbrs
-        i = 0
-        n = self.rank
-        while i < n:
-            x = v[i]
-            if x < 0:
-                v[i] = -x
-                for j, c in nbrs[i]:
-                    v[j] += c * x
-                i = 0
-            else:
-                i += 1
-        return tuple(v)
-
     def weyl_orbit(self, w) -> Iterator[tuple]:
         """All distinct images of a dominant weight under the Weyl group.
 
         The orbit is a tree under the canonical-parent rule: the parent of a
         non-dominant v reflects it at its first negative label, as
-        :meth:`_dominant_of` does.  A child s_i v of v is kept only when i
+        :meth:`_reflect` does.  A child s_i v of v is kept only when i
         is its first negative label, so each weight is reached exactly once
         and no visited set is held (D. Snow, "Weyl group orbits", ACM TOMS
         1990).  The walk is depth first, in a deterministic order.
@@ -434,38 +383,37 @@ class Algebra:
         lam_norm = self._shifted_norm(lam)
         for mu in order[1:]:
             gap = gaps[mu]
-            acc = Fraction(0)
-            for idx, root in enumerate(root_list):
-                base_ip = self._weight_root_ip(mu, idx)
-                step = self._root_norm[idx]
+            # sum over α > 0 and k >= 1 of (μ + kα, α) m(μ + kα), in units
+            # of _form
+            acc = 0
+            for root, step in zip(root_list, self._root_norm):
                 coeffs = root.coeffs
                 labels = root.labels
+                total = weighted = 0
                 k = 1
                 while all(g >= k * c for g, c in zip(gap, coeffs)):
-                    v = tuple(a + k * b for a, b in zip(mu, labels))
-                    m_v = mults.get(v if all(x >= 0 for x in v)
-                                    else self._dominant_of(v), 0)
+                    v = [a + k * b for a, b in zip(mu, labels)]
+                    m_v = mults.get(self._reflect(v)[0], 0)
                     if m_v == 0:
                         break  # weight strings are unbroken intervals
-                    acc += (base_ip + k * step) * m_v
+                    total += m_v
+                    weighted += k * m_v
                     k += 1
-            denom = lam_norm - self._shifted_norm(mu)
-            value = 2 * acc / denom
-            if value.denominator != 1 or value <= 0:
+                if total:
+                    acc += self._form(mu, labels) * total + step * weighted
+            value, remainder = divmod(2 * acc,
+                                      lam_norm - self._shifted_norm(mu))
+            if remainder or value <= 0:
                 raise AssertionError(f"bad Freudenthal multiplicity at {mu}")
-            mults[mu] = int(value)
+            mults[mu] = value
         table = WeightMultiplicityTable(Weight(lam), mults)
         with self._lock:
             self._freudenthal[lam] = table
         return table
 
-    def _shifted_norm(self, w) -> Fraction:
-        shifted = tuple(x + 1 for x in w)
-        total = Fraction(0)
-        for j, xj in enumerate(shifted):
-            row = self._metric[j]
-            total += xj * sum(yk * row[k] for k, yk in enumerate(shifted))
-        return total
+    def _shifted_norm(self, w) -> int:
+        shifted = [x + 1 for x in w]
+        return self._form(shifted, shifted)
 
     # -- tensor decomposition ----------------------------------------------
 
@@ -528,9 +476,15 @@ class Algebra:
         return result
 
     def _orbit_sizes(self, highest) -> dict:
-        """Orbit size of each dominant weight of V_highest."""
-        return {mu: self.orbit_size(mu)
-                for mu in self.freudenthal(highest).entries}
+        """Orbit size of each dominant weight of V_highest, cached."""
+        cached = self._orbit_tables.get(highest)
+        if cached is not None:
+            return cached
+        sizes = {mu: self.orbit_size(mu)
+                 for mu in self.freudenthal(highest).entries}
+        with self._lock:
+            self._orbit_tables[highest] = sizes
+        return sizes
 
     def _label_bound(self, big, small) -> int:
         """Bound on every label the Klimyk sum of V_big ⊗ V_small forms.
@@ -540,10 +494,10 @@ class Algebra:
         at most 2 |y| / |α_k| with |y| <= |big + ρ| + |small|.  The bound
         returned squares that and uses (a + b)^2 <= 2 (a^2 + b^2).
         """
-        norm = self._shifted_norm(big) + self.weight_form(small, small)
-        square = 8 * norm / min(self._root_norm)
-        root = isqrt(square.numerator // square.denominator)
-        return root if root * root >= square else root + 1
+        square = 8 * (self._shifted_norm(big) + self._form(small, small))
+        short = min(self._root_norm)
+        root = isqrt(square // short)
+        return root if root * root * short >= square else root + 1
 
     def _fits_array_kernel(self, big, small, small_dim) -> bool:
         """Whether the array kernel's integers hold V_big ⊗ V_small.
@@ -573,16 +527,19 @@ class Algebra:
         if cached is not None:
             return cached
         n = self.rank
-        square = 4 * self.weight_form(lam, lam) / min(self._root_norm)
+        square = 4 * self._form(lam, lam)
+        short = min(self._root_norm)
         # the widest code fails only for a factor with a label of order
         # 2^63, whose root string through λ alone has that many weights,
         # more than the loop could visit; array raises OverflowError there
         code = next((c for c in _PACK_CODES
-                     if square < 1 << 2 * (8 * array(c).itemsize - 1)), "q")
+                     if square < short << 2 * (8 * array(c).itemsize - 1)),
+                    "q")
+        sizes = self._orbit_sizes(lam)
         entry = []
         for mu, mult in table.entries.items():
             packed = array(code, chain.from_iterable(self.weyl_orbit(mu)))
-            size = self.orbit_size(mu)
+            size = sizes[mu]
             if len(packed) != n * size:
                 raise AssertionError(f"orbit of {mu} has {len(packed) // n} "
                                      f"weights, expected {size}")
@@ -604,16 +561,15 @@ class Algebra:
         n = self.rank
         acc: dict = {}
         get = acc.get
-        reflect = self._reflect_no_walls
+        reflect = self._reflect
         for mult, packed, parts, ids in self._weight_system(table):
             fmt = f"{n}{packed.typecode}"
             live = bytes(0 not in map(add, shifted, part)
                          for part in iter_unpack(fmt, parts))
             for u in compress(iter_unpack(fmt, packed),
                               map(live.__getitem__, ids)):
-                res = reflect(list(map(add, shifted, u)))
-                if res is not None:
-                    dom, sign = res
+                dom, sign = reflect(list(map(add, shifted, u)))
+                if 0 not in dom:
                     acc[dom] = get(dom, 0) + sign * mult
         # the keys are ρ-shifted; constituents that cancelled are dropped
         return {tuple(x - 1 for x in dom): m for dom, m in acc.items() if m}
@@ -736,7 +692,7 @@ def _orbit_levels(nbrs, mu):
 
     The orbit is a tree under the canonical-parent rule: the parent of a
     non-dominant v reflects it at its first negative label, as
-    :meth:`Algebra._dominant_of` does.  A child s_i v of v is kept only when
+    :meth:`Algebra._reflect` does.  A child s_i v of v is kept only when
     i is its first negative label, so each weight is reached exactly once
     and no visited set is needed (D. Snow, "Weyl group orbits", ACM TOMS
     1990).

@@ -15,7 +15,6 @@ given as Dynkin-label vectors in the same node order.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from fractions import Fraction
 from functools import cached_property
@@ -283,6 +282,8 @@ class CartanMatrix:
         """Stable identifier used for cache directories."""
         if self.label:
             return self.label.lower()
+        import hashlib  # about 4 MB, and only unlabelled matrices need it
+
         flat = ",".join(str(x) for row in self.entries for x in row)
         digest = hashlib.sha256(flat.encode("ascii")).hexdigest()[:10]
         return f"r{self.rank}-{digest}"

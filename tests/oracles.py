@@ -140,6 +140,15 @@ def dim_of(alg, lam):
     return sum(wcf_character(alg, lam).values())
 
 
+def invariant_form(alg, x, y):
+    """sum_jk x_j y_k d_j (A^-1)_kj, from the symmetrizer and the inverse."""
+    d = alg.cartan.symmetrizer
+    ainv = alg.cartan.inverse.entries
+    n = alg.rank
+    return sum((x[j] * y[k] * d[j] * ainv[k][j]
+                for j in range(n) for k in range(n)), Fraction(0))
+
+
 def _height(alg, w):
     return sum(alg.root_coords(w), Fraction(0))
 

@@ -52,6 +52,11 @@ class TestBasicCommands:
                                "--kappa", "1/2")
         assert (code, out) == (0, "62\n")
 
+    def test_epsilon_in_the_invariant_form(self, capsys):
+        # B2: λ1 = e1 has (λ1, λ1) = 1 and (λ1, ρ) = 3/2, ρ = (3/2, 1/2)
+        code, out, _ = run_cli(capsys, "epsilon", "B2", "1,0")
+        assert (code, out) == (0, "8\n")
+
     def test_char_trivial(self, capsys):
         code, out, _ = run_cli(capsys, "char", "E8", "0,0,0,0,0,0,0,0")
         assert (code, out) == (0, "1\n")

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from liechar import (Algebra, BudgetError, CharacterCache,
                      OperatorIncompleteError, ZPolynomial, a_coeff,
                      apply_delta1, b_coeffs, build_delta1, epsilon,
@@ -40,12 +42,32 @@ class TestSpectrum:
 
     def test_level_minus_ground_is_epsilon(self, e8, a2):
         rng = random.Random(23)
-        for alg in (a2, e8):
+        others = [Algebra(name) for name in ("B3", "C3", "F4", "G2")]
+        for alg in [a2, e8] + others:
             for _ in range(50):
                 m = [rng.randint(0, 4) for _ in range(alg.rank)]
                 kappa = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
                 assert level_energy(alg, m, kappa) - ground_energy(alg, kappa) \
                     == epsilon(alg, m, kappa)
+
+    @pytest.mark.parametrize("name, weights", [
+        ("B3", "cube"), ("C3", "cube"), ("G2", "cube"), ("F4", "fundamentals")])
+    def test_dynkin_index_identity(self, name, weights):
+        # sum over the weights of V_λ of (μ, μ), times dim g, equals
+        # dim V_λ * rank * (λ, λ + 2ρ), and (λ, λ + 2ρ) = eps_λ(1) / 2
+        alg = Algebra(name)
+        if weights == "cube":
+            lams = list(itertools.product((0, 1), repeat=alg.rank))
+        else:
+            lams = [(0,) * alg.rank] + [alg.fundamental(i)
+                                        for i in range(1, alg.rank + 1)]
+        dim_g = alg.rank + 2 * len(alg.roots)
+        for lam in lams:
+            total = sum(mult * alg.orbit_size(mu)
+                        * oracles.invariant_form(alg, mu, mu)
+                        for mu, mult in alg.freudenthal(lam).items())
+            assert total * dim_g == \
+                alg.weyl_dim(lam) * alg.rank * epsilon(alg, lam, 1) / 2
 
     def test_nonnegative_and_zero_only_at_origin(self, e8, a2):
         rng = random.Random(29)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,32 @@ class TestRootNorms:
         alg = Algebra(name)
         for root in alg.roots:
             assert alg.weight_form(root.labels, root.labels) == 2
+
+    @pytest.mark.parametrize("name, short, long_count, short_count", [
+        ("B2", 1, 2, 2), ("B3", 1, 6, 3), ("C3", 1, 3, 6), ("F4", 1, 12, 12),
+        ("G2", Fraction(2, 3), 3, 3)])
+    def test_long_and_short_root_norms(self, name, short, long_count,
+                                       short_count):
+        alg = Algebra(name)
+        norms = [alg.weight_form(root.labels, root.labels)
+                 for root in alg.roots]
+        assert norms.count(2) == long_count
+        assert norms.count(short) == short_count
+        assert len(norms) == long_count + short_count
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2",
+                                      "E8"])
+    def test_weight_form_matches_oracle(self, name):
+        alg = Algebra(name)
+        rng = random.Random(41)
+        vectors = [alg.fundamental(i) for i in range(1, alg.rank + 1)]
+        vectors += [tuple(rng.randint(-4, 4) for _ in range(alg.rank))
+                    for _ in range(6)]
+        for x in vectors:
+            for y in vectors:
+                value = alg.weight_form(x, y)
+                assert isinstance(value, Fraction)
+                assert value == oracles.invariant_form(alg, x, y)
 
 
 class TestDominantReflect:
@@ -243,17 +270,18 @@ class TestFreudenthal:
         total = sum(m * e8.orbit_size(v) for v, m in table.items())
         assert total == e8.weyl_dim(lam)
 
-    def test_rank2_oracle(self, a2):
-        for a in range(3):
-            for b in range(3):
-                table = a2.freudenthal((a, b))
-                oracle = oracles.weight_multiplicities(a2, (a, b))
-                for w, mult in table.items():
-                    assert oracle.get(tuple(w), 0) == mult
-                # every dominant oracle weight is in the table
-                for w, mult in oracle.items():
-                    if all(x >= 0 for x in w):
-                        assert table.get(w, 0) == mult
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3", "C3"])
+    def test_rank2_oracle(self, name):
+        alg = Algebra(name)
+        for lam in itertools.product(range(3), repeat=alg.rank):
+            table = alg.freudenthal(lam)
+            oracle = oracles.weight_multiplicities(alg, lam)
+            for w, mult in table.items():
+                assert oracle.get(tuple(w), 0) == mult
+            # every dominant oracle weight is in the table
+            for w, mult in oracle.items():
+                if all(x >= 0 for x in w):
+                    assert table.get(w, 0) == mult
 
 
 class TestTensor:
@@ -326,6 +354,23 @@ class TestTensor:
         # dimension 8 is over a budget of 7, the 7 distinct weights are not
         dec = Algebra("A2", tensor_budget=7).tensor_decompose((1, 1), (1, 1))
         assert dec == a2.tensor_decompose((1, 1), (1, 1))
+
+    def test_orbit_sizes_taken_once_per_factor(self, monkeypatch):
+        calls = []
+        orbit_size = Algebra.orbit_size
+
+        def counted(self, w):
+            calls.append(tuple(w))
+            return orbit_size(self, w)
+
+        monkeypatch.setattr(Algebra, "orbit_size", counted)
+        # dimension 8 is over the budget, so each call counts the weights
+        fresh = Algebra("A2", tensor_budget=7)
+        fresh.tensor_decompose((1, 1), (1, 1))
+        assert calls
+        calls.clear()
+        fresh.tensor_decompose((1, 1), (1, 1))
+        assert calls == []
 
     def test_budget_checked_on_cached_products(self):
         fresh = Algebra("A2")
@@ -417,7 +462,7 @@ class TestKlimykKernels:
         for mu in alg.freudenthal(small).entries:
             for u in alg.weyl_orbit(mu):
                 x = tuple(b + 1 + v for b, v in zip(big, u))
-                for y in alg.weyl_orbit(alg._dominant_of(x)):
+                for y in alg.weyl_orbit(alg._reflect(list(x))[0]):
                     worst = max(worst, max(abs(v) for v in y))
         assert 0 < worst <= bound
 
@@ -458,6 +503,7 @@ class TestKlimykKernels:
     def test_small_products_do_not_import_numpy(self):
         code = (
             "import sys, liechar, liechar.cli\n"
+            "assert 'hashlib' not in sys.modules\n"
             "e8 = liechar.Algebra('E8')\n"
             "e8.tensor_decompose(e8.fundamental(8), e8.fundamental(7))\n"
             "print('numpy' in sys.modules)\n")
@@ -522,14 +568,16 @@ class TestWeightSystemCache:
         nu, lam = e8.fundamental(big), e8.fundamental(small)
         shifted = [x + 1 for x in nu]
         reflected = []
-        reflect = Algebra._reflect_no_walls
+        reflect = Algebra._reflect
+        # Freudenthal reflects too; only Klimyk's reflections are counted
+        e8.freudenthal(lam)
 
         def counted(self, v):
             # the weight u of V_lam behind the sum v = nu + rho + u
             reflected.append(tuple(a - s for a, s in zip(v, shifted)))
             return reflect(self, v)
 
-        monkeypatch.setattr(Algebra, "_reflect_no_walls", counted)
+        monkeypatch.setattr(Algebra, "_reflect", counted)
         e8.tensor_decompose(lam, nu)
         assert not any(x == -s for u in reflected for x, s in zip(u, shifted))
         off_wall = sum(
