@@ -162,11 +162,10 @@ class CharacterCache:
 
     def _expand(self, m: tuple, split_index: int | None = None) -> ZPolynomial:
         i, nu, decomposition = self._plan(m, split_index)
-        poly = ZPolynomial.variable(self.rank, i) * self._get(nu)
-        for mu, mult in decomposition.items():
-            mu = tuple(mu)
-            if mu != m:
-                poly = poly - mult * self._get(mu)
+        terms = [(1, ZPolynomial.variable(self.rank, i), self._get(nu))]
+        terms += [(-mult, self._get(mu), None)
+                  for mu, mult in decomposition.items() if mu != m]
+        poly = ZPolynomial.combine(self.rank, terms)
         self._validate(m, poly)
         return poly
 

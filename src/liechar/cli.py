@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_dim)
 
     sub = subs.add_parser("mult", help="dominant weight multiplicities")
-    _add_common(sub, budget=True)
+    _add_common(sub)
     sub.add_argument("weight")
     sub.set_defaults(func=_cmd_mult)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import OperatorIncompleteError
+from .errors import OperatorIncompleteError, RankMismatchError
 from .repth import Algebra
 from .zpoly import ZPolynomial, print_poly
 
@@ -81,8 +81,7 @@ def b_coeffs(algebra: Algebra) -> tuple:
                  for j in range(1, algebra.rank + 1))
 
 
-def a_coeff(algebra: Algebra, j: int, k: int, char_provider,
-            budget: int | None = None) -> ZPolynomial:
+def a_coeff(algebra: Algebra, j: int, k: int, char_provider) -> ZPolynomial:
     """Second-order coefficient of d_j d_k from the z_j z_k series.
 
     Applying the operator to both sides of the Clebsch-Gordan expansion of
@@ -102,15 +101,11 @@ def a_coeff(algebra: Algebra, j: int, k: int, char_provider,
         raise ValueError(f"indices ({j}, {k}) out of range 1..{rank}")
     lam_j = algebra.fundamental(j)
     lam_k = algebra.fundamental(k)
-    decomposition = algebra.tensor_decompose(lam_j, lam_k, budget=budget)
-    acc = ZPolynomial.zero(rank)
-    for mu, mult in decomposition.items():
-        eps_mu = _epsilon_int(algebra, mu)
-        if eps_mu == 0:
-            continue
-        acc = acc + (mult * eps_mu) * char_provider.character_poly(mu)
-    zjzk = ZPolynomial.variable(rank, j) * ZPolynomial.variable(rank, k)
-    acc = acc - (_epsilon_int(algebra, lam_j) + _epsilon_int(algebra, lam_k)) * zjzk
+    terms = [(mult * _epsilon_int(algebra, mu), char_provider.character_poly(mu),
+              None) for mu, mult in algebra.tensor_decompose(lam_j, lam_k).items()]
+    terms.append((-(_epsilon_int(algebra, lam_j) + _epsilon_int(algebra, lam_k)),
+                  ZPolynomial.variable(rank, j), ZPolynomial.variable(rank, k)))
+    acc = ZPolynomial.combine(rank, terms)
     if j != k:
         return acc
     half = {}
@@ -118,7 +113,7 @@ def a_coeff(algebra: Algebra, j: int, k: int, char_provider,
         if coeff % 2:
             raise AssertionError(f"odd coefficient in 2*a_{j}{j} at {exps}")
         half[exps] = coeff // 2
-    return ZPolynomial(rank, half)
+    return ZPolynomial._raw(rank, half)
 
 
 @dataclass
@@ -158,20 +153,21 @@ class Delta1Operator:
         pair is applied once.
         """
         if p.rank != self.rank:
-            raise ValueError(f"polynomial rank {p.rank} vs operator {self.rank}")
-        acc = ZPolynomial.zero(self.rank)
-        for j in range(1, self.rank + 1):
-            dj = p.partial_derivative(j)
-            if dj.is_zero:
-                continue
-            zj = ZPolynomial.variable(self.rank, j)
-            acc = acc + self.b[j - 1] * (zj * dj)
-            for k in range(j, self.rank + 1):
-                djk = dj.partial_derivative(k)
-                if djk.is_zero:
+            raise RankMismatchError(
+                f"polynomial rank {p.rank} vs operator {self.rank}")
+
+        def terms():
+            for j in range(1, self.rank + 1):
+                dj = p.partial_derivative(j)
+                if dj.is_zero:
                     continue
-                acc = acc + self.a(j, k) * djk
-        return acc
+                yield self.b[j - 1], ZPolynomial.variable(self.rank, j), dj
+                for k in range(j, self.rank + 1):
+                    djk = dj.partial_derivative(k)
+                    if not djk.is_zero:
+                        yield 1, self.a(j, k), djk
+
+        return ZPolynomial.combine(self.rank, terms())
 
     def to_json_dict(self) -> dict:
         return {
@@ -199,12 +195,12 @@ def _pairs_by_cost(algebra: Algebra, pairs):
 
 def build_delta1(algebra: Algebra, char_provider=None,
                  fixture_records: Iterable | None = None,
-                 pairs: Iterable | None = None,
-                 budget: int | None = None) -> Delta1Operator:
+                 pairs: Iterable | None = None) -> Delta1Operator:
     """Assemble the operator for ``pairs`` (default: all of them).
 
     With a character provider every pair is computed, cheapest tensor
-    product first; a product over the budget raises :class:`BudgetError`.
+    product first; a product over ``algebra.tensor_budget`` raises
+    :class:`BudgetError`.
     Without one the pairs are loaded from the a records of
     ``fixture_records``, and pairs they lack stay unpopulated.  Fixture b
     records, when present, must agree with the computed values.
@@ -235,8 +231,7 @@ def build_delta1(algebra: Algebra, char_provider=None,
             op.provenance[pair] = "loaded-from-fixture"
         return op
     for j, k in _pairs_by_cost(algebra, pairs):
-        op.entries[(j, k)] = a_coeff(algebra, j, k, char_provider,
-                                     budget=budget)
+        op.entries[(j, k)] = a_coeff(algebra, j, k, char_provider)
         op.provenance[(j, k)] = "computed"
     return op
 

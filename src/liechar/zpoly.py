@@ -2,9 +2,12 @@
 
 Every character and every operator coefficient in this package is carried by
 :class:`ZPolynomial`: a map from exponent vectors to nonzero arbitrary-precision
-integer coefficients.  The module also owns the plain-text grammar used by the
-fixture files and the CLI (``-1 - z1 - z7 - z8 + z8^2`` style), including the
-one-level factored form ``-4*(31 + 7*z1 + ...)`` used by operator tables.
+integer coefficients.  :meth:`ZPolynomial.combine`, one fused sum of
+products, is the only accumulation routine: the ring operators and every
+linear combination of polynomials in the package call it.  The module also owns the
+plain-text grammar used by the fixture files and the CLI
+(``-1 - z1 - z7 - z8 + z8^2`` style), including the one-level factored form
+``-4*(31 + 7*z1 + ...)`` used by operator tables.
 
 Canonical emission order: terms are sorted ascending by the *reversed*
 exponent vector, which reproduces the layout of the golden tables
@@ -122,56 +125,63 @@ class ZPolynomial:
 
     # -- ring operations ----------------------------------------------
 
-    def _check_rank(self, other: "ZPolynomial"):
-        if self.rank != other.rank:
-            raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
+    @classmethod
+    def combine(cls, rank: int, terms) -> "ZPolynomial":
+        """Sum of c * p * q over ``(c, p, q)`` in the iterable ``terms``.
 
-    def __add__(self, other):
+        ``c`` is an int, ``p`` a polynomial and ``q`` one or None for 1.
+        All terms fold into one dict and zeros are dropped once, at the end;
+        a product loops over its smaller factor outermost.
+        """
+        out: dict = {}
+        get = out.get
+        for c, p, q in terms:
+            if p.rank != rank:
+                raise RankMismatchError(f"rank {rank} vs {p.rank}")
+            if q is None:
+                for exps, coeff in p._terms.items():
+                    out[exps] = get(exps, 0) + c * coeff
+                continue
+            if q.rank != rank:
+                raise RankMismatchError(f"rank {rank} vs {q.rank}")
+            a, b = p._terms, q._terms
+            if len(a) > len(b):
+                a, b = b, a
+            for e1, c1 in a.items():
+                c1 *= c
+                for e2, c2 in b.items():
+                    key = tuple(map(int.__add__, e1, e2))
+                    out[key] = get(key, 0) + c1 * c2
+        return cls._raw(rank, {e: c for e, c in out.items() if c})
+
+    def _linear(self, a: int, other, b: int):
+        """a * self + b * other; NotImplemented for a foreign ``other``."""
         if isinstance(other, int):
             other = ZPolynomial.const(self.rank, other)
-        self._check_rank(other)
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            val = terms.get(exps, 0) + coeff
-            if val:
-                terms[exps] = val
-            elif exps in terms:
-                del terms[exps]
-        return ZPolynomial._raw(self.rank, terms)
+        elif not isinstance(other, ZPolynomial):
+            return NotImplemented
+        return ZPolynomial.combine(self.rank, ((a, self, None), (b, other, None)))
+
+    def __add__(self, other):
+        return self._linear(1, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ZPolynomial._raw(self.rank, {e: -c for e, c in self._terms.items()})
+        return ZPolynomial.combine(self.rank, ((-1, self, None),))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = ZPolynomial.const(self.rank, other)
-        return self + (-other)
+        return self._linear(1, other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._linear(-1, other, 1)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return ZPolynomial(self.rank)
-            return ZPolynomial._raw(
-                self.rank, {e: c * other for e, c in self._terms.items()})
-        self._check_rank(other)
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(map(int.__add__, e1, e2))
-                val = out.get(key, 0) + c1 * c2
-                if val:
-                    out[key] = val
-                elif key in out:
-                    del out[key]
-        return ZPolynomial._raw(self.rank, out)
+            return ZPolynomial.combine(self.rank, ((other, self, None),))
+        if not isinstance(other, ZPolynomial):
+            return NotImplemented
+        return ZPolynomial.combine(self.rank, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -194,13 +204,11 @@ class ZPolynomial:
         if not 1 <= index <= self.rank:
             raise ValueError(f"variable index {index} out of range 1..{self.rank}")
         i = index - 1
-        out = {}
-        for exps, coeff in self._terms.items():
-            e = exps[i]
-            if e:
-                key = exps[:i] + (e - 1,) + exps[i + 1:]
-                out[key] = out.get(key, 0) + coeff * e
-        return ZPolynomial._raw(self.rank, {k: v for k, v in out.items() if v})
+        # e -> e - δ_i is injective and coeff * e_i is nonzero, so the terms
+        # need no merging and no zero filter
+        return ZPolynomial._raw(self.rank, {
+            exps[:i] + (exps[i] - 1,) + exps[i + 1:]: coeff * exps[i]
+            for exps, coeff in self._terms.items() if exps[i]})
 
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.rank:
@@ -327,11 +335,7 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
             pos += 1
         while True:
             for exps, coeff in parse_term(sign, in_paren).items():
-                val = acc.get(exps, 0) + coeff
-                if val:
-                    acc[exps] = val
-                elif exps in acc:
-                    del acc[exps]
+                acc[exps] = acc.get(exps, 0) + coeff
             kind, _, _ = peek()
             if kind == "+":
                 sign = 1
@@ -347,7 +351,7 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
     kind, _, off = peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", off)
-    return ZPolynomial._raw(rank, result)
+    return ZPolynomial._raw(rank, {e: c for e, c in result.items() if c})
 
 
 def _format_monomial(exponents) -> str:

@@ -215,6 +215,12 @@ class TestCacheAndBudgetFlags:
         code, out2, _ = run_cli(capsys, "char", "A2", "2,2")
         assert (code, out2) == (0, out)
 
+    def test_mult_takes_no_budget(self):
+        # Freudenthal never reads the tensor budget, so mult has no flag
+        with pytest.raises(SystemExit) as err:
+            main(["mult", "A2", "1,1", "--budget", "1"])
+        assert err.value.code == 2
+
     def test_budget_flag(self, capsys):
         code, _, err = run_cli(capsys, "tensor", "E8", "0,0,1,0,0,0,0,0",
                                "0,0,1,0,0,0,0,0", "--budget", "1000")

@@ -6,8 +6,8 @@ import pytest
 
 import oracles
 from liechar import (Algebra, BudgetError, CharacterCache,
-                     OperatorIncompleteError, ZPolynomial, a_coeff,
-                     apply_delta1, b_coeffs, build_delta1, epsilon,
+                     OperatorIncompleteError, RankMismatchError, ZPolynomial,
+                     a_coeff, apply_delta1, b_coeffs, build_delta1, epsilon,
                      ground_energy, level_energy, parse_poly)
 
 E8_B = (192, 288, 392, 600, 480, 360, 240, 120)
@@ -121,10 +121,11 @@ class TestACoeff:
         cache = CharacterCache(e8)
         assert a_coeff(e8, 1, 8, cache) == a_coeff(e8, 8, 1, cache)
 
-    def test_budget_propagates(self, e8):
+    def test_budget_propagates(self):
         # V_λ4 ⊗ V_λ4 visits 3,207,121 distinct weights of V_λ4
+        tight = Algebra("E8", tensor_budget=3_207_120)
         with pytest.raises(BudgetError) as err:
-            a_coeff(e8, 4, 4, CharacterCache(e8), budget=3_207_120)
+            a_coeff(tight, 4, 4, CharacterCache(tight))
         assert err.value.cost == 3_207_121
 
     def test_index_range(self, e8):
@@ -160,6 +161,11 @@ class TestOperator:
         assert partial_op.apply(combo) == \
             3 * partial_op.apply(p) - 7 * partial_op.apply(q)
 
+    def test_rank_mismatch_is_typed(self, partial_op):
+        with pytest.raises(RankMismatchError) as err:
+            partial_op.apply(ZPolynomial.variable(7, 1))
+        assert isinstance(err.value, ValueError)
+
     def test_missing_entry(self, partial_op):
         with pytest.raises(OperatorIncompleteError):
             partial_op.apply(parse_poly("z2^2", 8))
@@ -178,12 +184,13 @@ class TestOperator:
         assert len(op.entries) == 36
         assert set(op.provenance.values()) == {"loaded-from-fixture"}
 
-    def test_over_budget_pair_raises(self, e8, operator_fixtures):
+    def test_over_budget_pair_raises(self, operator_fixtures):
         # records never stand in for a product the budget refuses
+        tight = Algebra("E8", tensor_budget=3_207_120)
         with pytest.raises(BudgetError) as err:
-            build_delta1(e8, CharacterCache(e8),
+            build_delta1(tight, CharacterCache(tight),
                          fixture_records=operator_fixtures.records,
-                         pairs=[(4, 4), (8, 8)], budget=3_207_120)
+                         pairs=[(4, 4), (8, 8)])
         assert err.value.pair == ((0, 0, 0, 1, 0, 0, 0, 0),) * 2
 
     def test_b_fixture_mismatch_rejected(self, e8):

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liechar import ParseError, RankMismatchError, ZPolynomial
+import oracles
 from liechar.zpoly import (format_fixture_record, parse_poly, print_poly,
                            read_fixture_text)
 
@@ -32,6 +35,17 @@ class TestArithmetic:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             P("z1", rank=2) + P("z1", rank=3)
+
+    @pytest.mark.parametrize("op", [
+        lambda p: p * 1.5,
+        lambda p: p + 1.5,
+        lambda p: p * Fraction(1, 2),
+        lambda p: p * None,
+        lambda p: 1.5 - p,
+    ], ids=["mul_float", "add_float", "mul_fraction", "mul_none", "rsub_float"])
+    def test_foreign_operand_is_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(P("z1 + 2"))
 
     def test_zero_coefficients_dropped(self):
         p = ZPolynomial(2, {(1, 0): 5, (0, 1): 0})
@@ -159,6 +173,46 @@ class TestProperties:
     @given(st.integers(1, 5).flatmap(_poly_strategy))
     def test_parse_print_round_trip(self, p):
         assert parse_poly(print_poly(p), p.rank) == p
+
+
+class TestCombine:
+    @given(triples, st.lists(st.integers(-5, 5), min_size=3, max_size=3))
+    def test_matches_operators_and_dict_oracle(self, polys, coeffs):
+        p, q, r = polys
+        a, b, c = coeffs
+        rank = p.rank
+        assert ZPolynomial.combine(rank, [(1, p, None), (1, q, None)]) == p + q
+        assert ZPolynomial.combine(rank, [(a, p, None)]) == a * p
+        assert ZPolynomial.combine(rank, [(1, p, None), (-1, q, None)]) == p - q
+        assert ZPolynomial.combine(rank, [(1, p, q)]) == p * q
+        fused = ZPolynomial.combine(rank, [(a, p, None), (b, q, r), (c, r, p)])
+        assert fused == a * p + b * (q * r) + c * (r * p)
+        expected = oracles.ladd(
+            oracles.lscale(p.terms, a),
+            oracles.ladd(oracles.lscale(oracles.lmul(q.terms, r.terms), b),
+                         oracles.lscale(oracles.lmul(r.terms, p.terms), c)))
+        assert fused.terms == expected
+
+    def test_cancelling_terms_leave_no_zero(self):
+        p = P("3*z1 - 2*z2^2 + 7")
+        q = P("z1 + z2^2")
+        partial = ZPolynomial.combine(8, [(1, p, None), (-3, q, None)])
+        assert partial.terms == P("-5*z2^2 + 7").terms
+        assert 0 not in partial.terms.values()
+        whole = ZPolynomial.combine(8, [(2, p, q), (-1, q, p), (-1, p, q)])
+        assert whole.is_zero and whole.terms == {}
+
+    def test_generator_equals_list(self):
+        terms = [(1, P("z1 - 1"), None), (2, P("z8^2 + z2"), P("z1 - 1")),
+                 (-3, P("-4*z1*z8 + 3"), P("z1 + z8"))]
+        assert ZPolynomial.combine(8, (t for t in terms)) == \
+            ZPolynomial.combine(8, terms)
+
+    def test_rank_mismatch(self):
+        with pytest.raises(RankMismatchError):
+            ZPolynomial.combine(2, [(1, P("z1", rank=3), None)])
+        with pytest.raises(RankMismatchError):
+            ZPolynomial.combine(2, [(1, P("z1", rank=2), P("z1", rank=3))])
 
 
 class TestFixtureRecords:
