@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
-from .csop import Delta1Operator, epsilon
+from .csop import Delta1Operator, _Record, epsilon
 from .repth import Algebra
 from .rootsys import Weight
 from .zpoly import (FixtureRecord, ZPolynomial, format_fixture_record,
@@ -233,22 +232,27 @@ class CharacterCache:
             raise
 
 
-@dataclass
-class EigenReport:
-    weight: Weight
-    expected: int
-    ok: bool
-    residual: ZPolynomial
+class EigenReport(_Record):
+    _fields = ("weight", "expected", "ok", "residual")
+
+    def __init__(self, weight: Weight, expected: int, ok: bool,
+                 residual: ZPolynomial):
+        self.weight = weight
+        self.expected = expected
+        self.ok = ok
+        self.residual = residual
 
     def __bool__(self):
         return self.ok
 
 
-@dataclass
-class DimReport:
-    weight: Weight
-    value: int
-    expected: int
+class DimReport(_Record):
+    _fields = ("weight", "value", "expected")
+
+    def __init__(self, weight: Weight, value: int, expected: int):
+        self.weight = weight
+        self.value = value
+        self.expected = expected
 
     @property
     def ok(self) -> bool:
@@ -258,12 +262,15 @@ class DimReport:
         return self.ok
 
 
-@dataclass
-class FixtureDiff:
-    weight: Weight
-    missing: dict
-    extra: dict
-    changed: dict
+class FixtureDiff(_Record):
+    _fields = ("weight", "missing", "extra", "changed")
+
+    def __init__(self, weight: Weight, missing: dict, extra: dict,
+                 changed: dict):
+        self.weight = weight
+        self.missing = missing
+        self.extra = extra
+        self.changed = changed
 
     @property
     def ok(self) -> bool:

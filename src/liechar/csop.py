@@ -15,7 +15,6 @@ eps_m(kappa) = E_m - E_0 are exact rationals for rational kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -113,11 +112,28 @@ def a_coeff(algebra: Algebra, j: int, k: int, char_provider) -> ZPolynomial:
         if coeff % 2:
             raise AssertionError(f"odd coefficient in 2*a_{j}{j} at {exps}")
         half[exps] = coeff // 2
-    return ZPolynomial._raw(rank, half)
+    return ZPolynomial(rank, half)
 
 
-@dataclass
-class Delta1Operator:
+class _Record:
+    """Plain mutable value class: equal to an instance of its own class
+    with equal fields, unhashable, and shown field by field."""
+
+    _fields: tuple = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Delta1Operator(_Record):
     """The kappa=1 operator: b_j scalars plus the symmetric a_jk matrix.
 
     ``entries`` is keyed on ordered pairs (j, k) with j <= k; ``provenance``
@@ -126,10 +142,14 @@ class Delta1Operator:
     ("loaded-from-fixture").
     """
 
-    rank: int
-    b: tuple
-    entries: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    _fields = ("rank", "b", "entries", "provenance")
+
+    def __init__(self, rank: int, b: tuple, entries: dict | None = None,
+                 provenance: dict | None = None):
+        self.rank = rank
+        self.b = b
+        self.entries = {} if entries is None else entries
+        self.provenance = {} if provenance is None else provenance
 
     def has(self, j: int, k: int) -> bool:
         return (min(j, k), max(j, k)) in self.entries

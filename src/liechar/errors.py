@@ -9,6 +9,11 @@ class RankMismatchError(LiecharError, ValueError):
     """Objects built over different ranks were combined."""
 
 
+class ExponentRangeError(LiecharError, ValueError):
+    """A monomial exponent is negative or above 2^31 - 1, the largest one
+    a packed polynomial key can hold."""
+
+
 class BudgetError(LiecharError, RuntimeError):
     """A tensor product was refused because its Klimyk sum is too large.
 

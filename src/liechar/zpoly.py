@@ -1,25 +1,36 @@
 """Sparse integer polynomials in the fundamental-character variables z1..zr.
 
 Every character and every operator coefficient in this package is carried by
-:class:`ZPolynomial`: a map from exponent vectors to nonzero arbitrary-precision
-integer coefficients.  :meth:`ZPolynomial.combine`, one fused sum of
-products, is the only accumulation routine: the ring operators and every
-linear combination of polynomials in the package call it.  The module also owns the
-plain-text grammar used by the fixture files and the CLI
+:class:`ZPolynomial`: a map from monomials to nonzero arbitrary-precision
+integer coefficients.  A monomial z^e is stored as one packed int key,
+sum_i e_i * 2^(32 i), so z1 fills the low 32 bits and z_r the high ones; a
+product of monomials is one int add and a derivative a shift, a mask and a
+subtraction.  Every exponent stays within 0..2^31 - 1, so the sum of two
+fields cannot carry into the next one; larger exponents raise
+:class:`ExponentRangeError`.  The packing stays inside this module: the
+public accessors and the constructor speak exponent tuples.
+:meth:`ZPolynomial.combine`, one fused sum of products, is the only
+accumulation routine: the ring operators and every linear combination of
+polynomials in the package call it.  The module also owns the plain-text
+grammar used by the fixture files and the CLI
 (``-1 - z1 - z7 - z8 + z8^2`` style), including the one-level factored form
 ``-4*(31 + 7*z1 + ...)`` used by operator tables.
 
-Canonical emission order: terms are sorted ascending by the *reversed*
-exponent vector, which reproduces the layout of the golden tables
-(constants first, highest variable weighted last).
+Canonical emission order is the numeric order of the keys, that is
+ascending by the *reversed* exponent vector, which reproduces the layout of
+the golden tables (constants first, highest variable weighted last).
 """
 
 from __future__ import annotations
 
+import math
 import re
+import struct
+from functools import cache, reduce
+from operator import or_
 from typing import NamedTuple, Sequence
 
-from .errors import ParseError, RankMismatchError
+from .errors import ExponentRangeError, ParseError, RankMismatchError
 
 __all__ = [
     "ZPolynomial",
@@ -31,9 +42,37 @@ __all__ = [
     "format_fixture_record",
 ]
 
+#: Largest exponent a monomial may carry: its 32-bit field keeps the top
+#: bit clear, so adding two fields never carries.
+MAX_EXPONENT = 2 ** 31 - 1
+_FIELD_BITS = 32
+_FIELD_MASK = 2 ** _FIELD_BITS - 1
 
-def _term_key(exponents):
-    return exponents[::-1]
+
+@cache
+def _layout(rank: int) -> tuple:
+    """``(struct of rank uint32 fields, mask of every field's top bit)``."""
+    top = sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1) for i in range(rank))
+    return struct.Struct(f"<{rank}I"), top
+
+
+def _pack(rank: int, exponents) -> int:
+    """The key of z^exponents, after checking its length and range."""
+    exps = tuple(exponents)
+    if len(exps) != rank:
+        raise RankMismatchError(f"exponent vector {exps} does not have rank {rank}")
+    for e in exps:
+        if not 0 <= e <= MAX_EXPONENT:
+            raise ExponentRangeError(
+                f"exponent {e} in {exps} is outside 0..{MAX_EXPONENT}")
+    return int.from_bytes(_layout(rank)[0].pack(*exps), "little")
+
+
+def _unpack_all(rank: int, keys) -> list:
+    """The exponent tuple of each key in ``keys``, in order."""
+    fields = _layout(rank)[0]
+    unpack, size = fields.unpack, fields.size
+    return [unpack(key.to_bytes(size, "little")) for key in keys]
 
 
 class ZPolynomial:
@@ -48,17 +87,12 @@ class ZPolynomial:
         clean = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != rank:
-                    raise RankMismatchError(
-                        f"exponent vector {exps} does not have rank {rank}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
+                key = _pack(rank, exps)
                 coeff = int(coeff)
                 if coeff:
-                    clean[exps] = clean.get(exps, 0) + coeff
-                    if clean[exps] == 0:
-                        del clean[exps]
+                    clean[key] = clean.get(key, 0) + coeff
+                    if clean[key] == 0:
+                        del clean[key]
         self._terms = clean
 
     # -- constructors -------------------------------------------------
@@ -71,7 +105,7 @@ class ZPolynomial:
     def const(cls, rank: int, value: int) -> "ZPolynomial":
         p = cls(rank)
         if value:
-            p._terms[(0,) * rank] = int(value)
+            p._terms[0] = int(value)
         return p
 
     @classmethod
@@ -80,9 +114,7 @@ class ZPolynomial:
         if not 1 <= index <= rank:
             raise ValueError(f"variable index {index} out of range 1..{rank}")
         p = cls(rank)
-        exps = [0] * rank
-        exps[index - 1] = 1
-        p._terms[tuple(exps)] = 1
+        p._terms[1 << (_FIELD_BITS * (index - 1))] = 1
         return p
 
     @classmethod
@@ -91,7 +123,7 @@ class ZPolynomial:
 
     @classmethod
     def _raw(cls, rank: int, terms: dict) -> "ZPolynomial":
-        # trusted constructor: terms already normalized
+        # trusted constructor: packed keys, terms already normalized
         p = cls.__new__(cls)
         p.rank = rank
         p._terms = terms
@@ -102,10 +134,10 @@ class ZPolynomial:
     @property
     def terms(self) -> dict:
         """Copy of the exponent-vector -> coefficient map."""
-        return dict(self._terms)
+        return dict(zip(_unpack_all(self.rank, self._terms), self._terms.values()))
 
     def coefficient(self, exponents: Sequence[int]) -> int:
-        return self._terms.get(tuple(exponents), 0)
+        return self._terms.get(_pack(self.rank, exponents), 0)
 
     @property
     def is_zero(self) -> bool:
@@ -115,13 +147,12 @@ class ZPolynomial:
         return len(self._terms)
 
     def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, _unpack_all(self.rank, self._terms)), default=0)
 
     def sorted_terms(self):
         """Terms in canonical emission order."""
-        return [(e, self._terms[e]) for e in sorted(self._terms, key=_term_key)]
+        keys = sorted(self._terms)
+        return list(zip(_unpack_all(self.rank, keys), map(self._terms.get, keys)))
 
     # -- ring operations ----------------------------------------------
 
@@ -131,28 +162,35 @@ class ZPolynomial:
 
         ``c`` is an int, ``p`` a polynomial and ``q`` one or None for 1.
         All terms fold into one dict and zeros are dropped once, at the end;
-        a product loops over its smaller factor outermost.
+        a product loops over its smaller factor outermost.  A product key
+        is the sum of its factors' keys; an exponent that reaches 2^31 sets
+        its field's top bit, which is tested once per output key.
         """
         out: dict = {}
         get = out.get
+        multiplied = False
         for c, p, q in terms:
             if p.rank != rank:
                 raise RankMismatchError(f"rank {rank} vs {p.rank}")
             if q is None:
-                for exps, coeff in p._terms.items():
-                    out[exps] = get(exps, 0) + c * coeff
+                for key, coeff in p._terms.items():
+                    out[key] = get(key, 0) + c * coeff
                 continue
             if q.rank != rank:
                 raise RankMismatchError(f"rank {rank} vs {q.rank}")
+            multiplied = True
             a, b = p._terms, q._terms
             if len(a) > len(b):
                 a, b = b, a
-            for e1, c1 in a.items():
+            for k1, c1 in a.items():
                 c1 *= c
-                for e2, c2 in b.items():
-                    key = tuple(map(int.__add__, e1, e2))
+                for k2, c2 in b.items():
+                    key = k1 + k2
                     out[key] = get(key, 0) + c1 * c2
-        return cls._raw(rank, {e: c for e, c in out.items() if c})
+        if multiplied and reduce(or_, out, 0) & _layout(rank)[1]:
+            raise ExponentRangeError(
+                f"a product has an exponent above {MAX_EXPONENT}")
+        return cls._raw(rank, {key: c for key, c in out.items() if c})
 
     def _linear(self, a: int, other, b: int):
         """a * self + b * other; NotImplemented for a foreign ``other``."""
@@ -203,12 +241,13 @@ class ZPolynomial:
         """Formal derivative with respect to z_index (1-based)."""
         if not 1 <= index <= self.rank:
             raise ValueError(f"variable index {index} out of range 1..{self.rank}")
-        i = index - 1
+        shift = _FIELD_BITS * (index - 1)
+        one = 1 << shift
         # e -> e - δ_i is injective and coeff * e_i is nonzero, so the terms
         # need no merging and no zero filter
         return ZPolynomial._raw(self.rank, {
-            exps[:i] + (exps[i] - 1,) + exps[i + 1:]: coeff * exps[i]
-            for exps, coeff in self._terms.items() if exps[i]})
+            key - one: coeff * e for key, coeff in self._terms.items()
+            if (e := key >> shift & _FIELD_MASK)})
 
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.rank:
@@ -216,12 +255,9 @@ class ZPolynomial:
                 f"point of length {len(point)} for rank {self.rank}")
         point = [int(x) for x in point]
         total = 0
-        for exps, coeff in self._terms.items():
-            val = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    val *= x ** e
-            total += val
+        for exps, coeff in zip(_unpack_all(self.rank, self._terms),
+                               self._terms.values()):
+            total += math.prod(map(pow, point, exps), start=coeff)
         return total
 
 
@@ -265,6 +301,7 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
         raise ValueError("rank must be positive")
     tokens = _tokenize(text)
     pos = 0
+    top = _layout(rank)[1]
 
     def peek():
         return tokens[pos]
@@ -272,7 +309,7 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
     def parse_term(sign: int, in_paren: bool) -> dict:
         nonlocal pos
         coeff = sign
-        exps = [0] * rank
+        key = 0
         saw_factor = False
         while True:
             kind, value, off = peek()
@@ -287,20 +324,25 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
                 if not 1 <= value <= rank:
                     raise ParseError(f"variable z{value} exceeds rank {rank}", off)
                 pos += 1
-                exp = 1
+                exp, exp_off = 1, off
                 if peek()[0] == "^":
                     pos += 1
                     k2, v2, o2 = peek()
                     if k2 != "int":
                         raise ParseError("expected integer exponent", o2)
                     pos += 1
-                    exp = v2
-                exps[value - 1] += exp
+                    exp, exp_off = v2, o2
+                if exp <= MAX_EXPONENT:
+                    # every field stays below 2^31, so this add cannot carry
+                    key += exp << (_FIELD_BITS * (value - 1))
+                if exp > MAX_EXPONENT or key & top:
+                    raise ParseError(
+                        f"exponent of z{value} exceeds {MAX_EXPONENT}", exp_off)
                 saw_factor = True
             elif kind == "(":
                 if in_paren:
                     raise ParseError("nested parentheses are not allowed", off)
-                if any(exps):
+                if key:
                     raise ParseError(
                         "parenthesized sum must be scaled by a plain integer", off)
                 pos += 1
@@ -321,7 +363,7 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
                 break
         if not saw_factor:
             raise ParseError("expected term", peek()[2])
-        return {tuple(exps): coeff}
+        return {key: coeff}
 
     def parse_sum(in_paren: bool) -> dict:
         nonlocal pos
@@ -334,8 +376,8 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
         elif kind == "+":
             pos += 1
         while True:
-            for exps, coeff in parse_term(sign, in_paren).items():
-                acc[exps] = acc.get(exps, 0) + coeff
+            for key, coeff in parse_term(sign, in_paren).items():
+                acc[key] = acc.get(key, 0) + coeff
             kind, _, _ = peek()
             if kind == "+":
                 sign = 1
@@ -351,7 +393,7 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
     kind, _, off = peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", off)
-    return ZPolynomial._raw(rank, {e: c for e, c in result.items() if c})
+    return ZPolynomial._raw(rank, {key: c for key, c in result.items() if c})
 
 
 def _format_monomial(exponents) -> str:

@@ -41,6 +41,12 @@ def lmul(a, b):
     return out
 
 
+def lderiv(a, i):
+    """d/dz_i of a polynomial dict, i 0-based."""
+    return {k[:i] + (k[i] - 1,) + k[i + 1:]: v * k[i]
+            for k, v in a.items() if k[i]}
+
+
 def lpow(a, e, rank):
     result = {(0,) * rank: 1}
     for _ in range(e):

@@ -10,8 +10,9 @@ import pytest
 
 import liechar
 import oracles
-from liechar import (Algebra, BudgetError, CharacterCache, Weight,
-                     ZPolynomial, build_delta1, compare_fixture, dim_identity,
+from liechar import (Algebra, BudgetError, CharacterCache, Delta1Operator,
+                     DimReport, EigenReport, FixtureDiff, Weight, ZPolynomial,
+                     build_delta1, compare_fixture, dim_identity,
                      load_fixtures, parse_poly, print_poly, verify_eigen)
 from conftest import ORDER2_FILE
 
@@ -192,6 +193,39 @@ class TestFixtures:
         path = tmp_path / "roundtrip.chi"
         path.write_text(f"chi[2,1] = {print_poly(chi)}\n")
         assert load_fixtures(path, 2)[Weight((2, 1))] == chi
+
+
+class TestReports:
+    def test_value_semantics(self, a2):
+        w = Weight((1, 0))
+        diff = FixtureDiff(w, {}, {}, {})
+        assert diff == FixtureDiff(weight=w, missing={}, extra={}, changed={})
+        assert diff != FixtureDiff(w, {(0, 0): 1}, {}, {})
+        assert bool(diff) and diff.ok
+        assert repr(diff) == (f"FixtureDiff(weight={w!r}, missing={{}}, "
+                              "extra={}, changed={})")
+        dim = DimReport(w, 3, 4)
+        assert not dim and not dim.ok and dim != DimReport(w, 3, 3)
+        assert repr(dim) == f"DimReport(weight={w!r}, value=3, expected=4)"
+        zero = ZPolynomial.zero(2)
+        eigen = EigenReport(w, 6, True, zero)
+        assert eigen and eigen == EigenReport(w, 6, True, ZPolynomial.zero(2))
+        assert eigen.residual is zero
+        # equal fields of another class do not make equal reports
+        assert DimReport(w, 1, 1) != FixtureDiff(w, 1, 1, {})
+        with pytest.raises(TypeError):
+            hash(dim)
+
+    def test_operator_value_semantics(self):
+        op = Delta1Operator(rank=2, b=(1, 2))
+        assert op.entries == {} and op.provenance == {}
+        assert op.entries is not Delta1Operator(2, (1, 2)).entries
+        assert op == Delta1Operator(2, (1, 2), {}, {})
+        assert op != Delta1Operator(2, (1, 3))
+        assert repr(op) == ("Delta1Operator(rank=2, b=(1, 2), entries={}, "
+                            "provenance={})")
+        with pytest.raises(TypeError):
+            hash(op)
 
 
 class TestConcurrency:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import liechar
 from liechar import parse_poly
 from liechar.cli import main
 
@@ -242,3 +245,15 @@ class TestDeterminism:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert result.stdout.startswith("b[1] = 192*z1")
+
+
+class TestImportCost:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # dataclasses pulls in inspect, a few milliseconds of every start
+        code = ("import sys, liechar, liechar.cli\n"
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+        src = str(Path(liechar.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "[]"

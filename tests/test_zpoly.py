@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liechar import ParseError, RankMismatchError, ZPolynomial
+from liechar import (ExponentRangeError, LiecharError, ParseError,
+                     RankMismatchError, ZPolynomial)
 import oracles
 from liechar.zpoly import (format_fixture_record, parse_poly, print_poly,
                            read_fixture_text)
@@ -54,6 +55,62 @@ class TestArithmetic:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             ZPolynomial(2, {(-1, 0): 1})
+
+    def test_coefficient_of_wrong_length_is_rank_mismatch(self):
+        p = P("3 + z1 + 5*z2", rank=2)
+        assert p.coefficient((0, 1)) == 5
+        for exps in [(1,), (0, 1, 0), (1, 0, 0, 0)]:
+            with pytest.raises(RankMismatchError):
+                p.coefficient(exps)
+
+
+TOP = 2 ** 31 - 1
+
+
+class TestExponentRange:
+    def test_error_is_typed(self):
+        assert issubclass(ExponentRangeError, LiecharError)
+        assert issubclass(ExponentRangeError, ValueError)
+
+    def test_ceiling_is_accepted(self):
+        p = ZPolynomial.monomial(2, (TOP, 0), 3)
+        assert P("3*z1^2147483647", rank=2) == p
+        assert P("z1^2147483646 * z1", rank=2) == ZPolynomial.monomial(2, (TOP, 0))
+        assert p.coefficient((TOP, 0)) == 3
+        assert parse_poly(print_poly(p), 2) == p
+        assert p.partial_derivative(1).terms == {(TOP - 1, 0): 3 * TOP}
+        top_field = ZPolynomial.monomial(2, (0, TOP - 1)) * P("z2", rank=2)
+        assert top_field.terms == {(0, TOP): 1}
+
+    @pytest.mark.parametrize("text, offset", [
+        ("z1^2147483648", 3),
+        ("z2^2147483647*z2", 14),
+        ("7 + 2*z1^4294967296", 9),
+    ])
+    def test_parse_refuses_at_the_exponent(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, 2)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("exps", [(TOP + 1, 0), (0, TOP + 1), (2 ** 32, 0),
+                                      (-1, 0), (0, -1)])
+    def test_constructor_monomial_and_coefficient_refuse(self, exps):
+        with pytest.raises(ExponentRangeError):
+            ZPolynomial(2, {exps: 1})
+        with pytest.raises(ExponentRangeError):
+            ZPolynomial.monomial(2, exps)
+        with pytest.raises(ExponentRangeError):
+            ZPolynomial.const(2, 1).coefficient(exps)
+
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    def test_square_of_two_to_the_thirty_is_refused(self, index):
+        exps = [0, 0, 0]
+        exps[index - 1] = 2 ** 30
+        p = ZPolynomial.monomial(3, exps) + 1
+        with pytest.raises(ExponentRangeError):
+            p * p
+        with pytest.raises(ExponentRangeError):
+            ZPolynomial.combine(3, [(1, P("z1", rank=3), None), (2, p, p)])
 
 
 class TestCalculus:
@@ -173,6 +230,42 @@ class TestProperties:
     @given(st.integers(1, 5).flatmap(_poly_strategy))
     def test_parse_print_round_trip(self, p):
         assert parse_poly(print_poly(p), p.rank) == p
+
+
+# every field filled up to 2^30 - 1, so a product reaches 2^31 - 2 without
+# crossing into the next field; byte and half-field edges drawn often
+_boundary_exponent = st.one_of(
+    st.sampled_from([0, 1, 255, 256, 65535, 65536, 2 ** 24 - 1, 2 ** 24,
+                     2 ** 29, 2 ** 30 - 2, 2 ** 30 - 1]),
+    st.integers(0, 2 ** 30 - 1))
+
+
+def _wide_poly_strategy(rank):
+    term = st.tuples(st.tuples(*[_boundary_exponent] * rank),
+                     st.integers(-10 ** 12, 10 ** 12))
+    return st.lists(term, max_size=6).map(
+        lambda pairs: ZPolynomial(rank, {e: c for e, c in pairs}))
+
+
+class TestFieldBoundaries:
+    @settings(max_examples=200)
+    @given(st.integers(1, 4).flatmap(
+        lambda r: st.tuples(_wide_poly_strategy(r), _wide_poly_strategy(r))))
+    def test_matches_tuple_keyed_oracles(self, polys):
+        p, q = polys
+        rank = p.rank
+        pq = p * q
+        assert pq.terms == oracles.lmul(p.terms, q.terms)
+        assert (p + q).terms == oracles.ladd(p.terms, q.terms)
+        assert (p - q).terms == oracles.ladd(p.terms, oracles.lscale(q.terms, -1))
+        for i in range(rank):
+            assert p.partial_derivative(i + 1).terms == oracles.lderiv(p.terms, i)
+        assert pq.sorted_terms() == sorted(pq.terms.items(),
+                                           key=lambda t: t[0][::-1])
+        assert pq.evaluate([1] * rank) == sum(pq.terms.values())
+        assert pq.evaluate([-1] * rank) == sum(
+            c * (-1) ** sum(e) for e, c in pq.terms.items())
+        assert parse_poly(print_poly(pq), rank) == pq
 
 
 class TestCombine:
