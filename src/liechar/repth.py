@@ -22,11 +22,14 @@ for a label u_j = -(ν_j + 1), which puts ν + ρ + u on a wall
 ``itertools.compress`` and never reach the interpreter loop; in E8 from
 nothing that is 1,827,287 of the 2,161,201 weights the loop reads.  numpy
 (about 12 MB) is never imported for such products.  Longer orbits go to an
-array kernel that walks each orbit as a tree and reflects whole batches
-with numpy, in fixed-width integers; it never fills the cache.  A product
-whose labels could leave those integers stays on the Python loop.  In E8
-only the products with λ4 or λ5 as the smaller factor take the array
-kernel.
+array kernel.  It packs each weight of the factor into one ``int64`` key,
+63 // rank bits per label, in which a reflection is one multiply-subtract,
+and walks all of the factor's orbits together, level by level of their
+trees (107 levels for E8's λ4).  Each level is unpacked into ``int32``
+label rows and its ρ-shifted sums are reflected in numpy batches; the
+kernel never fills the cache.  A product whose labels could leave those
+integers stays on the Python loop.  In E8 only the products with λ4 or λ5
+as the smaller factor take the array kernel.
 """
 
 from __future__ import annotations
@@ -502,13 +505,28 @@ class Algebra:
     def _fits_array_kernel(self, big, small, small_dim) -> bool:
         """Whether the array kernel's integers hold V_big ⊗ V_small.
 
-        Labels are ``int32`` with room for three times a label in one
-        reflection step, dominant ρ-shifted labels are packed into
-        63 // rank bits of an ``int64`` key, and the signed sums, bounded
-        by the small factor's dimension, are ``int64``.
+        The weights of V_small are walked as ``int64`` keys of w = 63 // rank
+        bits per label, each label u offset by B = 2^(w-1), so every label
+        of V_small must lie below B in absolute value.  The sums are
+        reflected in ``int32`` labels with room for three times a label in
+        one reflection step, dominant ρ-shifted labels are packed into w
+        bits of an ``int64`` key, and the signed sums, bounded by the small
+        factor's dimension, are ``int64``.
         """
-        limit = min(1 << (63 // self.rank), 1 << 29)
-        return small_dim < 1 << 63 and self._label_bound(big, small) < limit
+        bits = 63 // self.rank
+        return (small_dim < 1 << 63
+                and self._label_bound(big, small) < min(1 << bits, 1 << 29)
+                and self._labels_below(small, 1 << bits >> 1))
+
+    def _labels_below(self, lam, bound: int) -> bool:
+        """Whether every label of every weight of V_lam is below ``bound``
+        in absolute value.
+
+        A label of a weight y of V_lam is 2 (y, α_k) / (α_k, α_k), at most
+        2 |lam| / |α_k| since |y| <= |lam|, so 4 (lam, lam) / (α, α) < bound²
+        for the short roots α suffices.
+        """
+        return 4 * self._form(lam, lam) < min(self._root_norm) * bound * bound
 
     def _weight_system(self, table) -> list:
         """``(mult, packed orbit, negative parts, part ids)`` per dominant
@@ -516,8 +534,7 @@ class Algebra:
 
         Each orbit is walked once and its labels are packed row by row into
         an ``array`` of the narrowest typecode that holds every label of
-        V_λ, λ the table's highest weight.  A label of a weight y of V_λ is
-        2 (y, α_k) / (α_k, α_k) <= 2 |λ| / |α_k|, since |y| <= |λ|.  The
+        V_λ, λ the table's highest weight, by :meth:`_labels_below`.  The
         weights are indexed by their negative part (see
         :func:`_negative_parts`): ν + ρ + u lies on a wall, and cancels,
         exactly when u_j = -(ν_j + 1) for some j, which that part decides.
@@ -527,14 +544,11 @@ class Algebra:
         if cached is not None:
             return cached
         n = self.rank
-        square = 4 * self._form(lam, lam)
-        short = min(self._root_norm)
         # the widest code fails only for a factor with a label of order
         # 2^63, whose root string through λ alone has that many weights,
         # more than the loop could visit; array raises OverflowError there
-        code = next((c for c in _PACK_CODES
-                     if square < short << 2 * (8 * array(c).itemsize - 1)),
-                    "q")
+        code = next((c for c in _PACK_CODES if self._labels_below(
+            lam, 1 << 8 * array(c).itemsize - 1)), "q")
         sizes = self._orbit_sizes(lam)
         entry = []
         for mu, mult in table.entries.items():
@@ -612,10 +626,15 @@ def _klimyk_array(alg, table, orbits, shifted) -> dict:
     """Klimyk sum over the weights of ``table``, in batches of numpy arrays.
 
     ``orbits`` maps each dominant weight of the table to its orbit size and
-    ``shifted`` is the larger factor's highest weight plus ρ.  Weights are
-    stored label-major, one column per weight, so that every reflection
-    step is a few operations on contiguous label rows.  The caller checks
-    with :meth:`Algebra._fits_array_kernel` that every label fits.
+    ``shifted`` is the larger factor's highest weight plus ρ.  All orbits
+    of the table are walked together, as packed keys, by
+    :func:`_packed_orbits`; each weight's multiplicity is that of the
+    dominant weight it descends from, and each orbit's length is checked
+    against ``orbits``.  Every level is unpacked label-major, one column
+    per weight, in slices of at most ``_ARRAY_CHUNK`` columns, so that
+    every reflection step is a few operations on contiguous label rows.
+    The caller checks with :meth:`Algebra._fits_array_kernel` that every
+    label fits.
     """
     import numpy as np
 
@@ -636,15 +655,11 @@ def _klimyk_array(alg, table, orbits, shifted) -> dict:
             keys |= row
         return keys
 
-    def flush(batch, mults):
+    def flush(x, vals):
         # ρ-shifted sums, reflected to the dominant chamber by any sequence
         # of reflections at negative labels, each flipping the sign; a
         # weight with a zero label lies on a wall and cancels, so it is
         # dropped as soon as it shows one
-        x = np.concatenate(batch, axis=1)
-        vals = np.concatenate(mults)
-        batch.clear()
-        mults.clear()
         x += shift
         keys, signed = [], []
         while x.shape[1]:
@@ -666,54 +681,89 @@ def _klimyk_array(alg, table, orbits, shifted) -> dict:
         for k, v in zip(uniq.tolist(), sums.tolist()):
             acc[k] = acc.get(k, 0) + v
 
-    batch, mults, pending = [], [], 0
-    for mu, mult in table.entries.items():
-        size = 0
-        for level in _orbit_levels(nbrs, mu):
-            size += level.shape[1]
-            batch.append(level)
-            mults.append(np.full(level.shape[1], mult, dtype=np.int64))
-            pending += level.shape[1]
-            if pending >= _ARRAY_CHUNK:
-                flush(batch, mults)
-                pending = 0
-        if size != orbits[mu]:
-            raise AssertionError(f"orbit of {mu} has {size} weights, "
-                                 f"expected {orbits[mu]}")
-    if batch:
-        flush(batch, mults)
+    weights = list(table.entries)
+    mults = np.array(list(table.entries.values()), dtype=np.int64)
+    sizes = np.array([orbits[mu] for mu in weights], dtype=np.int64)
+    counts = np.zeros(len(weights), dtype=np.int64)
+    for keys, origin in _packed_orbits(alg, weights):
+        counts += np.bincount(origin, minlength=len(weights))
+        if (counts > sizes).any():
+            break
+        for start in range(0, len(keys), _ARRAY_CHUNK):
+            part = slice(start, start + _ARRAY_CHUNK)
+            flush(_unpack_lanes(keys[part], n), mults[origin[part]])
+    for mu, size, count in zip(weights, sizes.tolist(), counts.tolist()):
+        if count != size:
+            raise AssertionError(f"orbit of {mu} reached {count} weights, "
+                                 f"expected {size}")
     mask = (1 << bits) - 1
     return {tuple(((k >> (bits * (n - 1 - i))) & mask) - 1 for i in range(n)): v
             for k, v in acc.items() if v}
 
 
-def _orbit_levels(nbrs, mu):
-    """The Weyl orbit of dominant ``mu`` as label-major arrays, level by level.
+def _packed_orbits(alg, weights):
+    """The Weyl orbits of the dominant ``weights``, walked together.
 
-    The orbit is a tree under the canonical-parent rule: the parent of a
-    non-dominant v reflects it at its first negative label, as
-    :meth:`Algebra._reflect` does.  A child s_i v of v is kept only when
-    i is its first negative label, so each weight is reached exactly once
-    and no visited set is needed (D. Snow, "Weyl group orbits", ACM TOMS
-    1990).
+    Yields ``(keys, origin)`` per level of the orbit trees: one ``int64``
+    key K(u) = sum_k (u_k + B) 2^(w k) per weight u, w = 63 // rank and
+    B = 2^(w-1), and the index in ``weights`` of the orbit it belongs to.
+    Level 0 holds ``weights`` themselves.  Each orbit is a tree under the
+    canonical-parent rule: the parent of a non-dominant v reflects it at
+    its first negative label, as :meth:`Algebra._reflect` does, so a child
+    s_i v of v is kept only when i is its first negative label, each
+    weight is reached exactly once and no visited set is needed (D. Snow,
+    "Weyl group orbits", ACM TOMS 1990).  Reflection is linear in the
+    keys, K(s_i u) = K(u) - u_i K(α_i) with α_i row i of the Cartan
+    matrix, and u_j < 0 exactly when bit w - 1 of lane j is clear, so a
+    tree step is a shift and a mask, a multiply-subtract and an AND.  The
+    caller checks with :meth:`Algebra._fits_array_kernel` that every label
+    u_k lies in [-B, B); int64 arithmetic wraps, which leaves the exact
+    key of every weight of the orbits.
     """
     import numpy as np
 
-    n = len(mu)
-    level = np.array(mu, dtype=np.int32).reshape(n, 1)
-    while level.shape[1]:
-        yield level
-        children = []
+    n = alg.rank
+    bits = 63 // n
+    bias = 1 << bits - 1
+    mask = (1 << bits) - 1
+    # per node i: K(α_i) without the offsets, α_i's labels being row i of A
+    roots = [sum(a << bits * k for k, a in enumerate(row))
+             for row in alg.cartan.entries]
+    # per node i: bit w - 1 of each lane below i, set when that label is >= 0
+    signs = [sum(bias << bits * k for k in range(i)) for i in range(n)]
+    keys = np.array([sum(x + bias << bits * k for k, x in enumerate(mu))
+                     for mu in weights], dtype=np.int64)
+    origin = np.arange(len(weights), dtype=np.min_scalar_type(len(weights)))
+    while len(keys):
+        yield keys, origin
+        children, origins = [], []
         for i in range(n):
-            child = level[:, level[i] > 0]
-            if not child.shape[1]:
-                continue
-            x = child[i].copy()
-            child[i] = -x
-            for j, a in nbrs[i]:
-                child[j] += a * x
+            lane = keys >> bits * i
+            lane &= mask
+            pick = np.flatnonzero(lane > bias)
+            child = lane[pick]
+            child -= bias
+            child *= -roots[i]
+            child += keys[pick]
             if i:
-                child = child[:, (child[:i] >= 0).all(axis=0)]
+                first = (child & signs[i]) == signs[i]
+                child, pick = child[first], pick[first]
             children.append(child)
-        level = (np.concatenate(children, axis=1) if children
-                 else level[:, :0])
+            origins.append(origin[pick])
+        keys = np.concatenate(children)
+        origin = np.concatenate(origins)
+
+
+def _unpack_lanes(keys, n: int):
+    """Label-major ``int32`` labels of the keys of :func:`_packed_orbits`."""
+    import numpy as np
+
+    bits = 63 // n
+    mask = (1 << bits) - 1
+    labels = np.empty((n, len(keys)), dtype=np.int32)
+    for k in range(n):
+        lane = keys >> bits * k
+        lane &= mask
+        labels[k] = lane
+    labels -= 1 << bits - 1
+    return labels

@@ -482,6 +482,42 @@ class TestKlimykKernels:
             results.append(Algebra(name).tensor_decompose(big, small))
         assert results[0] == results[1]
 
+    def test_labels_beyond_the_walk_lanes_take_the_loop(self, monkeypatch):
+        # A20 walks keys of 3 bits per label, offset by 4, which hold the
+        # labels -4..3; 4λ1 has the labels ±4
+        a20 = Algebra("A20")
+        small = tuple(4 * x for x in a20.fundamental(1))
+        big = a20.fundamental(5)
+        assert a20.weyl_dim(big) > a20.weyl_dim(small)
+        assert not a20._labels_below(small, 4)
+        assert a20._labels_below(a20.fundamental(1), 4)
+        assert not a20._fits_array_kernel(big, small, a20.weyl_dim(small))
+        results = []
+        for threshold in (FORCE_LOOP, FORCE_ARRAY):
+            monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
+            results.append(Algebra("A20").tensor_decompose(big, small))
+        assert results[0] == results[1]
+        # Pieri: e_5 h_4 = s_(5,1^4) + s_(4,1^5)
+        hooks = [tuple(a + b for a, b in zip(small, big)),
+                 tuple(3 * x + y for x, y in zip(a20.fundamental(1),
+                                                  a20.fundamental(6)))]
+        assert results[0].entries == {w: 1 for w in hooks}
+
+    def test_lane_guard_decides_where_the_sum_labels_fit(self):
+        # A3 walks 21 bits per label, offset by 2^20; k λ1 has the labels
+        # ±k, so k = 1,100,000 overflows a lane, while every ρ-shifted sum
+        # with the big factor 779 ρ (whose dimension 780^6 exceeds that of
+        # k λ1) still fits the 21-bit result field
+        a3 = Algebra("A3")
+        small, big = (1_100_000, 0, 0), (779, 779, 779)
+        assert a3.weyl_dim(big) > a3.weyl_dim(small)
+        assert a3._label_bound(big, small) < 1 << 21
+        assert not a3._labels_below(small, 1 << 20)
+        assert not a3._fits_array_kernel(big, small, a3.weyl_dim(small))
+        # the bound 2 |k λ1| / |α| is sqrt(3/2) k, below 2^20 for k = 800,000
+        fits = (800_000, 0, 0)
+        assert a3._fits_array_kernel(big, fits, a3.weyl_dim(fits))
+
     def test_long_orbit_with_wide_labels_takes_the_loop(self, monkeypatch):
         # λ8 of A20 has an orbit of 203,490 weights, beyond the threshold,
         # but A20 packs only 3 bits per label
@@ -512,6 +548,74 @@ class TestKlimykKernels:
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "False"
+
+
+class TestPackedWalk:
+    @pytest.mark.parametrize("name, left, right", [
+        # 9 orbits, 186,481 weights
+        ("E8", (0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0)),
+        # asymmetric Cartan rows: a transposed K(α_i) walks wrong weights
+        ("B3", (1, 0, 1), (0, 1, 1)),
+        ("C3", (1, 1, 0), (0, 1, 1)),
+        ("F4", (0, 0, 1, 1), (1, 0, 0, 1)),
+        ("G2", (2, 1), (1, 1)),
+    ])
+    def test_walk_yields_each_orbit_once(self, monkeypatch, name, left,
+                                         right):
+        levels = []
+        walk = repth._packed_orbits
+
+        def spy(alg, weights):
+            levels.append(list(weights))
+            for keys, origin in walk(alg, weights):
+                levels.append((keys.copy(), origin.copy()))
+                yield keys, origin
+
+        monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
+        monkeypatch.setattr(repth, "_packed_orbits", spy)
+        alg = Algebra(name)
+        alg.tensor_decompose(left, right)
+        weights, *levels = levels
+        small = left if alg.weyl_dim(left) <= alg.weyl_dim(right) else right
+        assert sorted(weights) == sorted(alg.freudenthal(small).entries)
+        walked = {mu: [] for mu in weights}
+        for keys, origin in levels:
+            labels = repth._unpack_lanes(keys, alg.rank).T.tolist()
+            for u, i in zip(labels, origin.tolist()):
+                walked[weights[i]].append(tuple(u))
+        for mu, orbit in walked.items():
+            assert len(orbit) == alg.orbit_size(mu)
+            assert set(orbit) == set(alg.weyl_orbit(mu))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_kernel_checks_each_orbit_length(self, delta):
+        b3 = Algebra("B3")
+        small = (0, 1, 1)
+        orbits = dict(b3._orbit_sizes(small))
+        mu = max(orbits, key=orbits.get)
+        orbits[mu] += delta
+        with pytest.raises(AssertionError, match="orbit of"):
+            repth._klimyk_array(b3, b3.freudenthal(small), orbits,
+                                (2, 1, 2))
+
+    def test_working_set_of_the_lambda5_square(self, e8_fresh):
+        # the 763,681 keys of λ5 alone take 6.1 MB, so a kernel that
+        # holds the whole weight system at once fails this bound
+        import tracemalloc
+
+        import numpy  # noqa: F401
+
+        lam = e8_fresh.fundamental(5)
+        table = e8_fresh.freudenthal(lam)
+        orbits = e8_fresh._orbit_sizes(lam)
+        shifted = tuple(x + 1 for x in lam)
+        tracemalloc.start()
+        try:
+            repth._klimyk_array(e8_fresh, table, orbits, shifted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestWeightSystemCache:
