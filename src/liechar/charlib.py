@@ -86,7 +86,7 @@ class CharacterCache:
         pushed above it.  A weight claimed by another thread is waited for.
         """
         stack = [m]
-        held: dict = {}  # claimed weight -> the characters it needs
+        held: dict = {}  # claimed weight -> its plan, once made
         try:
             while stack:
                 w = stack[-1]
@@ -95,16 +95,17 @@ class CharacterCache:
                     if self._claim(w) is not None:
                         stack.pop()
                         continue
-                    held[w] = ()  # claimed: released below, or on an error
+                    held[w] = None  # claimed: released below, or on an error
                     poly = self._load_from_disk(w)
                     if poly is None:
-                        held[w] = self._needs(w)
+                        held[w] = self._plan(w)
                 if poly is None:
-                    missing = [x for x in held[w] if x not in self._mem]
+                    missing = [x for x in self._needs(w, held[w])
+                               if x not in self._mem]
                     if missing:
                         stack.extend(reversed(missing))
                         continue
-                    poly = self._expand(w)
+                    poly = self._expand(w, held[w])
                     self._store_to_disk(w, poly)
                 del held[w]
                 self._release(w, poly)
@@ -153,14 +154,16 @@ class CharacterCache:
         alg = self.algebra
         return i, nu, alg.tensor_decompose(alg.fundamental(i), nu)
 
-    def _needs(self, m: tuple) -> list:
-        """The characters that :meth:`_expand` reads for ``m``."""
-        _, nu, decomposition = self._plan(m)
+    @staticmethod
+    def _needs(m: tuple, plan: tuple) -> list:
+        """The characters that :meth:`_expand` reads for ``m`` and ``plan``."""
+        _, nu, decomposition = plan
         return [nu] + [mu for mu in map(tuple, decomposition.entries)
                        if mu != m]
 
-    def _expand(self, m: tuple, split_index: int | None = None) -> ZPolynomial:
-        i, nu, decomposition = self._plan(m, split_index)
+    def _expand(self, m: tuple, plan: tuple) -> ZPolynomial:
+        """The character of ``m`` from ``plan``, made by :meth:`_plan`."""
+        i, nu, decomposition = plan
         terms = [(1, ZPolynomial.variable(self.rank, i), self._get(nu))]
         terms += [(-mult, self._get(mu), None)
                   for mu, mult in decomposition.items() if mu != m]

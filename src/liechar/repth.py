@@ -8,28 +8,32 @@ iterate over every weight of the smaller factor, dominant-reflect the
 multiplicities come from the Freudenthal recursion, evaluated in integers
 with the invariant form :meth:`Algebra._form` and asserted integral.
 
-The Klimyk sum has two implementations, chosen per product from the
-smaller factor's Freudenthal table.  When its largest Weyl orbit has fewer
-than ``_ARRAY_MIN_ORBIT`` (2^17) weights, a Python loop reflects one weight
-at a time.  It reads the factor's weight system from a per-algebra cache:
-every orbit is walked once with :meth:`Algebra.weyl_orbit` and packed into
-an ``array`` of labels, about ``rank`` bytes per weight, which every later
-product with the same small factor reuses.  The cache is wall-indexed:
-each weight u carries the id of its negative part min(u, 0), one or two
-bytes in E8, and for V_ν ⊗ V_small the loop tests each distinct part once
-for a label u_j = -(ν_j + 1), which puts ν + ρ + u on a wall
-(Racah-Speiser cancellation).  The weights of such parts are skipped inside
-``itertools.compress`` and never reach the interpreter loop; in E8 from
-nothing that is 1,827,287 of the 2,161,201 weights the loop reads.  numpy
-(about 12 MB) is never imported for such products.  Longer orbits go to an
-array kernel.  It packs each weight of the factor into one ``int64`` key,
-63 // rank bits per label, in which a reflection is one multiply-subtract,
-and walks all of the factor's orbits together, level by level of their
-trees (107 levels for E8's λ4).  Each level is unpacked into ``int32``
-label rows and its ρ-shifted sums are reflected in numpy batches; the
-kernel never fills the cache.  A product whose labels could leave those
-integers stays on the Python loop.  In E8 only the products with λ4 or λ5
-as the smaller factor take the array kernel.
+Both Klimyk paths hold a weight u as one integer key, K(u) = sum_k
+(u_k + B) 2^(w k) with B = 2^(w-1) for lanes of w bits.  A reflection is
+one multiply-subtract, K(s_i u) = K(u) - u_i K(α_i), and u_k < 0 exactly
+when bit w - 1 of lane k is clear, so one AND finds the negative labels.
+Each Weyl orbit is walked as a tree of keys (D. Snow's canonical-parent
+rule), and :meth:`Algebra.weyl_orbit` decodes the same walk.  The sum has
+two implementations, chosen per product from the smaller factor's
+Freudenthal table.  When its largest Weyl orbit has fewer than
+``_ARRAY_MIN_ORBIT`` (2^17) weights, a Python loop reflects one key at a
+time, in lanes of 8, 16, 32, ... bits, the first width whose offset exceeds
+every label the product forms: 8 bits for every E8 product from the
+fundamentals, so that a key fits one ``array('Q')`` item; wider keys are
+Python ints.  The loop reads the factor's weight system from a
+per-algebra cache, walked once and reused by every later product with the
+same small factor and lane width.  The cache is wall-indexed: an orbit's
+keys are grouped by their negative part min(u, 0), and for V_ν ⊗ V_small
+the loop tests each part once for a label u_j = -(ν_j + 1), which puts
+ν + ρ + u on a wall (Racah-Speiser cancellation), and never reads the
+groups that fail.  numpy (about 12 MB) is never imported for such
+products.  Longer orbits go to an array kernel, which walks all of the
+factor's orbits together as ``int64`` keys, 63 // rank bits per label,
+level by level of their trees (107 levels for E8's λ4).  Each level is
+unpacked into ``int32`` label rows and its ρ-shifted sums are reflected in
+numpy batches; the kernel never fills the cache.  A product whose labels
+could leave those integers stays on the Python loop.  In E8 only the
+products with λ4 or λ5 as the smaller factor take the array kernel.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ from __future__ import annotations
 import threading
 from array import array
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import accumulate, chain, compress, repeat
 from math import isqrt, lcm, prod
-from operator import add, itemgetter, mul
-from struct import Struct, iter_unpack
+from operator import itemgetter, mul
+from struct import Struct
 from sys import byteorder
 from typing import Iterator
 
@@ -62,8 +66,6 @@ DEFAULT_TENSOR_BUDGET = 20_000_000
 # such products, as a CLI request for a small E8 character does, keeps
 # numpy out of its peak memory.
 _ARRAY_MIN_ORBIT = 2 ** 17
-# array typecodes for packed orbits, narrowest first
-_PACK_CODES = "bhiq"
 # columns per batch of the array kernel, which bounds its working memory
 _ARRAY_CHUNK = 2 ** 16
 # rows per chunk when an orbit's negative parts are taken
@@ -112,6 +114,30 @@ class WeightMultiplicityTable(Decomposition):
     def to_json_dict(self) -> dict:
         return {"highest": list(self.highest),
                 "entries": super().to_json_dict()}
+
+
+class WeylOrbit:
+    """The Weyl orbit of a dominant weight of an :class:`Algebra`."""
+
+    __slots__ = ("algebra", "highest")
+
+    def __init__(self, algebra, highest: tuple):
+        self.algebra = algebra
+        self.highest = highest
+
+    def keys(self, bits: int) -> Iterator[int]:
+        """The orbit's keys, ``bits`` bits per label (see Algebra._lanes)."""
+        return self.algebra._key_orbit(self.highest, bits)
+
+    def __iter__(self) -> Iterator[tuple]:
+        """The orbit's weights, decoded from keys in lanes wide enough for
+        every label."""
+        bits = self.algebra._lane_width(self.highest)
+        bias = 1 << bits - 1
+        mask = (1 << bits) - 1
+        shifts = range(0, bits * self.algebra.rank, bits)
+        for key in self.keys(bits):
+            yield tuple((key >> s & mask) - bias for s in shifts)
 
 
 class Algebra:
@@ -278,37 +304,80 @@ class Algebra:
                 i += 1
         return tuple(v), sign
 
-    def weyl_orbit(self, w) -> Iterator[tuple]:
+    def weyl_orbit(self, w) -> "WeylOrbit":
         """All distinct images of a dominant weight under the Weyl group.
+
+        The orbit is walked by :meth:`_key_orbit`: iterating the result
+        yields label tuples, and its ``keys`` method yields the packed keys
+        that the Klimyk loop reads.
+        """
+        return WeylOrbit(self, self._check_dominant(w))
+
+    def _lanes(self, bits: int) -> tuple:
+        """``(roots, lows, signs)`` for keys of ``bits`` bits per label.
+
+        A weight u is the key K(u) = sum_k (u_k + B) 2^(bits k), B =
+        2^(bits-1).  roots[i] is K(α_i) without the offsets, α_i's labels
+        being row i of the Cartan matrix, so that K(s_i u) = K(u) - u_i
+        roots[i]; lows has a 1 in the lowest bit of each lane; signs[i]
+        has bit bits - 1 of each lane below i, set in K(u) exactly where
+        the label is >= 0, and signs[rank] covers every lane.
+        """
+        n = self.rank
+        roots = tuple(sum(a << bits * k for k, a in enumerate(row))
+                      for row in self.cartan.entries)
+        lows = sum(1 << bits * k for k in range(n))
+        signs = tuple((lows & (1 << bits * i) - 1) << bits - 1
+                      for i in range(n + 1))
+        return roots, lows, signs
+
+    def _lane_width(self, lam, bound: int = 0) -> int:
+        """The first of 8, 16, 32, ... bits per label whose offset B =
+        2^(bits-1) exceeds ``bound`` and every label of V_lam.
+
+        The widths come from a fixed ladder, so the products of a factor
+        mostly share one width and one cached weight system.
+        """
+        bits = 8
+        while not (bound < 1 << bits - 1
+                   and self._labels_below(lam, 1 << bits - 1)):
+            bits *= 2
+        return bits
+
+    def _key_orbit(self, mu, bits: int) -> Iterator[int]:
+        """Keys of the Weyl orbit of the dominant ``mu`` (see :meth:`_lanes`).
 
         The orbit is a tree under the canonical-parent rule: the parent of a
         non-dominant v reflects it at its first negative label, as
-        :meth:`_reflect` does.  A child s_i v of v is kept only when i
-        is its first negative label, so each weight is reached exactly once
+        :meth:`_reflect` does.  A child s_i v of v is kept only when i is
+        its first negative label, so each weight is reached exactly once
         and no visited set is held (D. Snow, "Weyl group orbits", ACM TOMS
         1990).  The walk is depth first, in a deterministic order.
 
-        Each weight is held with the index f of its first negative label.
+        Each key is held with the index f of its first negative label.
         s_i v for i < f always keeps its labels before i, and for i > f it
         can lift label f only when i is a neighbour of f, so only those
-        nodes are tried.
+        nodes are tried.  A child is K(v) - v_i K(α_i), and its labels
+        below i are >= 0 exactly when it has all of signs[i].  Every label
+        of V_mu must lie below 2^(bits-1) in absolute value.
         """
-        start = tuple(self._check_dominant(w))
-        nbrs = self._nbrs
-        tried = self._child_nodes
-        stack = [(start, self.rank)]
+        roots, _, signs = self._lanes(bits)
+        bias = 1 << bits - 1
+        mask = (1 << bits) - 1
+        tried = tuple(tuple((i, bits * i, roots[i], signs[i]) for i in nodes)
+                      for nodes in self._child_nodes)
+        stack = [(sum(x + bias << bits * k for k, x in enumerate(mu)),
+                  self.rank)]
+        pop, push = stack.pop, stack.append
         while stack:
-            v, first = stack.pop()
-            yield v
-            for i in tried[first]:
-                x = v[i]
+            key, first = pop()
+            yield key
+            for i, shift, root, sign in tried[first]:
+                x = (key >> shift & mask) - bias
                 if x > 0:
-                    u = list(v)
-                    u[i] = -x
-                    for j, c in nbrs[i]:
-                        u[j] += c * x
-                    if i < first or min(u[:i]) >= 0:
-                        stack.append((tuple(u), i))
+                    child = key - x * root
+                    if i < first or child & sign == sign:
+                        push((child, i))
 
     # -- dimensions and orbit sizes ----------------------------------------
 
@@ -528,98 +597,146 @@ class Algebra:
         """
         return 4 * self._form(lam, lam) < min(self._root_norm) * bound * bound
 
-    def _weight_system(self, table) -> list:
-        """``(mult, packed orbit, negative parts, part ids)`` per dominant
-        weight of ``table``, cached: the factor's wall-indexed weights.
+    def _weight_system(self, table, bits: int) -> list:
+        """``(mult, keys, parts, ends)`` per dominant weight of ``table``,
+        cached per lane width: the factor's wall-indexed weights.
 
-        Each orbit is walked once and its labels are packed row by row into
-        an ``array`` of the narrowest typecode that holds every label of
-        V_λ, λ the table's highest weight, by :meth:`_labels_below`.  The
-        weights are indexed by their negative part (see
-        :func:`_negative_parts`): ν + ρ + u lies on a wall, and cancels,
-        exactly when u_j = -(ν_j + 1) for some j, which that part decides.
+        Each orbit is walked once, as keys of ``bits`` bits per label, and
+        held in an ``array('Q')`` when every key is below 2^64 (rank times
+        ``bits`` at most 64), else in a list of ints.  The keys are grouped
+        by negative part (see :func:`_negative_parts`): ν + ρ + u lies on a
+        wall, and cancels, exactly when u_j = -(ν_j + 1) for some j, which
+        that part decides.
         """
         lam = tuple(table.highest)
-        cached = self._weight_systems.get(lam)
+        cached = self._weight_systems.get((lam, bits))
         if cached is not None:
             return cached
-        n = self.rank
-        # the widest code fails only for a factor with a label of order
-        # 2^63, whose root string through λ alone has that many weights,
-        # more than the loop could visit; array raises OverflowError there
-        code = next((c for c in _PACK_CODES if self._labels_below(
-            lam, 1 << 8 * array(c).itemsize - 1)), "q")
         sizes = self._orbit_sizes(lam)
         entry = []
         for mu, mult in table.entries.items():
-            packed = array(code, chain.from_iterable(self.weyl_orbit(mu)))
-            size = sizes[mu]
-            if len(packed) != n * size:
-                raise AssertionError(f"orbit of {mu} has {len(packed) // n} "
-                                     f"weights, expected {size}")
-            parts, ids = _negative_parts(packed, n)
-            entry.append((mult, packed, parts, ids))
+            walk = self.weyl_orbit(mu).keys(bits)
+            keys = array("Q", walk) if self.rank * bits <= 64 else list(walk)
+            if len(keys) != sizes[mu]:
+                raise AssertionError(f"orbit of {mu} has {len(keys)} "
+                                     f"weights, expected {sizes[mu]}")
+            entry.append((mult,) + _negative_parts(keys, bits, self.rank))
         with self._lock:
-            self._weight_systems[lam] = entry
+            self._weight_systems[(lam, bits)] = entry
         return entry
 
     def _klimyk_loop(self, table, shifted) -> dict:
         """Klimyk sum over the weights of ``table``, one weight at a time.
 
-        The weights come from the cached wall-indexed weight system of
-        ``table``'s highest weight, so a factor's orbits are walked once.
-        The wall test is made once per negative part: the weights whose
-        part puts ``shifted`` + u on a wall are skipped inside
-        ``compress``, and only the others are reflected.
+        The weights come as keys from the cached wall-indexed weight system
+        of ``table``'s highest weight, in lanes wide enough for every label
+        the sum forms (:meth:`_lane_width`), so a factor's orbits are walked
+        once.  Only the weights that :func:`_off_wall` passes are reflected.
+        A sum S = K(u) + K(ν + ρ) is reflected at its last negative label,
+        whose sign bit is the highest set bit of (S & highs) ^ highs, by one
+        multiply-subtract.  Off the walls every order of reflections at
+        negative labels takes the same number of steps, the length of the
+        Weyl element, so the sign is that of :meth:`_reflect`.  A dominant
+        sum with a zero label lies on a wall: S - K(ρ) then lacks that
+        label's sign bit, and the sum is dropped.
         """
         n = self.rank
+        small = tuple(table.highest)
+        big = tuple(x - 1 for x in shifted)
+        bits = self._lane_width(small, self._label_bound(big, small))
+        roots, lows, signs = self._lanes(bits)
+        highs = signs[n]
+        bias = 1 << bits - 1
+        mask = (1 << bits) - 1
+        # per lane i, at the bit length of its sign bit: the shift and K(α_i)
+        steps = [None] * (bits * n + 1)
+        for i, root in enumerate(roots):
+            steps[bits * (i + 1)] = bits * i, root
+        top = sum(x << bits * k for k, x in enumerate(shifted))
         acc: dict = {}
         get = acc.get
-        reflect = self._reflect
-        for mult, packed, parts, ids in self._weight_system(table):
-            fmt = f"{n}{packed.typecode}"
-            live = bytes(0 not in map(add, shifted, part)
-                         for part in iter_unpack(fmt, parts))
-            for u in compress(iter_unpack(fmt, packed),
-                              map(live.__getitem__, ids)):
-                dom, sign = reflect(list(map(add, shifted, u)))
-                if 0 not in dom:
-                    acc[dom] = get(dom, 0) + sign * mult
+        system = self._weight_system(table, bits)
+        for mult, weights in _off_wall(system, top, lows, highs):
+            for s in weights:
+                s += top
+                sign = mult
+                x = s & highs ^ highs
+                while x:
+                    shift, root = steps[x.bit_length()]
+                    s -= ((s >> shift & mask) - bias) * root
+                    sign = -sign
+                    x = s & highs ^ highs
+                if s - lows & highs == highs:
+                    acc[s] = get(s, 0) + sign
         # the keys are ρ-shifted; constituents that cancelled are dropped
-        return {tuple(x - 1 for x in dom): m for dom, m in acc.items() if m}
+        shifts = range(0, bits * n, bits)
+        return {tuple((s >> k & mask) - bias - 1 for k in shifts): m
+                for s, m in acc.items() if m}
 
 
-def _negative_parts(packed, n: int) -> tuple:
-    """``(parts, ids)`` for an orbit packed ``n`` labels per row.
+def _off_wall(system, top, lows, highs) -> Iterator[tuple]:
+    """``(mult, keys)`` per orbit of ``system``: the weights u whose sum
+    with the unbiased key ``top`` of ν + ρ lies on no wall by its
+    negative part.
 
-    ``parts`` packs the orbit's distinct negative parts min(u, 0), one row
-    each and in ``packed``'s typecode; ``ids`` holds, per weight, the index
-    of its part's row, in the narrowest unsigned code that holds them all.
+    The wall test is made once per part p: K(p) + top has a zero label
+    exactly when a lane of (K(p) + top) ^ highs is zero, which the SWAR
+    test (y - lows) & ~y & highs finds.  The runs of the parts that fail
+    are never read.
     """
-    width = packed.itemsize
-    bits = 8 * width
-    step = n * _PARTS_CHUNK
-    lows = int.from_bytes((1).to_bytes(width, byteorder) * step, byteorder)
-    spread = (1 << bits) - 1
-    rows = Struct(f"{n * width}s").iter_unpack
+    for mult, keys, parts, ends in system:
+        live = [not (y - lows) & ~y & highs
+                for y in ((p + top) ^ highs for p in parts)]
+        runs = compress(map(slice, chain((0,), ends), ends), live)
+        yield mult, chain.from_iterable(map(keys.__getitem__, runs))
 
-    def each():
-        # a chunk of rows read as one integer: a label keeps its bits where
-        # its sign bit is set and becomes 0 elsewhere
-        for start in range(0, len(packed), step):
-            chunk = packed[start:start + step]
-            x = int.from_bytes(chunk, byteorder)
-            negative = x & ((x >> bits - 1) & lows) * spread
-            yield from map(itemgetter(0), rows(
-                negative.to_bytes(len(chunk) * width, byteorder)))
 
-    index = dict.fromkeys(each())
-    parts = array(packed.typecode)
-    for i, part in enumerate(index):
-        index[part] = i
-        parts.frombytes(part)
-    code = next(c for c in "BHIQ" if len(index) <= 1 << 8 * array(c).itemsize)
-    return parts, array(code, map(index.__getitem__, each()))
+def _negative_parts(keys, bits: int, n: int) -> tuple:
+    """``(keys, parts, ends)`` for the keys of an orbit, ``n`` labels of
+    ``bits`` bits each per key.
+
+    ``parts`` holds the keys of the orbit's distinct negative parts
+    min(u, 0), and the keys returned are those given, grouped by part, in
+    their order within each group: group j has the part parts[j] and ends
+    at index ends[j].  Keys and parts come in the container of ``keys``.
+    The parts are taken in bulk, ``_PARTS_CHUNK`` keys at a time, as the
+    bytes of one integer.
+    """
+    packed = isinstance(keys, array)
+    width = keys.itemsize if packed else n * bits // 8
+    step = _PARTS_CHUNK
+    lows = int.from_bytes((1).to_bytes(bits // 8, byteorder)
+                          * (step * width * 8 // bits), byteorder)
+    highs = lows << bits - 1
+    clear = (1 << bits - 1) - 1
+    rows = Struct(f"{width}s").iter_unpack
+    # a chunk of keys is read as one integer: a label >= 0 has its sign bit
+    # set and keeps only that bit, the offset of label 0, and a negative
+    # label keeps its lane
+    negative = array("Q") if packed else []
+    for start in range(0, len(keys), step):
+        chunk = keys[start:start + step]
+        size = len(chunk) * width
+        if not packed:
+            chunk = b"".join(map(int.to_bytes, chunk, repeat(width),
+                                 repeat(byteorder)))
+        x = int.from_bytes(chunk, byteorder)
+        x &= ~(((x & highs) >> bits - 1) * clear)
+        chunk = x.to_bytes(size, byteorder)
+        if packed:
+            negative.frombytes(chunk)
+        else:
+            negative += map(int.from_bytes, map(itemgetter(0), rows(chunk)),
+                            repeat(byteorder))
+    runs: dict = {}
+    run = runs.setdefault
+    for part, key in zip(negative, keys):
+        run(part, []).append(key)
+    ends = array("Q", accumulate(map(len, runs.values())))
+    keys = chain.from_iterable(runs.values())
+    if packed:
+        return array("Q", keys), array("Q", runs), ends
+    return list(keys), list(runs), ends
 
 
 def _klimyk_array(alg, table, orbits, shifted) -> dict:
@@ -726,11 +843,7 @@ def _packed_orbits(alg, weights):
     bits = 63 // n
     bias = 1 << bits - 1
     mask = (1 << bits) - 1
-    # per node i: K(α_i) without the offsets, α_i's labels being row i of A
-    roots = [sum(a << bits * k for k, a in enumerate(row))
-             for row in alg.cartan.entries]
-    # per node i: bit w - 1 of each lane below i, set when that label is >= 0
-    signs = [sum(bias << bits * k for k in range(i)) for i in range(n)]
+    roots, _, signs = alg._lanes(bits)
     keys = np.array([sum(x + bias << bits * k for k, x in enumerate(mu))
                      for mu in weights], dtype=np.int64)
     origin = np.arange(len(weights), dtype=np.min_scalar_type(len(weights)))

@@ -198,7 +198,7 @@ class TestCriterion9Properties:
             routes = [i + 1 for i, x in enumerate(m) if x > 0]
             if len(routes) < 2:
                 continue
-            polys = [cache._expand(m, split_index=i) for i in routes]
+            polys = [cache._expand(m, cache._plan(m, i)) for i in routes]
             assert all(p == polys[0] for p in polys)
             cases += 1
         with capsys.disabled():

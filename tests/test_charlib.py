@@ -78,14 +78,36 @@ class TestRecursion:
         cache = CharacterCache(a2)
         for m in [(1, 1), (2, 1), (2, 2), (3, 1)]:
             routes = {i + 1 for i, x in enumerate(m) if x > 0}
-            polys = [cache._expand(m, split_index=i) for i in routes]
+            polys = [cache._expand(m, cache._plan(m, i)) for i in routes]
             assert all(p == polys[0] for p in polys)
 
     def test_path_independence_e8_spot(self, e8):
         cache = CharacterCache(e8)
         m = (1, 0, 0, 0, 0, 0, 0, 1)
-        assert cache._expand(m, split_index=1) == \
-            cache._expand(m, split_index=8)
+        assert cache._expand(m, cache._plan(m, 1)) == \
+            cache._expand(m, cache._plan(m, 8))
+
+    def test_each_product_decomposed_once(self, monkeypatch):
+        # the plan made when a character is claimed is the one expanded
+        e8 = Algebra("E8")
+        cache = CharacterCache(e8)
+        products, expanded = [], []
+        decompose = e8.tensor_decompose
+        expand = cache._expand
+
+        def counting(left, right, budget=None):
+            products.append((tuple(left), tuple(right)))
+            return decompose(left, right, budget)
+
+        def counting_expand(m, plan):
+            expanded.append(m)
+            return expand(m, plan)
+
+        monkeypatch.setattr(e8, "tensor_decompose", counting)
+        cache._expand = counting_expand
+        cache.character_poly((0, 0, 0, 0, 0, 0, 1, 2))
+        assert len(expanded) > 1
+        assert len(products) == len(expanded) == len(set(products))
 
     def test_recursion_limit_left_alone(self):
         limit = sys.getrecursionlimit()
@@ -237,9 +259,9 @@ class TestConcurrency:
         calls = []
         original = cache._expand
 
-        def counting_expand(m, split_index=None):
+        def counting_expand(m, plan):
             calls.append(m)
-            return original(m, split_index)
+            return original(m, plan)
 
         cache._expand = counting_expand
         results = {}
@@ -268,9 +290,9 @@ class TestConcurrency:
         calls = []
         original = cache._expand
 
-        def counting_expand(m, split_index=None):
+        def counting_expand(m, plan):
             calls.append(m)
-            return original(m, split_index)
+            return original(m, plan)
 
         cache._expand = counting_expand
         rng = random.Random(29)
@@ -379,7 +401,7 @@ class TestPropertySuites:
                 routes = [i + 1 for i, x in enumerate(m) if x > 0]
                 if len(routes) < 2:
                     continue
-                polys = [cache._expand(m, split_index=i) for i in routes]
+                polys = [cache._expand(m, cache._plan(m, i)) for i in routes]
                 assert all(p == polys[0] for p in polys)
                 cases += 1
         assert cases >= 200

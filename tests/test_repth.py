@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liechar
 import oracles
@@ -550,6 +552,73 @@ class TestKlimykKernels:
         assert out.stdout.strip() == "False"
 
 
+def assert_keys_fit(alg):
+    """array('Q') holds the keys of a weight system only when every key,
+    rank times the lane width in bits, is below 2^64."""
+    from array import array
+    for (_, bits), system in alg._weight_systems.items():
+        for _, keys, parts, _ in system:
+            packed = alg.rank * bits <= 64
+            assert isinstance(keys, array) == isinstance(parts, array) == packed
+            assert max(keys) < 1 << alg.rank * bits
+
+
+class TestKeyLoop:
+    def test_wide_e8_labels_take_16_bit_lanes(self):
+        e8 = Algebra("E8")
+        big = (200, 0, 0, 0, 0, 0, 0, 0)
+        lam8 = e8.fundamental(8)
+        bound = e8._label_bound(big, lam8)
+        assert bound == 847
+        assert e8._lane_width(lam8, bound) == 16
+        dec = e8.tensor_decompose(big, lam8)
+        assert list(e8._weight_systems) == [(lam8, 16)]
+        for _, keys, _, _ in e8._weight_systems[lam8, 16]:
+            assert type(keys) is list
+            assert max(keys) >= 1 << 64
+        assert_keys_fit(e8)
+        assert sum(m * e8.weyl_dim(w) for w, m in dec.items()) == \
+            e8.weyl_dim(big) * 248
+
+    def test_a20_takes_160_bit_keys(self):
+        a20 = Algebra("A20")
+        small = tuple(4 * x for x in a20.fundamental(1))
+        big = a20.fundamental(5)
+        dec = a20.tensor_decompose(big, small)
+        assert list(a20._weight_systems) == [(small, 8)]
+        for _, keys, _, _ in a20._weight_systems[small, 8]:
+            assert type(keys) is list
+        assert_keys_fit(a20)
+        # Pieri: e_5 h_4 = s_(5,1^4) + s_(4,1^5)
+        hooks = [tuple(a + b for a, b in zip(small, big)),
+                 tuple(3 * x + y for x, y in zip(a20.fundamental(1),
+                                                  a20.fundamental(6)))]
+        assert dec.entries == {w: 1 for w in hooks}
+
+    @pytest.mark.parametrize("name, top", [("A2", 3), ("B3", 2), ("C3", 2),
+                                           ("G2", 2), ("D4", 1), ("F4", 1)])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_loop_on_random_pairs(self, name, top, data):
+        # dominant weights with labels summing to at most ``top``
+        rank = Algebra(name).rank
+        weight = st.lists(st.integers(0, top), min_size=rank,
+                          max_size=rank).filter(lambda w: sum(w) <= top)
+        left, right = data.draw(weight), data.draw(weight)
+        results = []
+        with pytest.MonkeyPatch.context() as mp:
+            for threshold in (FORCE_LOOP, FORCE_ARRAY):
+                mp.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
+                alg = Algebra(name)
+                results.append(alg.tensor_decompose(left, right))
+                if threshold == FORCE_LOOP:
+                    assert_keys_fit(alg)
+        assert results[0] == results[1]
+        if name != "F4":
+            assert results[0].entries == oracles.tensor_oracle(
+                Algebra(name), left, right)
+
+
 class TestPackedWalk:
     @pytest.mark.parametrize("name, left, right", [
         # 9 orbits, 186,481 weights
@@ -618,16 +687,23 @@ class TestPackedWalk:
         assert peak < 4_000_000
 
 
+def part_runs(keys, parts, ends):
+    """``(part, keys of the weights with that negative part)`` per run."""
+    starts = [0, *ends[:-1]]
+    assert list(ends) == sorted(ends) and ends[-1] == len(keys)
+    return [(part, list(keys[a:b])) for part, a, b in zip(parts, starts, ends)]
+
+
 class TestWeightSystemCache:
     def test_each_weight_system_walked_once(self, monkeypatch):
         walked = []
-        weyl_orbit = Algebra.weyl_orbit
+        key_orbit = Algebra._key_orbit
 
-        def counted(self, w):
-            walked.append(tuple(w))
-            return weyl_orbit(self, w)
+        def counted(self, mu, bits):
+            walked.append(tuple(mu))
+            return key_orbit(self, mu, bits)
 
-        monkeypatch.setattr(Algebra, "weyl_orbit", counted)
+        monkeypatch.setattr(Algebra, "_key_orbit", counted)
         e8 = Algebra("E8")
         lam1, lam7, lam8 = (e8.fundamental(i) for i in (1, 7, 8))
         e8.tensor_decompose(lam8, lam7)
@@ -635,59 +711,83 @@ class TestWeightSystemCache:
         e8.tensor_decompose(lam8, lam1)
         assert len(walked) == 2
 
-    @pytest.mark.parametrize("k, code", [(127, "b"), (128, "h"), (200, "h"),
-                                         (300, "h")])
+    @pytest.mark.parametrize("k, code", [(40, "b"), (127, "b"), (128, "h"),
+                                         (200, "h"), (300, "h")])
     def test_labels_beyond_a_signed_byte(self, k, code):
+        from array import array
         a1 = Algebra("A1")
         dec = a1.tensor_decompose((k,), (k + 1,))
         assert dec.entries == {(j,): 1 for j in range(1, 2 * k + 2, 2)}
-        # packed in the narrowest code that holds the labels ±k, and each
-        # weight indexed by its negative part min(u, 0), up to -k
-        system = a1._weight_system(a1.freudenthal((k,)))
-        assert {packed.typecode for _, packed, _, _ in system} == {code}
-        for _, packed, parts, ids in system:
-            assert parts.typecode == code
-            assert [parts[i] for i in ids] == [min(u, 0) for u in packed]
+        # the labels ±k alone fit the lanes of the narrowest signed code;
+        # the product's lanes also hold every label its sum forms, up to
+        # 2k + 2, so only k = 40 keeps 8-bit lanes
+        assert a1._lane_width((k,)) == 8 * array(code).itemsize
+        bits = a1._lane_width((k,), a1._label_bound((k + 1,), (k,)))
+        assert bits == (8 if k == 40 else 16)
+        # the weights are grouped by their negative part min(u, 0), up to -k
+        system = a1._weight_system(a1.freudenthal((k,)), bits)
+        bias = 1 << bits - 1
+        labels = []
+        for _, keys, parts, ends in system:
+            assert isinstance(keys, array)
+            for part, run in part_runs(keys, parts, ends):
+                assert {min(key - bias, 0) for key in run} == {part - bias}
+                labels += [key - bias for key in run]
+        assert sorted(labels) == list(range(-k, k + 1, 2))
 
     @pytest.mark.parametrize("code", "bhiq")
     def test_negative_parts_in_every_code(self, code):
-        # 700 rows of 3 labels span three chunks; the extremes of the code
-        # test the sign bits
+        # lanes of the widths of the codes b, h, i and q, 8 to 64 bits; 700
+        # rows of 3 labels span three chunks, and the extremes -B and B - 1
+        # test the sign bits; keys of up to 64 bits come in an array('Q')
         from array import array
         rng = random.Random(31)
-        top = 1 << 8 * array(code).itemsize - 1
-        rows = [tuple(rng.choice((-top, top - 1, -1, 0, 1,
-                                  rng.randrange(-top, top)))
+        bits = 8 * array(code).itemsize
+        bias = 1 << bits - 1
+        rows = [tuple(rng.choice((-bias, bias - 1, -1, 0, 1,
+                                  rng.randrange(-bias, bias)))
                       for _ in range(3)) for _ in range(700)]
-        packed = array(code, itertools.chain.from_iterable(rows))
-        parts, ids = repth._negative_parts(packed, 3)
-        negative = [tuple(min(x, 0) for x in row) for row in rows]
-        assert parts.typecode == code
-        assert len(parts) == 3 * len(set(negative))
-        assert [tuple(parts[3 * i:3 * i + 3]) for i in ids] == negative
+
+        def key(row):
+            return sum(x + bias << bits * k for k, x in enumerate(row))
+
+        keys = [key(row) for row in rows]
+        if 3 * bits <= 64:
+            keys = array("Q", keys)
+        grouped, parts, ends = repth._negative_parts(keys, bits, 3)
+        negative = {k: key(tuple(min(x, 0) for x in row))
+                    for k, row in zip(keys, rows)}
+        assert type(grouped) is type(parts) is type(keys)
+        assert len(parts) == len(set(negative.values()))
+        # one run per part, each in the order of the keys
+        assert len(grouped) == len(keys)
+        for part, run in part_runs(grouped, parts, ends):
+            assert run == [k for k in keys if negative[k] == part]
 
     @pytest.mark.parametrize("big, small", [(7, 8), (6, 1)])
     def test_only_sums_off_a_wall_are_reflected(self, monkeypatch, big, small):
         e8 = Algebra("E8")
         nu, lam = e8.fundamental(big), e8.fundamental(small)
         shifted = [x + 1 for x in nu]
-        reflected = []
-        reflect = Algebra._reflect
-        # Freudenthal reflects too; only Klimyk's reflections are counted
-        e8.freudenthal(lam)
+        passed = []
+        off_wall = repth._off_wall
 
-        def counted(self, v):
-            # the weight u of V_lam behind the sum v = nu + rho + u
-            reflected.append(tuple(a - s for a, s in zip(v, shifted)))
-            return reflect(self, v)
+        def spy(*args):
+            for mult, keys in off_wall(*args):
+                keys = list(keys)
+                passed.extend(keys)
+                yield mult, keys
 
-        monkeypatch.setattr(Algebra, "_reflect", counted)
+        monkeypatch.setattr(repth, "_off_wall", spy)
         e8.tensor_decompose(lam, nu)
-        assert not any(x == -s for u in reflected for x, s in zip(u, shifted))
-        off_wall = sum(
-            all(x != -s for x, s in zip(u, shifted))
-            for mu in e8.freudenthal(lam).entries for u in e8.weyl_orbit(mu))
-        assert len(reflected) == off_wall
+        # E8's fundamental products take 8-bit lanes
+        assert e8._lane_width(lam, e8._label_bound(nu, lam)) == 8
+        weights = [tuple((key >> 8 * k & 255) - 128 for k in range(8))
+                   for key in passed]
+        off = [u for mu in e8.freudenthal(lam).entries
+               for u in e8.weyl_orbit(mu)
+               if all(x != -s for x, s in zip(u, shifted))]
+        assert sorted(weights) == sorted(off)
 
     def test_orbit_length_is_checked(self, monkeypatch):
         orbit_size = Algebra.orbit_size
