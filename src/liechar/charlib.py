@@ -100,8 +100,10 @@ class CharacterCache:
                     if poly is None:
                         held[w] = self._plan(w)
                 if poly is None:
-                    missing = [x for x in self._needs(w, held[w])
-                               if x not in self._mem]
+                    # the characters that _expand reads for w
+                    _, nu, decomposition = held[w]
+                    missing = [x for x in (nu, *map(tuple, decomposition.entries))
+                               if x != w and x not in self._mem]
                     if missing:
                         stack.extend(reversed(missing))
                         continue
@@ -153,13 +155,6 @@ class CharacterCache:
         nu = tuple(x - (1 if j == i - 1 else 0) for j, x in enumerate(m))
         alg = self.algebra
         return i, nu, alg.tensor_decompose(alg.fundamental(i), nu)
-
-    @staticmethod
-    def _needs(m: tuple, plan: tuple) -> list:
-        """The characters that :meth:`_expand` reads for ``m`` and ``plan``."""
-        _, nu, decomposition = plan
-        return [nu] + [mu for mu in map(tuple, decomposition.entries)
-                       if mu != m]
 
     def _expand(self, m: tuple, plan: tuple) -> ZPolynomial:
         """The character of ``m`` from ``plan``, made by :meth:`_plan`."""

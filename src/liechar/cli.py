@@ -47,13 +47,6 @@ def _parse_rational(text: str, parser: argparse.ArgumentParser) -> Fraction:
         parser.error(f"cannot parse rational {text!r}")
 
 
-def _fraction_str(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _emit(args, text_lines, json_obj):
     if args.format == "json":
         print(json.dumps(json_obj, sort_keys=True))
@@ -159,9 +152,10 @@ def _cmd_epsilon(args, parser):
     algebra = _algebra(args)
     w = _parse_weight(args.weight, algebra.rank, parser)
     kappa = _parse_rational(args.kappa, parser)
-    value = csop.epsilon(algebra, w, kappa)
-    _emit(args, [_fraction_str(value)],
-          {"labels": list(w), "kappa": str(kappa), "epsilon": _fraction_str(value)})
+    # str of a Fraction is "n" or "n/d"
+    value = str(csop.epsilon(algebra, w, kappa))
+    _emit(args, [value],
+          {"labels": list(w), "kappa": str(kappa), "epsilon": value})
     return 0
 
 

@@ -9,31 +9,18 @@ multiplicities come from the Freudenthal recursion, evaluated in integers
 with the invariant form :meth:`Algebra._form` and asserted integral.
 
 Both Klimyk paths hold a weight u as one integer key, K(u) = sum_k
-(u_k + B) 2^(w k) with B = 2^(w-1) for lanes of w bits.  A reflection is
-one multiply-subtract, K(s_i u) = K(u) - u_i K(α_i), and u_k < 0 exactly
-when bit w - 1 of lane k is clear, so one AND finds the negative labels.
-Each Weyl orbit is walked as a tree of keys (D. Snow's canonical-parent
-rule), and :meth:`Algebra.weyl_orbit` decodes the same walk.  The sum has
-two implementations, chosen per product from the smaller factor's
-Freudenthal table.  When its largest Weyl orbit has fewer than
-``_ARRAY_MIN_ORBIT`` (2^17) weights, a Python loop reflects one key at a
-time, in lanes of 8, 16, 32, ... bits, the first width whose offset exceeds
-every label the product forms: 8 bits for every E8 product from the
-fundamentals, so that a key fits one ``array('Q')`` item; wider keys are
-Python ints.  The loop reads the factor's weight system from a
-per-algebra cache, walked once and reused by every later product with the
-same small factor and lane width.  The cache is wall-indexed: an orbit's
-keys are grouped by their negative part min(u, 0), and for V_ν ⊗ V_small
-the loop tests each part once for a label u_j = -(ν_j + 1), which puts
-ν + ρ + u on a wall (Racah-Speiser cancellation), and never reads the
-groups that fail.  numpy (about 12 MB) is never imported for such
-products.  Longer orbits go to an array kernel, which walks all of the
-factor's orbits together as ``int64`` keys, 63 // rank bits per label,
-level by level of their trees (107 levels for E8's λ4).  Each level is
-unpacked into ``int32`` label rows and its ρ-shifted sums are reflected in
-numpy batches; the kernel never fills the cache.  A product whose labels
-could leave those integers stays on the Python loop.  In E8 only the
-products with λ4 or λ5 as the smaller factor take the array kernel.
+(u_k + B) 2^(w k) with B = 2^(w-1), w bits per label.  A reflection is one
+multiply-subtract, K(s_i u) = K(u) - u_i K(α_i), and u_k < 0 exactly when
+the sign bit w - 1 of lane k is clear.  Orbits are walked as trees of keys
+(D. Snow's canonical-parent rule).  When the smaller factor's largest Weyl
+orbit has fewer than ``_ARRAY_MIN_ORBIT`` (2^17) weights, a Python loop
+reflects one key at a time, in lanes of 8, 16, 32, ... bits, 8 for every
+E8 product of the paper.  It reads the factor's weight system from a
+per-algebra cache, keys grouped by negative part, and skips the groups
+whose part puts ν + ρ + u on a wall (Racah-Speiser cancellation); numpy is
+never imported.  Longer orbits go to a numpy kernel, which walks all of the
+factor's orbits together as ``int64`` keys of 63 // rank bits per label.  A
+product whose labels could leave those integers stays on the loop.
 """
 
 from __future__ import annotations
@@ -41,11 +28,9 @@ from __future__ import annotations
 import threading
 from array import array
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress
 from math import isqrt, lcm, prod
-from operator import itemgetter, mul
-from struct import Struct
-from sys import byteorder
+from operator import mul
 from typing import Iterator
 
 from .errors import BudgetError
@@ -68,8 +53,6 @@ DEFAULT_TENSOR_BUDGET = 20_000_000
 _ARRAY_MIN_ORBIT = 2 ** 17
 # columns per batch of the array kernel, which bounds its working memory
 _ARRAY_CHUNK = 2 ** 16
-# rows per chunk when an orbit's negative parts are taken
-_PARTS_CHUNK = 2 ** 8
 
 
 class Decomposition:
@@ -117,27 +100,45 @@ class WeightMultiplicityTable(Decomposition):
 
 
 class WeylOrbit:
-    """The Weyl orbit of a dominant weight of an :class:`Algebra`."""
+    """The Weyl orbit of a dominant weight: label tuples when iterated, and
+    keys of ``bits`` bits per label from :meth:`keys`."""
 
     __slots__ = ("algebra", "highest")
 
     def __init__(self, algebra, highest: tuple):
-        self.algebra = algebra
-        self.highest = highest
+        self.algebra, self.highest = algebra, highest
 
     def keys(self, bits: int) -> Iterator[int]:
-        """The orbit's keys, ``bits`` bits per label (see Algebra._lanes)."""
-        return self.algebra._key_orbit(self.highest, bits)
+        """The orbit's keys, ``bits`` bits per label, depth first.
 
-    def __iter__(self) -> Iterator[tuple]:
-        """The orbit's weights, decoded from keys in lanes wide enough for
-        every label."""
-        bits = self.algebra._lane_width(self.highest)
+        A child s_i v of v is kept only when i is its first negative label,
+        at which :meth:`Algebra._reflect` would reflect it back, so the walk
+        is a tree and holds no visited set (D. Snow, ACM TOMS 1990).  With f
+        the first negative label of v, only nodes i < f and the neighbours
+        of f can give a child."""
+        alg = self.algebra
+        roots, _, signs = alg._lanes(bits)
         bias = 1 << bits - 1
         mask = (1 << bits) - 1
-        shifts = range(0, bits * self.algebra.rank, bits)
-        for key in self.keys(bits):
-            yield tuple((key >> s & mask) - bias for s in shifts)
+        tried = tuple(tuple((i, bits * i, roots[i], signs[i]) for i in nodes)
+                      for nodes in alg._child_nodes)
+        stack = [(sum(x + bias << bits * k for k, x in enumerate(self.highest)),
+                  alg.rank)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            key, first = pop()
+            yield key
+            for i, shift, root, sign in tried[first]:
+                x = (key >> shift & mask) - bias
+                if x > 0:
+                    child = key - x * root
+                    if i < first or child & sign == sign:
+                        push((child, i))
+
+    def __iter__(self) -> Iterator[tuple]:
+        bits = self.algebra._lane_width(self.highest)
+        return _decode(self.keys(bits), bits, self.algebra.rank,
+                       1 << bits - 1)
 
 
 class Algebra:
@@ -304,24 +305,16 @@ class Algebra:
                 i += 1
         return tuple(v), sign
 
-    def weyl_orbit(self, w) -> "WeylOrbit":
-        """All distinct images of a dominant weight under the Weyl group.
-
-        The orbit is walked by :meth:`_key_orbit`: iterating the result
-        yields label tuples, and its ``keys`` method yields the packed keys
-        that the Klimyk loop reads.
-        """
+    def weyl_orbit(self, w) -> WeylOrbit:
+        """All distinct images of a dominant weight under the Weyl group."""
         return WeylOrbit(self, self._check_dominant(w))
 
     def _lanes(self, bits: int) -> tuple:
         """``(roots, lows, signs)`` for keys of ``bits`` bits per label.
 
-        A weight u is the key K(u) = sum_k (u_k + B) 2^(bits k), B =
-        2^(bits-1).  roots[i] is K(α_i) without the offsets, α_i's labels
-        being row i of the Cartan matrix, so that K(s_i u) = K(u) - u_i
-        roots[i]; lows has a 1 in the lowest bit of each lane; signs[i]
-        has bit bits - 1 of each lane below i, set in K(u) exactly where
-        the label is >= 0, and signs[rank] covers every lane.
+        roots[i] = K(α_i) without the offsets (α_i's labels are row i of the
+        Cartan matrix); lows has a 1 in each lane; signs[i] has the sign
+        bit, bits - 1, of each lane below i, and signs[rank] of every lane.
         """
         n = self.rank
         roots = tuple(sum(a << bits * k for k, a in enumerate(row))
@@ -333,51 +326,13 @@ class Algebra:
 
     def _lane_width(self, lam, bound: int = 0) -> int:
         """The first of 8, 16, 32, ... bits per label whose offset B =
-        2^(bits-1) exceeds ``bound`` and every label of V_lam.
-
-        The widths come from a fixed ladder, so the products of a factor
-        mostly share one width and one cached weight system.
-        """
+        2^(bits-1) exceeds ``bound`` and every label of V_lam.  A fixed
+        ladder lets the products of a factor share one weight system."""
         bits = 8
         while not (bound < 1 << bits - 1
                    and self._labels_below(lam, 1 << bits - 1)):
             bits *= 2
         return bits
-
-    def _key_orbit(self, mu, bits: int) -> Iterator[int]:
-        """Keys of the Weyl orbit of the dominant ``mu`` (see :meth:`_lanes`).
-
-        The orbit is a tree under the canonical-parent rule: the parent of a
-        non-dominant v reflects it at its first negative label, as
-        :meth:`_reflect` does.  A child s_i v of v is kept only when i is
-        its first negative label, so each weight is reached exactly once
-        and no visited set is held (D. Snow, "Weyl group orbits", ACM TOMS
-        1990).  The walk is depth first, in a deterministic order.
-
-        Each key is held with the index f of its first negative label.
-        s_i v for i < f always keeps its labels before i, and for i > f it
-        can lift label f only when i is a neighbour of f, so only those
-        nodes are tried.  A child is K(v) - v_i K(α_i), and its labels
-        below i are >= 0 exactly when it has all of signs[i].  Every label
-        of V_mu must lie below 2^(bits-1) in absolute value.
-        """
-        roots, _, signs = self._lanes(bits)
-        bias = 1 << bits - 1
-        mask = (1 << bits) - 1
-        tried = tuple(tuple((i, bits * i, roots[i], signs[i]) for i in nodes)
-                      for nodes in self._child_nodes)
-        stack = [(sum(x + bias << bits * k for k, x in enumerate(mu)),
-                  self.rank)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            key, first = pop()
-            yield key
-            for i, shift, root, sign in tried[first]:
-                x = (key >> shift & mask) - bias
-                if x > 0:
-                    child = key - x * root
-                    if i < first or child & sign == sign:
-                        push((child, i))
 
     # -- dimensions and orbit sizes ----------------------------------------
 
@@ -575,8 +530,8 @@ class Algebra:
         """Whether the array kernel's integers hold V_big ⊗ V_small.
 
         The weights of V_small are walked as ``int64`` keys of w = 63 // rank
-        bits per label, each label u offset by B = 2^(w-1), so every label
-        of V_small must lie below B in absolute value.  The sums are
+        bits per label, so every label of V_small must lie below B = 2^(w-1)
+        in absolute value.  The sums are
         reflected in ``int32`` labels with room for three times a label in
         one reflection step, dominant ρ-shifted labels are packed into w
         bits of an ``int64`` key, and the signed sums, bounded by the small
@@ -599,15 +554,9 @@ class Algebra:
 
     def _weight_system(self, table, bits: int) -> list:
         """``(mult, keys, parts, ends)`` per dominant weight of ``table``,
-        cached per lane width: the factor's wall-indexed weights.
-
-        Each orbit is walked once, as keys of ``bits`` bits per label, and
-        held in an ``array('Q')`` when every key is below 2^64 (rank times
-        ``bits`` at most 64), else in a list of ints.  The keys are grouped
-        by negative part (see :func:`_negative_parts`): ν + ρ + u lies on a
-        wall, and cancels, exactly when u_j = -(ν_j + 1) for some j, which
-        that part decides.
-        """
+        cached: its orbit's keys of ``bits`` bits per label, grouped by
+        :func:`_negative_parts`, in an ``array('Q')`` only when rank * bits
+        <= 64, so that every key is below 2^64, else in a list of ints."""
         lam = tuple(table.highest)
         cached = self._weight_systems.get((lam, bits))
         if cached is not None:
@@ -626,32 +575,25 @@ class Algebra:
         return entry
 
     def _klimyk_loop(self, table, shifted) -> dict:
-        """Klimyk sum over the weights of ``table``, one weight at a time.
+        """Klimyk sum over the weights of ``table``, one key at a time.
 
-        The weights come as keys from the cached wall-indexed weight system
-        of ``table``'s highest weight, in lanes wide enough for every label
-        the sum forms (:meth:`_lane_width`), so a factor's orbits are walked
-        once.  Only the weights that :func:`_off_wall` passes are reflected.
-        A sum S = K(u) + K(ν + ρ) is reflected at its last negative label,
-        whose sign bit is the highest set bit of (S & highs) ^ highs, by one
-        multiply-subtract.  Off the walls every order of reflections at
-        negative labels takes the same number of steps, the length of the
-        Weyl element, so the sign is that of :meth:`_reflect`.  A dominant
-        sum with a zero label lies on a wall: S - K(ρ) then lacks that
-        label's sign bit, and the sum is dropped.
+        The keys, in lanes that hold every label the sum forms, come from
+        the cached weight system of ``table``'s highest weight through
+        :func:`_off_wall`.  A sum S = K(u) + K(ν + ρ) is reflected at its
+        last negative label, the highest set bit of (S & highs) ^ highs; off
+        the walls every order takes ℓ(w) steps, so the sign is that of
+        :meth:`_reflect`.  A dominant S has a label 0, and lies on a wall,
+        when S - K(ρ) lacks a sign bit.
         """
         n = self.rank
-        small = tuple(table.highest)
-        big = tuple(x - 1 for x in shifted)
-        bits = self._lane_width(small, self._label_bound(big, small))
+        bits = self._lane_width(table.highest, self._label_bound(
+            [x - 1 for x in shifted], table.highest))
         roots, lows, signs = self._lanes(bits)
         highs = signs[n]
         bias = 1 << bits - 1
         mask = (1 << bits) - 1
         # per lane i, at the bit length of its sign bit: the shift and K(α_i)
-        steps = [None] * (bits * n + 1)
-        for i, root in enumerate(roots):
-            steps[bits * (i + 1)] = bits * i, root
+        steps = {bits * (i + 1): (bits * i, r) for i, r in enumerate(roots)}
         top = sum(x << bits * k for k, x in enumerate(shifted))
         acc: dict = {}
         get = acc.get
@@ -669,21 +611,22 @@ class Algebra:
                 if s - lows & highs == highs:
                     acc[s] = get(s, 0) + sign
         # the keys are ρ-shifted; constituents that cancelled are dropped
-        shifts = range(0, bits * n, bits)
-        return {tuple((s >> k & mask) - bias - 1 for k in shifts): m
-                for s, m in acc.items() if m}
+        acc = {s: m for s, m in acc.items() if m}
+        return dict(zip(_decode(acc, bits, n, bias + 1), acc.values()))
+
+
+def _decode(keys, bits: int, n: int, offset: int) -> Iterator[tuple]:
+    """Label tuples of ``keys``: ``n`` lanes of ``bits`` bits, less ``offset``."""
+    mask = (1 << bits) - 1
+    shifts = range(0, bits * n, bits)
+    return (tuple((key >> s & mask) - offset for s in shifts) for key in keys)
 
 
 def _off_wall(system, top, lows, highs) -> Iterator[tuple]:
-    """``(mult, keys)`` per orbit of ``system``: the weights u whose sum
-    with the unbiased key ``top`` of ν + ρ lies on no wall by its
-    negative part.
-
-    The wall test is made once per part p: K(p) + top has a zero label
-    exactly when a lane of (K(p) + top) ^ highs is zero, which the SWAR
-    test (y - lows) & ~y & highs finds.  The runs of the parts that fail
-    are never read.
-    """
+    """``(mult, keys)`` per orbit of ``system``: the weights u whose negative
+    part p puts no label of ν + ρ + u at 0, ``top`` being K(ν + ρ) without
+    the offsets.  The SWAR test (y - lows) & ~y & highs finds a zero lane of
+    y = (K(p) + top) ^ highs; the keys of a part that fails are not read."""
     for mult, keys, parts, ends in system:
         live = [not (y - lows) & ~y & highs
                 for y in ((p + top) ^ highs for p in parts)]
@@ -692,66 +635,32 @@ def _off_wall(system, top, lows, highs) -> Iterator[tuple]:
 
 
 def _negative_parts(keys, bits: int, n: int) -> tuple:
-    """``(keys, parts, ends)`` for the keys of an orbit, ``n`` labels of
-    ``bits`` bits each per key.
-
-    ``parts`` holds the keys of the orbit's distinct negative parts
-    min(u, 0), and the keys returned are those given, grouped by part, in
-    their order within each group: group j has the part parts[j] and ends
-    at index ends[j].  Keys and parts come in the container of ``keys``.
-    The parts are taken in bulk, ``_PARTS_CHUNK`` keys at a time, as the
-    bytes of one integer.
-    """
-    packed = isinstance(keys, array)
-    width = keys.itemsize if packed else n * bits // 8
-    step = _PARTS_CHUNK
-    lows = int.from_bytes((1).to_bytes(bits // 8, byteorder)
-                          * (step * width * 8 // bits), byteorder)
-    highs = lows << bits - 1
+    """``(keys, parts, ends)``: the keys of an orbit, ``n`` labels of ``bits``
+    bits each, grouped by negative part min(u, 0) in their order, group j
+    having the part parts[j] and ending at ends[j], in ``keys``' container."""
+    highs = sum(1 << bits * k + bits - 1 for k in range(n))
     clear = (1 << bits - 1) - 1
-    rows = Struct(f"{width}s").iter_unpack
-    # a chunk of keys is read as one integer: a label >= 0 has its sign bit
-    # set and keeps only that bit, the offset of label 0, and a negative
-    # label keeps its lane
-    negative = array("Q") if packed else []
-    for start in range(0, len(keys), step):
-        chunk = keys[start:start + step]
-        size = len(chunk) * width
-        if not packed:
-            chunk = b"".join(map(int.to_bytes, chunk, repeat(width),
-                                 repeat(byteorder)))
-        x = int.from_bytes(chunk, byteorder)
-        x &= ~(((x & highs) >> bits - 1) * clear)
-        chunk = x.to_bytes(size, byteorder)
-        if packed:
-            negative.frombytes(chunk)
-        else:
-            negative += map(int.from_bytes, map(itemgetter(0), rows(chunk)),
-                            repeat(byteorder))
     runs: dict = {}
     run = runs.setdefault
-    for part, key in zip(negative, keys):
-        run(part, []).append(key)
+    for key in keys:
+        # a label >= 0 keeps only its sign bit, the offset of label 0
+        run(key & ~(((key & highs) >> bits - 1) * clear), []).append(key)
     ends = array("Q", accumulate(map(len, runs.values())))
-    keys = chain.from_iterable(runs.values())
-    if packed:
-        return array("Q", keys), array("Q", runs), ends
-    return list(keys), list(runs), ends
+    grouped = chain.from_iterable(runs.values())
+    if isinstance(keys, array):
+        return array("Q", grouped), array("Q", runs), ends
+    return list(grouped), list(runs), ends
 
 
 def _klimyk_array(alg, table, orbits, shifted) -> dict:
     """Klimyk sum over the weights of ``table``, in batches of numpy arrays.
 
-    ``orbits`` maps each dominant weight of the table to its orbit size and
-    ``shifted`` is the larger factor's highest weight plus ρ.  All orbits
-    of the table are walked together, as packed keys, by
-    :func:`_packed_orbits`; each weight's multiplicity is that of the
-    dominant weight it descends from, and each orbit's length is checked
-    against ``orbits``.  Every level is unpacked label-major, one column
-    per weight, in slices of at most ``_ARRAY_CHUNK`` columns, so that
-    every reflection step is a few operations on contiguous label rows.
-    The caller checks with :meth:`Algebra._fits_array_kernel` that every
-    label fits.
+    ``orbits`` maps each dominant weight of the table to its orbit size,
+    checked against the walk of :func:`_packed_orbits`, and ``shifted`` is
+    the larger factor's highest weight plus ρ.  Each level of the walk is
+    unpacked label-major, at most ``_ARRAY_CHUNK`` weights at a time, and
+    reflected in numpy.  The caller checks with
+    :meth:`Algebra._fits_array_kernel` that every label fits.
     """
     import numpy as np
 
@@ -762,12 +671,12 @@ def _klimyk_array(alg, table, orbits, shifted) -> dict:
     acc: dict = {}
 
     def pack(dom):
-        # one int64 key per dominant ρ-shifted weight, label 1 in the top bits
+        # one int64 key per dominant ρ-shifted weight, label k in lane k
         if dom.shape[1] and int(dom.max()) >= 1 << bits:
             raise AssertionError(f"dominant label {int(dom.max())} exceeds "
                                  f"the {bits}-bit key field")
         keys = np.zeros(dom.shape[1], dtype=np.int64)
-        for row in dom:
+        for row in dom[::-1]:
             keys <<= bits
             keys |= row
         return keys
@@ -813,29 +722,19 @@ def _klimyk_array(alg, table, orbits, shifted) -> dict:
         if count != size:
             raise AssertionError(f"orbit of {mu} reached {count} weights, "
                                  f"expected {size}")
-    mask = (1 << bits) - 1
-    return {tuple(((k >> (bits * (n - 1 - i))) & mask) - 1 for i in range(n)): v
-            for k, v in acc.items() if v}
+    acc = {k: v for k, v in acc.items() if v}
+    return dict(zip(_decode(acc, bits, n, 1), acc.values()))
 
 
 def _packed_orbits(alg, weights):
     """The Weyl orbits of the dominant ``weights``, walked together.
 
-    Yields ``(keys, origin)`` per level of the orbit trees: one ``int64``
-    key K(u) = sum_k (u_k + B) 2^(w k) per weight u, w = 63 // rank and
-    B = 2^(w-1), and the index in ``weights`` of the orbit it belongs to.
-    Level 0 holds ``weights`` themselves.  Each orbit is a tree under the
-    canonical-parent rule: the parent of a non-dominant v reflects it at
-    its first negative label, as :meth:`Algebra._reflect` does, so a child
-    s_i v of v is kept only when i is its first negative label, each
-    weight is reached exactly once and no visited set is needed (D. Snow,
-    "Weyl group orbits", ACM TOMS 1990).  Reflection is linear in the
-    keys, K(s_i u) = K(u) - u_i K(α_i) with α_i row i of the Cartan
-    matrix, and u_j < 0 exactly when bit w - 1 of lane j is clear, so a
-    tree step is a shift and a mask, a multiply-subtract and an AND.  The
-    caller checks with :meth:`Algebra._fits_array_kernel` that every label
-    u_k lies in [-B, B); int64 arithmetic wraps, which leaves the exact
-    key of every weight of the orbits.
+    Yields ``(keys, origin)`` per level of the trees of
+    :meth:`WeylOrbit.keys`: the ``int64`` keys of w = 63 // rank bits
+    per label, and the index in ``weights`` of each key's orbit.  Level 0
+    holds ``weights``.  The caller checks with
+    :meth:`Algebra._fits_array_kernel` that every label lies in [-B, B);
+    int64 arithmetic wraps, which leaves the exact key of every weight.
     """
     import numpy as np
 

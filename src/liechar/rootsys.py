@@ -86,12 +86,8 @@ class RationalMatrix:
     def to_json_dict(self) -> dict:
         return {
             "rank": self.rank,
-            "entries": [[_frac_str(x) for x in row] for row in self.entries],
+            "entries": [[str(x) for x in row] for row in self.entries],
         }
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _invert_exact(entries):

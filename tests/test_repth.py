@@ -697,13 +697,13 @@ def part_runs(keys, parts, ends):
 class TestWeightSystemCache:
     def test_each_weight_system_walked_once(self, monkeypatch):
         walked = []
-        key_orbit = Algebra._key_orbit
+        keys = repth.WeylOrbit.keys
 
-        def counted(self, mu, bits):
-            walked.append(tuple(mu))
-            return key_orbit(self, mu, bits)
+        def counted(self, bits):
+            walked.append(self.highest)
+            return keys(self, bits)
 
-        monkeypatch.setattr(Algebra, "_key_orbit", counted)
+        monkeypatch.setattr(repth.WeylOrbit, "keys", counted)
         e8 = Algebra("E8")
         lam1, lam7, lam8 = (e8.fundamental(i) for i in (1, 7, 8))
         e8.tensor_decompose(lam8, lam7)
