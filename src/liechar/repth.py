@@ -569,7 +569,7 @@ class Algebra:
             if len(keys) != sizes[mu]:
                 raise AssertionError(f"orbit of {mu} has {len(keys)} "
                                      f"weights, expected {sizes[mu]}")
-            entry.append((mult,) + _negative_parts(keys, bits, self.rank))
+            entry.append((mult, keys) + _negative_parts(keys, bits, self.rank))
         with self._lock:
             self._weight_systems[(lam, bits)] = entry
         return entry
@@ -635,21 +635,28 @@ def _off_wall(system, top, lows, highs) -> Iterator[tuple]:
 
 
 def _negative_parts(keys, bits: int, n: int) -> tuple:
-    """``(keys, parts, ends)``: the keys of an orbit, ``n`` labels of ``bits``
-    bits each, grouped by negative part min(u, 0) in their order, group j
-    having the part parts[j] and ending at ends[j], in ``keys``' container."""
+    """Group the keys of an orbit, ``n`` labels of ``bits`` bits each, in
+    place by negative part min(u, 0), in their order within each group.
+
+    Returns ``(parts, ends)``: group j has the part parts[j], in the
+    container of ``keys``, and ends at ends[j].
+    """
     highs = sum(1 << bits * k + bits - 1 for k in range(n))
     clear = (1 << bits - 1) - 1
     runs: dict = {}
-    run = runs.setdefault
+    get = runs.get
     for key in keys:
         # a label >= 0 keeps only its sign bit, the offset of label 0
-        run(key & ~(((key & highs) >> bits - 1) * clear), []).append(key)
-    ends = array("Q", accumulate(map(len, runs.values())))
-    grouped = chain.from_iterable(runs.values())
-    if isinstance(keys, array):
-        return array("Q", grouped), array("Q", runs), ends
-    return list(grouped), list(runs), ends
+        part = key & ~(((key & highs) >> bits - 1) * clear)
+        run = get(part)
+        if run is None:
+            run = runs[part] = keys[:0]
+        run.append(key)
+    parts, ends = keys[:0], array("Q", accumulate(map(len, runs.values())))
+    parts.extend(runs)
+    for run, end in zip(runs.values(), ends):
+        keys[end - len(run):end] = run
+    return parts, ends
 
 
 def _klimyk_array(alg, table, orbits, shifted) -> dict:
