@@ -316,12 +316,11 @@ class Algebra:
         Cartan matrix); lows has a 1 in each lane; signs[i] has the sign
         bit, bits - 1, of each lane below i, and signs[rank] of every lane.
         """
-        n = self.rank
         roots = tuple(sum(a << bits * k for k, a in enumerate(row))
                       for row in self.cartan.entries)
-        lows = sum(1 << bits * k for k in range(n))
+        lows = sum(1 << bits * k for k in range(self.rank))
         signs = tuple((lows & (1 << bits * i) - 1) << bits - 1
-                      for i in range(n + 1))
+                      for i in range(self.rank + 1))
         return roots, lows, signs
 
     def _lane_width(self, lam, bound: int = 0) -> int:
@@ -497,7 +496,8 @@ class Algebra:
         top = tuple(a + b for a, b in zip(lam, nu))
         if acc.get(top) != 1:
             raise AssertionError("highest component must appear exactly once")
-        result = Decomposition({Weight(w): m for w, m in acc.items()})
+        # constituents whose signed sum cancelled are dropped
+        result = Decomposition({Weight(w): m for w, m in acc.items() if m})
         with self._lock:
             self._tensor[key] = result
         return result
@@ -585,18 +585,16 @@ class Algebra:
         :meth:`_reflect`.  A dominant S has a label 0, and lies on a wall,
         when S - K(ρ) lacks a sign bit.
         """
-        n = self.rank
         bits = self._lane_width(table.highest, self._label_bound(
             [x - 1 for x in shifted], table.highest))
         roots, lows, signs = self._lanes(bits)
-        highs = signs[n]
+        highs = signs[-1]
         bias = 1 << bits - 1
         mask = (1 << bits) - 1
         # per lane i, at the bit length of its sign bit: the shift and K(α_i)
         steps = {bits * (i + 1): (bits * i, r) for i, r in enumerate(roots)}
         top = sum(x << bits * k for k, x in enumerate(shifted))
         acc: dict = {}
-        get = acc.get
         system = self._weight_system(table, bits)
         for mult, weights in _off_wall(system, top, lows, highs):
             for s in weights:
@@ -609,10 +607,10 @@ class Algebra:
                     sign = -sign
                     x = s & highs ^ highs
                 if s - lows & highs == highs:
-                    acc[s] = get(s, 0) + sign
-        # the keys are ρ-shifted; constituents that cancelled are dropped
-        acc = {s: m for s, m in acc.items() if m}
-        return dict(zip(_decode(acc, bits, n, bias + 1), acc.values()))
+                    acc[s] = acc.get(s, 0) + sign
+        # the keys are ρ-shifted
+        return dict(zip(_decode(acc, bits, self.rank, bias + 1),
+                        acc.values()))
 
 
 def _decode(keys, bits: int, n: int, offset: int) -> Iterator[tuple]:
@@ -644,14 +642,10 @@ def _negative_parts(keys, bits: int, n: int) -> tuple:
     highs = sum(1 << bits * k + bits - 1 for k in range(n))
     clear = (1 << bits - 1) - 1
     runs: dict = {}
-    get = runs.get
+    run = runs.setdefault
     for key in keys:
         # a label >= 0 keeps only its sign bit, the offset of label 0
-        part = key & ~(((key & highs) >> bits - 1) * clear)
-        run = get(part)
-        if run is None:
-            run = runs[part] = keys[:0]
-        run.append(key)
+        run(key & ~(((key & highs) >> bits - 1) * clear), keys[:0]).append(key)
     parts, ends = keys[:0], array("Q", accumulate(map(len, runs.values())))
     parts.extend(runs)
     for run, end in zip(runs.values(), ends):
@@ -729,7 +723,6 @@ def _klimyk_array(alg, table, orbits, shifted) -> dict:
         if count != size:
             raise AssertionError(f"orbit of {mu} reached {count} weights, "
                                  f"expected {size}")
-    acc = {k: v for k, v in acc.items() if v}
     return dict(zip(_decode(acc, bits, n, 1), acc.values()))
 
 
