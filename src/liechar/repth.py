@@ -555,8 +555,7 @@ class Algebra:
     def _weight_system(self, table, bits: int) -> list:
         """``(mult, keys, parts, ends)`` per dominant weight of ``table``,
         cached: its orbit's keys of ``bits`` bits per label, grouped by
-        :func:`_negative_parts`, in an ``array('Q')`` only when rank * bits
-        <= 64, so that every key is below 2^64, else in a list of ints."""
+        :func:`_negative_parts`."""
         lam = tuple(table.highest)
         cached = self._weight_systems.get((lam, bits))
         if cached is not None:
@@ -564,12 +563,12 @@ class Algebra:
         sizes = self._orbit_sizes(lam)
         entry = []
         for mu, mult in table.entries.items():
-            walk = self.weyl_orbit(mu).keys(bits)
-            keys = array("Q", walk) if self.rank * bits <= 64 else list(walk)
+            keys, parts, ends = _negative_parts(
+                self.weyl_orbit(mu).keys(bits), bits, self.rank)
             if len(keys) != sizes[mu]:
                 raise AssertionError(f"orbit of {mu} has {len(keys)} "
                                      f"weights, expected {sizes[mu]}")
-            entry.append((mult, keys) + _negative_parts(keys, bits, self.rank))
+            entry.append((mult, keys, parts, ends))
         with self._lock:
             self._weight_systems[(lam, bits)] = entry
         return entry
@@ -633,24 +632,25 @@ def _off_wall(system, top, lows, highs) -> Iterator[tuple]:
 
 
 def _negative_parts(keys, bits: int, n: int) -> tuple:
-    """Group the keys of an orbit, ``n`` labels of ``bits`` bits each, in
-    place by negative part min(u, 0), in their order within each group.
-
-    Returns ``(parts, ends)``: group j has the part parts[j], in the
-    container of ``keys``, and ends at ends[j].
-    """
+    """``(keys, parts, ends)``: the keys of an orbit, ``n`` labels of ``bits``
+    bits each, grouped by negative part min(u, 0) in their order, group j
+    having the part parts[j] and ending at ends[j].  Keys and parts are held
+    in an ``array('Q')`` only when n * bits <= 64, so that every key is
+    below 2^64, and in lists of ints otherwise."""
     highs = sum(1 << bits * k + bits - 1 for k in range(n))
     clear = (1 << bits - 1) - 1
+    empty = array("Q") if n * bits <= 64 else []
     runs: dict = {}
     run = runs.setdefault
     for key in keys:
         # a label >= 0 keeps only its sign bit, the offset of label 0
-        run(key & ~(((key & highs) >> bits - 1) * clear), keys[:0]).append(key)
-    parts, ends = keys[:0], array("Q", accumulate(map(len, runs.values())))
+        run(key & ~(((key & highs) >> bits - 1) * clear), empty[:0]).append(key)
+    grouped, parts = empty[:0], empty[:0]
     parts.extend(runs)
-    for run, end in zip(runs.values(), ends):
-        keys[end - len(run):end] = run
-    return parts, ends
+    ends = array("Q", accumulate(map(len, runs.values())))
+    for part in parts:
+        grouped += runs.pop(part)  # each group is freed once copied
+    return grouped, parts, ends
 
 
 def _klimyk_array(alg, table, orbits, shifted) -> dict:

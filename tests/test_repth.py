@@ -754,8 +754,7 @@ class TestWeightSystemCache:
         keys = [key(row) for row in rows]
         if 3 * bits <= 64:
             keys = array("Q", keys)
-        grouped = keys[:]
-        parts, ends = repth._negative_parts(grouped, bits, 3)
+        grouped, parts, ends = repth._negative_parts(iter(keys), bits, 3)
         negative = {k: key(tuple(min(x, 0) for x in row))
                     for k, row in zip(keys, rows)}
         assert type(grouped) is type(parts) is type(keys)
