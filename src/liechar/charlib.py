@@ -101,8 +101,8 @@ class CharacterCache:
                         held[w] = self._plan(w)
                 if poly is None:
                     # the characters that _expand reads for w
-                    _, nu, decomposition = held[w]
-                    missing = [x for x in (nu, *map(tuple, decomposition.entries))
+                    _, nu, dec = held[w]
+                    missing = [x for x in (nu, *map(tuple, dec.entries))
                                if x != w and x not in self._mem]
                     if missing:
                         stack.extend(reversed(missing))

@@ -613,7 +613,7 @@ class Algebra:
 
 
 def _decode(keys, bits: int, n: int, offset: int) -> Iterator[tuple]:
-    """Label tuples of ``keys``: ``n`` lanes of ``bits`` bits, less ``offset``."""
+    """The labels of ``keys`` (``n`` lanes of ``bits`` bits) less ``offset``."""
     mask = (1 << bits) - 1
     shifts = range(0, bits * n, bits)
     return (tuple((key >> s & mask) - offset for s in shifts) for key in keys)
