@@ -16,9 +16,9 @@ the sign bit w - 1 of lane k is clear.  Orbits are walked as trees of keys
 orbit has fewer than ``_ARRAY_MIN_ORBIT`` (2^17) weights, a Python loop
 reflects one key at a time, in lanes of 8, 16, 32, ... bits, 8 for every
 E8 product of the paper.  It reads the factor's weight system from a
-per-algebra cache, keys grouped by negative part, and skips the groups
-whose part puts ν + ρ + u on a wall (Racah-Speiser cancellation); numpy is
-never imported.  Longer orbits go to a numpy kernel, which walks all of the
+per-algebra cache, each weight indexed by its negative part, and skips the
+weights whose part puts ν + ρ + u on a wall (Racah-Speiser cancellation);
+numpy is never imported.  Longer orbits go to a numpy kernel, which walks all of the
 factor's orbits together as ``int64`` keys of 63 // rank bits per label.  A
 product whose labels could leave those integers stays on the loop.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 from array import array
 from fractions import Fraction
-from itertools import accumulate, chain, compress
+from itertools import compress
 from math import isqrt, lcm, prod
 from operator import mul
 from typing import Iterator
@@ -553,9 +553,9 @@ class Algebra:
         return 4 * self._form(lam, lam) < min(self._root_norm) * bound * bound
 
     def _weight_system(self, table, bits: int) -> list:
-        """``(mult, keys, parts, ends)`` per dominant weight of ``table``,
-        cached: its orbit's keys of ``bits`` bits per label, grouped by
-        :func:`_negative_parts`."""
+        """``(mult, keys, parts, ids)`` per dominant weight of ``table``,
+        cached: its orbit's keys of ``bits`` bits per label, indexed by
+        negative part (:func:`_negative_parts`)."""
         lam = tuple(table.highest)
         cached = self._weight_systems.get((lam, bits))
         if cached is not None:
@@ -563,12 +563,12 @@ class Algebra:
         sizes = self._orbit_sizes(lam)
         entry = []
         for mu, mult in table.entries.items():
-            keys, parts, ends = _negative_parts(
+            keys, parts, ids = _negative_parts(
                 self.weyl_orbit(mu).keys(bits), bits, self.rank)
             if len(keys) != sizes[mu]:
                 raise AssertionError(f"orbit of {mu} has {len(keys)} "
                                      f"weights, expected {sizes[mu]}")
-            entry.append((mult, keys, parts, ends))
+            entry.append((mult, keys, parts, ids))
         with self._lock:
             self._weight_systems[(lam, bits)] = entry
         return entry
@@ -623,34 +623,32 @@ def _off_wall(system, top, lows, highs) -> Iterator[tuple]:
     """``(mult, keys)`` per orbit of ``system``: the weights u whose negative
     part p puts no label of ν + ρ + u at 0, ``top`` being K(ν + ρ) without
     the offsets.  The SWAR test (y - lows) & ~y & highs finds a zero lane of
-    y = (K(p) + top) ^ highs; the keys of a part that fails are not read."""
-    for mult, keys, parts, ends in system:
-        live = [not (y - lows) & ~y & highs
-                for y in ((p + top) ^ highs for p in parts)]
-        runs = compress(map(slice, chain((0,), ends), ends), live)
-        yield mult, chain.from_iterable(map(keys.__getitem__, runs))
+    y = (K(p) + top) ^ highs, once per part; the weights of the parts that
+    fail are skipped inside ``compress``."""
+    for mult, keys, parts, ids in system:
+        live = bytes(not (y - lows) & ~y & highs
+                     for y in ((p + top) ^ highs for p in parts))
+        yield mult, compress(keys, map(live.__getitem__, ids))
 
 
 def _negative_parts(keys, bits: int, n: int) -> tuple:
-    """``(keys, parts, ends)``: the keys of an orbit, ``n`` labels of ``bits``
-    bits each, grouped by negative part min(u, 0) in their order, group j
-    having the part parts[j] and ending at ends[j].  Keys and parts are held
-    in an ``array('Q')`` only when n * bits <= 64, so that every key is
-    below 2^64, and in lists of ints otherwise."""
+    """``(keys, parts, ids)`` for the keys of an orbit, ``n`` labels of
+    ``bits`` bits each.  Keys are held in an ``array('Q')`` only when
+    n * bits <= 64, so that every key is below 2^64, and in a list of ints
+    otherwise; ``parts`` holds the orbit's distinct negative parts
+    min(u, 0) as keys, in the same container, and ``ids`` the index of each
+    weight's part, in two bytes when that suffices."""
     highs = sum(1 << bits * k + bits - 1 for k in range(n))
     clear = (1 << bits - 1) - 1
-    empty = array("Q") if n * bits <= 64 else []
-    runs: dict = {}
-    run = runs.setdefault
-    for key in keys:
-        # a label >= 0 keeps only its sign bit, the offset of label 0
-        run(key & ~(((key & highs) >> bits - 1) * clear), empty[:0]).append(key)
-    grouped, parts = empty[:0], empty[:0]
-    parts.extend(runs)
-    ends = array("Q", accumulate(map(len, runs.values())))
-    for part in parts:
-        grouped += runs.pop(part)  # each group is freed once copied
-    return grouped, parts, ends
+    keys = array("Q", keys) if n * bits <= 64 else list(keys)
+    index: dict = {}
+    part = index.setdefault
+    # a label >= 0 keeps only its sign bit, the offset of label 0
+    ids = array("I", (part(key & ~(((key & highs) >> bits - 1) * clear),
+                           len(index)) for key in keys))
+    parts = keys[:0]
+    parts.extend(index)
+    return keys, parts, array("H", ids) if len(index) <= 1 << 16 else ids
 
 
 def _klimyk_array(alg, table, orbits, shifted) -> dict:

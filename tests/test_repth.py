@@ -687,13 +687,6 @@ class TestPackedWalk:
         assert peak < 4_000_000
 
 
-def part_runs(keys, parts, ends):
-    """``(part, keys of the weights with that negative part)`` per run."""
-    starts = [0, *ends[:-1]]
-    assert list(ends) == sorted(ends) and ends[-1] == len(keys)
-    return [(part, list(keys[a:b])) for part, a, b in zip(parts, starts, ends)]
-
-
 class TestWeightSystemCache:
     def test_each_weight_system_walked_once(self, monkeypatch):
         walked = []
@@ -724,22 +717,22 @@ class TestWeightSystemCache:
         assert a1._lane_width((k,)) == 8 * array(code).itemsize
         bits = a1._lane_width((k,), a1._label_bound((k + 1,), (k,)))
         assert bits == (8 if k == 40 else 16)
-        # the weights are grouped by their negative part min(u, 0), up to -k
+        # each weight is indexed by its negative part min(u, 0), up to -k
         system = a1._weight_system(a1.freudenthal((k,)), bits)
         bias = 1 << bits - 1
         labels = []
-        for _, keys, parts, ends in system:
-            assert isinstance(keys, array)
-            for part, run in part_runs(keys, parts, ends):
-                assert {min(key - bias, 0) for key in run} == {part - bias}
-                labels += [key - bias for key in run]
+        for _, keys, parts, ids in system:
+            assert isinstance(keys, array) and isinstance(parts, array)
+            labels += [key - bias for key in keys]
+            assert [parts[i] - bias for i in ids] == \
+                [min(key - bias, 0) for key in keys]
         assert sorted(labels) == list(range(-k, k + 1, 2))
 
     @pytest.mark.parametrize("code", "bhiq")
     def test_negative_parts_in_every_code(self, code):
         # lanes of the widths of the codes b, h, i and q, 8 to 64 bits; 700
-        # rows of 3 labels span three chunks, and the extremes -B and B - 1
-        # test the sign bits; keys of up to 64 bits come in an array('Q')
+        # rows of 3 labels, and the extremes -B and B - 1 test the sign
+        # bits; keys of up to 64 bits come in an array('Q')
         from array import array
         rng = random.Random(31)
         bits = 8 * array(code).itemsize
@@ -754,15 +747,24 @@ class TestWeightSystemCache:
         keys = [key(row) for row in rows]
         if 3 * bits <= 64:
             keys = array("Q", keys)
-        grouped, parts, ends = repth._negative_parts(iter(keys), bits, 3)
-        negative = {k: key(tuple(min(x, 0) for x in row))
-                    for k, row in zip(keys, rows)}
-        assert type(grouped) is type(parts) is type(keys)
-        assert len(parts) == len(set(negative.values()))
-        # one run per part, each in the order of the keys
-        assert len(grouped) == len(keys)
-        for part, run in part_runs(grouped, parts, ends):
-            assert run == [k for k in keys if negative[k] == part]
+        held, parts, ids = repth._negative_parts(iter(keys), bits, 3)
+        negative = [key(tuple(min(x, 0) for x in row)) for row in rows]
+        assert type(held) is type(parts) is type(keys)
+        assert held == keys
+        assert len(parts) == len(set(negative))
+        assert [parts[i] for i in ids] == negative
+
+    def test_part_ids_beyond_two_bytes(self):
+        # 2^16 + 1 weights whose labels are all negative, so each is its
+        # own negative part, and the part ids need more than two bytes
+        rows = [(-1 - a % 128, -1 - a // 128 % 128, -1 - a // 16384)
+                for a in range(2 ** 16 + 1)]
+        keys = [sum(x + 128 << 8 * k for k, x in enumerate(row))
+                for row in rows]
+        held, parts, ids = repth._negative_parts(iter(keys), 8, 3)
+        assert ids.itemsize > 2
+        assert len(parts) == len(keys)
+        assert [parts[i] for i in ids] == list(held) == keys
 
     @pytest.mark.parametrize("big, small", [(7, 8), (6, 1)])
     def test_only_sums_off_a_wall_are_reflected(self, monkeypatch, big, small):
