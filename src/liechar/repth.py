@@ -580,9 +580,9 @@ class Algebra:
         the cached weight system of ``table``'s highest weight through
         :func:`_off_wall`.  A sum S = K(u) + K(ν + ρ) is reflected at its
         last negative label, the highest set bit of (S & highs) ^ highs; off
-        the walls every order takes ℓ(w) steps, so the sign is that of
-        :meth:`_reflect`.  A dominant S has a label 0, and lies on a wall,
-        when S - K(ρ) lacks a sign bit.
+        the walls every order takes as many steps as the Weyl element is
+        long, so the sign is that of :meth:`_reflect`.  A dominant S has a
+        label 0, and lies on a wall, when S - K(ρ) lacks a sign bit.
         """
         bits = self._lane_width(table.highest, self._label_bound(
             [x - 1 for x in shifted], table.highest))
