@@ -12,15 +12,16 @@ Both Klimyk paths hold a weight u as one integer key, K(u) = sum_k
 (u_k + B) 2^(w k) with B = 2^(w-1), w bits per label.  A reflection is one
 multiply-subtract, K(s_i u) = K(u) - u_i K(α_i), and u_k < 0 exactly when
 the sign bit w - 1 of lane k is clear.  Orbits are walked as trees of keys
-(D. Snow's canonical-parent rule).  When the smaller factor's largest Weyl
-orbit has fewer than ``_ARRAY_MIN_ORBIT`` (2^17) weights, a Python loop
-reflects one key at a time, in lanes of 8, 16, 32, ... bits, 8 for every
-E8 product of the paper.  It reads the factor's weight system from a
-per-algebra cache, each weight indexed by its negative part, and skips the
-weights whose part puts ν + ρ + u on a wall (Racah-Speiser cancellation);
-numpy is never imported.  Longer orbits go to a numpy kernel, which walks all of the
-factor's orbits together as ``int64`` keys of 63 // rank bits per label.  A
-product whose labels could leave those integers stays on the loop.
+(D. Snow's canonical-parent rule).  Each product takes the first lane width
+of 8, 16, 32, ... bits that holds every label its sum forms, 8 for every E8
+product of the paper.  When the smaller factor's largest Weyl orbit has
+fewer than ``_ARRAY_MIN_ORBIT`` (2^17) weights, a Python loop reflects one
+key at a time.  It reads the factor's weight system from a per-algebra
+cache, each weight indexed by its negative part, and skips the weights
+whose part puts ν + ρ + u on a wall (Racah-Speiser cancellation); numpy is
+never imported.  Longer orbits go to a numpy kernel, which walks all of the
+factor's orbits together and reflects the sums on the same keys, held as
+``uint64``; a product whose keys are wider than 64 bits stays on the loop.
 """
 
 from __future__ import annotations
@@ -452,10 +453,11 @@ class Algebra:
         over its Freudenthal table, exceeds the budget (default
         ``self.tensor_budget``); the count is at most the dimension, so a
         factor whose dimension is within the budget is never counted.  The
-        budget is checked on every call, cached product or not.  When that
-        factor has a Weyl orbit of at least 2^17 weights and the labels fit
-        the kernel's fixed-width integers, the sum runs in the numpy array
-        kernel.
+        budget is checked on every call, cached product or not.  Both paths
+        sum keys of the same lane width, the first of 8, 16, 32, ... bits
+        that holds every label of the small factor and of the sums.  When
+        that factor has a Weyl orbit of at least 2^17 weights and its keys
+        fit 64 bits, the sum runs in the numpy array kernel.
         """
         lam = self._check_dominant(left)
         nu = self._check_dominant(right)
@@ -486,11 +488,17 @@ class Algebra:
             orbits = self._orbit_sizes(small)
         shifted = tuple(x + 1 for x in big)
         table = self.freudenthal(small)
+        bits = self._lane_width(small, self._label_bound(big, small))
+        # the kernel's keys are uint64 and its signed sums, bounded by the
+        # small factor's dimension, int64
         if (orbits and max(orbits.values()) >= _ARRAY_MIN_ORBIT
-                and self._fits_array_kernel(big, small, small_dim)):
-            acc = _klimyk_array(self, table, orbits, shifted)
+                and self.rank * bits <= 64 and small_dim < 1 << 63):
+            acc = _klimyk_array(self, table, orbits, shifted, bits)
         else:
-            acc = self._klimyk_loop(table, shifted)
+            acc = self._klimyk_loop(table, shifted, bits)
+        # the keys are ρ-shifted
+        acc = dict(zip(_decode(acc, bits, self.rank, (1 << bits - 1) + 1),
+                       acc.values()))
         if any(v < 0 for v in acc.values()):
             raise AssertionError("negative multiplicity in tensor decomposition")
         top = tuple(a + b for a, b in zip(lam, nu))
@@ -526,22 +534,6 @@ class Algebra:
         root = isqrt(square // short)
         return root if root * root * short >= square else root + 1
 
-    def _fits_array_kernel(self, big, small, small_dim) -> bool:
-        """Whether the array kernel's integers hold V_big ⊗ V_small.
-
-        The weights of V_small are walked as ``int64`` keys of w = 63 // rank
-        bits per label, so every label of V_small must lie below B = 2^(w-1)
-        in absolute value.  The sums are
-        reflected in ``int32`` labels with room for three times a label in
-        one reflection step, dominant ρ-shifted labels are packed into w
-        bits of an ``int64`` key, and the signed sums, bounded by the small
-        factor's dimension, are ``int64``.
-        """
-        bits = 63 // self.rank
-        return (small_dim < 1 << 63
-                and self._label_bound(big, small) < min(1 << bits, 1 << 29)
-                and self._labels_below(small, 1 << bits >> 1))
-
     def _labels_below(self, lam, bound: int) -> bool:
         """Whether every label of every weight of V_lam is below ``bound``
         in absolute value.
@@ -573,19 +565,18 @@ class Algebra:
             self._weight_systems[(lam, bits)] = entry
         return entry
 
-    def _klimyk_loop(self, table, shifted) -> dict:
+    def _klimyk_loop(self, table, shifted, bits: int) -> dict:
         """Klimyk sum over the weights of ``table``, one key at a time.
 
-        The keys, in lanes that hold every label the sum forms, come from
-        the cached weight system of ``table``'s highest weight through
-        :func:`_off_wall`.  A sum S = K(u) + K(ν + ρ) is reflected at its
-        last negative label, the highest set bit of (S & highs) ^ highs; off
-        the walls every order takes as many steps as the Weyl element is
-        long, so the sign is that of :meth:`_reflect`.  A dominant S has a
-        label 0, and lies on a wall, when S - K(ρ) lacks a sign bit.
+        The keys, ``bits`` bits per label, come from the cached weight
+        system of ``table``'s highest weight through :func:`_off_wall`.  A
+        sum S = K(u) + K(ν + ρ) is reflected at its last negative label,
+        the highest set bit of (S & highs) ^ highs; off the walls every
+        order takes as many steps as the Weyl element is long, so the sign
+        is that of :meth:`_reflect`.  A dominant S has a label 0, and lies
+        on a wall, when S - K(ρ) lacks a sign bit.  Returns the key of each
+        dominant sum off the walls with its signed count.
         """
-        bits = self._lane_width(table.highest, self._label_bound(
-            [x - 1 for x in shifted], table.highest))
         roots, lows, signs = self._lanes(bits)
         highs = signs[-1]
         bias = 1 << bits - 1
@@ -607,9 +598,7 @@ class Algebra:
                     x = s & highs ^ highs
                 if s - lows & highs == highs:
                     acc[s] = acc.get(s, 0) + sign
-        # the keys are ρ-shifted
-        return dict(zip(_decode(acc, bits, self.rank, bias + 1),
-                        acc.values()))
+        return acc
 
 
 def _decode(keys, bits: int, n: int, offset: int) -> Iterator[tuple]:
@@ -651,55 +640,55 @@ def _negative_parts(keys, bits: int, n: int) -> tuple:
     return keys, parts, array("H", ids) if len(index) <= 1 << 16 else ids
 
 
-def _klimyk_array(alg, table, orbits, shifted) -> dict:
+def _klimyk_array(alg, table, orbits, shifted, bits=None) -> dict:
     """Klimyk sum over the weights of ``table``, in batches of numpy arrays.
 
     ``orbits`` maps each dominant weight of the table to its orbit size,
     checked against the walk of :func:`_packed_orbits`, and ``shifted`` is
     the larger factor's highest weight plus ρ.  Each level of the walk is
-    unpacked label-major, at most ``_ARRAY_CHUNK`` weights at a time, and
-    reflected in numpy.  The caller checks with
-    :meth:`Algebra._fits_array_kernel` that every label fits.
+    summed at most ``_ARRAY_CHUNK`` keys at a time, and the sums are
+    reflected on their ``uint64`` keys.  Returns the same key -> signed
+    count dict as :meth:`Algebra._klimyk_loop`.  ``bits`` is the lane
+    width, which :meth:`Algebra.tensor_decompose` passes after checking
+    rank * bits <= 64; it defaults to the same width.
     """
     import numpy as np
 
-    n = alg.rank
-    nbrs = alg._nbrs
-    bits = 63 // n
-    shift = np.array(shifted, dtype=np.int32).reshape(n, 1)
+    if bits is None:
+        bits = alg._lane_width(table.highest, alg._label_bound(
+            [x - 1 for x in shifted], table.highest))
+    roots, lows, signs = alg._lanes(bits)
+    bias = 1 << bits - 1
+    mask = (1 << bits) - 1
+    highs = signs[-1]
+    top = sum(x << bits * k for k, x in enumerate(shifted))
     acc: dict = {}
 
-    def pack(dom):
-        # one int64 key per dominant ρ-shifted weight, label k in lane k
-        if dom.shape[1] and int(dom.max()) >= 1 << bits:
-            raise AssertionError(f"dominant label {int(dom.max())} exceeds "
-                                 f"the {bits}-bit key field")
-        keys = np.zeros(dom.shape[1], dtype=np.int64)
-        for row in dom[::-1]:
-            keys <<= bits
-            keys |= row
-        return keys
-
-    def flush(x, vals):
-        # ρ-shifted sums, reflected to the dominant chamber by any sequence
-        # of reflections at negative labels, each flipping the sign; a
-        # weight with a zero label lies on a wall and cancels, so it is
-        # dropped as soon as it shows one
-        x += shift
+    def flush(s, vals):
+        # ρ-shifted sums S = K(u) + K(ν + ρ), reflected to the dominant
+        # chamber at every negative label: with c = B - lane > 0, S += c
+        # K(α_i) and the sign flips.  A sum with a label 0, a zero lane of
+        # S ^ highs, lies on a wall and cancels, so it is dropped as soon
+        # as it shows one; a sum with every sign bit set is dominant.
+        s = s + top
         keys, signed = [], []
-        while x.shape[1]:
-            regular = (x > 0).all(axis=0)
-            keys.append(pack(x[:, regular]))
-            signed.append(vals[regular])
-            rest = ~regular & (x != 0).all(axis=0)
-            x, vals = x[:, rest], vals[rest]
-            for i in range(n):
-                c = np.minimum(x[i], 0)
-                neg = c < 0
-                np.abs(x[i], out=x[i])
-                for j, a in nbrs[i]:
-                    x[j] += a * c
-                np.negative(vals, out=vals, where=neg)
+        while len(s):
+            y = s ^ highs
+            off = ((y - lows) & ~y & highs) == 0
+            done = (s & highs) == highs
+            keep = off & done
+            keys.append(s[keep])
+            signed.append(vals[keep])
+            rest = off ^ keep
+            s, vals = s[rest], vals[rest]
+            for i, root in enumerate(roots):
+                c = s >> bits * i
+                c &= mask
+                np.minimum(c, bias, out=c)
+                np.subtract(bias, c, out=c)
+                np.negative(vals, out=vals, where=c > 0)
+                c *= root % (1 << 64)
+                s += c
         uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
         sums = np.zeros(len(uniq), dtype=np.int64)
         np.add.at(sums, inverse, np.concatenate(signed))
@@ -710,50 +699,48 @@ def _klimyk_array(alg, table, orbits, shifted) -> dict:
     mults = np.array(list(table.entries.values()), dtype=np.int64)
     sizes = np.array([orbits[mu] for mu in weights], dtype=np.int64)
     counts = np.zeros(len(weights), dtype=np.int64)
-    for keys, origin in _packed_orbits(alg, weights):
+    for keys, origin in _packed_orbits(alg, weights, bits):
         counts += np.bincount(origin, minlength=len(weights))
         if (counts > sizes).any():
             break
         for start in range(0, len(keys), _ARRAY_CHUNK):
             part = slice(start, start + _ARRAY_CHUNK)
-            flush(_unpack_lanes(keys[part], n), mults[origin[part]])
+            flush(keys[part], mults[origin[part]])
     for mu, size, count in zip(weights, sizes.tolist(), counts.tolist()):
         if count != size:
             raise AssertionError(f"orbit of {mu} reached {count} weights, "
                                  f"expected {size}")
-    return dict(zip(_decode(acc, bits, n, 1), acc.values()))
+    return acc
 
 
-def _packed_orbits(alg, weights):
+def _packed_orbits(alg, weights, bits: int):
     """The Weyl orbits of the dominant ``weights``, walked together.
 
     Yields ``(keys, origin)`` per level of the trees of
-    :meth:`WeylOrbit.keys`: the ``int64`` keys of w = 63 // rank bits
-    per label, and the index in ``weights`` of each key's orbit.  Level 0
-    holds ``weights``.  The caller checks with
-    :meth:`Algebra._fits_array_kernel` that every label lies in [-B, B);
-    int64 arithmetic wraps, which leaves the exact key of every weight.
+    :meth:`WeylOrbit.keys`: the ``uint64`` keys of ``bits`` bits per label,
+    and the index in ``weights`` of each key's orbit.  Level 0 holds
+    ``weights``.  The caller checks that every label lies in [-B, B) and
+    that rank * bits <= 64; uint64 arithmetic wraps modulo 2^64, which
+    leaves the exact key of every weight.
     """
     import numpy as np
 
-    n = alg.rank
-    bits = 63 // n
     bias = 1 << bits - 1
     mask = (1 << bits) - 1
     roots, _, signs = alg._lanes(bits)
     keys = np.array([sum(x + bias << bits * k for k, x in enumerate(mu))
-                     for mu in weights], dtype=np.int64)
+                     for mu in weights], dtype=np.uint64)
     origin = np.arange(len(weights), dtype=np.min_scalar_type(len(weights)))
     while len(keys):
         yield keys, origin
         children, origins = [], []
-        for i in range(n):
+        for i in range(alg.rank):
             lane = keys >> bits * i
             lane &= mask
             pick = np.flatnonzero(lane > bias)
             child = lane[pick]
             child -= bias
-            child *= -roots[i]
+            child *= -roots[i] % (1 << 64)
             child += keys[pick]
             if i:
                 first = (child & signs[i]) == signs[i]
@@ -762,18 +749,3 @@ def _packed_orbits(alg, weights):
             origins.append(origin[pick])
         keys = np.concatenate(children)
         origin = np.concatenate(origins)
-
-
-def _unpack_lanes(keys, n: int):
-    """Label-major ``int32`` labels of the keys of :func:`_packed_orbits`."""
-    import numpy as np
-
-    bits = 63 // n
-    mask = (1 << bits) - 1
-    labels = np.empty((n, len(keys)), dtype=np.int32)
-    for k in range(n):
-        lane = keys >> bits * k
-        lane &= mask
-        labels[k] = lane
-    labels -= 1 << bits - 1
-    return labels

@@ -398,9 +398,13 @@ class TestEmitters:
 
 
 # FORCE_LOOP sends every product to the Python loop, FORCE_ARRAY every
-# product whose labels fit the array kernel's integers to that kernel
+# product whose keys fit the array kernel's 64 bits to that kernel
 FORCE_LOOP = 2 ** 200
 FORCE_ARRAY = 0
+
+
+def refuse(*args):
+    raise AssertionError("array kernel called")
 
 
 @pytest.fixture(scope="module")
@@ -469,15 +473,20 @@ class TestKlimykKernels:
         assert 0 < worst <= bound
 
     @pytest.mark.parametrize("name, big, small", [
-        # a label beyond int32
+        # a label beyond int32 takes 64-bit lanes, 128-bit keys
         ("A2", (2 ** 31, 0), (1, 1)),
-        # E8 packs 7 bits per ρ-shifted label, and the top one is 201
+        # E8's label bound is 847 here, so its lanes take 16 bits and its
+        # keys 128
         ("E8", (200, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+        # E7's is 167: 16-bit lanes, 112-bit keys
+        ("E7", (50, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)),
     ])
     def test_labels_beyond_the_kernel_integers_take_the_loop(
             self, monkeypatch, name, big, small):
         alg = Algebra(name)
-        assert not alg._fits_array_kernel(big, small, alg.weyl_dim(small))
+        bits = alg._lane_width(small, alg._label_bound(big, small))
+        assert alg.rank * bits > 64
+        monkeypatch.setattr(repth, "_klimyk_array", refuse)
         results = []
         for threshold in (FORCE_LOOP, FORCE_ARRAY):
             monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
@@ -485,15 +494,17 @@ class TestKlimykKernels:
         assert results[0] == results[1]
 
     def test_labels_beyond_the_walk_lanes_take_the_loop(self, monkeypatch):
-        # A20 walks keys of 3 bits per label, offset by 4, which hold the
-        # labels -4..3; 4λ1 has the labels ±4
+        # 4λ1 has the labels ±4, so they are not all below 4 while those of
+        # λ1 are; the lanes take 8 bits, and A20's 20 lanes make 160-bit
+        # keys, beyond the kernel's uint64
         a20 = Algebra("A20")
         small = tuple(4 * x for x in a20.fundamental(1))
         big = a20.fundamental(5)
         assert a20.weyl_dim(big) > a20.weyl_dim(small)
         assert not a20._labels_below(small, 4)
         assert a20._labels_below(a20.fundamental(1), 4)
-        assert not a20._fits_array_kernel(big, small, a20.weyl_dim(small))
+        assert a20._lane_width(small, a20._label_bound(big, small)) == 8
+        monkeypatch.setattr(repth, "_klimyk_array", refuse)
         results = []
         for threshold in (FORCE_LOOP, FORCE_ARRAY):
             monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
@@ -505,27 +516,68 @@ class TestKlimykKernels:
                                                   a20.fundamental(6)))]
         assert results[0].entries == {w: 1 for w in hooks}
 
-    def test_lane_guard_decides_where_the_sum_labels_fit(self):
-        # A3 walks 21 bits per label, offset by 2^20; k λ1 has the labels
-        # ±k, so k = 1,100,000 overflows a lane, while every ρ-shifted sum
-        # with the big factor 779 ρ (whose dimension 780^6 exceeds that of
-        # k λ1) still fits the 21-bit result field
-        a3 = Algebra("A3")
-        small, big = (1_100_000, 0, 0), (779, 779, 779)
-        assert a3.weyl_dim(big) > a3.weyl_dim(small)
-        assert a3._label_bound(big, small) < 1 << 21
-        assert not a3._labels_below(small, 1 << 20)
-        assert not a3._fits_array_kernel(big, small, a3.weyl_dim(small))
-        # the bound 2 |k λ1| / |α| is sqrt(3/2) k, below 2^20 for k = 800,000
-        fits = (800_000, 0, 0)
-        assert a3._fits_array_kernel(big, fits, a3.weyl_dim(fits))
+    def test_lane_guard_decides_where_the_sum_labels_fit(self, monkeypatch):
+        # k λ1 ⊗ the adjoint of A3 has the label bound 32,767 for
+        # k = 18,916, which 16-bit lanes hold, 48-bit keys; k = 18,917 has
+        # 32,769 and takes 32-bit lanes, 96-bit keys, on the loop
+        calls = []
+        array_kernel = repth._klimyk_array
+
+        def spy(*args):
+            calls.append(args[4])
+            return array_kernel(*args)
+
+        monkeypatch.setattr(repth, "_klimyk_array", spy)
+        small = (1, 0, 1)
+        for k, bits, kernel in ((18_916, 16, True), (18_917, 32, False)):
+            a3 = Algebra("A3")
+            big = (k, 0, 0)
+            assert a3.weyl_dim(big) > a3.weyl_dim(small)
+            assert a3._lane_width(small, a3._label_bound(big, small)) == bits
+            calls.clear()
+            monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
+            forced = a3.tensor_decompose(big, small)
+            assert calls == ([bits] if kernel else [])
+            monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_LOOP)
+            assert forced == Algebra("A3").tensor_decompose(big, small)
+
+    @pytest.mark.parametrize("name, left, right", [
+        ("A2", (2, 1), (1, 2)),
+        ("A2", (200, 0), (1, 1)),
+        ("B3", (1, 0, 1), (0, 1, 1)),
+        ("G2", (2, 1), (1, 1)),
+        ("F4", (0, 0, 1, 1), (1, 0, 0, 1)),
+        ("E6", (1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 1)),
+        ("E8", (0, 0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+    ])
+    def test_both_paths_receive_the_same_lanes(self, monkeypatch, name,
+                                                left, right):
+        received = []
+        loop, array_kernel = Algebra._klimyk_loop, repth._klimyk_array
+
+        def loop_spy(self, table, shifted, bits):
+            received.append(("loop", bits))
+            return loop(self, table, shifted, bits)
+
+        def kernel_spy(*args):
+            received.append(("kernel", args[4]))
+            return array_kernel(*args)
+
+        monkeypatch.setattr(Algebra, "_klimyk_loop", loop_spy)
+        monkeypatch.setattr(repth, "_klimyk_array", kernel_spy)
+        results = []
+        for threshold in (FORCE_LOOP, FORCE_ARRAY):
+            monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
+            results.append(Algebra(name).tensor_decompose(left, right))
+        alg = Algebra(name)
+        big, small = sorted((left, right), key=alg.weyl_dim, reverse=True)
+        bits = alg._lane_width(small, alg._label_bound(big, small))
+        assert received == [("loop", bits), ("kernel", bits)]
+        assert results[0] == results[1]
 
     def test_long_orbit_with_wide_labels_takes_the_loop(self, monkeypatch):
         # λ8 of A20 has an orbit of 203,490 weights, beyond the threshold,
-        # but A20 packs only 3 bits per label
-        def refuse(*args):
-            raise AssertionError("array kernel called")
-
+        # but A20's 20 lanes of 8 bits make 160-bit keys
         monkeypatch.setattr(repth, "_klimyk_array", refuse)
         a20 = Algebra("A20")
         lam8 = a20.fundamental(8)
@@ -634,9 +686,9 @@ class TestPackedWalk:
         levels = []
         walk = repth._packed_orbits
 
-        def spy(alg, weights):
-            levels.append(list(weights))
-            for keys, origin in walk(alg, weights):
+        def spy(alg, weights, bits):
+            levels.append((list(weights), bits))
+            for keys, origin in walk(alg, weights, bits):
                 levels.append((keys.copy(), origin.copy()))
                 yield keys, origin
 
@@ -644,17 +696,38 @@ class TestPackedWalk:
         monkeypatch.setattr(repth, "_packed_orbits", spy)
         alg = Algebra(name)
         alg.tensor_decompose(left, right)
-        weights, *levels = levels
+        (weights, bits), *levels = levels
         small = left if alg.weyl_dim(left) <= alg.weyl_dim(right) else right
         assert sorted(weights) == sorted(alg.freudenthal(small).entries)
         walked = {mu: [] for mu in weights}
         for keys, origin in levels:
-            labels = repth._unpack_lanes(keys, alg.rank).T.tolist()
+            labels = repth._decode(keys.tolist(), bits, alg.rank,
+                                   1 << bits - 1)
             for u, i in zip(labels, origin.tolist()):
                 walked[weights[i]].append(tuple(u))
         for mu, orbit in walked.items():
             assert len(orbit) == alg.orbit_size(mu)
             assert set(orbit) == set(alg.weyl_orbit(mu))
+
+    def test_e8_keys_use_the_top_bit(self, monkeypatch):
+        # E8's 8 lanes of 8 bits fill a uint64 key; the key of u has bit 63
+        # set exactly when u_8 >= 0
+        import numpy as np
+
+        tops = []
+        walk = repth._packed_orbits
+
+        def spy(alg, weights, bits):
+            for keys, origin in walk(alg, weights, bits):
+                assert keys.dtype == np.uint64
+                tops.append(int(keys.max()))
+                yield keys, origin
+
+        monkeypatch.setattr(repth, "_packed_orbits", spy)
+        e8 = Algebra("E8")
+        lam = e8.fundamental(4)
+        e8.tensor_decompose(lam, lam)
+        assert tops and max(tops) >= 1 << 63
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_kernel_checks_each_orbit_length(self, delta):
