@@ -15,13 +15,15 @@ the sign bit w - 1 of lane k is clear.  Orbits are walked as trees of keys
 (D. Snow's canonical-parent rule).  Each product takes the first lane width
 of 8, 16, 32, ... bits that holds every label its sum forms, 8 for every E8
 product of the paper.  When the smaller factor's largest Weyl orbit has
-fewer than ``_ARRAY_MIN_ORBIT`` (2^17) weights, a Python loop reflects one
+fewer than ``_ARRAY_MIN_ORBIT`` (2^16) weights, a Python loop reflects one
 key at a time.  It reads the factor's weight system from a per-algebra
 cache, each weight indexed by its negative part, and skips the weights
 whose part puts ν + ρ + u on a wall (Racah-Speiser cancellation); numpy is
 never imported.  Longer orbits go to a numpy kernel, which walks all of the
-factor's orbits together and reflects the sums on the same keys, held as
-``uint64``; a product whose keys are wider than 64 bits stays on the loop.
+factor's orbits together, level by level, gathers the levels into batches
+of ``_ARRAY_CHUNK`` (2^16) keys and reflects each batch's sums on the same
+keys, held as ``uint64``; a product whose keys are wider than 64 bits stays
+on the loop.
 """
 
 from __future__ import annotations
@@ -47,12 +49,14 @@ __all__ = [
 DEFAULT_TENSOR_BUDGET = 20_000_000
 
 # Products whose smaller factor has a Weyl orbit at least this long use the
-# array kernel, which is several times faster but imports numpy (about
-# 12 MB).  Below it the loop's time is small, and a process that takes only
-# such products, as a CLI request for a small E8 character does, keeps
-# numpy out of its peak memory.
-_ARRAY_MIN_ORBIT = 2 ** 17
-# columns per batch of the array kernel, which bounds its working memory
+# array kernel, which is faster but imports numpy (about 12 MB).  Below it
+# the loop's time is small, and a process that takes only such products, as
+# a CLI request for a small E8 character does, keeps numpy out of its peak
+# memory.  In E8 this sends λ3, λ4 and λ5 to the kernel; 2^15 would also
+# send λ6 (largest orbit 60,480), and `char E8 0,0,0,0,0,0,3,0` takes
+# λ6⊗λ6.
+_ARRAY_MIN_ORBIT = 2 ** 16
+# keys per batch of the array kernel, which bounds its working memory
 _ARRAY_CHUNK = 2 ** 16
 
 
@@ -456,8 +460,9 @@ class Algebra:
         budget is checked on every call, cached product or not.  Both paths
         sum keys of the same lane width, the first of 8, 16, 32, ... bits
         that holds every label of the small factor and of the sums.  When
-        that factor has a Weyl orbit of at least 2^17 weights and its keys
-        fit 64 bits, the sum runs in the numpy array kernel.
+        that factor has a Weyl orbit of at least 2^16 weights and its keys
+        fit 64 bits, the sum runs in the numpy array kernel, in batches of
+        2^16 keys gathered across the levels of its orbit walk.
         """
         lam = self._check_dominant(left)
         nu = self._check_dominant(right)
@@ -640,23 +645,22 @@ def _negative_parts(keys, bits: int, n: int) -> tuple:
     return keys, parts, array("H", ids) if len(index) <= 1 << 16 else ids
 
 
-def _klimyk_array(alg, table, orbits, shifted, bits=None) -> dict:
+def _klimyk_array(alg, table, orbits, shifted, bits: int) -> dict:
     """Klimyk sum over the weights of ``table``, in batches of numpy arrays.
 
     ``orbits`` maps each dominant weight of the table to its orbit size,
     checked against the walk of :func:`_packed_orbits`, and ``shifted`` is
-    the larger factor's highest weight plus ρ.  Each level of the walk is
-    summed at most ``_ARRAY_CHUNK`` keys at a time, and the sums are
-    reflected on their ``uint64`` keys.  Returns the same key -> signed
-    count dict as :meth:`Algebra._klimyk_loop`.  ``bits`` is the lane
-    width, which :meth:`Algebra.tensor_decompose` passes after checking
-    rank * bits <= 64; it defaults to the same width.
+    the larger factor's highest weight plus ρ.  The levels of the walk are
+    gathered into batches of ``_ARRAY_CHUNK`` keys, and each batch's sums
+    are reflected at once on their ``uint64`` keys.  A level longer than a
+    batch is cut, and the keys still held when the walk ends make the last
+    batch, so the kernel holds about one batch plus one level.  Returns the
+    same key -> signed count dict as :meth:`Algebra._klimyk_loop`.
+    ``bits`` is the lane width that :meth:`Algebra.tensor_decompose`
+    computes, with rank * bits <= 64.
     """
     import numpy as np
 
-    if bits is None:
-        bits = alg._lane_width(table.highest, alg._label_bound(
-            [x - 1 for x in shifted], table.highest))
     roots, lows, signs = alg._lanes(bits)
     bias = 1 << bits - 1
     mask = (1 << bits) - 1
@@ -669,8 +673,9 @@ def _klimyk_array(alg, table, orbits, shifted, bits=None) -> dict:
         # chamber at every negative label: with c = B - lane > 0, S += c
         # K(α_i) and the sign flips.  A sum with a label 0, a zero lane of
         # S ^ highs, lies on a wall and cancels, so it is dropped as soon
-        # as it shows one; a sum with every sign bit set is dominant.
-        s = s + top
+        # as it shows one; a sum with every sign bit set is dominant.  The
+        # batch s is the caller's copy and is summed in place.
+        s += top
         keys, signed = [], []
         while len(s):
             y = s ^ highs
@@ -699,17 +704,31 @@ def _klimyk_array(alg, table, orbits, shifted, bits=None) -> dict:
     mults = np.array(list(table.entries.values()), dtype=np.int64)
     sizes = np.array([orbits[mu] for mu in weights], dtype=np.int64)
     counts = np.zeros(len(weights), dtype=np.int64)
+    # levels held for the next batch, fewer than _ARRAY_CHUNK keys in all
+    held, pending = [], 0
     for keys, origin in _packed_orbits(alg, weights, bits):
         counts += np.bincount(origin, minlength=len(weights))
         if (counts > sizes).any():
             break
-        for start in range(0, len(keys), _ARRAY_CHUNK):
+        held.append((keys, origin))
+        pending += len(keys)
+        if pending < _ARRAY_CHUNK:
+            continue
+        keys, origin = map(np.concatenate, zip(*held))
+        held, pending = [], pending % _ARRAY_CHUNK
+        end = len(keys) - pending
+        for start in range(0, end, _ARRAY_CHUNK):
             part = slice(start, start + _ARRAY_CHUNK)
             flush(keys[part], mults[origin[part]])
+        if pending:
+            held.append((keys[end:].copy(), origin[end:].copy()))
     for mu, size, count in zip(weights, sizes.tolist(), counts.tolist()):
         if count != size:
             raise AssertionError(f"orbit of {mu} reached {count} weights, "
                                  f"expected {size}")
+    if held:
+        keys, origin = map(np.concatenate, zip(*held))
+        flush(keys, mults[origin])
     return acc
 
 

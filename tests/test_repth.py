@@ -412,6 +412,20 @@ def e8_fresh():
     return Algebra("E8")
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The highest weight of each table that the array kernel sums."""
+    calls = []
+    array_kernel = repth._klimyk_array
+
+    def spy(*args):
+        calls.append(args[1].highest)
+        return array_kernel(*args)
+
+    monkeypatch.setattr(repth, "_klimyk_array", spy)
+    return calls
+
+
 class TestKlimykKernels:
     @pytest.mark.parametrize("name, left, right", [
         ("A2", (2, 1), (1, 2)),
@@ -453,6 +467,50 @@ class TestKlimykKernels:
         assert total == e8_fresh.weyl_dim(lam) ** 2
         top = tuple(2 * x for x in lam)
         assert dec[top] == 1
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, 2 ** 16])
+    @pytest.mark.parametrize("name, left, right", [
+        ("A2", (2, 1), (1, 2)),
+        ("B3", (1, 0, 1), (0, 1, 1)),
+        ("G2", (2, 1), (1, 1)),
+        ("F4", (0, 0, 1, 1), (1, 0, 0, 1)),
+        ("E6", (1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 1)),
+    ])
+    def test_batch_size_does_not_change_the_sum(self, monkeypatch,
+                                                kernel_calls, chunk, name,
+                                                left, right):
+        # a batch of one key, batches that cut levels and batches that
+        # hold several levels or the whole walk
+        monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_LOOP)
+        expected = Algebra(name).tensor_decompose(left, right)
+        monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
+        monkeypatch.setattr(repth, "_ARRAY_CHUNK", chunk)
+        assert Algebra(name).tensor_decompose(left, right) == expected
+        assert len(kernel_calls) == 1
+
+    def test_crossover_sends_lambda3_to_the_kernel(self, kernel_calls):
+        # largest orbits: λ3 69,120 weights, λ6 60,480, λ2 17,280
+        e8 = Algebra("E8")
+        lam2, lam3, lam6 = (e8.fundamental(i) for i in (2, 3, 6))
+        assert (max(e8._orbit_sizes(lam3).values()) >= repth._ARRAY_MIN_ORBIT
+                > max(e8._orbit_sizes(lam6).values()))
+        for lam in (lam3, lam6, lam2):
+            e8.tensor_decompose(lam, lam)
+        assert kernel_calls == [lam3]
+
+    def test_lambda6_character_request_does_not_import_numpy(self):
+        # the CLI computes χ(3λ7) through λ6⊗λ6, which stays on the loop;
+        # a threshold of 2^15 would import numpy here
+        code = (
+            "import sys, liechar.cli\n"
+            "assert liechar.cli.main(['char', 'E8', '0,0,0,0,0,0,3,0']) == 0\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n")
+        src = str(Path(liechar.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("LIECHAR_CACHE", None)
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stderr.strip() == "False"
 
     @pytest.mark.parametrize("name, big, small", [
         ("A2", (2, 1), (1, 2)),
@@ -732,13 +790,35 @@ class TestPackedWalk:
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_kernel_checks_each_orbit_length(self, delta):
         b3 = Algebra("B3")
-        small = (0, 1, 1)
+        big, small = (1, 0, 1), (0, 1, 1)
+        bits = b3._lane_width(small, b3._label_bound(big, small))
         orbits = dict(b3._orbit_sizes(small))
         mu = max(orbits, key=orbits.get)
         orbits[mu] += delta
         with pytest.raises(AssertionError, match="orbit of"):
             repth._klimyk_array(b3, b3.freudenthal(small), orbits,
-                                (2, 1, 2))
+                                (2, 1, 2), bits)
+
+    def test_overrun_orbit_stops_the_walk(self, monkeypatch):
+        # after the whole walk, the first level comes again and overruns
+        # every orbit; the kernel must stop there, not ask for more
+        walk = repth._packed_orbits
+
+        def overrun(alg, weights, bits):
+            levels = walk(alg, weights, bits)
+            first = next(levels)
+            yield first
+            yield from levels
+            yield first
+            raise RuntimeError("the walk went on past an overrun orbit")
+
+        monkeypatch.setattr(repth, "_packed_orbits", overrun)
+        b3 = Algebra("B3")
+        big, small = (1, 0, 1), (0, 1, 1)
+        bits = b3._lane_width(small, b3._label_bound(big, small))
+        with pytest.raises(AssertionError, match="orbit of"):
+            repth._klimyk_array(b3, b3.freudenthal(small),
+                                b3._orbit_sizes(small), (2, 1, 2), bits)
 
     def test_working_set_of_the_lambda5_square(self, e8_fresh):
         # the 763,681 keys of λ5 alone take 6.1 MB, so a kernel that
@@ -751,9 +831,10 @@ class TestPackedWalk:
         table = e8_fresh.freudenthal(lam)
         orbits = e8_fresh._orbit_sizes(lam)
         shifted = tuple(x + 1 for x in lam)
+        bits = e8_fresh._lane_width(lam, e8_fresh._label_bound(lam, lam))
         tracemalloc.start()
         try:
-            repth._klimyk_array(e8_fresh, table, orbits, shifted)
+            repth._klimyk_array(e8_fresh, table, orbits, shifted, bits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
