@@ -7,17 +7,14 @@ many-body operator that is diagonal on them.
 """
 
 from .charlib import (CACHE_ENV_VAR, CharacterCache, DimReport, EigenReport,
-                      FixtureDiff, compare_fixture, dim_identity,
-                      load_fixtures, verify_eigen)
-from .csop import (Delta1Operator, a_coeff, apply_delta1, b_coeffs,
-                   build_delta1, epsilon, ground_energy, level_energy)
+                      dim_identity, load_fixtures, verify_eigen)
+from .csop import (Delta1Operator, a_coeff, b_coeffs, build_delta1, epsilon,
+                   ground_energy, level_energy)
 from .errors import (BudgetError, ExponentRangeError, LiecharError,
                      OperatorIncompleteError, ParseError, RankMismatchError)
 from .repth import (DEFAULT_TENSOR_BUDGET, Algebra, Decomposition,
                     WeightMultiplicityTable)
-from .rootsys import (CartanMatrix, RationalMatrix, Root, Weight,
-                      build_cartan, inner_product, inverse_cartan,
-                      positive_roots, weyl_vector)
+from .rootsys import CartanMatrix, RationalMatrix, Root, Weight, build_cartan
 from .zpoly import (FixtureRecord, ZPolynomial, format_fixture_record,
                     parse_poly, print_poly, read_fixture_file,
                     read_fixture_text)
@@ -36,7 +33,6 @@ __all__ = [
     "DEFAULT_TENSOR_BUDGET",
     "EigenReport",
     "ExponentRangeError",
-    "FixtureDiff",
     "FixtureRecord",
     "LiecharError",
     "OperatorIncompleteError",
@@ -48,24 +44,18 @@ __all__ = [
     "WeightMultiplicityTable",
     "ZPolynomial",
     "a_coeff",
-    "apply_delta1",
     "b_coeffs",
     "build_cartan",
     "build_delta1",
-    "compare_fixture",
     "dim_identity",
     "epsilon",
     "format_fixture_record",
     "ground_energy",
-    "inner_product",
-    "inverse_cartan",
     "level_energy",
     "load_fixtures",
     "parse_poly",
-    "positive_roots",
     "print_poly",
     "read_fixture_file",
     "read_fixture_text",
     "verify_eigen",
-    "weyl_vector",
 ]

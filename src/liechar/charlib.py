@@ -28,11 +28,9 @@ __all__ = [
     "CharacterCache",
     "EigenReport",
     "DimReport",
-    "FixtureDiff",
     "verify_eigen",
     "dim_identity",
     "load_fixtures",
-    "compare_fixture",
     "CACHE_ENV_VAR",
 ]
 
@@ -67,12 +65,6 @@ class CharacterCache:
     def cached_weights(self):
         with self._lock:
             return sorted(self._mem)
-
-    def verify_eigen(self, m, operator: Delta1Operator) -> "EigenReport":
-        return verify_eigen(self.algebra, m, self.character_poly(m), operator)
-
-    def dim_identity(self, m) -> "DimReport":
-        return dim_identity(self.algebra, m, self.character_poly(m))
 
     # -- internals ----------------------------------------------------------
 
@@ -260,24 +252,6 @@ class DimReport(_Record):
         return self.ok
 
 
-class FixtureDiff(_Record):
-    _fields = ("weight", "missing", "extra", "changed")
-
-    def __init__(self, weight: Weight, missing: dict, extra: dict,
-                 changed: dict):
-        self.weight = weight
-        self.missing = missing
-        self.extra = extra
-        self.changed = changed
-
-    @property
-    def ok(self) -> bool:
-        return not (self.missing or self.extra or self.changed)
-
-    def __bool__(self):
-        return self.ok
-
-
 def verify_eigen(algebra: Algebra, m, chi: ZPolynomial,
                  operator: Delta1Operator) -> EigenReport:
     """Check that the operator multiplies the character by eps_m(1)."""
@@ -305,17 +279,6 @@ def load_fixtures(path, rank: int) -> dict:
         if record.kind == "chi":
             out[Weight(record.index)] = record.poly
     return out
-
-
-def compare_fixture(m, computed: ZPolynomial, expected: ZPolynomial) -> FixtureDiff:
-    """Exact term-map comparison; reports the symmetric difference."""
-    got = computed.terms
-    want = expected.terms
-    missing = {e: c for e, c in want.items() if e not in got}
-    extra = {e: c for e, c in got.items() if e not in want}
-    changed = {e: (got[e], want[e])
-               for e in got.keys() & want.keys() if got[e] != want[e]}
-    return FixtureDiff(Weight(m), missing, extra, changed)
 
 
 def default_cache_dir() -> Path | None:

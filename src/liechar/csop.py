@@ -30,7 +30,6 @@ __all__ = [
     "a_coeff",
     "Delta1Operator",
     "build_delta1",
-    "apply_delta1",
 ]
 
 
@@ -254,7 +253,3 @@ def build_delta1(algebra: Algebra, char_provider=None,
         op.entries[(j, k)] = a_coeff(algebra, j, k, char_provider)
         op.provenance[(j, k)] = "computed"
     return op
-
-
-def apply_delta1(operator: Delta1Operator, p: ZPolynomial) -> ZPolynomial:
-    return operator.apply(p)

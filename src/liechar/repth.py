@@ -175,13 +175,9 @@ class Algebra:
         d = cartan.symmetrizer
         scale = lcm(*(x.denominator for x in d))
         self._lengths = tuple(int(x * scale) for x in d)
-        self._det = int(cartan.determinant)
+        self._det = cartan.determinant
         self._unit = self._det * scale
-        adjugate = [[x * self._det for x in row]
-                    for row in cartan.inverse.entries]
-        if any(x.denominator != 1 for row in adjugate for x in row):
-            raise AssertionError("det(A) * A^-1 is not integral")
-        self._adj_cols = tuple(zip(*(map(int, row) for row in adjugate)))
+        self._adj_cols = tuple(zip(*cartan.adjugate))
         self.roots = cartan.positive_roots
         # (w + ρ, α) * L = sum_j (w_j + 1) c_j L d_j per positive root; the
         # product of (ρ, α) * L over the positive roots divides the Weyl
@@ -456,13 +452,13 @@ class Algebra:
         :class:`BudgetError` when that count, the sum of the orbit sizes
         over its Freudenthal table, exceeds the budget (default
         ``self.tensor_budget``); the count is at most the dimension, so a
-        factor whose dimension is within the budget is never counted.  The
-        budget is checked on every call, cached product or not.  Both paths
-        sum keys of the same lane width, the first of 8, 16, 32, ... bits
-        that holds every label of the small factor and of the sums.  When
-        that factor has a Weyl orbit of at least 2^16 weights and its keys
-        fit 64 bits, the sum runs in the numpy array kernel, in batches of
-        2^16 keys gathered across the levels of its orbit walk.
+        factor whose dimension is within the budget is always accepted.
+        The budget is checked on every call, cached product or not.  Both
+        paths sum keys of the same lane width, the first of 8, 16, 32, ...
+        bits that holds every label of the small factor and of the sums.
+        When that factor has a Weyl orbit of at least 2^16 weights and its
+        keys fit 64 bits, the sum runs in the numpy array kernel, in batches
+        of 2^16 keys gathered across the levels of its orbit walk.
         """
         lam = self._check_dominant(left)
         nu = self._check_dominant(right)
@@ -472,31 +468,25 @@ class Algebra:
         dim_r = self.weyl_dim(nu)
         big, small = (lam, nu) if dim_l >= dim_r else (nu, lam)
         small_dim = min(dim_l, dim_r)
-        # no orbit is longer than the module is wide, so the orbit sizes are
-        # needed only for a factor wider than the budget or the threshold
-        orbits = {}
-        if small_dim > budget:
-            orbits = self._orbit_sizes(small)
-            cost = sum(orbits.values())
-            if cost > budget:
-                raise BudgetError(
-                    f"tensor product V{lam} (dim {dim_l}) x V{nu} "
-                    f"(dim {dim_r}): Klimyk would visit {cost} distinct "
-                    f"weights of the smaller factor, exceeding the budget "
-                    f"{budget}",
-                    pair=(Weight(lam), Weight(nu)), cost=cost, budget=budget)
+        orbits = self._orbit_sizes(small)
+        cost = sum(orbits.values())
+        if cost > budget:
+            raise BudgetError(
+                f"tensor product V{lam} (dim {dim_l}) x V{nu} "
+                f"(dim {dim_r}): Klimyk would visit {cost} distinct "
+                f"weights of the smaller factor, exceeding the budget "
+                f"{budget}",
+                pair=(Weight(lam), Weight(nu)), cost=cost, budget=budget)
         key = (lam, nu) if lam <= nu else (nu, lam)
         cached = self._tensor.get(key)
         if cached is not None:
             return cached
-        if not orbits and small_dim >= _ARRAY_MIN_ORBIT:
-            orbits = self._orbit_sizes(small)
         shifted = tuple(x + 1 for x in big)
         table = self.freudenthal(small)
         bits = self._lane_width(small, self._label_bound(big, small))
         # the kernel's keys are uint64 and its signed sums, bounded by the
         # small factor's dimension, int64
-        if (orbits and max(orbits.values()) >= _ARRAY_MIN_ORBIT
+        if (max(orbits.values()) >= _ARRAY_MIN_ORBIT
                 and self.rank * bits <= 64 and small_dim < 1 << 63):
             acc = _klimyk_array(self, table, orbits, shifted, bits)
         else:
@@ -678,10 +668,10 @@ def _klimyk_array(alg, table, orbits, shifted, bits: int) -> dict:
         s += top
         keys, signed = [], []
         while len(s):
-            y = s ^ highs
-            off = ((y - lows) & ~y & highs) == 0
-            done = (s & highs) == highs
-            keep = off & done
+            # y = S ^ highs has a zero lane iff (y - lows) & ~y & highs is
+            # nonzero, and ~y & highs = S & highs
+            off = ((s ^ highs) - lows) & s & highs == 0
+            keep = off & ((s & highs) == highs)
             keys.append(s[keep])
             signed.append(vals[keep])
             rest = off ^ keep

@@ -1,4 +1,4 @@
-"""Cartan matrices, exact inverses, positive roots and inner products.
+"""Cartan matrices, their integer adjugates and positive roots.
 
 Conventions: ``A[i][j]`` is the pairing of simple root ``α_{i+1}`` with the
 coroot ``α_{j+1}`` (so row ``i`` holds the Dynkin labels of ``α_{i+1}``),
@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 __all__ = [
     "Weight",
@@ -26,10 +26,6 @@ __all__ = [
     "CartanMatrix",
     "RationalMatrix",
     "build_cartan",
-    "inverse_cartan",
-    "positive_roots",
-    "weyl_vector",
-    "inner_product",
 ]
 
 
@@ -42,10 +38,6 @@ class Weight(tuple):
     @property
     def rank(self) -> int:
         return len(self)
-
-    @property
-    def is_dominant(self) -> bool:
-        return all(x >= 0 for x in self)
 
     def __repr__(self):
         return f"Weight({','.join(str(x) for x in self)})"
@@ -90,27 +82,31 @@ class RationalMatrix:
         }
 
 
-def _invert_exact(entries):
-    """Gauss-Jordan over Fraction; returns (inverse rows, determinant)."""
-    n = len(entries)
-    aug = [[Fraction(entries[i][j]) for j in range(n)] +
-           [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None, Fraction(0)
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug], det
+def _adjugate(rows):
+    """``(det, adj)`` of an integer matrix whose leading principal minors
+    are all positive, by fraction-free Gauss-Jordan elimination (E. H.
+    Bareiss, Math. Comp. 22, 1968).
+
+    The pivot of step k is the leading principal minor of order k + 1, and
+    every division is exact.  For a symmetrizable Cartan matrix the minors
+    are all positive exactly when it is of finite type, so a pivot <= 0
+    raises ``ValueError``.
+    """
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        pivot, top = aug[k][k], aug[k]
+        if pivot <= 0:
+            raise ValueError("matrix is not of finite type (leading "
+                             f"principal minor of order {k + 1} is {pivot})")
+        for i, row in enumerate(aug):
+            if i != k:
+                aug[i] = [(pivot * x - row[k] * y) // prev
+                          for x, y in zip(row, top)]
+        prev = pivot
+    return prev, tuple(tuple(row[n:]) for row in aug)
 
 
 _TYPE_RE = re.compile(r"^\s*([A-Ga-g])\s*[-_ ]?\s*(\d+)\s*$")
@@ -187,15 +183,13 @@ class CartanMatrix:
         self.entries = rows
         self.rank = n
         self.label = label
-        inv, det = _invert_exact(rows)
-        if inv is None or det <= 0:
-            raise ValueError("matrix is not of finite type (determinant <= 0)")
-        self.determinant = det
-        self._inverse = RationalMatrix(inv)
+        self.determinant, self.adjugate = _adjugate(rows)
 
-    @property
+    @cached_property
     def inverse(self) -> RationalMatrix:
-        return self._inverse
+        det = self.determinant
+        return RationalMatrix([[Fraction(x, det) for x in row]
+                               for row in self.adjugate])
 
     @cached_property
     def symmetrizer(self) -> tuple:
@@ -306,34 +300,6 @@ def build_cartan(type_spec) -> CartanMatrix:
         n = int(m.group(2))
         return CartanMatrix(_entries_for_type(family, n), label=f"{family}{n}")
     return CartanMatrix(type_spec)
-
-
-def inverse_cartan(cartan: CartanMatrix) -> RationalMatrix:
-    return cartan.inverse
-
-
-def positive_roots(cartan: CartanMatrix) -> list:
-    return list(cartan.positive_roots)
-
-
-def weyl_vector(rank: int) -> Weight:
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    return Weight((1,) * rank)
-
-
-def inner_product(x: Sequence[int], y: Sequence[int],
-                  ainv: RationalMatrix) -> Fraction:
-    """Bilinear form sum_jk x_j y_k (A^-1)_jk on Dynkin-label vectors."""
-    n = ainv.rank
-    if len(x) != n or len(y) != n:
-        raise ValueError(f"weights must have rank {n}")
-    total = Fraction(0)
-    for j, xj in enumerate(x):
-        if xj:
-            row = ainv.entries[j]
-            total += xj * sum(int(yk) * row[k] for k, yk in enumerate(y) if yk)
-    return total
 
 
 def roots_to_json(roots) -> list:

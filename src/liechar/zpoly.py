@@ -146,9 +146,6 @@ class ZPolynomial:
     def __len__(self):
         return len(self._terms)
 
-    def total_degree(self) -> int:
-        return max(map(sum, _unpack_all(self.rank, self._terms)), default=0)
-
     def sorted_terms(self):
         """Terms in canonical emission order."""
         keys = sorted(self._terms)

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from liechar import (Algebra, BudgetError, CharacterCache,
                      OperatorIncompleteError, RankMismatchError, ZPolynomial,
-                     a_coeff, apply_delta1, b_coeffs, build_delta1, epsilon,
+                     a_coeff, b_coeffs, build_delta1, epsilon,
                      ground_energy, level_energy, parse_poly)
 
 E8_B = (192, 288, 392, 600, 480, 360, 240, 120)
@@ -206,10 +206,6 @@ class TestOperator:
         assert data["b"] == [str(x) for x in E8_B]
         assert data["a"][0]["j"] == 8 and data["a"][0]["provenance"] == \
             "loaded-from-fixture"
-
-    def test_apply_delta1_alias(self, partial_op):
-        p = ZPolynomial.variable(8, 8)
-        assert apply_delta1(partial_op, p) == partial_op.apply(p)
 
     def test_monomials_bounded_by_top_weight(self, e8, e8_build):
         # regression: every monomial of a_jk lies below λ_j + λ_k in

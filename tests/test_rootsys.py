@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from liechar import (CartanMatrix, build_cartan, inner_product,
-                     inverse_cartan, positive_roots, weyl_vector)
+from liechar import Algebra, CartanMatrix, build_cartan
 
 E8_EXPECTED = [
     [2, 0, -1, 0, 0, 0, 0, 0],
@@ -56,6 +55,8 @@ class TestBuild:
         [[2, -1], [0, 2]],            # asymmetric zero pattern
         [[2, -2], [-2, 2]],           # determinant 0 (affine)
         [[2, -1], [-5, 2]],           # determinant < 0
+        # det 25 > 0, but two hyperbolic blocks: minor of order 2 is -5
+        [[2, -3, 0, 0], [-3, 2, 0, 0], [0, 0, 2, -3], [0, 0, -3, 2]],
     ])
     def test_invalid_matrices(self, entries):
         with pytest.raises(ValueError):
@@ -68,10 +69,10 @@ ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "C4", "D4", "D5",
 
 class TestInverse:
     def test_a1(self):
-        assert inverse_cartan(build_cartan("A1")).entries == ((Fraction(1, 2),),)
+        assert build_cartan("A1").inverse.entries == ((Fraction(1, 2),),)
 
     def test_a2(self):
-        inv = inverse_cartan(build_cartan("A2"))
+        inv = build_cartan("A2").inverse
         third = Fraction(1, 3)
         assert inv.entries == ((2 * third, third), (third, 2 * third))
 
@@ -84,6 +85,10 @@ class TestInverse:
             for j in range(n):
                 value = sum(cm.entries[i][k] * inv.entries[k][j] for k in range(n))
                 assert value == (1 if i == j else 0)
+                value = sum(cm.entries[i][k] * cm.adjugate[k][j]
+                            for k in range(n))
+                assert type(value) is int
+                assert value == (cm.determinant if i == j else 0)
 
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_against_sympy(self, name):
@@ -103,11 +108,11 @@ class TestInverse:
 class TestRoots:
     @pytest.mark.parametrize("name,count", sorted(ROOT_COUNTS.items()))
     def test_counts(self, name, count):
-        assert len(positive_roots(build_cartan(name))) == count
+        assert len(build_cartan(name).positive_roots) == count
 
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_coefficients_nonnegative(self, name):
-        for root in positive_roots(build_cartan(name)):
+        for root in build_cartan(name).positive_roots:
             assert all(c >= 0 for c in root.coeffs)
 
     @pytest.mark.parametrize("name", ALL_TYPES)
@@ -134,52 +139,49 @@ class TestRoots:
 
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_deterministic_order(self, name):
-        roots = positive_roots(build_cartan(name))
+        roots = build_cartan(name).positive_roots
         keyed = [(r.height, r.coeffs) for r in roots]
         assert keyed == sorted(keyed)
 
 
 class TestInnerProduct:
     def test_zero_vector(self):
-        inv = build_cartan("D4").inverse
-        assert inner_product([0] * 4, [1, 2, 3, 4], inv) == 0
+        assert Algebra("D4").weight_form([0] * 4, [1, 2, 3, 4]) == 0
 
     def test_e8_values(self):
-        inv = build_cartan("E8").inverse
-        rho = weyl_vector(8)
+        e8 = Algebra("E8")
+        rho = e8.rho
         lam8 = [0, 0, 0, 0, 0, 0, 0, 1]
-        assert inner_product(rho, rho, inv) == 620
+        assert e8.weight_form(rho, rho) == 620
         # strange-formula cross-check: h * dim / 12 with h = 30, dim = 248
-        assert inner_product(rho, rho, inv) == Fraction(30 * 248, 12)
-        assert inner_product(lam8, rho, inv) == 29
-        assert inner_product(lam8, lam8, inv) == 2
+        assert e8.weight_form(rho, rho) == Fraction(30 * 248, 12)
+        assert e8.weight_form(lam8, rho) == 29
+        assert e8.weight_form(lam8, lam8) == 2
 
     def test_symmetry_bilinearity(self):
         rng = random.Random(7)
-        inv = build_cartan("D4").inverse
+        form = Algebra("D4").weight_form
         for _ in range(200):
             x = [rng.randint(-6, 6) for _ in range(4)]
             y = [rng.randint(-6, 6) for _ in range(4)]
             z = [rng.randint(-6, 6) for _ in range(4)]
             a = rng.randint(-3, 3)
-            assert inner_product(x, y, inv) == inner_product(y, x, inv)
+            assert form(x, y) == form(y, x)
             combo = [a * xi + zi for xi, zi in zip(x, z)]
-            assert inner_product(combo, y, inv) == \
-                a * inner_product(x, y, inv) + inner_product(z, y, inv)
+            assert form(combo, y) == a * form(x, y) + form(z, y)
 
     def test_rank_check(self):
+        a2 = Algebra("A2")
         with pytest.raises(ValueError):
-            inner_product([1], [1, 2], build_cartan("A2").inverse)
+            a2.weight_form([1], [1, 2])
+        with pytest.raises(ValueError):
+            a2.weight_form([1, 2], [1, 2, 3])
 
 
 class TestWeylVector:
     def test_values(self):
-        assert tuple(weyl_vector(1)) == (1,)
-        assert tuple(weyl_vector(8)) == (1,) * 8
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            weyl_vector(0)
+        assert tuple(Algebra("A1").rho) == (1,)
+        assert tuple(Algebra("E8").rho) == (1,) * 8
 
 
 class TestJson:
