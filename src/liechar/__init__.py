@@ -14,7 +14,7 @@ from .errors import (BudgetError, ExponentRangeError, LiecharError,
                      OperatorIncompleteError, ParseError, RankMismatchError)
 from .repth import (DEFAULT_TENSOR_BUDGET, Algebra, Decomposition,
                     WeightMultiplicityTable)
-from .rootsys import CartanMatrix, RationalMatrix, Root, Weight, build_cartan
+from .rootsys import CartanMatrix, Root, Weight, build_cartan
 from .zpoly import (FixtureRecord, ZPolynomial, format_fixture_record,
                     parse_poly, print_poly, read_fixture_file,
                     read_fixture_text)
@@ -38,7 +38,6 @@ __all__ = [
     "OperatorIncompleteError",
     "ParseError",
     "RankMismatchError",
-    "RationalMatrix",
     "Root",
     "Weight",
     "WeightMultiplicityTable",

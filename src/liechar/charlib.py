@@ -40,16 +40,16 @@ CACHE_ENV_VAR = "LIECHAR_CACHE"
 class CharacterCache:
     """Memoized (and optionally disk-backed) store of character polynomials.
 
-    Inserts are serialized and concurrent requests for the same weight
-    coalesce, so each character is computed at most once per cache.
+    One re-entrant lock is held while characters are computed, so each
+    character is computed at most once per cache; one already present is
+    read without the lock.
     """
 
     def __init__(self, algebra: Algebra, cache_dir=None):
         self.algebra = algebra
         self.rank = algebra.rank
         self._mem: dict = {}
-        self._inflight: dict = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self.cache_dir = Path(cache_dir) if cache_dir else None
         one = ZPolynomial.const(self.rank, 1)
         self._mem[(0,) * self.rank] = one
@@ -71,67 +71,45 @@ class CharacterCache:
     def _get(self, m: tuple) -> ZPolynomial:
         """The character of ``m``, computing first every character it needs.
 
-        A worklist stands in for recursion, so dominance chains of any
-        depth leave the interpreter's recursion limit alone.  The weight on
-        top is claimed, then read from disk or expanded once every
-        character its expansion names is present; until then those are
-        pushed above it.  A weight claimed by another thread is waited for.
+        A character already present is returned without taking the lock.
+        Otherwise the lock is held while a worklist stands in for recursion,
+        so dominance chains of any depth leave the interpreter's recursion
+        limit alone: the weight on top is read from disk or expanded once
+        every character its expansion names is present; until then those
+        are pushed above it.  The lock is re-entrant because
+        :meth:`_expand` reads its constituents through this method.
         """
-        stack = [m]
-        held: dict = {}  # claimed weight -> its plan, once made
-        try:
+        hit = self._mem.get(m)
+        if hit is not None:
+            return hit
+        with self._lock:
+            stack = [m]
+            plans: dict = {}
             while stack:
                 w = stack[-1]
-                poly = None
-                if w not in held:
-                    if self._claim(w) is not None:
+                if w in self._mem:
+                    stack.pop()
+                    continue
+                plan = plans.get(w)
+                if plan is None:
+                    poly = self._load_from_disk(w)
+                    if poly is not None:
+                        self._mem[w] = poly
                         stack.pop()
                         continue
-                    held[w] = None  # claimed: released below, or on an error
-                    poly = self._load_from_disk(w)
-                    if poly is None:
-                        held[w] = self._plan(w)
-                if poly is None:
-                    # the characters that _expand reads for w
-                    _, nu, dec = held[w]
-                    missing = [x for x in (nu, *map(tuple, dec.entries))
-                               if x != w and x not in self._mem]
-                    if missing:
-                        stack.extend(reversed(missing))
-                        continue
-                    poly = self._expand(w, held[w])
-                    self._store_to_disk(w, poly)
-                del held[w]
-                self._release(w, poly)
+                    plan = plans[w] = self._plan(w)
+                # the characters that _expand reads for w
+                _, nu, dec = plan
+                missing = [x for x in (nu, *map(tuple, dec.entries))
+                           if x != w and x not in self._mem]
+                if missing:
+                    stack.extend(reversed(missing))
+                    continue
+                poly = self._expand(w, plans.pop(w))
+                self._store_to_disk(w, poly)
+                self._mem[w] = poly
                 stack.pop()
-        finally:
-            for w in held:
-                self._release(w)
-        return self._mem[m]
-
-    def _claim(self, m: tuple) -> ZPolynomial | None:
-        """The character of ``m`` if present, else None with ``m`` claimed.
-
-        Waits while another thread holds the claim on ``m``.
-        """
-        while True:
-            with self._lock:
-                hit = self._mem.get(m)
-                if hit is not None:
-                    return hit
-                event = self._inflight.get(m)
-                if event is None:
-                    self._inflight[m] = threading.Event()
-                    return None
-            event.wait()
-
-    def _release(self, m: tuple, poly: ZPolynomial | None = None):
-        """Store ``poly`` (unless None) and wake the threads waiting on ``m``."""
-        with self._lock:
-            if poly is not None:
-                self._mem[m] = poly
-            event = self._inflight.pop(m)
-        event.set()
+            return self._mem[m]
 
     def _split_index(self, m: tuple) -> int:
         alg = self.algebra

@@ -171,8 +171,6 @@ def _cmd_bcoeffs(args, parser):
 def _cmd_acoeff(args, parser):
     algebra = _algebra(args)
     j, k = args.j, args.k
-    if not (1 <= j <= algebra.rank and 1 <= k <= algebra.rank):
-        raise LiecharError(f"indices ({j}, {k}) out of range 1..{algebra.rank}")
     poly = csop.a_coeff(algebra, j, k, _cache(args, algebra))
     _emit(args,
           [f"a[{min(j, k)},{max(j, k)}] = {print_poly(poly)}"],

@@ -93,10 +93,10 @@ def a_coeff(algebra: Algebra, j: int, k: int, char_provider) -> ZPolynomial:
     ``character_poly(m)`` for every constituent; the recursion terminates
     because each constituent lies strictly below λ_j + λ_k.
     """
-    _require_simply_laced(algebra)
     rank = algebra.rank
     if not (1 <= j <= rank and 1 <= k <= rank):
         raise ValueError(f"indices ({j}, {k}) out of range 1..{rank}")
+    _require_simply_laced(algebra)
     lam_j = algebra.fundamental(j)
     lam_k = algebra.fundamental(k)
     terms = [(mult * _epsilon_int(algebra, mu), char_provider.character_poly(mu),

@@ -28,7 +28,6 @@ on the loop.
 
 from __future__ import annotations
 
-import threading
 from array import array
 from fractions import Fraction
 from itertools import compress
@@ -201,7 +200,6 @@ class Algebra:
         self._tensor: dict = {}
         self._weight_systems: dict = {}
         self._orbit_tables: dict = {}
-        self._lock = threading.RLock()
 
     # -- basics ---------------------------------------------------------
 
@@ -349,8 +347,7 @@ class Algebra:
         value, remainder = divmod(numerator, self._dim_denominator)
         if remainder:
             raise AssertionError(f"non-integral dimension for {w}")
-        with self._lock:
-            self._dims[w] = value
+        self._dims[w] = value
         return value
 
     def weyl_order(self) -> int:
@@ -434,8 +431,7 @@ class Algebra:
                 raise AssertionError(f"bad Freudenthal multiplicity at {mu}")
             mults[mu] = value
         table = WeightMultiplicityTable(Weight(lam), mults)
-        with self._lock:
-            self._freudenthal[lam] = table
+        self._freudenthal[lam] = table
         return table
 
     def _shifted_norm(self, w) -> int:
@@ -501,8 +497,7 @@ class Algebra:
             raise AssertionError("highest component must appear exactly once")
         # constituents whose signed sum cancelled are dropped
         result = Decomposition({Weight(w): m for w, m in acc.items() if m})
-        with self._lock:
-            self._tensor[key] = result
+        self._tensor[key] = result
         return result
 
     def _orbit_sizes(self, highest) -> dict:
@@ -512,8 +507,7 @@ class Algebra:
             return cached
         sizes = {mu: self.orbit_size(mu)
                  for mu in self.freudenthal(highest).entries}
-        with self._lock:
-            self._orbit_tables[highest] = sizes
+        self._orbit_tables[highest] = sizes
         return sizes
 
     def _label_bound(self, big, small) -> int:
@@ -556,8 +550,7 @@ class Algebra:
                 raise AssertionError(f"orbit of {mu} has {len(keys)} "
                                      f"weights, expected {sizes[mu]}")
             entry.append((mult, keys, parts, ids))
-        with self._lock:
-            self._weight_systems[(lam, bits)] = entry
+        self._weight_systems[(lam, bits)] = entry
         return entry
 
     def _klimyk_loop(self, table, shifted, bits: int) -> dict:

@@ -24,7 +24,6 @@ __all__ = [
     "Weight",
     "Root",
     "CartanMatrix",
-    "RationalMatrix",
     "build_cartan",
 ]
 
@@ -52,34 +51,6 @@ class Root(NamedTuple):
     @property
     def height(self) -> int:
         return sum(self.coeffs)
-
-
-class RationalMatrix:
-    """Square matrix of exact rationals (holds inverse Cartan matrices)."""
-
-    __slots__ = ("entries", "rank")
-
-    def __init__(self, entries):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix must be square")
-        self.entries = rows
-        self.rank = len(rows)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"RationalMatrix({self.entries!r})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "entries": [[str(x) for x in row] for row in self.entries],
-        }
 
 
 def _adjugate(rows):
@@ -184,12 +155,6 @@ class CartanMatrix:
         self.rank = n
         self.label = label
         self.determinant, self.adjugate = _adjugate(rows)
-
-    @cached_property
-    def inverse(self) -> RationalMatrix:
-        det = self.determinant
-        return RationalMatrix([[Fraction(x, det) for x in row]
-                               for row in self.adjugate])
 
     @cached_property
     def symmetrizer(self) -> tuple:

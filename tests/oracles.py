@@ -8,6 +8,8 @@ is deliberately independent of the package's Freudenthal/Klimyk code paths.
 
 from fractions import Fraction
 
+import sympy
+
 
 # -- Laurent polynomials as plain dicts (label tuple -> int) ----------------
 
@@ -147,10 +149,12 @@ def dim_of(alg, lam):
 
 
 def invariant_form(alg, x, y):
-    """sum_jk x_j y_k d_j (A^-1)_kj, from the symmetrizer and the inverse."""
+    """sum_jk x_j y_k d_j (A^-1)_kj, with A^-1 inverted by sympy."""
     d = alg.cartan.symmetrizer
-    ainv = alg.cartan.inverse.entries
+    inv = sympy.Matrix(alg.cartan.entries).inv()
     n = alg.rank
+    ainv = [[Fraction(int(inv[k, j].p), int(inv[k, j].q)) for j in range(n)]
+            for k in range(n)]
     return sum((x[j] * y[k] * d[j] * ainv[k][j]
                 for j in range(n) for k in range(n)), Fraction(0))
 

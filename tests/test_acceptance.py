@@ -145,8 +145,10 @@ def test_criterion_6_dimension_identity(e8, e8_build, order2_chars,
 def test_criterion_7_structural_constants(e8, capsys):
     start = time.monotonic()
     assert len(e8.roots) == 120
-    ainv = e8.cartan.inverse.entries
-    # (ρ, ρ) = sum_jk (A^-1)_jk for the simply laced E8
+    # E8 is unimodular, so its adjugate is A^-1, and (ρ, ρ) = sum_jk
+    # (A^-1)_jk for the simply laced E8
+    assert e8.cartan.determinant == 1
+    ainv = e8.cartan.adjugate
     assert sum(map(sum, ainv)) == 620
     for kappa in (0, 1, 2, 7):
         assert ground_energy(e8, kappa) == 1240 * kappa ** 2

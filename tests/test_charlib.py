@@ -55,7 +55,8 @@ class TestRecursion:
         assert tuple(err.value.pair[0]) == (0, 0, 0, 1, 0, 0, 0, 0)
 
     def test_failure_releases_every_claim(self, monkeypatch):
-        # (3,3) claims (3,3), (2,3), (1,3) and (0,3) before V_λ2 ⊗ V_(0,2)
+        # (3,3) plans (3,3), (2,3), (1,3) and (0,3) before V_λ2 ⊗ V_(0,2),
+        # and the failure leaves none of them stored
         alg = Algebra("A2")
         cache = CharacterCache(alg)
         decompose = alg.tensor_decompose
@@ -68,7 +69,6 @@ class TestRecursion:
         monkeypatch.setattr(alg, "tensor_decompose", failing)
         with pytest.raises(BudgetError):
             cache.character_poly((3, 3))
-        assert not cache._inflight
         assert (0, 3) not in cache._mem
         monkeypatch.undo()
         assert cache.character_poly((3, 3)) == \
@@ -304,7 +304,43 @@ class TestConcurrency:
             assert answers == {m: reference.character_poly(m)
                                for m in targets}
         assert len(calls) == len(set(calls))
-        assert not cache._inflight
+
+    def test_present_character_read_during_expansion(self):
+        # a cached character comes back while another thread holds the
+        # lock inside an expansion
+        import threading
+        cache = CharacterCache(Algebra("A2"))
+        present = cache.character_poly((1, 1))
+        entered, release = threading.Event(), threading.Event()
+        original = cache._expand
+
+        def blocking_expand(m, plan):
+            if m == (3, 3):
+                entered.set()
+                release.wait(timeout=60)
+            return original(m, plan)
+
+        cache._expand = blocking_expand
+        results = {}
+        holder = threading.Thread(target=lambda: results.update(
+            held=cache.character_poly((3, 3))))
+        reader = threading.Thread(target=lambda: results.update(
+            read=cache.character_poly((1, 1))))
+        holder.start()
+        try:
+            assert entered.wait(timeout=60)
+            reader.start()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+            assert results["read"] is present
+        finally:
+            release.set()
+            holder.join(timeout=60)
+            if reader.ident is not None:
+                reader.join(timeout=60)
+        assert not holder.is_alive() and not reader.is_alive()
+        assert results["held"] == \
+            CharacterCache(Algebra("A2")).character_poly((3, 3))
 
 
 class TestPersistence:
@@ -337,18 +373,40 @@ class TestPersistence:
         assert fresh.character_poly((2, 2)) == chi
 
     def test_rejected_entry_is_logged(self, tmp_path, caplog):
+        # each rejected entry is logged with its reason, then recomputed
+        # and overwritten
         a2 = Algebra("A2")
         chi = CharacterCache(a2, cache_dir=tmp_path).character_poly((2, 2))
         stored = tmp_path / "a2" / "2-2.chi"
         text = stored.read_text()
-        stored.write_text(text[:len(text) // 2])
-        with caplog.at_level(logging.DEBUG, logger="liechar"):
-            fresh = CharacterCache(a2, cache_dir=tmp_path)
-            assert fresh.character_poly((2, 2)) == chi
-        assert len(caplog.records) == 1
-        assert caplog.records[0].levelno == logging.DEBUG
-        assert str(stored) in caplog.records[0].getMessage()
-        assert stored.read_text() == text
+        cases = [
+            (text[:len(text) // 2], "ParseError"),
+            (text + "\n" + text, "2 records, expected 1"),
+            ("chi[1,1] = z1*z2\n", "record chi[1, 1] is not chi[2, 2]"),
+            # valid, but 3^2 * 3^2 = 81 at the fundamental dimensions, not 27
+            ("chi[2,2] = z1^2*z2^2\n", "dimension identity fails"),
+        ]
+        for content, reason in cases:
+            stored.write_text(content)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="liechar"):
+                fresh = CharacterCache(a2, cache_dir=tmp_path)
+                assert fresh.character_poly((2, 2)) == chi
+            assert len(caplog.records) == 1
+            assert caplog.records[0].levelno == logging.DEBUG
+            message = caplog.records[0].getMessage()
+            assert str(stored) in message and reason in message
+            assert stored.read_text() == text
+
+    def test_unlabelled_matrix_key(self, tmp_path):
+        import hashlib
+        digest = hashlib.sha256(b"2,-1,-1,2").hexdigest()[:10]
+        cache = CharacterCache(Algebra([[2, -1], [-1, 2]]), cache_dir=tmp_path)
+        chi = cache.character_poly((2, 2))
+        assert (tmp_path / f"r2-{digest}" / "2-2.chi").is_file()
+        fresh = CharacterCache(Algebra([[2, -1], [-1, 2]]), cache_dir=tmp_path)
+        fresh._expand = None  # a read back needs no expansion
+        assert fresh.character_poly((2, 2)) == chi
 
     def test_interrupted_write_leaves_no_entry(self, tmp_path, monkeypatch):
         a2 = Algebra("A2")

@@ -9,6 +9,7 @@ import pytest
 import liechar
 from liechar import parse_poly
 from liechar.cli import main
+from conftest import ORDER2_FILE
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +121,13 @@ class TestOperatorCommands:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("algebra,rank", [("E8", 8), ("B3", 3)])
+    def test_acoeff_index_out_of_range(self, capsys, algebra, rank):
+        # the index is checked before the algebra's type, so B3 names it too
+        code, out, err = run_cli(capsys, "acoeff", algebra, "9", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: indices (9, 1) out of range 1..{rank}\n"
+
     def test_delta1_apply_flag_and_stdin(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "delta1-apply", "E8", "--poly", "z8")
         assert (code, out) == (0, "120*z8\n")
@@ -177,6 +185,40 @@ class TestFixturesCheck:
         assert code == 0
         assert "recompute=SKIP" in out
         assert "1 recomputations skipped over budget" in out
+
+
+    def test_fixtures_flag_reads_the_operator_file(self, capsys, tmp_path):
+        # the A1 operator is b[1] = 3*z1, a[1,1] = -4 + z1^2
+        chars = tmp_path / "a1.chi"
+        chars.write_text("chi[2] = -1 + z1^2\n\nchi[3] = -2*z1 + z1^3\n")
+        table = tmp_path / "a1_operator.txt"
+        table.write_text("b[1] = 3*z1\n\na[1,1] = -4 + z1^2\n")
+        code, out, _ = run_cli(capsys, "fixtures-check", str(chars), "A1",
+                               "--fixtures", str(table))
+        assert code == 0
+        assert out.splitlines()[-1] == "checked 2 records: 2 pass, 0 fail"
+        table.write_text("b[1] = 3*z1\n\na[1,1] = -3 + z1^2\n")
+        code, out, _ = run_cli(capsys, "fixtures-check", str(chars), "A1",
+                               "--fixtures", str(table))
+        assert code == 1
+        assert out.splitlines() == [
+            "chi[2]: dim=PASS eigen=FAIL recompute=PASS",
+            "chi[3]: dim=PASS eigen=FAIL recompute=PASS",
+            "checked 2 records: 0 pass, 2 fail"]
+
+    def test_no_fixtures_computes_the_operator(self, capsys):
+        # under a budget of one weight, the packaged tables still give the
+        # operator, and computing it is refused
+        code, out, _ = run_cli(capsys, "fixtures-check", str(ORDER2_FILE),
+                               "E8", "--budget", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "checked 36 records: 36 pass, 0 fail "
+            "(36 recomputations skipped over budget)")
+        code, out, err = run_cli(capsys, "fixtures-check", str(ORDER2_FILE),
+                                 "E8", "--no-fixtures", "--budget", "1")
+        assert (code, out) == (3, "")
+        assert "exceeding the budget 1" in err
 
 
 class TestExitCodes:

@@ -951,3 +951,44 @@ class TestWeightSystemCache:
                             lambda self, w: orbit_size(self, w) + 1)
         with pytest.raises(AssertionError, match="orbit of"):
             Algebra("A2").tensor_decompose((1, 1), (1, 0))
+
+
+class TestSharedAlgebra:
+    def test_threads_on_one_algebra(self):
+        # eight threads share one Algebra's memo tables, switching every 10
+        # microseconds; each answer is that of a fresh single-threaded one
+        import threading
+        rng = random.Random(37)
+        weights = [tuple(rng.randint(0, 2) for _ in range(3))
+                   for _ in range(10)]
+        shared = Algebra("A3")
+        results = [None] * 8
+
+        def worker(idx):
+            pick = random.Random(idx).choice
+            out = []
+            for _ in range(12):
+                lam, nu = pick(weights), pick(weights)
+                out.append((lam, nu, shared.tensor_decompose(lam, nu),
+                            shared.freudenthal(lam), shared.weyl_dim(nu)))
+            results[idx] = out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        reference = Algebra("A3")
+        for out in results:
+            assert out is not None and len(out) == 12
+            for lam, nu, product, table, dim in out:
+                assert product == reference.tensor_decompose(lam, nu)
+                assert table == reference.freudenthal(lam)
+                assert dim == reference.weyl_dim(nu)

@@ -68,23 +68,21 @@ ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "C4", "D4", "D5",
 
 
 class TestInverse:
+    # the inverse is held as (det A, adj A), adj A = det A · A^-1
     def test_a1(self):
-        assert build_cartan("A1").inverse.entries == ((Fraction(1, 2),),)
+        cm = build_cartan("A1")
+        assert (cm.determinant, cm.adjugate) == (2, ((1,),))
 
     def test_a2(self):
-        inv = build_cartan("A2").inverse
-        third = Fraction(1, 3)
-        assert inv.entries == ((2 * third, third), (third, 2 * third))
+        cm = build_cartan("A2")
+        assert (cm.determinant, cm.adjugate) == (3, ((2, 1), (1, 2)))
 
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_exactness(self, name):
         cm = build_cartan(name)
-        inv = cm.inverse
         n = cm.rank
         for i in range(n):
             for j in range(n):
-                value = sum(cm.entries[i][k] * inv.entries[k][j] for k in range(n))
-                assert value == (1 if i == j else 0)
                 value = sum(cm.entries[i][k] * cm.adjugate[k][j]
                             for k in range(n))
                 assert type(value) is int
@@ -93,16 +91,14 @@ class TestInverse:
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_against_sympy(self, name):
         cm = build_cartan(name)
-        oracle = sympy.Matrix(cm.entries).inv()
-        for i in range(cm.rank):
-            for j in range(cm.rank):
-                entry = oracle[i, j]
-                assert cm.inverse.entries[i][j] == Fraction(int(entry.p), int(entry.q))
+        oracle = sympy.Matrix(cm.entries)
+        assert cm.determinant == oracle.det()
+        assert sympy.Matrix(cm.adjugate) == oracle.adjugate()
 
     def test_e8_integral_unimodular(self):
         cm = build_cartan("E8")
         assert cm.determinant == 1
-        assert all(x.denominator == 1 for row in cm.inverse.entries for x in row)
+        assert all(type(x) is int for row in cm.adjugate for x in row)
 
 
 class TestRoots:
@@ -133,8 +129,8 @@ class TestRoots:
         for root in cm.positive_roots:
             for i, c in enumerate(root.coeffs):
                 total[i] += c
-        rho_coords = [
-            sum(cm.inverse.entries[k][m] for k in range(n)) for m in range(n)]
+        rho_coords = [Fraction(sum(cm.adjugate[k][m] for k in range(n)),
+                               cm.determinant) for m in range(n)]
         assert [2 * x for x in rho_coords] == total
 
     @pytest.mark.parametrize("name", ALL_TYPES)
@@ -189,7 +185,3 @@ class TestJson:
         data = build_cartan("A2").to_json_dict()
         assert data["entries"] == [["2", "-1"], ["-1", "2"]]
         assert data["type"] == "A2"
-
-    def test_inverse_entries(self):
-        data = build_cartan("A2").inverse.to_json_dict()
-        assert data["entries"][0][0] == "2/3"
