@@ -7,9 +7,8 @@ many-body operator that is diagonal on them.
 """
 
 from .charlib import (CACHE_ENV_VAR, CharacterCache, DimReport, EigenReport,
-                      dim_identity, load_fixtures, verify_eigen)
-from .csop import (Delta1Operator, a_coeff, b_coeffs, build_delta1, epsilon,
-                   ground_energy, level_energy)
+                      dim_identity, verify_eigen)
+from .csop import Delta1Operator, a_coeff, b_coeffs, build_delta1, epsilon
 from .errors import (BudgetError, ExponentRangeError, LiecharError,
                      OperatorIncompleteError, ParseError, RankMismatchError)
 from .repth import (DEFAULT_TENSOR_BUDGET, Algebra, Decomposition,
@@ -49,9 +48,6 @@ __all__ = [
     "dim_identity",
     "epsilon",
     "format_fixture_record",
-    "ground_energy",
-    "level_energy",
-    "load_fixtures",
     "parse_poly",
     "print_poly",
     "read_fixture_file",

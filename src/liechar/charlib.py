@@ -30,7 +30,6 @@ __all__ = [
     "DimReport",
     "verify_eigen",
     "dim_identity",
-    "load_fixtures",
     "CACHE_ENV_VAR",
 ]
 
@@ -236,7 +235,7 @@ def verify_eigen(algebra: Algebra, m, chi: ZPolynomial,
     m = algebra._check_dominant(m)
     expected = epsilon(algebra, m, 1)
     if expected.denominator != 1:
-        raise AssertionError("eigenvalue is not integral")
+        raise ValueError(f"eps_{m}(1) = {expected} is not integral")
     expected = int(expected)
     residual = operator.apply(chi) - expected * chi
     return EigenReport(Weight(m), expected, residual.is_zero, residual)
@@ -248,15 +247,6 @@ def dim_identity(algebra: Algebra, m, chi: ZPolynomial) -> DimReport:
     point = [algebra.weyl_dim(algebra.fundamental(i))
              for i in range(1, algebra.rank + 1)]
     return DimReport(Weight(m), chi.evaluate(point), algebra.weyl_dim(m))
-
-
-def load_fixtures(path, rank: int) -> dict:
-    """Character records of a fixture file, keyed by weight."""
-    out = {}
-    for record in read_fixture_file(path, rank):
-        if record.kind == "chi":
-            out[Weight(record.index)] = record.poly
-    return out
 
 
 def default_cache_dir() -> Path | None:

@@ -7,10 +7,11 @@ in the fundamental characters as
     sum_{j,k} a_jk(z) d_j d_k  +  sum_j b_j z_j d_j,
 
 with b_j = eps_j(1) and the a_jk obtained by applying the operator to the
-Clebsch-Gordan expansion of z_j z_k.  The energies are taken in the
-Weyl-invariant form ( , ) of :meth:`Algebra.weight_form`, long roots of
-norm 2: E_m = 2 (m + kappa rho, m + kappa rho), and the excitation energies
-eps_m(kappa) = E_m - E_0 are exact rationals for rational kappa.
+Clebsch-Gordan expansion of z_j z_k.  With E_m = 2 (m + kappa rho,
+m + kappa rho) in the Weyl-invariant form ( , ) of
+:meth:`Algebra.weight_form`, long roots of norm 2, the excitation energies
+eps_m(kappa) = E_m - E_0 = 2 (m, m) + 4 kappa (m, rho) are exact rationals
+for rational kappa.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from typing import Iterable
 
 from .errors import OperatorIncompleteError, RankMismatchError
 from .repth import Algebra
-from .zpoly import ZPolynomial, print_poly
+from .zpoly import ZPolynomial
 
 __all__ = [
     "epsilon",
-    "ground_energy",
-    "level_energy",
     "b_coeffs",
     "a_coeff",
     "Delta1Operator",
@@ -38,22 +37,6 @@ def epsilon(algebra: Algebra, m, kappa=1) -> Fraction:
     m = algebra._check_weight(m)
     return (2 * algebra.weight_form(m, m)
             + 4 * Fraction(kappa) * algebra.weight_form(m, algebra.rho))
-
-
-def ground_energy(algebra: Algebra, kappa) -> Fraction:
-    """E_0 = 2 (kappa rho, kappa rho)."""
-    return 2 * algebra.weight_form(algebra.rho, algebra.rho) * Fraction(kappa) ** 2
-
-
-def level_energy(algebra: Algebra, m, kappa) -> Fraction:
-    """E_m = 2 (m + kappa rho, m + kappa rho); E_m - E_0 = eps_m exactly.
-
-    With kappa = p/q, q (m + kappa rho) = q m + p rho is a label vector.
-    """
-    kappa = Fraction(kappa)
-    q = kappa.denominator
-    x = [q * mj + kappa.numerator for mj in algebra._check_weight(m)]
-    return 2 * algebra.weight_form(x, x) / q ** 2
 
 
 def _epsilon_int(algebra: Algebra, m) -> int:
@@ -150,9 +133,6 @@ class Delta1Operator(_Record):
         self.entries = {} if entries is None else entries
         self.provenance = {} if provenance is None else provenance
 
-    def has(self, j: int, k: int) -> bool:
-        return (min(j, k), max(j, k)) in self.entries
-
     def a(self, j: int, k: int) -> ZPolynomial:
         pair = (min(j, k), max(j, k))
         entry = self.entries.get(pair)
@@ -160,9 +140,6 @@ class Delta1Operator(_Record):
             raise OperatorIncompleteError(
                 f"coefficient a[{pair[0]},{pair[1]}] is not populated", pair=pair)
         return entry
-
-    def populated_pairs(self):
-        return sorted(self.entries)
 
     def apply(self, p: ZPolynomial) -> ZPolynomial:
         """sum_{j<=k} a_jk d_j d_k p + sum_j b_j z_j d_j p, exactly.
@@ -188,21 +165,6 @@ class Delta1Operator(_Record):
 
         return ZPolynomial.combine(self.rank, terms())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "b": [str(x) for x in self.b],
-            "a": [
-                {
-                    "j": j,
-                    "k": k,
-                    "provenance": self.provenance[(j, k)],
-                    "poly": print_poly(self.entries[(j, k)]),
-                }
-                for (j, k) in self.populated_pairs()
-            ],
-        }
-
 
 def _pairs_by_cost(algebra: Algebra, pairs):
     def cost(pair):
@@ -224,7 +186,6 @@ def build_delta1(algebra: Algebra, char_provider=None,
     ``fixture_records``, and pairs they lack stay unpopulated.  Fixture b
     records, when present, must agree with the computed values.
     """
-    _require_simply_laced(algebra)
     rank = algebra.rank
     b = b_coeffs(algebra)
     fixture_a: dict = {}

@@ -32,7 +32,7 @@ from array import array
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterator
 
 from .errors import BudgetError
@@ -210,7 +210,12 @@ class Algebra:
         return Weight(1 if k == index - 1 else 0 for k in range(self.rank))
 
     def _check_weight(self, w) -> tuple:
-        t = tuple(int(x) for x in w)
+        w = tuple(w)
+        try:
+            t = tuple(map(index, w))
+        except TypeError:
+            raise ValueError(
+                f"weight {w} has a label that is not an integer") from None
         if len(t) != self.rank:
             raise ValueError(f"weight {t} does not have rank {self.rank}")
         return t
@@ -237,23 +242,13 @@ class Algebra:
         y = self._check_weight(y)
         return Fraction(self._form(x, y), self._unit)
 
-    def root_coords(self, w) -> tuple:
-        """Coordinates of a label vector in the simple-root basis."""
-        w = self._check_weight(w)
-        return tuple(Fraction(sum(map(mul, w, col)), self._det)
-                     for col in self._adj_cols)
-
     def dominance_gap(self, high, low):
         """Root coords of ``high - low``; all >= 0 and integral iff low <= high."""
         high = self._check_weight(high)
         low = self._check_weight(low)
         diff = tuple(a - b for a, b in zip(high, low))
-        return self.root_coords(diff)
-
-    def is_dominance_below(self, low, high) -> bool:
-        high = self._check_weight(high)
-        low = self._check_weight(low)
-        return self._below(high, low)
+        return tuple(Fraction(sum(map(mul, diff, col)), self._det)
+                     for col in self._adj_cols)
 
     def _below(self, high: tuple, low: tuple) -> bool:
         """``low <= high`` for checked label tuples, in integers.
@@ -270,17 +265,6 @@ class Algebra:
         return True
 
     # -- reflections ------------------------------------------------------
-
-    def dominant_reflect(self, w):
-        """Reflect to the dominant chamber.
-
-        Returns ``(dominant, sign, singular)`` where sign is (-1)^reflections
-        and singular is True when the stabilizer is nontrivial (a zero label
-        in the dominant representative; for ρ-shifted inputs this is exactly
-        the wall-cancellation test).
-        """
-        v, sign = self._reflect(list(self._check_weight(w)))
-        return Weight(v), sign, 0 in v
 
     def _reflect(self, v: list) -> tuple:
         """``(dominant tuple, sign)`` of the label list ``v``.

@@ -458,7 +458,11 @@ def read_fixture_text(text: str, rank: int) -> list[FixtureRecord]:
             raise ParseError("fixture block does not start with a "
                              "chi[...]/a[...]/b[...] header", max(offset, 0))
         kind, index_text, body = m.groups()
-        index = tuple(int(x) for x in index_text.split(","))
+        try:
+            index = tuple(int(x) for x in index_text.split(","))
+        except ValueError:
+            raise ParseError(f"malformed index list [{index_text}]",
+                             text.find(block)) from None
         if kind == "chi":
             if len(index) != rank:
                 raise ParseError(

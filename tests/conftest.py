@@ -44,14 +44,19 @@ def operator_fixtures(e8):
     return SimpleNamespace(records=records, a=a, b=b)
 
 
+def _characters(path, rank):
+    return {lc.Weight(r.index): r.poly
+            for r in read_fixture_file(path, rank) if r.kind == "chi"}
+
+
 @pytest.fixture(scope="session")
 def order2_chars(e8):
-    return lc.load_fixtures(ORDER2_FILE, e8.rank)
+    return _characters(ORDER2_FILE, e8.rank)
 
 
 @pytest.fixture(scope="session")
 def higher_chars(e8):
-    return lc.load_fixtures(HIGHER_FILE, e8.rank)
+    return _characters(HIGHER_FILE, e8.rank)
 
 
 @pytest.fixture(scope="session")

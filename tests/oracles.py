@@ -148,19 +148,47 @@ def dim_of(alg, lam):
     return sum(wcf_character(alg, lam).values())
 
 
-def invariant_form(alg, x, y):
-    """sum_jk x_j y_k d_j (A^-1)_kj, with A^-1 inverted by sympy."""
-    d = alg.cartan.symmetrizer
-    inv = sympy.Matrix(alg.cartan.entries).inv()
-    n = alg.rank
-    ainv = [[Fraction(int(inv[k, j].p), int(inv[k, j].q)) for j in range(n)]
+_inverse_cache = {}
+
+
+def cartan_inverse(alg):
+    """A^-1 as rows of Fractions, inverted by sympy."""
+    key = alg.cartan.entries
+    hit = _inverse_cache.get(key)
+    if hit is None:
+        inv = sympy.Matrix(key).inv()
+        n = alg.rank
+        hit = _inverse_cache[key] = [
+            [Fraction(int(inv[k, j].p), int(inv[k, j].q)) for j in range(n)]
             for k in range(n)]
+    return hit
+
+
+def invariant_form(alg, x, y):
+    """sum_jk x_j y_k d_j (A^-1)_kj."""
+    d = alg.cartan.symmetrizer
+    ainv = cartan_inverse(alg)
+    n = alg.rank
     return sum((x[j] * y[k] * d[j] * ainv[k][j]
                 for j in range(n) for k in range(n)), Fraction(0))
 
 
+def ground_energy(alg, kappa):
+    """E_0 = 2 (kappa rho, kappa rho)."""
+    kappa_rho = [Fraction(kappa)] * alg.rank
+    return 2 * invariant_form(alg, kappa_rho, kappa_rho)
+
+
+def level_energy(alg, m, kappa):
+    """E_m = 2 (m + kappa rho, m + kappa rho)."""
+    x = [mj + Fraction(kappa) for mj in m]
+    return 2 * invariant_form(alg, x, x)
+
+
 def _height(alg, w):
-    return sum(alg.root_coords(w), Fraction(0))
+    """Sum of the simple-root coordinates of w, sum_jk w_j (A^-1)_jk."""
+    ainv = cartan_inverse(alg)
+    return sum((wj * x for wj, row in zip(w, ainv) for x in row), Fraction(0))
 
 
 def tensor_oracle(alg, lam, nu):

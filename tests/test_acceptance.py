@@ -10,8 +10,8 @@ import time
 import oracles
 from conftest import TIER1_PAIRS, TIER2_PAIRS
 from liechar import (Algebra, CharacterCache, ZPolynomial,
-                     b_coeffs, dim_identity, epsilon, ground_energy,
-                     parse_poly, print_poly, verify_eigen)
+                     b_coeffs, dim_identity, epsilon, parse_poly, print_poly,
+                     verify_eigen)
 
 E8_B_GOLDEN = (192, 288, 392, 600, 480, 360, 240, 120)
 
@@ -150,8 +150,12 @@ def test_criterion_7_structural_constants(e8, capsys):
     assert e8.cartan.determinant == 1
     ainv = e8.cartan.adjugate
     assert sum(map(sum, ainv)) == 620
+    # E_0 = 1240 κ², and E_{2λ8} - E_0 is epsilon at every coupling
+    m = (0, 0, 0, 0, 0, 0, 0, 2)
     for kappa in (0, 1, 2, 7):
-        assert ground_energy(e8, kappa) == 1240 * kappa ** 2
+        assert oracles.ground_energy(e8, kappa) == 1240 * kappa ** 2
+        assert oracles.level_energy(e8, m, kappa) \
+            - oracles.ground_energy(e8, kappa) == epsilon(e8, m, kappa)
     # (λ8, ρ) from the exact inverse-Cartan row sum; consistent with
     # b_8 = 2*2 + 4*29 = 120 and eps_{2λ8}(1) = 248
     assert sum(ainv[7]) == 29
@@ -215,7 +219,7 @@ class TestCriterion9Properties:
             m = tuple(rng.randint(0, 3) for _ in range(alg.rank))
             chi = cache.character_poly(m)
             assert chi.coefficient(m) == 1
-            assert all(alg.is_dominance_below(e, m) for e in chi.terms)
+            assert all(alg._below(m, e) for e in chi.terms)
             cases += 1
         with capsys.disabled():
             report("9b", f"unit leading coefficients, {cases} cases")

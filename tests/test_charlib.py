@@ -12,9 +12,8 @@ import liechar
 import oracles
 from liechar import (Algebra, BudgetError, CharacterCache, Delta1Operator,
                      DimReport, EigenReport, Weight, ZPolynomial,
-                     build_delta1, dim_identity, load_fixtures, print_poly,
+                     build_delta1, dim_identity, print_poly, read_fixture_file,
                      verify_eigen)
-from conftest import ORDER2_FILE
 
 
 class TestRecursion:
@@ -156,7 +155,7 @@ class TestValidationLayers:
             chi = cache.character_poly(m)
             assert chi.coefficient(m) == 1
             for exps in chi.terms:
-                assert a2.is_dominance_below(exps, m)
+                assert a2._below(m, exps)
 
     def test_monomial_above_m_is_rejected(self, a2):
         m = (2, 2)
@@ -189,19 +188,21 @@ class TestValidationLayers:
         assert not bad.ok
         assert not bad.residual.is_zero
 
+    def test_verify_eigen_non_integral_eigenvalue(self, a2):
+        # eps_(1,0)(1) = 16/3 in A2: no integer operator has it
+        op = Delta1Operator(2, (0, 0))
+        with pytest.raises(ValueError, match=r"16/3 is not integral"):
+            verify_eigen(a2, (1, 0), ZPolynomial.variable(2, 1), op)
+
 
 class TestFixtures:
-    def test_load_fixtures(self, e8):
-        chars = load_fixtures(ORDER2_FILE, 8)
-        assert len(chars) == 36
-        assert all(sum(m) == 2 for m in chars)
-
     def test_print_reload_round_trip(self, a2, tmp_path):
         cache = CharacterCache(a2)
         chi = cache.character_poly((2, 1))
         path = tmp_path / "roundtrip.chi"
         path.write_text(f"chi[2,1] = {print_poly(chi)}\n")
-        assert load_fixtures(path, 2)[Weight((2, 1))] == chi
+        (record,) = read_fixture_file(path, 2)
+        assert (record.kind, record.index, record.poly) == ("chi", (2, 1), chi)
 
 
 class TestReports:
@@ -456,6 +457,6 @@ class TestPropertySuites:
                 m = tuple(rng.randint(0, 2) for _ in range(alg.rank))
                 chi = cache.character_poly(m)
                 assert chi.coefficient(m) == 1
-                assert all(alg.is_dominance_below(e, m) for e in chi.terms)
+                assert all(alg._below(m, e) for e in chi.terms)
                 cases += 1
         assert cases >= 200

@@ -333,11 +333,20 @@ b[8] = 120*z8
         with pytest.raises(ParseError):
             read_fixture_text("chi[1,2] = z1", 1)
 
+    @pytest.mark.parametrize("header", ["chi[1,,0]", "chi[,]", "chi[1 2]",
+                                        "a[1,]", "b[ ]"])
+    def test_malformed_index_list(self, header):
+        good = "b[1] = 3*z1\n\n"
+        with pytest.raises(ParseError) as err:
+            read_fixture_text(f"{good}{header} = 1\n", 2)
+        assert err.value.offset == len(good)
+
     def test_packaged_files_parse(self, operator_fixtures, order2_chars,
                                   higher_chars):
         assert len(operator_fixtures.a) == 36
         assert len(operator_fixtures.b) == 8
         assert len(order2_chars) == 36
+        assert all(sum(m) == 2 for m in order2_chars)
         assert len(higher_chars) == 151
 
     def test_multi_hundred_term_round_trip(self, operator_fixtures):
