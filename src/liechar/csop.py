@@ -17,11 +17,13 @@ for rational kappa.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import mul
 from typing import Iterable
 
 from .errors import OperatorIncompleteError, RankMismatchError
 from .repth import Algebra
-from .zpoly import ZPolynomial
+from .zpoly import ZPolynomial, _unpack_all
 
 __all__ = [
     "epsilon",
@@ -122,6 +124,10 @@ class Delta1Operator(_Record):
     records for each populated pair whether it was computed from a character
     provider ("computed") or loaded from fixture records
     ("loaded-from-fixture").
+
+    :meth:`apply` keeps the image of each monomial it has met, its column,
+    beside the ``b`` and ``entries`` it was built from, and drops every
+    column once either of them differs.
     """
 
     _fields = ("rank", "b", "entries", "provenance")
@@ -132,13 +138,15 @@ class Delta1Operator(_Record):
         self.b = b
         self.entries = {} if entries is None else entries
         self.provenance = {} if provenance is None else provenance
+        # (b, entry items) the columns were built from, packed key ->
+        # column, and one instance of each int the columns hold
+        self._columns = (None, {}, {})
 
     def a(self, j: int, k: int) -> ZPolynomial:
         pair = (min(j, k), max(j, k))
         entry = self.entries.get(pair)
         if entry is None:
-            raise OperatorIncompleteError(
-                f"coefficient a[{pair[0]},{pair[1]}] is not populated", pair=pair)
+            raise _incomplete(pair)
         return entry
 
     def apply(self, p: ZPolynomial) -> ZPolynomial:
@@ -146,24 +154,73 @@ class Delta1Operator(_Record):
 
         Off-diagonal entries already hold the full mixed-derivative
         coefficient (both orders of the symmetric double sum), so each
-        pair is applied once.
+        pair is applied once.  The image is the sum of the columns of the
+        monomials of ``p``, each scaled by its coefficient.
         """
         if p.rank != self.rank:
             raise RankMismatchError(
                 f"polynomial rank {p.rank} vs operator {self.rank}")
+        # tuple equality tests identity first, so an unchanged operator
+        # costs one identity test per value here
+        snapshot = (tuple(self.b), tuple(self.entries.items()))
+        built_from, columns, ints = self._columns
+        if built_from != snapshot:
+            columns, ints = {}, {}
+            self._columns = (snapshot, columns, ints)
+        new = [key for key in p._terms if key not in columns]
+        if new:
+            columns.update(self._build_columns(new, *snapshot, ints))
+        return ZPolynomial.combine(
+            self.rank, ((c, columns[key], None) for key, c in p._terms.items()))
 
-        def terms():
-            for j in range(1, self.rank + 1):
-                dj = p.partial_derivative(j)
-                if dj.is_zero:
+    def _build_columns(self, keys: list, b: tuple, items: tuple,
+                       ints: dict) -> dict:
+        """Packed key -> Δ1 z^e for the monomial z^e of each key, where
+
+            Δ1 z^e = (sum_j b_j e_j) z^e
+                     + sum_{j<=k} e_j (e_k - δ_jk) a_jk z^(e - δ_j - δ_k).
+
+        A pair that some column needs and ``items`` lacks raises
+        :class:`OperatorIncompleteError` before any column is built, for the
+        first such pair in (j, k) order.  Each key and coefficient of a
+        column is the instance of its value kept in ``ints``: the 249
+        columns of the shipped characters hold 12,120 terms but only 253
+        distinct keys and 427 distinct coefficients.
+        """
+        rank = self.rank
+        entries = dict(items)
+        plans = {}
+        absent = set()
+        for key, exps in zip(keys, _unpack_all(rank, keys)):
+            terms = [(sum(map(mul, b, exps)), ZPolynomial.monomial(rank, exps),
+                      None)]
+            for j, k in combinations_with_replacement(range(rank), 2):
+                weight = exps[j] * (exps[k] - (j == k))
+                if not weight:
                     continue
-                yield self.b[j - 1], ZPolynomial.variable(self.rank, j), dj
-                for k in range(j, self.rank + 1):
-                    djk = dj.partial_derivative(k)
-                    if not djk.is_zero:
-                        yield 1, self.a(j, k), djk
+                entry = entries.get((j + 1, k + 1))
+                if entry is None:
+                    absent.add((j + 1, k + 1))
+                    continue
+                shifted = list(exps)
+                shifted[j] -= 1
+                shifted[k] -= 1
+                terms.append((weight, entry, ZPolynomial.monomial(rank, shifted)))
+            plans[key] = terms
+        if absent:
+            raise _incomplete(min(absent))
+        one = ints.setdefault
+        columns = {}
+        for key, terms in plans.items():
+            column = ZPolynomial.combine(rank, terms)
+            columns[key] = ZPolynomial._raw(
+                rank, {one(k, k): one(c, c) for k, c in column._terms.items()})
+        return columns
 
-        return ZPolynomial.combine(self.rank, terms())
+
+def _incomplete(pair: tuple) -> OperatorIncompleteError:
+    return OperatorIncompleteError(
+        f"coefficient a[{pair[0]},{pair[1]}] is not populated", pair=pair)
 
 
 def _pairs_by_cost(algebra: Algebra, pairs):

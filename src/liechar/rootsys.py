@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 from typing import NamedTuple
 
 __all__ = [
@@ -28,11 +29,22 @@ __all__ = [
 ]
 
 
+def _label(x) -> int:
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"weight label {x!r} is not an integer") from None
+
+
 class Weight(tuple):
-    """Integer vector of Dynkin labels in the fundamental-weight basis."""
+    """Integer vector of Dynkin labels in the fundamental-weight basis.
+
+    A label is anything with ``__index__`` (int, bool, numpy integers);
+    any other label raises ``ValueError``.
+    """
 
     def __new__(cls, labels):
-        return super().__new__(cls, (int(x) for x in labels))
+        return super().__new__(cls, map(_label, labels))
 
     @property
     def rank(self) -> int:

@@ -7,8 +7,10 @@ sum_i e_i * 2^(32 i), so z1 fills the low 32 bits and z_r the high ones; a
 product of monomials is one int add and a derivative a shift, a mask and a
 subtraction.  Every exponent stays within 0..2^31 - 1, so the sum of two
 fields cannot carry into the next one; larger exponents raise
-:class:`ExponentRangeError`.  The packing stays inside this module: the
-public accessors and the constructor speak exponent tuples.
+:class:`ExponentRangeError`.  The packing stays inside this module, apart from
+the operator's column cache in :mod:`liechar.csop`, which keys each column
+by its monomial's packed key: the public accessors and the constructor
+speak exponent tuples.
 :meth:`ZPolynomial.combine`, one fused sum of products, is the only
 accumulation routine: the ring operators and every linear combination of
 polynomials in the package call it.  The module also owns the plain-text

@@ -4,11 +4,15 @@ Characters are computed on the torus as Laurent polynomials in formal
 exponentials e^mu (keyed by Dynkin-label tuples), by explicit alternating
 sums over the full Weyl group followed by exact division.  Everything here
 is deliberately independent of the package's Freudenthal/Klimyk code paths.
+The operator's action is applied here by derivatives, independent of its
+column cache.
 """
 
 from fractions import Fraction
 
 import sympy
+
+from liechar import ZPolynomial
 
 
 # -- Laurent polynomials as plain dicts (label tuple -> int) ----------------
@@ -218,3 +222,24 @@ def torus_value(alg, poly):
                 term = lmul(term, lpow(z, e, n))
         total = ladd(total, lscale(term, coeff))
     return total
+
+
+# -- the operator by derivatives ----------------------------------------------
+
+def delta1_apply(operator, p):
+    """sum_{j<=k} a_jk d_j d_k p + sum_j b_j z_j d_j p from the derivative
+    polynomials of ``p``, independent of the operator's column cache."""
+    rank = operator.rank
+
+    def terms():
+        for j in range(1, rank + 1):
+            dj = p.partial_derivative(j)
+            if dj.is_zero:
+                continue
+            yield operator.b[j - 1], ZPolynomial.variable(rank, j), dj
+            for k in range(j, rank + 1):
+                djk = dj.partial_derivative(k)
+                if not djk.is_zero:
+                    yield 1, operator.a(j, k), djk
+
+    return ZPolynomial.combine(rank, terms())

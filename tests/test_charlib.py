@@ -12,8 +12,8 @@ import liechar
 import oracles
 from liechar import (Algebra, BudgetError, CharacterCache, Delta1Operator,
                      DimReport, EigenReport, Weight, ZPolynomial,
-                     build_delta1, dim_identity, print_poly, read_fixture_file,
-                     verify_eigen)
+                     build_delta1, dim_identity, epsilon, print_poly,
+                     read_fixture_file, verify_eigen)
 
 
 class TestRecursion:
@@ -187,6 +187,26 @@ class TestValidationLayers:
         bad = verify_eigen(e8, m, perturbed, op)
         assert not bad.ok
         assert not bad.residual.is_zero
+
+    def test_verify_eigen_matches_derivative_oracle(self, e8, order2_chars,
+                                                    higher_chars,
+                                                    operator_fixtures):
+        op = build_delta1(e8, None, fixture_records=operator_fixtures.records)
+
+        def oracle_report(m, chi):
+            expected = int(epsilon(e8, m, 1))
+            residual = oracles.delta1_apply(op, chi) - expected * chi
+            return EigenReport(Weight(m), expected, residual.is_zero, residual)
+
+        chars = {**order2_chars, **higher_chars}
+        assert len(chars) == 187
+        for m, chi in chars.items():
+            assert verify_eigen(e8, m, chi, op) == oracle_report(m, chi)
+        m = Weight((0, 0, 0, 0, 0, 0, 1, 1))
+        exps, _ = chars[m].sorted_terms()[3]
+        bad = chars[m] + ZPolynomial.monomial(8, exps, 1)
+        report = verify_eigen(e8, m, bad, op)
+        assert not report.ok and report == oracle_report(m, bad)
 
     def test_verify_eigen_non_integral_eigenvalue(self, a2):
         # eps_(1,0)(1) = 16/3 in A2: no integer operator has it

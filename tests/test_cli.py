@@ -299,3 +299,18 @@ class TestImportCost:
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "[]"
+
+    def test_verify_request_does_not_import_numpy(self):
+        # the request whose latency the benchmark's CLI probe times
+        code = ("import sys, liechar.cli\n"
+                "assert liechar.cli.main(['verify', 'E8', "
+                "'0,0,0,0,0,0,0,2']) == 0\n"
+                "print('numpy' in sys.modules, file=sys.stderr)\n")
+        src = str(Path(liechar.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("LIECHAR_CACHE", None)
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.splitlines() == ["eigen: PASS (expected 248)",
+                                           "dim: PASS (27000 vs 27000)"]
+        assert out.stderr.strip() == "False"

@@ -1,13 +1,19 @@
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from liechar import (Algebra, BudgetError, CharacterCache,
-                     OperatorIncompleteError, RankMismatchError, ZPolynomial,
-                     a_coeff, b_coeffs, build_delta1, epsilon, parse_poly)
+from liechar import (Algebra, BudgetError, CharacterCache, ExponentRangeError,
+                     OperatorIncompleteError, RankMismatchError, Weight,
+                     ZPolynomial, a_coeff, b_coeffs, build_delta1, epsilon,
+                     parse_poly)
+from liechar.zpoly import MAX_EXPONENT
 
 E8_B = (192, 288, 392, 600, 480, 360, 240, 120)
 
@@ -155,7 +161,6 @@ class TestOperator:
         assert partial_op.apply(chi) == 248 * chi
 
     def test_linearity(self, e8, partial_op, order2_chars):
-        from liechar import Weight
         p = order2_chars[Weight((0, 0, 0, 0, 0, 0, 0, 2))]
         q = order2_chars[Weight((1, 0, 0, 0, 0, 0, 0, 1))]
         combo = 3 * p - 7 * q
@@ -168,8 +173,23 @@ class TestOperator:
         assert isinstance(err.value, ValueError)
 
     def test_missing_entry(self, partial_op):
-        with pytest.raises(OperatorIncompleteError):
+        with pytest.raises(OperatorIncompleteError) as err:
             partial_op.apply(parse_poly("z2^2", 8))
+        assert err.value.pair == (2, 2)
+        # the first missing pair in (j, k) order is named, whatever the
+        # order of the monomials that need them
+        mixed = parse_poly("z2^2 + z8^3 + z1*z2 - 2*z1*z8", 8)
+        with pytest.raises(OperatorIncompleteError) as err:
+            partial_op.apply(mixed)
+        with pytest.raises(OperatorIncompleteError) as oracle_err:
+            oracles.delta1_apply(partial_op, mixed)
+        assert err.value.pair == oracle_err.value.pair == (1, 2)
+        assert str(err.value) == str(oracle_err.value)
+        # after the failed call, the monomials it shared with a call
+        # inside the populated pairs still map as the oracle says
+        inside = parse_poly("z8^3 - 2*z1*z8 + 5*z7*z8 + z1^2 - 3", 8)
+        assert partial_op.apply(inside) == \
+            oracles.delta1_apply(partial_op, inside)
 
     def test_provenance_tracking(self, e8, e8_build, operator_fixtures):
         # with a character provider every pair is computed, records or not
@@ -213,3 +233,105 @@ class TestOperator:
         b2 = Algebra("B2")
         with pytest.raises(ValueError):
             build_delta1(b2, CharacterCache(b2))
+
+
+def _fixture_operator(e8, operator_fixtures):
+    return build_delta1(e8, None, fixture_records=operator_fixtures.records)
+
+
+@pytest.fixture(scope="module")
+def fixture_op(e8, operator_fixtures):
+    return _fixture_operator(e8, operator_fixtures)
+
+
+rank8_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 8),
+    st.integers(-10 ** 6, 10 ** 6).filter(bool), max_size=8)
+
+
+class TestColumns:
+    """``apply`` sums cached per-monomial columns; the derivative form in
+    ``oracles.delta1_apply`` is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank8_polys)
+    def test_matches_derivative_oracle(self, fixture_op, terms):
+        p = ZPolynomial(8, terms)
+        assert fixture_op.apply(p) == oracles.delta1_apply(fixture_op, p)
+
+    def test_follows_replaced_entry_and_b(self, e8, operator_fixtures,
+                                          order2_chars):
+        op = _fixture_operator(e8, operator_fixtures)
+        chi = order2_chars[Weight((0, 0, 0, 0, 0, 0, 1, 1))]
+        before = op.apply(chi)
+        assert before == oracles.delta1_apply(op, chi)
+        op.entries[(7, 8)] = op.entries[(7, 8)] + ZPolynomial.variable(8, 1)
+        after_entry = op.apply(chi)
+        assert after_entry != before
+        assert after_entry == oracles.delta1_apply(op, chi)
+        op.b = op.b[:7] + (op.b[7] + 1,)
+        after_b = op.apply(chi)
+        assert after_b != after_entry
+        assert after_b == oracles.delta1_apply(op, chi)
+        # a b held in a list and changed in place is followed too
+        op.b = list(op.b)
+        op.apply(chi)
+        op.b[6] -= 5
+        assert op.apply(chi) == oracles.delta1_apply(op, chi)
+
+    def test_two_threads_share_one_operator(self, e8, operator_fixtures,
+                                            higher_chars):
+        op = _fixture_operator(e8, operator_fixtures)
+        chars = [higher_chars[m] for m in sorted(higher_chars)[:40]]
+        expected = [oracles.delta1_apply(op, chi) for chi in chars]
+        results = [None, None]
+
+        def work(slot, order):
+            results[slot] = {i: op.apply(chars[i]) for i in order}
+
+        order = list(range(len(chars)))
+        threads = [threading.Thread(target=work, args=(0, order)),
+                   threading.Thread(target=work, args=(1, order[::-1]))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for result in results:
+            assert [result[i] for i in order] == expected
+
+    def test_exponent_at_the_limit_is_refused(self, e8, operator_fixtures):
+        op = _fixture_operator(e8, operator_fixtures)
+        # d8^2 lowers z8^MAX by two and a[8,8] = ... + 4*z8^2 raises it back
+        top = ZPolynomial.monomial(8, (0,) * 7 + (MAX_EXPONENT,))
+        assert op.apply(top) == oracles.delta1_apply(op, top)
+        # d1^2 leaves z8^MAX alone and a[1,1] = ... - 76*z8^2 lifts it over
+        over = ZPolynomial.monomial(8, (2,) + (0,) * 6 + (MAX_EXPONENT,))
+        with pytest.raises(ExponentRangeError):
+            op.apply(over)
+        with pytest.raises(ExponentRangeError):
+            oracles.delta1_apply(op, over)
+        below = ZPolynomial.monomial(8, (2, 0, 0, 0, 0, 0, 0, 3))
+        assert op.apply(below) == oracles.delta1_apply(op, below)
+
+
+class TestIdentityElement:
+    """At the identity every fundamental character is its dimension, and
+    the operator's second-order part vanishes there."""
+
+    def _assert_vanishes(self, e8, operator):
+        dims = [e8.weyl_dim(e8.fundamental(i)) for i in range(1, 9)]
+        assert len(operator.entries) == 36
+        for pair, entry in operator.entries.items():
+            assert entry.evaluate(dims) == 0, pair
+
+    def test_computed_operator(self, e8, e8_build):
+        self._assert_vanishes(e8, e8_build.operator)
+
+    def test_packaged_operator(self, e8, fixture_op):
+        self._assert_vanishes(e8, fixture_op)

@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from liechar import Algebra, CartanMatrix, build_cartan
+from liechar import Algebra, CartanMatrix, Weight, build_cartan
 
 E8_EXPECTED = [
     [2, 0, -1, 0, 0, 0, 0, 0],
@@ -185,3 +186,19 @@ class TestJson:
         data = build_cartan("A2").to_json_dict()
         assert data["entries"] == [["2", "-1"], ["-1", "2"]]
         assert data["type"] == "A2"
+
+
+class TestWeight:
+    @pytest.mark.parametrize("labels, bad", [
+        ((1.5, 0.9), "1.5"), ((1, 0.0), "0.0"), ((Fraction(1, 2), 0), "Fraction(1, 2)"),
+        ((2, "3"), "'3'"), ((None,), "None")])
+    def test_non_integer_label_is_refused(self, labels, bad):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"weight label {bad} is not an integer")):
+            Weight(labels)
+
+    def test_integer_types_are_accepted(self):
+        import numpy as np
+        w = Weight((np.int64(3), np.uint8(0), True, 2))
+        assert w == (3, 0, 1, 2) and repr(w) == "Weight(3,0,1,2)"
+        assert all(type(x) is int for x in w)
