@@ -116,11 +116,10 @@ class CharacterCache:
         return min(candidates,
                    key=lambda i: (alg.weyl_dim(alg.fundamental(i + 1)), i)) + 1
 
-    def _plan(self, m: tuple, split_index: int | None = None) -> tuple:
-        """``(i, ν, V_{λ_i} ⊗ V_ν)`` with ν = m - e_i."""
-        i = self._split_index(m) if split_index is None else split_index
-        if not m[i - 1] > 0:
-            raise ValueError(f"label {i} of {m} is not positive")
+    def _plan(self, m: tuple) -> tuple:
+        """``(i, ν, V_{λ_i} ⊗ V_ν)`` with ν = m - e_i, i from
+        :meth:`_split_index`."""
+        i = self._split_index(m)
         nu = tuple(x - (1 if j == i - 1 else 0) for j, x in enumerate(m))
         alg = self.algebra
         return i, nu, alg.tensor_decompose(alg.fundamental(i), nu)

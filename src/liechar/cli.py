@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations_with_replacement
 
 from . import charlib, csop, zpoly
 from .errors import BudgetError, LiecharError
@@ -80,16 +81,15 @@ def _operator_records(args, algebra: Algebra):
     return zpoly.read_fixture_file(path, algebra.rank)
 
 
-def _operator_for(args, algebra: Algebra, poly: ZPolynomial,
+def _operator_for(algebra: Algebra, poly: ZPolynomial,
                   cache: charlib.CharacterCache) -> csop.Delta1Operator:
-    pairs = set()
-    for j in range(1, algebra.rank + 1):
-        dj = poly.partial_derivative(j)
-        if dj.is_zero:
-            continue
-        for k in range(j, algebra.rank + 1):
-            if not dj.partial_derivative(k).is_zero:
-                pairs.add((j, k))
+    """The operator with the pairs (j, k), j <= k, that applying it to
+    ``poly`` reads: those for which some monomial z^e of ``poly`` has
+    e_j (e_k - δ_jk) != 0."""
+    nodes = range(algebra.rank)
+    pairs = {(j + 1, k + 1) for exps in poly.terms
+             for j, k in combinations_with_replacement(nodes, 2)
+             if exps[j] * (exps[k] - (j == k))}
     return csop.build_delta1(algebra, cache, pairs=pairs)
 
 
@@ -194,7 +194,7 @@ def _cmd_delta1_apply(args, parser):
     text = args.poly if args.poly is not None else sys.stdin.read()
     poly = parse_poly(text, algebra.rank)
     cache = _cache(args, algebra)
-    operator = _operator_for(args, algebra, poly, cache)
+    operator = _operator_for(algebra, poly, cache)
     result = operator.apply(poly)
     _emit(args, [print_poly(result)], {"poly": print_poly(result)})
     return 0
@@ -205,7 +205,7 @@ def _cmd_verify(args, parser):
     w = _parse_weight(args.weight, algebra.rank, parser)
     cache = _cache(args, algebra)
     chi = cache.character_poly(w)
-    operator = _operator_for(args, algebra, chi, cache)
+    operator = _operator_for(algebra, chi, cache)
     eigen = charlib.verify_eigen(algebra, w, chi, operator)
     dim = charlib.dim_identity(algebra, w, chi)
     lines = [

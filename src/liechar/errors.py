@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
+
+from operator import index
+
+
+def integer(x, what: str) -> int:
+    """``x`` read with ``operator.index``, as int, bool and numpy integers
+    allow; anything else raises ``ValueError`` naming ``what`` and ``x``."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 class LiecharError(Exception):

@@ -16,26 +16,25 @@ the sign bit w - 1 of lane k is clear.  Orbits are walked as trees of keys
 of 8, 16, 32, ... bits that holds every label its sum forms, 8 for every E8
 product of the paper.  When the smaller factor's largest Weyl orbit has
 fewer than ``_ARRAY_MIN_ORBIT`` (2^16) weights, a Python loop reflects one
-key at a time.  It reads the factor's weight system from a per-algebra
-cache, each weight indexed by its negative part, and skips the weights
-whose part puts ν + ρ + u on a wall (Racah-Speiser cancellation); numpy is
+key at a time from the factor's weight system, cached per algebra; numpy is
 never imported.  Longer orbits go to a numpy kernel, which walks all of the
 factor's orbits together, level by level, gathers the levels into batches
 of ``_ARRAY_CHUNK`` (2^16) keys and reflects each batch's sums on the same
 keys, held as ``uint64``; a product whose keys are wider than 64 bits stays
-on the loop.
+on the loop.  Both paths drop a sum S = K(ν + ρ + u) with a label 0, which
+lies on a wall (Racah-Speiser cancellation), by one SWAR test: a label 0 is
+a zero lane of S ^ highs, highs holding each lane's sign bit.
 """
 
 from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from itertools import compress
 from math import isqrt, lcm, prod
 from operator import index, mul
 from typing import Iterator
 
-from .errors import BudgetError
+from .errors import BudgetError, integer
 from .rootsys import CartanMatrix, Weight, build_cartan
 
 __all__ = [
@@ -153,9 +152,7 @@ class Algebra:
             cartan = build_cartan(cartan)
         self.cartan = cartan
         self.rank = cartan.rank
-        self.tensor_budget = int(tensor_budget)
-        if self.tensor_budget <= 0:
-            raise ValueError("tensor budget must be positive")
+        self.tensor_budget = _budget(tensor_budget)
         rows = cartan.entries
         # per node: (neighbor, -A[i][j]) pairs for the reflection update
         self._nbrs = tuple(
@@ -442,8 +439,7 @@ class Algebra:
         """
         lam = self._check_dominant(left)
         nu = self._check_dominant(right)
-        if budget is None:
-            budget = self.tensor_budget
+        budget = self.tensor_budget if budget is None else _budget(budget)
         dim_l = self.weyl_dim(lam)
         dim_r = self.weyl_dim(nu)
         big, small = (lam, nu) if dim_l >= dim_r else (nu, lam)
@@ -518,22 +514,24 @@ class Algebra:
         return 4 * self._form(lam, lam) < min(self._root_norm) * bound * bound
 
     def _weight_system(self, table, bits: int) -> list:
-        """``(mult, keys, parts, ids)`` per dominant weight of ``table``,
-        cached: its orbit's keys of ``bits`` bits per label, indexed by
-        negative part (:func:`_negative_parts`)."""
+        """``(mult, keys)`` per dominant weight of ``table``, cached: its
+        orbit's keys of ``bits`` bits per label, in an ``array('Q')`` when
+        rank * bits <= 64, so that every key is below 2^64, and in a list of
+        ints otherwise."""
         lam = tuple(table.highest)
         cached = self._weight_systems.get((lam, bits))
         if cached is not None:
             return cached
         sizes = self._orbit_sizes(lam)
+        packed = self.rank * bits <= 64
         entry = []
         for mu, mult in table.entries.items():
-            keys, parts, ids = _negative_parts(
-                self.weyl_orbit(mu).keys(bits), bits, self.rank)
+            keys = self.weyl_orbit(mu).keys(bits)
+            keys = array("Q", keys) if packed else list(keys)
             if len(keys) != sizes[mu]:
                 raise AssertionError(f"orbit of {mu} has {len(keys)} "
                                      f"weights, expected {sizes[mu]}")
-            entry.append((mult, keys, parts, ids))
+            entry.append((mult, keys))
         self._weight_systems[(lam, bits)] = entry
         return entry
 
@@ -541,12 +539,16 @@ class Algebra:
         """Klimyk sum over the weights of ``table``, one key at a time.
 
         The keys, ``bits`` bits per label, come from the cached weight
-        system of ``table``'s highest weight through :func:`_off_wall`.  A
-        sum S = K(u) + K(ν + ρ) is reflected at its last negative label,
-        the highest set bit of (S & highs) ^ highs; off the walls every
-        order takes as many steps as the Weyl element is long, so the sign
-        is that of :meth:`_reflect`.  A dominant S has a label 0, and lies
-        on a wall, when S - K(ρ) lacks a sign bit.  Returns the key of each
+        system of ``table``'s highest weight.  A sum S = K(u) + K(ν + ρ)
+        with a label 0, a zero lane of y = S ^ highs, lies on a wall and is
+        skipped: (y - lows) & ~y & highs is then nonzero, and ~y & highs =
+        S & highs, the same test as the array kernel's.  Any other sum is
+        reflected at its last negative label, the highest set bit of
+        (S & highs) ^ highs; off the walls every order takes as many steps
+        as the Weyl element is long, so the sign is that of
+        :meth:`_reflect`.  A sum on the wall of a root that is not simple
+        shows a label 0 only once reflected; a dominant S has one, and is
+        dropped, when S - K(ρ) lacks a sign bit.  Returns the key of each
         dominant sum off the walls with its signed count.
         """
         roots, lows, signs = self._lanes(bits)
@@ -557,10 +559,11 @@ class Algebra:
         steps = {bits * (i + 1): (bits * i, r) for i, r in enumerate(roots)}
         top = sum(x << bits * k for k, x in enumerate(shifted))
         acc: dict = {}
-        system = self._weight_system(table, bits)
-        for mult, weights in _off_wall(system, top, lows, highs):
-            for s in weights:
+        for mult, keys in self._weight_system(table, bits):
+            for s in keys:
                 s += top
+                if (s ^ highs) - lows & s & highs:
+                    continue
                 sign = mult
                 x = s & highs ^ highs
                 while x:
@@ -573,43 +576,19 @@ class Algebra:
         return acc
 
 
+def _budget(value) -> int:
+    """A tensor budget, checked to be a positive integer."""
+    budget = integer(value, "tensor budget")
+    if budget <= 0:
+        raise ValueError("tensor budget must be positive")
+    return budget
+
+
 def _decode(keys, bits: int, n: int, offset: int) -> Iterator[tuple]:
     """The labels of ``keys`` (``n`` lanes of ``bits`` bits) less ``offset``."""
     mask = (1 << bits) - 1
     shifts = range(0, bits * n, bits)
     return (tuple((key >> s & mask) - offset for s in shifts) for key in keys)
-
-
-def _off_wall(system, top, lows, highs) -> Iterator[tuple]:
-    """``(mult, keys)`` per orbit of ``system``: the weights u whose negative
-    part p puts no label of ν + ρ + u at 0, ``top`` being K(ν + ρ) without
-    the offsets.  The SWAR test (y - lows) & ~y & highs finds a zero lane of
-    y = (K(p) + top) ^ highs, once per part; the weights of the parts that
-    fail are skipped inside ``compress``."""
-    for mult, keys, parts, ids in system:
-        live = bytes(not (y - lows) & ~y & highs
-                     for y in ((p + top) ^ highs for p in parts))
-        yield mult, compress(keys, map(live.__getitem__, ids))
-
-
-def _negative_parts(keys, bits: int, n: int) -> tuple:
-    """``(keys, parts, ids)`` for the keys of an orbit, ``n`` labels of
-    ``bits`` bits each.  Keys are held in an ``array('Q')`` only when
-    n * bits <= 64, so that every key is below 2^64, and in a list of ints
-    otherwise; ``parts`` holds the orbit's distinct negative parts
-    min(u, 0) as keys, in the same container, and ``ids`` the index of each
-    weight's part, in two bytes when that suffices."""
-    highs = sum(1 << bits * k + bits - 1 for k in range(n))
-    clear = (1 << bits - 1) - 1
-    keys = array("Q", keys) if n * bits <= 64 else list(keys)
-    index: dict = {}
-    part = index.setdefault
-    # a label >= 0 keeps only its sign bit, the offset of label 0
-    ids = array("I", (part(key & ~(((key & highs) >> bits - 1) * clear),
-                           len(index)) for key in keys))
-    parts = keys[:0]
-    parts.extend(index)
-    return keys, parts, array("H", ids) if len(index) <= 1 << 16 else ids
 
 
 def _klimyk_array(alg, table, orbits, shifted, bits: int) -> dict:

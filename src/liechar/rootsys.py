@@ -18,8 +18,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from operator import index
 from typing import NamedTuple
+
+from .errors import integer
 
 __all__ = [
     "Weight",
@@ -27,13 +28,6 @@ __all__ = [
     "CartanMatrix",
     "build_cartan",
 ]
-
-
-def _label(x) -> int:
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"weight label {x!r} is not an integer") from None
 
 
 class Weight(tuple):
@@ -44,7 +38,8 @@ class Weight(tuple):
     """
 
     def __new__(cls, labels):
-        return super().__new__(cls, map(_label, labels))
+        return super().__new__(cls, (integer(x, "weight label")
+                                     for x in labels))
 
     @property
     def rank(self) -> int:
@@ -150,7 +145,8 @@ class CartanMatrix:
     """Integer Cartan matrix of a finite-type root system."""
 
     def __init__(self, entries, label: str | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(integer(x, "Cartan entry") for x in row)
+                     for row in entries)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("Cartan matrix must be square and nonempty")

@@ -32,7 +32,8 @@ from functools import cache, reduce
 from operator import or_
 from typing import NamedTuple, Sequence
 
-from .errors import ExponentRangeError, ParseError, RankMismatchError
+from .errors import (ExponentRangeError, ParseError, RankMismatchError,
+                     integer)
 
 __all__ = [
     "ZPolynomial",
@@ -64,7 +65,7 @@ def _pack(rank: int, exponents) -> int:
     if len(exps) != rank:
         raise RankMismatchError(f"exponent vector {exps} does not have rank {rank}")
     for e in exps:
-        if not 0 <= e <= MAX_EXPONENT:
+        if not 0 <= integer(e, "exponent") <= MAX_EXPONENT:
             raise ExponentRangeError(
                 f"exponent {e} in {exps} is outside 0..{MAX_EXPONENT}")
     return int.from_bytes(_layout(rank)[0].pack(*exps), "little")
@@ -90,7 +91,7 @@ class ZPolynomial:
         if terms:
             for exps, coeff in terms.items():
                 key = _pack(rank, exps)
-                coeff = int(coeff)
+                coeff = integer(coeff, "coefficient")
                 if coeff:
                     clean[key] = clean.get(key, 0) + coeff
                     if clean[key] == 0:
@@ -106,8 +107,9 @@ class ZPolynomial:
     @classmethod
     def const(cls, rank: int, value: int) -> "ZPolynomial":
         p = cls(rank)
+        value = integer(value, "constant")
         if value:
-            p._terms[0] = int(value)
+            p._terms[0] = value
         return p
 
     @classmethod
@@ -252,7 +254,7 @@ class ZPolynomial:
         if len(point) != self.rank:
             raise RankMismatchError(
                 f"point of length {len(point)} for rank {self.rank}")
-        point = [int(x) for x in point]
+        point = [integer(x, "coordinate") for x in point]
         total = 0
         for exps, coeff in zip(_unpack_all(self.rank, self._terms),
                                self._terms.values()):

@@ -44,6 +44,15 @@ def operator_fixtures(e8):
     return SimpleNamespace(records=records, a=a, b=b)
 
 
+def expand_through(cache, m, i):
+    """The character of ``m`` that ``cache`` expands from V_{λ_i} ⊗
+    V_{m - e_i}: its plan for ``m`` alone is made with label ``i``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cache, "_split_index", lambda _: i)
+        plan = cache._plan(m)
+    return cache._expand(m, plan)
+
+
 def _characters(path, rank):
     return {lc.Weight(r.index): r.poly
             for r in read_fixture_file(path, rank) if r.kind == "chi"}

@@ -8,7 +8,7 @@ import random
 import time
 
 import oracles
-from conftest import TIER1_PAIRS, TIER2_PAIRS
+from conftest import TIER1_PAIRS, TIER2_PAIRS, expand_through
 from liechar import (Algebra, CharacterCache, ZPolynomial,
                      b_coeffs, dim_identity, epsilon, parse_poly, print_poly,
                      verify_eigen)
@@ -203,7 +203,7 @@ class TestCriterion9Properties:
             routes = [i + 1 for i, x in enumerate(m) if x > 0]
             if len(routes) < 2:
                 continue
-            polys = [cache._expand(m, cache._plan(m, i)) for i in routes]
+            polys = [expand_through(cache, m, i) for i in routes]
             assert all(p == polys[0] for p in polys)
             cases += 1
         with capsys.disabled():

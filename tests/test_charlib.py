@@ -10,6 +10,7 @@ import pytest
 
 import liechar
 import oracles
+from conftest import expand_through
 from liechar import (Algebra, BudgetError, CharacterCache, Delta1Operator,
                      DimReport, EigenReport, Weight, ZPolynomial,
                      build_delta1, dim_identity, epsilon, print_poly,
@@ -77,14 +78,13 @@ class TestRecursion:
         cache = CharacterCache(a2)
         for m in [(1, 1), (2, 1), (2, 2), (3, 1)]:
             routes = {i + 1 for i, x in enumerate(m) if x > 0}
-            polys = [cache._expand(m, cache._plan(m, i)) for i in routes]
+            polys = [expand_through(cache, m, i) for i in routes]
             assert all(p == polys[0] for p in polys)
 
     def test_path_independence_e8_spot(self, e8):
         cache = CharacterCache(e8)
         m = (1, 0, 0, 0, 0, 0, 0, 1)
-        assert cache._expand(m, cache._plan(m, 1)) == \
-            cache._expand(m, cache._plan(m, 8))
+        assert expand_through(cache, m, 1) == expand_through(cache, m, 8)
 
     def test_each_product_decomposed_once(self, monkeypatch):
         # the plan made when a character is claimed is the one expanded
@@ -462,7 +462,7 @@ class TestPropertySuites:
                 routes = [i + 1 for i, x in enumerate(m) if x > 0]
                 if len(routes) < 2:
                     continue
-                polys = [cache._expand(m, cache._plan(m, i)) for i in routes]
+                polys = [expand_through(cache, m, i) for i in routes]
                 assert all(p == polys[0] for p in polys)
                 cases += 1
         assert cases >= 200

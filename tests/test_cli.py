@@ -8,7 +8,8 @@ import pytest
 
 import liechar
 from liechar import parse_poly
-from liechar.cli import main
+from liechar.cli import _operator_for, main
+import oracles
 from conftest import ORDER2_FILE
 
 
@@ -140,6 +141,18 @@ class TestOperatorCommands:
         code, out, _ = run_cli(capsys, "verify", "E8", "0,0,0,0,0,0,0,2")
         assert code == 0
         assert out == "eigen: PASS (expected 248)\ndim: PASS (27000 vs 27000)\n"
+
+    def test_operator_takes_the_pairs_of_the_derivative_rule(self):
+        # a constant, a lone linear term, squares, cubes and cross terms;
+        # (j, k) is needed iff d_j d_k of the polynomial is nonzero
+        d4 = liechar.Algebra("D4")
+        poly = parse_poly("7 - z2 + 3*z1^2*z3 - 4*z1*z2 + z3^3 + z2*z3", 4)
+        op = _operator_for(d4, poly, liechar.CharacterCache(d4))
+        rule = {(j, k) for j in range(1, 5) for k in range(j, 5)
+                if not poly.partial_derivative(j).partial_derivative(k).is_zero}
+        assert set(op.entries) == rule == {(1, 1), (1, 2), (1, 3), (2, 3),
+                                           (3, 3)}
+        assert op.apply(poly) == oracles.delta1_apply(op, poly)
 
 
 class TestFixturesCheck:

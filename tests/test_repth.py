@@ -376,6 +376,14 @@ class TestTensor:
         with pytest.raises(BudgetError):
             Algebra("A2", tensor_budget=6).tensor_decompose((1, 1), (1, 1))
 
+    @pytest.mark.parametrize("bad", [2.7, 7.0, "7", 0, -1])
+    def test_budget_is_a_positive_integer(self, bad):
+        # the per-call budget is positional, as wrappers pass it
+        with pytest.raises(ValueError, match="tensor budget"):
+            Algebra("A2", tensor_budget=bad)
+        with pytest.raises(ValueError, match="tensor budget"):
+            Algebra("A2").tensor_decompose((1, 1), (1, 1), bad)
+
     def test_budget_counts_distinct_weights(self, a2):
         # dimension 8 is over a budget of 7, the 7 distinct weights are not
         dec = Algebra("A2", tensor_budget=7).tensor_decompose((1, 1), (1, 1))
@@ -691,9 +699,8 @@ def assert_keys_fit(alg):
     rank times the lane width in bits, is below 2^64."""
     from array import array
     for (_, bits), system in alg._weight_systems.items():
-        for _, keys, parts, _ in system:
-            packed = alg.rank * bits <= 64
-            assert isinstance(keys, array) == isinstance(parts, array) == packed
+        for _, keys in system:
+            assert isinstance(keys, array) == (alg.rank * bits <= 64)
             assert max(keys) < 1 << alg.rank * bits
 
 
@@ -707,7 +714,7 @@ class TestKeyLoop:
         assert e8._lane_width(lam8, bound) == 16
         dec = e8.tensor_decompose(big, lam8)
         assert list(e8._weight_systems) == [(lam8, 16)]
-        for _, keys, _, _ in e8._weight_systems[lam8, 16]:
+        for _, keys in e8._weight_systems[lam8, 16]:
             assert type(keys) is list
             assert max(keys) >= 1 << 64
         assert_keys_fit(e8)
@@ -720,7 +727,7 @@ class TestKeyLoop:
         big = a20.fundamental(5)
         dec = a20.tensor_decompose(big, small)
         assert list(a20._weight_systems) == [(small, 8)]
-        for _, keys, _, _ in a20._weight_systems[small, 8]:
+        for _, keys in a20._weight_systems[small, 8]:
             assert type(keys) is list
         assert_keys_fit(a20)
         # Pieri: e_5 h_4 = s_(5,1^4) + s_(4,1^5)
@@ -895,79 +902,13 @@ class TestWeightSystemCache:
         assert a1._lane_width((k,)) == 8 * array(code).itemsize
         bits = a1._lane_width((k,), a1._label_bound((k + 1,), (k,)))
         assert bits == (8 if k == 40 else 16)
-        # each weight is indexed by its negative part min(u, 0), up to -k
         system = a1._weight_system(a1.freudenthal((k,)), bits)
         bias = 1 << bits - 1
         labels = []
-        for _, keys, parts, ids in system:
-            assert isinstance(keys, array) and isinstance(parts, array)
+        for _, keys in system:
+            assert isinstance(keys, array)
             labels += [key - bias for key in keys]
-            assert [parts[i] - bias for i in ids] == \
-                [min(key - bias, 0) for key in keys]
         assert sorted(labels) == list(range(-k, k + 1, 2))
-
-    @pytest.mark.parametrize("code", "bhiq")
-    def test_negative_parts_in_every_code(self, code):
-        # lanes of the widths of the codes b, h, i and q, 8 to 64 bits; 700
-        # rows of 3 labels, and the extremes -B and B - 1 test the sign
-        # bits; keys of up to 64 bits come in an array('Q')
-        from array import array
-        rng = random.Random(31)
-        bits = 8 * array(code).itemsize
-        bias = 1 << bits - 1
-        rows = [tuple(rng.choice((-bias, bias - 1, -1, 0, 1,
-                                  rng.randrange(-bias, bias)))
-                      for _ in range(3)) for _ in range(700)]
-
-        def key(row):
-            return sum(x + bias << bits * k for k, x in enumerate(row))
-
-        keys = [key(row) for row in rows]
-        if 3 * bits <= 64:
-            keys = array("Q", keys)
-        held, parts, ids = repth._negative_parts(iter(keys), bits, 3)
-        negative = [key(tuple(min(x, 0) for x in row)) for row in rows]
-        assert type(held) is type(parts) is type(keys)
-        assert held == keys
-        assert len(parts) == len(set(negative))
-        assert [parts[i] for i in ids] == negative
-
-    def test_part_ids_beyond_two_bytes(self):
-        # 2^16 + 1 weights whose labels are all negative, so each is its
-        # own negative part, and the part ids need more than two bytes
-        rows = [(-1 - a % 128, -1 - a // 128 % 128, -1 - a // 16384)
-                for a in range(2 ** 16 + 1)]
-        keys = [sum(x + 128 << 8 * k for k, x in enumerate(row))
-                for row in rows]
-        held, parts, ids = repth._negative_parts(iter(keys), 8, 3)
-        assert ids.itemsize > 2
-        assert len(parts) == len(keys)
-        assert [parts[i] for i in ids] == list(held) == keys
-
-    @pytest.mark.parametrize("big, small", [(7, 8), (6, 1)])
-    def test_only_sums_off_a_wall_are_reflected(self, monkeypatch, big, small):
-        e8 = Algebra("E8")
-        nu, lam = e8.fundamental(big), e8.fundamental(small)
-        shifted = [x + 1 for x in nu]
-        passed = []
-        off_wall = repth._off_wall
-
-        def spy(*args):
-            for mult, keys in off_wall(*args):
-                keys = list(keys)
-                passed.extend(keys)
-                yield mult, keys
-
-        monkeypatch.setattr(repth, "_off_wall", spy)
-        e8.tensor_decompose(lam, nu)
-        # E8's fundamental products take 8-bit lanes
-        assert e8._lane_width(lam, e8._label_bound(nu, lam)) == 8
-        weights = [tuple((key >> 8 * k & 255) - 128 for k in range(8))
-                   for key in passed]
-        off = [u for mu in e8.freudenthal(lam).entries
-               for u in e8.weyl_orbit(mu)
-               if all(x != -s for x, s in zip(u, shifted))]
-        assert sorted(weights) == sorted(off)
 
     def test_orbit_length_is_checked(self, monkeypatch):
         orbit_size = Algebra.orbit_size

@@ -56,6 +56,9 @@ class TestBuild:
         [[2, -1], [0, 2]],            # asymmetric zero pattern
         [[2, -2], [-2, 2]],           # determinant 0 (affine)
         [[2, -1], [-5, 2]],           # determinant < 0
+        [[2, -1.5], [-1, 2]],         # non-integer entry
+        [[2.0, -1], [-1, 2]],         # float entry, even if integral
+        [["2", -1], [-1, 2]],         # string entry
         # det 25 > 0, but two hyperbolic blocks: minor of order 2 is -5
         [[2, -3, 0, 0], [-3, 2, 0, 0], [0, 0, 2, -3], [0, 0, -3, 2]],
     ])

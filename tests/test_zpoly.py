@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,28 @@ class TestArithmetic:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             ZPolynomial(2, {(-1, 0): 1})
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, Fraction(1, 2), "1", None])
+    def test_non_integers_refused(self, bad):
+        # no number is truncated or read as text: each raises a ValueError
+        # that names it
+        p = P("3 + z1", rank=2)
+        for make in (lambda: ZPolynomial(2, {(bad, 0): 1}),
+                     lambda: ZPolynomial.monomial(2, (bad, 0)),
+                     lambda: p.coefficient((bad, 0)),
+                     lambda: ZPolynomial(2, {(1, 0): bad}),
+                     lambda: ZPolynomial.monomial(2, (1, 0), bad),
+                     lambda: ZPolynomial.const(2, bad),
+                     lambda: p.evaluate([bad, 2])):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                make()
+
+    def test_integer_types_accepted(self):
+        import numpy as np
+        p = ZPolynomial(2, {(np.int64(1), True): np.int64(3)})
+        assert p == ZPolynomial.monomial(2, (1, 1), 3)
+        assert ZPolynomial.const(2, np.int64(2)) == 2
+        assert p.evaluate([np.int64(2), 5]) == 30
 
     def test_coefficient_of_wrong_length_is_rank_mismatch(self):
         p = P("3 + z1 + 5*z2", rank=2)
