@@ -13,7 +13,6 @@ import json
 import sys
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations_with_replacement
 
 from . import charlib, csop, zpoly
 from .errors import BudgetError, LiecharError
@@ -84,12 +83,9 @@ def _operator_records(args, algebra: Algebra):
 def _operator_for(algebra: Algebra, poly: ZPolynomial,
                   cache: charlib.CharacterCache) -> csop.Delta1Operator:
     """The operator with the pairs (j, k), j <= k, that applying it to
-    ``poly`` reads: those for which some monomial z^e of ``poly`` has
-    e_j (e_k - δ_jk) != 0."""
-    nodes = range(algebra.rank)
-    pairs = {(j + 1, k + 1) for exps in poly.terms
-             for j, k in combinations_with_replacement(nodes, 2)
-             if exps[j] * (exps[k] - (j == k))}
+    ``poly`` reads: those :func:`csop._read_pairs` gives for one of its
+    monomials."""
+    pairs = {pair for exps in poly.terms for pair, _ in csop._read_pairs(exps)}
     return csop.build_delta1(algebra, cache, pairs=pairs)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import OperatorIncompleteError, RankMismatchError
 from .repth import Algebra
@@ -194,17 +194,14 @@ class Delta1Operator(_Record):
         for key, exps in zip(keys, _unpack_all(rank, keys)):
             terms = [(sum(map(mul, b, exps)), ZPolynomial.monomial(rank, exps),
                       None)]
-            for j, k in combinations_with_replacement(range(rank), 2):
-                weight = exps[j] * (exps[k] - (j == k))
-                if not weight:
-                    continue
-                entry = entries.get((j + 1, k + 1))
+            for (j, k), weight in _read_pairs(exps):
+                entry = entries.get((j, k))
                 if entry is None:
-                    absent.add((j + 1, k + 1))
+                    absent.add((j, k))
                     continue
                 shifted = list(exps)
-                shifted[j] -= 1
-                shifted[k] -= 1
+                shifted[j - 1] -= 1
+                shifted[k - 1] -= 1
                 terms.append((weight, entry, ZPolynomial.monomial(rank, shifted)))
             plans[key] = terms
         if absent:
@@ -216,6 +213,16 @@ class Delta1Operator(_Record):
             columns[key] = ZPolynomial._raw(
                 rank, {one(k, k): one(c, c) for k, c in column._terms.items()})
         return columns
+
+
+def _read_pairs(exps) -> Iterator[tuple]:
+    """``((j, k), e_j (e_k - δ_jk))``, in (j, k) order, for each pair
+    j <= k, 1-based, whose a_jk the operator reads on the monomial z^e:
+    those whose weight is not 0."""
+    for j, k in combinations_with_replacement(range(len(exps)), 2):
+        weight = exps[j] * (exps[k] - (j == k))
+        if weight:
+            yield (j + 1, k + 1), weight
 
 
 def _incomplete(pair: tuple) -> OperatorIncompleteError:

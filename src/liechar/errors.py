@@ -43,8 +43,11 @@ class ParseError(LiecharError, ValueError):
     """Syntax error in polynomial or fixture text, with a byte offset."""
 
     def __init__(self, message, offset):
-        super().__init__(f"{message} (at offset {offset})")
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self):
+        return f"{self.args[0]} (at offset {self.offset})"
 
 
 class OperatorIncompleteError(LiecharError, KeyError):

@@ -6,14 +6,18 @@ tables, tensor decompositions).  Tensor products follow the Klimyk rule:
 iterate over every weight of the smaller factor, dominant-reflect the
 ρ-shifted sum, drop terms fixed by a wall, and accumulate signs.  Weight
 multiplicities come from the Freudenthal recursion, evaluated in integers
-with the invariant form :meth:`Algebra._form` and asserted integral.
+with the invariant form :meth:`Algebra._form` and asserted integral; it
+takes the dominant weights μ in the order of its own denominator
+|λ + ρ|^2 - |μ + ρ|^2, and each root string ends at its first weight of
+multiplicity 0.
 
 Both Klimyk paths hold a weight u as one integer key, K(u) = sum_k
 (u_k + B) 2^(w k) with B = 2^(w-1), w bits per label.  A reflection is one
 multiply-subtract, K(s_i u) = K(u) - u_i K(α_i), and u_k < 0 exactly when
 the sign bit w - 1 of lane k is clear.  Orbits are walked as trees of keys
-(D. Snow's canonical-parent rule).  Each product takes the first lane width
-of 8, 16, 32, ... bits that holds every label its sum forms, 8 for every E8
+(D. Snow's canonical-parent rule).  One Cauchy-Schwarz bound,
+:meth:`Algebra._lane_width`, gives each product the first lane width of 8,
+16, 32, ... bits that holds every label its sum forms, 8 for every E8
 product of the paper.  When the smaller factor's largest Weyl orbit has
 fewer than ``_ARRAY_MIN_ORBIT`` (2^16) weights, a Python loop reflects one
 key at a time from the factor's weight system, cached per algebra; numpy is
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import lcm, prod
 from operator import index, mul
 from typing import Iterator
 
@@ -264,13 +268,10 @@ class Algebra:
     # -- reflections ------------------------------------------------------
 
     def _reflect(self, v: list) -> tuple:
-        """``(dominant tuple, sign)`` of the label list ``v``.
-
-        ``v`` is reflected in place, each time at its first negative label,
-        and the sign is (-1)^reflections.
+        """The dominant tuple in the Weyl orbit of the label list ``v``,
+        which is reflected in place, each time at its first negative label.
         """
         nbrs = self._nbrs
-        sign = 1
         i = 0
         n = self.rank
         while i < n:
@@ -279,11 +280,10 @@ class Algebra:
                 v[i] = -x
                 for j, c in nbrs[i]:
                     v[j] += c * x
-                sign = -sign
                 i = 0
             else:
                 i += 1
-        return tuple(v), sign
+        return tuple(v)
 
     def weyl_orbit(self, w) -> WeylOrbit:
         """All distinct images of a dominant weight under the Weyl group."""
@@ -303,13 +303,23 @@ class Algebra:
                       for i in range(self.rank + 1))
         return roots, lows, signs
 
-    def _lane_width(self, lam, bound: int = 0) -> int:
+    def _lane_width(self, *weights) -> int:
         """The first of 8, 16, 32, ... bits per label whose offset B =
-        2^(bits-1) exceeds ``bound`` and every label of V_lam.  A fixed
-        ladder lets the products of a factor share one weight system."""
+        2^(bits-1) exceeds |(y, α_k^∨)| for every y with |y| <= sum_w |w|
+        over ``weights``.
+
+        (y, α_k^∨) = 2 (y, α_k) / (α_k, α_k), so by Cauchy-Schwarz its
+        square is at most 4 (y, y) / (α, α) for the short roots α, and
+        (y, y) <= (sum_w |w|)^2 <= n sum_w (w, w) for n weights.  So
+        4 n sum_w (w, w) < (α, α) B^2 suffices.  Every weight of V_lam has
+        |y| <= |lam|, so an orbit takes (lam,); a Klimyk sum ν + ρ + u, u a
+        weight of V_small, and its Weyl images take (ν + ρ, small).  A fixed
+        ladder lets the products of a factor share one weight system.
+        """
+        square = 4 * len(weights) * sum(self._form(w, w) for w in weights)
+        short = min(self._root_norm)
         bits = 8
-        while not (bound < 1 << bits - 1
-                   and self._labels_below(lam, 1 << bits - 1)):
+        while square >= short << 2 * (bits - 1):
             bits *= 2
         return bits
 
@@ -366,48 +376,45 @@ class Algebra:
         cached = self._freudenthal.get(lam)
         if cached is not None:
             return cached
-        n = self.rank
-        root_list = self.roots
-        # dominant weights of the module: BFS downward by positive roots,
-        # tracking the root coords of (λ - μ) with integer arithmetic
-        gaps = {lam: (0,) * n}
+        # dominant weights of the module: BFS downward by positive roots
+        seen = {lam}
         frontier = [lam]
         while frontier:
             fresh = []
             for w in frontier:
-                gap = gaps[w]
-                for root in root_list:
+                for root in self.roots:
                     cand = tuple(a - b for a, b in zip(w, root.labels))
-                    if any(x < 0 for x in cand) or cand in gaps:
+                    if any(x < 0 for x in cand) or cand in seen:
                         continue
-                    gaps[cand] = tuple(a + b for a, b in zip(gap, root.coeffs))
+                    seen.add(cand)
                     fresh.append(cand)
             frontier = fresh
-        order = sorted(gaps, key=lambda w: (sum(gaps[w]), w))
-        mults = {order[0]: 1}
+        # gap(μ) = |λ+ρ|^2 - |μ+ρ|^2 in units of _form, the recursion's
+        # denominator.  For dominant ν > μ, gap(μ) - gap(ν) = (ν - μ, ν + μ
+        # + 2ρ) > 0, and dom(μ + kα) >= μ + kα > μ, so sorting by gap
+        # computes m(μ + kα) before m(μ) (J. E. Humphreys, Lie algebras,
+        # §13)
         lam_norm = self._shifted_norm(lam)
+        gaps = {mu: lam_norm - self._shifted_norm(mu) for mu in seen}
+        order = sorted(seen, key=lambda w: (gaps[w], w))
+        mults = {order[0]: 1}
         for mu in order[1:]:
-            gap = gaps[mu]
             # sum over α > 0 and k >= 1 of (μ + kα, α) m(μ + kα), in units
-            # of _form
+            # of _form; a string ends at its first k with m = 0, since
+            # weight strings are unbroken intervals
             acc = 0
-            for root, step in zip(root_list, self._root_norm):
-                coeffs = root.coeffs
+            for root, step in zip(self.roots, self._root_norm):
                 labels = root.labels
                 total = weighted = 0
                 k = 1
-                while all(g >= k * c for g, c in zip(gap, coeffs)):
-                    v = [a + k * b for a, b in zip(mu, labels)]
-                    m_v = mults.get(self._reflect(v)[0], 0)
-                    if m_v == 0:
-                        break  # weight strings are unbroken intervals
+                while m_v := mults.get(self._reflect(
+                        [a + k * b for a, b in zip(mu, labels)]), 0):
                     total += m_v
                     weighted += k * m_v
                     k += 1
                 if total:
                     acc += self._form(mu, labels) * total + step * weighted
-            value, remainder = divmod(2 * acc,
-                                      lam_norm - self._shifted_norm(mu))
+            value, remainder = divmod(2 * acc, gaps[mu])
             if remainder or value <= 0:
                 raise AssertionError(f"bad Freudenthal multiplicity at {mu}")
             mults[mu] = value
@@ -459,7 +466,7 @@ class Algebra:
             return cached
         shifted = tuple(x + 1 for x in big)
         table = self.freudenthal(small)
-        bits = self._lane_width(small, self._label_bound(big, small))
+        bits = self._lane_width(shifted, small)
         # the kernel's keys are uint64 and its signed sums, bounded by the
         # small factor's dimension, int64
         if (max(orbits.values()) >= _ARRAY_MIN_ORBIT
@@ -489,29 +496,6 @@ class Algebra:
                  for mu in self.freudenthal(highest).entries}
         self._orbit_tables[highest] = sizes
         return sizes
-
-    def _label_bound(self, big, small) -> int:
-        """Bound on every label the Klimyk sum of V_big ⊗ V_small forms.
-
-        Each label is (y, α_k^∨) = 2 (y, α_k) / (α_k, α_k) for a Weyl image
-        y of big + ρ + u, u a weight of V_small, so by Cauchy-Schwarz it is
-        at most 2 |y| / |α_k| with |y| <= |big + ρ| + |small|.  The bound
-        returned squares that and uses (a + b)^2 <= 2 (a^2 + b^2).
-        """
-        square = 8 * (self._shifted_norm(big) + self._form(small, small))
-        short = min(self._root_norm)
-        root = isqrt(square // short)
-        return root if root * root * short >= square else root + 1
-
-    def _labels_below(self, lam, bound: int) -> bool:
-        """Whether every label of every weight of V_lam is below ``bound``
-        in absolute value.
-
-        A label of a weight y of V_lam is 2 (y, α_k) / (α_k, α_k), at most
-        2 |lam| / |α_k| since |y| <= |lam|, so 4 (lam, lam) / (α, α) < bound²
-        for the short roots α suffices.
-        """
-        return 4 * self._form(lam, lam) < min(self._root_norm) * bound * bound
 
     def _weight_system(self, table, bits: int) -> list:
         """``(mult, keys)`` per dominant weight of ``table``, cached: its
@@ -544,11 +528,11 @@ class Algebra:
         skipped: (y - lows) & ~y & highs is then nonzero, and ~y & highs =
         S & highs, the same test as the array kernel's.  Any other sum is
         reflected at its last negative label, the highest set bit of
-        (S & highs) ^ highs; off the walls every order takes as many steps
-        as the Weyl element is long, so the sign is that of
-        :meth:`_reflect`.  A sum on the wall of a root that is not simple
-        shows a label 0 only once reflected; a dominant S has one, and is
-        dropped, when S - K(ρ) lacks a sign bit.  Returns the key of each
+        (S & highs) ^ highs; off the walls each step shortens the Weyl
+        element that makes S dominant by one, so whatever the order of the
+        steps, the sign is (-1)^length of that element.  A sum on the wall
+        of a root that is not simple shows a label 0 only once reflected; a
+        dominant S has one, and is dropped, when S - K(ρ) lacks a sign bit.  Returns the key of each
         dominant sum off the walls with its signed count.
         """
         roots, lows, signs = self._lanes(bits)

@@ -357,6 +357,8 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
                     raise ParseError("unexpected token after ')'", o3)
                 return {e: coeff * c for e, c in inner.items()}
             elif kind == "*":
+                if not saw_factor:
+                    raise ParseError("expected term", off)
                 pos += 1
                 if peek()[0] not in ("int", "var", "("):
                     raise ParseError("expected factor after '*'", peek()[2])
@@ -444,43 +446,48 @@ _HEADER_RE = re.compile(r"^\s*(chi|a|b)\s*\[([0-9,\s]+)\]\s*=\s*(.*)$", re.S)
 
 
 def read_fixture_text(text: str, rank: int) -> list[FixtureRecord]:
-    """Parse a fixture file: blank-line-separated records, ``#`` comments."""
-    stripped_lines = []
-    for line in text.splitlines():
-        hash_pos = line.find("#")
-        if hash_pos >= 0:
-            line = line[:hash_pos]
-        stripped_lines.append(line)
-    blocks = re.split(r"\n\s*\n", "\n".join(stripped_lines))
+    """Parse a fixture file: blank-line-separated records, ``#`` comments.
+
+    Each comment is blanked with spaces, so every error offset, in a header
+    or in a record's polynomial, is an offset into ``text``.
+    """
+    clean = re.sub(r"#[^\r\n]*", lambda m: " " * len(m[0]), text)
     records = []
-    for block in blocks:
-        if not block.strip():
+    end = 0
+    # the odd parts are the separators
+    for i, block in enumerate(re.split(r"(\n\s*\n)", clean)):
+        start, end = end, end + len(block)
+        if i % 2 or not block.strip():
             continue
         m = _HEADER_RE.match(block)
         if m is None:
-            offset = text.find(block.strip()[:20])
             raise ParseError("fixture block does not start with a "
-                             "chi[...]/a[...]/b[...] header", max(offset, 0))
+                             "chi[...]/a[...]/b[...] header",
+                             start + len(block) - len(block.lstrip()))
         kind, index_text, body = m.groups()
         try:
             index = tuple(int(x) for x in index_text.split(","))
         except ValueError:
             raise ParseError(f"malformed index list [{index_text}]",
-                             text.find(block)) from None
+                             start) from None
         if kind == "chi":
             if len(index) != rank:
                 raise ParseError(
                     f"chi record has {len(index)} labels, expected {rank}",
-                    text.find(block))
+                    start)
         elif kind == "a":
             if len(index) != 2 or not all(1 <= j <= rank for j in index):
                 raise ParseError("a record needs two indices within rank",
-                                 text.find(block))
+                                 start)
         else:
             if len(index) != 1 or not 1 <= index[0] <= rank:
                 raise ParseError("b record needs one index within rank",
-                                 text.find(block))
-        poly = parse_poly(body, rank)
+                                 start)
+        try:
+            poly = parse_poly(body, rank)
+        except ParseError as err:
+            raise ParseError(err.args[0],
+                             start + m.start(3) + err.offset) from None
         records.append(FixtureRecord(kind, index, poly))
     return records
 

@@ -67,33 +67,31 @@ class TestDominantReflect:
     # a zero label in the dominant representative is a nontrivial
     # stabilizer; for ρ-shifted inputs it is the wall-cancellation test
     def test_already_dominant(self, a2):
-        w, sign = a2._reflect([2, 1])
-        assert (w, sign, 0 in w) == ((2, 1), 1, False)
+        w = a2._reflect([2, 1])
+        assert (w, 0 in w) == ((2, 1), False)
 
     def test_zero_label_is_singular(self, a2):
-        w, _ = a2._reflect([1, 0])
+        w = a2._reflect([1, 0])
         assert 0 in w
 
     def test_single_reflection(self, a2):
         # s1 acts by (m1, m2) -> (-m1, m2 + m1)
-        w, sign = a2._reflect([-1, 1])
+        w = a2._reflect([-1, 1])
         assert w == (1, 0)
-        assert sign == -1
         assert 0 in w  # the arrival weight sits on a wall
 
     def test_regular_orbit_signs(self, a2):
         # (-2, -1) = s1 s2 s1 (1, 2), the longest element's image
-        w, sign = a2._reflect([-2, -1])
-        assert (w, sign) == ((1, 2), -1)
+        w = a2._reflect([-2, -1])
+        assert w == (1, 2)
         assert 0 not in w
 
     def test_randomized_results_dominant(self, d4):
         rng = random.Random(11)
         for _ in range(300):
             v = [rng.randint(-8, 8) for _ in range(4)]
-            w, sign = d4._reflect(v)
+            w = d4._reflect(v)
             assert all(x >= 0 for x in w)
-            assert sign in (1, -1)
 
 
 class TestLabels:
@@ -308,6 +306,15 @@ class TestFreudenthal:
             for w, mult in oracle.items():
                 if all(x >= 0 for x in w):
                     assert table.get(w, 0) == mult
+
+    @pytest.mark.parametrize("name, lam", [("G2", (9, 7)), ("A1", (200,))])
+    def test_long_strings_oracle(self, name, lam):
+        # root strings of up to 200 weights, each ending only at its first
+        # weight of multiplicity 0
+        alg = Algebra(name)
+        oracle = {w: m for w, m in oracles.weight_multiplicities(
+            alg, lam).items() if all(x >= 0 for x in w)}
+        assert alg.freudenthal(lam).entries == oracle
 
 
 class TestTensor:
@@ -553,28 +560,34 @@ class TestKlimykKernels:
     ])
     def test_label_bound_holds_on_every_weyl_image(self, name, big, small):
         alg = Algebra(name)
-        bound = alg._label_bound(big, small)
+        shifted = tuple(x + 1 for x in big)
+        bits = alg._lane_width(shifted, small)
         worst = 0
         for mu in alg.freudenthal(small).entries:
             for u in alg.weyl_orbit(mu):
                 x = tuple(b + 1 + v for b, v in zip(big, u))
-                for y in alg.weyl_orbit(alg._reflect(list(x))[0]):
+                for y in alg.weyl_orbit(alg._reflect(list(x))):
                     worst = max(worst, max(abs(v) for v in y))
-        assert 0 < worst <= bound
+        # the Cauchy-Schwarz bound of _lane_width for two weights:
+        # (α, α) worst^2 <= 4 * 2 * ((ν + ρ, ν + ρ) + (small, small))
+        square = 8 * (alg._form(shifted, shifted) + alg._form(small, small))
+        assert 0 < worst
+        assert min(alg._root_norm) * worst * worst <= square
+        assert worst < 1 << bits - 1
 
     @pytest.mark.parametrize("name, big, small", [
         # a label beyond int32 takes 64-bit lanes, 128-bit keys
         ("A2", (2 ** 31, 0), (1, 1)),
-        # E8's label bound is 847 here, so its lanes take 16 bits and its
-        # keys 128
+        # _lane_width bounds E8's labels by 846 here, so its lanes take 16
+        # bits and its keys 128
         ("E8", (200, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
-        # E7's is 167: 16-bit lanes, 112-bit keys
+        # E7's by 166: 16-bit lanes, 112-bit keys
         ("E7", (50, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)),
     ])
     def test_labels_beyond_the_kernel_integers_take_the_loop(
             self, monkeypatch, name, big, small):
         alg = Algebra(name)
-        bits = alg._lane_width(small, alg._label_bound(big, small))
+        bits = alg._lane_width(tuple(x + 1 for x in big), small)
         assert alg.rank * bits > 64
         monkeypatch.setattr(repth, "_klimyk_array", refuse)
         results = []
@@ -591,9 +604,10 @@ class TestKlimykKernels:
         small = tuple(4 * x for x in a20.fundamental(1))
         big = a20.fundamental(5)
         assert a20.weyl_dim(big) > a20.weyl_dim(small)
-        assert not a20._labels_below(small, 4)
-        assert a20._labels_below(a20.fundamental(1), 4)
-        assert a20._lane_width(small, a20._label_bound(big, small)) == 8
+        for lam, top in ((small, 4), (a20.fundamental(1), 1)):
+            assert max(abs(x) for mu in a20.freudenthal(lam).entries
+                       for u in a20.weyl_orbit(mu) for x in u) == top
+        assert a20._lane_width(tuple(x + 1 for x in big), small) == 8
         monkeypatch.setattr(repth, "_klimyk_array", refuse)
         results = []
         for threshold in (FORCE_LOOP, FORCE_ARRAY):
@@ -607,9 +621,10 @@ class TestKlimykKernels:
         assert results[0].entries == {w: 1 for w in hooks}
 
     def test_lane_guard_decides_where_the_sum_labels_fit(self, monkeypatch):
-        # k λ1 ⊗ the adjoint of A3 has the label bound 32,767 for
-        # k = 18,916, which 16-bit lanes hold, 48-bit keys; k = 18,917 has
-        # 32,769 and takes 32-bit lanes, 96-bit keys, on the loop
+        # k λ1 ⊗ the adjoint of A3: 8 ((kλ1 + ρ)^2 + (small, small)) /
+        # (α, α) is just below 2^30 for k = 18,916, so 16-bit lanes hold
+        # its labels, 48-bit keys; k = 18,917 passes 2^30 and takes 32-bit
+        # lanes, 96-bit keys, on the loop
         calls = []
         array_kernel = repth._klimyk_array
 
@@ -623,7 +638,7 @@ class TestKlimykKernels:
             a3 = Algebra("A3")
             big = (k, 0, 0)
             assert a3.weyl_dim(big) > a3.weyl_dim(small)
-            assert a3._lane_width(small, a3._label_bound(big, small)) == bits
+            assert a3._lane_width((k + 1, 1, 1), small) == bits
             calls.clear()
             monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
             forced = a3.tensor_decompose(big, small)
@@ -661,7 +676,7 @@ class TestKlimykKernels:
             results.append(Algebra(name).tensor_decompose(left, right))
         alg = Algebra(name)
         big, small = sorted((left, right), key=alg.weyl_dim, reverse=True)
-        bits = alg._lane_width(small, alg._label_bound(big, small))
+        bits = alg._lane_width(tuple(x + 1 for x in big), small)
         assert received == [("loop", bits), ("kernel", bits)]
         assert results[0] == results[1]
 
@@ -705,13 +720,23 @@ def assert_keys_fit(alg):
 
 
 class TestKeyLoop:
+    def test_lane_width_table(self):
+        e8 = Algebra("E8")
+        for j, k in itertools.combinations_with_replacement(range(1, 9), 2):
+            big, small = sorted((e8.fundamental(j), e8.fundamental(k)),
+                                key=e8.weyl_dim, reverse=True)
+            assert e8._lane_width(tuple(x + 1 for x in big), small) == 8
+        for name, big, small in (("E8", (200,) + (0,) * 7, (0,) * 7 + (1,)),
+                                 ("E7", (50,) + (0,) * 6, (0,) * 6 + (1,))):
+            alg = Algebra(name)
+            assert alg._lane_width(tuple(x + 1 for x in big), small) == 16
+
     def test_wide_e8_labels_take_16_bit_lanes(self):
         e8 = Algebra("E8")
         big = (200, 0, 0, 0, 0, 0, 0, 0)
         lam8 = e8.fundamental(8)
-        bound = e8._label_bound(big, lam8)
-        assert bound == 847
-        assert e8._lane_width(lam8, bound) == 16
+        assert e8._lane_width(lam8) == 8
+        assert e8._lane_width(tuple(x + 1 for x in big), lam8) == 16
         dec = e8.tensor_decompose(big, lam8)
         assert list(e8._weight_systems) == [(lam8, 16)]
         for _, keys in e8._weight_systems[lam8, 16]:
@@ -822,7 +847,7 @@ class TestPackedWalk:
     def test_kernel_checks_each_orbit_length(self, delta):
         b3 = Algebra("B3")
         big, small = (1, 0, 1), (0, 1, 1)
-        bits = b3._lane_width(small, b3._label_bound(big, small))
+        bits = b3._lane_width((2, 1, 2), small)
         orbits = dict(b3._orbit_sizes(small))
         mu = max(orbits, key=orbits.get)
         orbits[mu] += delta
@@ -846,7 +871,7 @@ class TestPackedWalk:
         monkeypatch.setattr(repth, "_packed_orbits", overrun)
         b3 = Algebra("B3")
         big, small = (1, 0, 1), (0, 1, 1)
-        bits = b3._lane_width(small, b3._label_bound(big, small))
+        bits = b3._lane_width((2, 1, 2), small)
         with pytest.raises(AssertionError, match="orbit of"):
             repth._klimyk_array(b3, b3.freudenthal(small),
                                 b3._orbit_sizes(small), (2, 1, 2), bits)
@@ -862,7 +887,7 @@ class TestPackedWalk:
         table = e8_fresh.freudenthal(lam)
         orbits = e8_fresh._orbit_sizes(lam)
         shifted = tuple(x + 1 for x in lam)
-        bits = e8_fresh._lane_width(lam, e8_fresh._label_bound(lam, lam))
+        bits = e8_fresh._lane_width(shifted, lam)
         tracemalloc.start()
         try:
             repth._klimyk_array(e8_fresh, table, orbits, shifted, bits)
@@ -900,7 +925,7 @@ class TestWeightSystemCache:
         # the product's lanes also hold every label its sum forms, up to
         # 2k + 2, so only k = 40 keeps 8-bit lanes
         assert a1._lane_width((k,)) == 8 * array(code).itemsize
-        bits = a1._lane_width((k,), a1._label_bound((k + 1,), (k,)))
+        bits = a1._lane_width((k + 2,), (k,))
         assert bits == (8 if k == 40 else 16)
         system = a1._weight_system(a1.freudenthal((k,)), bits)
         bias = 1 << bits - 1

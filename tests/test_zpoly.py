@@ -201,6 +201,13 @@ class TestParser:
         with pytest.raises(ParseError):
             P("z1*(1 + z2)")
 
+    @pytest.mark.parametrize("text, offset", [
+        ("*z1", 0), ("z1 + * z2", 5), ("- * 3", 2), ("2*(*z1)", 3)])
+    def test_term_starting_with_asterisk(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            P(text)
+        assert err.value.offset == offset
+
 
 class TestPrinter:
     def test_zero(self):
@@ -363,6 +370,20 @@ b[8] = 120*z8
         with pytest.raises(ParseError) as err:
             read_fixture_text(f"{good}{header} = 1\n", 2)
         assert err.value.offset == len(good)
+
+    def test_header_offset_after_a_comment(self):
+        # the comment does not shift the offset of the block it sits in
+        text = "b[1] = z1\n\nchi[1] = z1 # x\n + 1\n"
+        with pytest.raises(ParseError, match="chi record has 1 labels") as err:
+            read_fixture_text(text, 2)
+        assert err.value.offset == text.index("chi[1]")
+
+    def test_polynomial_error_offset_is_into_the_file(self):
+        text = "b[1] = 192*z1\n\nb[2] = 288*z2 + z9\n"
+        with pytest.raises(ParseError, match="variable z9 exceeds rank 2") \
+                as err:
+            read_fixture_text(text, 2)
+        assert err.value.offset == text.index("z9")
 
     def test_packaged_files_parse(self, operator_fixtures, order2_chars,
                                   higher_chars):
