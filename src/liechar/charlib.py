@@ -111,10 +111,9 @@ class CharacterCache:
             return self._mem[m]
 
     def _split_index(self, m: tuple) -> int:
-        alg = self.algebra
+        dims = self.algebra._fundamental_dims
         candidates = [i for i, x in enumerate(m) if x > 0]
-        return min(candidates,
-                   key=lambda i: (alg.weyl_dim(alg.fundamental(i + 1)), i)) + 1
+        return min(candidates, key=lambda i: (dims[i], i)) + 1
 
     def _plan(self, m: tuple) -> tuple:
         """``(i, ν, V_{λ_i} ⊗ V_ν)`` with ν = m - e_i, i from
@@ -244,9 +243,8 @@ def verify_eigen(algebra: Algebra, m, chi: ZPolynomial,
 def dim_identity(algebra: Algebra, m, chi: ZPolynomial) -> DimReport:
     """Evaluate the character at the fundamental dimensions."""
     m = algebra._check_dominant(m)
-    point = [algebra.weyl_dim(algebra.fundamental(i))
-             for i in range(1, algebra.rank + 1)]
-    return DimReport(Weight(m), chi.evaluate(point), algebra.weyl_dim(m))
+    return DimReport(Weight(m), chi.evaluate(algebra._fundamental_dims),
+                     algebra.weyl_dim(m))
 
 
 def default_cache_dir() -> Path | None:

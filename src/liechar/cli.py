@@ -230,6 +230,16 @@ def _cmd_fixtures_check(args, parser):
     provider = None if operator_records else cache
     operator = csop.build_delta1(algebra, provider,
                                  fixture_records=operator_records)
+    # at the identity element each z_i is dim V_{λ_i}, and every a[j,k]
+    # vanishes there; the first pair that does not is reported
+    broken = False
+    for (j, k), entry in sorted(operator.entries.items()):
+        value = entry.evaluate(algebra._fundamental_dims)
+        if value:
+            print(f"a[{j},{k}] = {value} at the fundamental dimensions, "
+                  "expected 0", file=sys.stderr)
+            broken = True
+            break
     failures = 0
     skipped = 0
     lines = []
@@ -260,7 +270,7 @@ def _cmd_fixtures_check(args, parser):
     lines.append(summary)
     _emit(args, lines, {"records": results, "failures": failures,
                         "skipped": skipped})
-    return 1 if failures else 0
+    return 1 if failures or broken else 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,19 @@ m + kappa rho) in the Weyl-invariant form ( , ) of
 :meth:`Algebra.weight_form`, long roots of norm 2, the excitation energies
 eps_m(kappa) = E_m - E_0 = 2 (m, m) + 4 kappa (m, rho) are exact rationals
 for rational kappa.
+
+:meth:`Delta1Operator.apply` sums the cached image, or column, of each
+monomial of its argument.  A column it meets again is held as a few
+Kronecker-packed integers, a block of 32 coefficients in each (D. Harvey,
+J. Symbolic Comput. 44 (2009)), so that adding it is one big-integer
+multiply-add per block; the slot width is chosen per call from an exact
+bound on the sum, so the result stays exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -126,8 +133,9 @@ class Delta1Operator(_Record):
     ("loaded-from-fixture").
 
     :meth:`apply` keeps the image of each monomial it has met, its column,
-    beside the ``b`` and ``entries`` it was built from, and drops every
-    column once either of them differs.
+    and packs the column when it meets it again, beside the ``b`` and
+    ``entries`` they were built from; it drops every column once either of
+    them differs.
     """
 
     _fields = ("rank", "b", "entries", "provenance")
@@ -139,8 +147,10 @@ class Delta1Operator(_Record):
         self.entries = {} if entries is None else entries
         self.provenance = {} if provenance is None else provenance
         # (b, entry items) the columns were built from, packed key ->
-        # column, and one instance of each int the columns hold
-        self._columns = (None, {}, {})
+        # column, one instance of each int the columns hold, then the
+        # packed columns, the slot of each monomial in them, the monomial
+        # in each slot and the next free slot (see _add_packed)
+        self._columns = (None,)
 
     def a(self, j: int, k: int) -> ZPolynomial:
         pair = (min(j, k), max(j, k))
@@ -155,7 +165,10 @@ class Delta1Operator(_Record):
         Off-diagonal entries already hold the full mixed-derivative
         coefficient (both orders of the symmetric double sum), so each
         pair is applied once.  The image is the sum of the columns of the
-        monomials of ``p``, each scaled by its coefficient.
+        monomials of ``p``, each scaled by its coefficient.  The columns
+        built by this call are summed by one ``combine``, and those built
+        before are added to its result as packed integers
+        (:func:`_add_packed`).
         """
         if p.rank != self.rank:
             raise RankMismatchError(
@@ -163,15 +176,22 @@ class Delta1Operator(_Record):
         # tuple equality tests identity first, so an unchanged operator
         # costs one identity test per value here
         snapshot = (tuple(self.b), tuple(self.entries.items()))
-        built_from, columns, ints = self._columns
-        if built_from != snapshot:
-            columns, ints = {}, {}
-            self._columns = (snapshot, columns, ints)
+        state = self._columns
+        if state[0] != snapshot:
+            state = self._columns = (snapshot, {}, {}, {}, {}, {}, count())
+        columns = state[1]
         new = [key for key in p._terms if key not in columns]
         if new:
-            columns.update(self._build_columns(new, *snapshot, ints))
-        return ZPolynomial.combine(
-            self.rank, ((c, columns[key], None) for key, c in p._terms.items()))
+            columns.update(self._build_columns(new, *snapshot, state[2]))
+        fresh = set(new)
+        image = ZPolynomial.combine(self.rank, (
+            (c, columns[key], None) for key, c in p._terms.items()
+            if key in fresh))
+        reused = [(c, key) for key, c in p._terms.items() if key not in fresh]
+        if reused:
+            # image is this call's own, so its terms may still change
+            _add_packed(reused, columns, *state[3:], image._terms)
+        return image
 
     def _build_columns(self, keys: list, b: tuple, items: tuple,
                        ints: dict) -> dict:
@@ -215,6 +235,83 @@ class Delta1Operator(_Record):
         return columns
 
 
+def _add_packed(terms: list, columns: dict, packed: dict, slots: dict,
+                keys: dict, counter, out: dict):
+    """Add c times the column of ``key`` to the terms ``out`` for each
+    ``(c, key)`` of ``terms``, dropping each term that cancels: one
+    big-integer multiply-add per page of each column, then one decoding per
+    page of the sum.
+
+    The operator numbers the monomials of its packed columns in the order
+    they are first packed, 32 slots to a page.  ``packed`` maps a key to
+    ``(peak, w, pages, ints)``: peak is the largest |coefficient| of the
+    column, and its part on page ``pages[n]`` is ``ints[n]`` =
+    sum_i c_i 2^(w i), c_i the coefficient of the monomial in slot i of
+    that page.  No digit of the sum exceeds B = sum |c| peak in size, and w
+    is the first of 32, 64, 128, ... with B < 2^(w-1), so each page of the
+    sum decodes to its balanced digits exactly.  A column packed at
+    another width is packed again: no sum mixes two widths.
+    """
+    pending = []
+    bound = 0
+    for c, key in terms:
+        entry = packed.get(key)
+        if entry is None:
+            peak = max(map(abs, columns[key]._terms.values()), default=0)
+            entry = (peak, 0)
+        bound += abs(c) * entry[0]
+        pending.append((c, key, entry))
+    width = 32
+    while bound >> (width - 1):
+        width *= 2
+    sums: dict = {}
+    for c, key, entry in pending:
+        if entry[1] != width:
+            entry = packed[key] = (entry[0], width, *_pack(
+                columns[key], width, slots, keys, counter))
+        for page, value in zip(entry[2], entry[3]):
+            sums[page] = sums.get(page, 0) + c * value
+    half = 1 << (width - 1)
+    size = width // 8
+    # half in every slot: the biased digits lie in 0..2^w - 1
+    bias = half * ((1 << 32 * width) - 1) // ((1 << width) - 1)
+    from struct import unpack  # loaded already, by zpoly
+    fields = {32: "<32I", 64: "<32Q"}.get(width)
+    get = out.get
+    for page, value in sums.items():
+        raw = (value + bias).to_bytes(32 * size, "little")
+        digits = unpack(fields, raw) if fields else [
+            int.from_bytes(raw[i:i + size], "little")
+            for i in range(0, 32 * size, size)]
+        for slot, digit in enumerate(digits, 32 * page):
+            if digit != half:
+                k = keys[slot]
+                total = get(k, 0) + digit - half
+                if total:
+                    out[k] = total
+                else:
+                    del out[k]
+
+
+def _pack(column: ZPolynomial, width: int, slots: dict, keys: dict,
+          counter) -> tuple:
+    """``(pages, packed ints)`` of ``column`` at ``width`` bits a slot,
+    numbering the monomials it adds to ``slots``."""
+    pages: dict = {}
+    for k, c in column._terms.items():
+        slot = slots.get(k)
+        if slot is None:
+            # next() and setdefault() are each atomic, and a slot's key is
+            # set before the slot is published: two threads that number one
+            # monomial agree on its slot and leave one unused
+            slot = next(counter)
+            keys[slot] = k
+            slot = slots.setdefault(k, slot)
+        page, i = divmod(slot, 32)
+        pages[page] = pages.get(page, 0) + (c << width * i)
+    return tuple(pages), tuple(pages.values())
+
+
 def _read_pairs(exps) -> Iterator[tuple]:
     """``((j, k), e_j (e_k - δ_jk))``, in (j, k) order, for each pair
     j <= k, 1-based, whose a_jk the operator reads on the monomial z^e:
@@ -231,10 +328,11 @@ def _incomplete(pair: tuple) -> OperatorIncompleteError:
 
 
 def _pairs_by_cost(algebra: Algebra, pairs):
+    dims = algebra._fundamental_dims
+
     def cost(pair):
         j, k = pair
-        return (min(algebra.weyl_dim(algebra.fundamental(j)),
-                    algebra.weyl_dim(algebra.fundamental(k))), j, k)
+        return (min(dims[j - 1], dims[k - 1]), j, k)
     return sorted(pairs, key=cost)
 
 

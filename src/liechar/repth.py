@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from operator import index, mul
 from typing import Iterator
@@ -340,6 +341,12 @@ class Algebra:
             raise AssertionError(f"non-integral dimension for {w}")
         self._dims[w] = value
         return value
+
+    @cached_property
+    def _fundamental_dims(self) -> tuple:
+        """dim V_λi for i = 1..rank: the point of the dimension identity."""
+        return tuple(self.weyl_dim(self.fundamental(i))
+                     for i in range(1, self.rank + 1))
 
     def weyl_order(self) -> int:
         return self._weyl_order_of(range(self.rank))

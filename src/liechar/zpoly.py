@@ -9,12 +9,14 @@ subtraction.  Every exponent stays within 0..2^31 - 1, so the sum of two
 fields cannot carry into the next one; larger exponents raise
 :class:`ExponentRangeError`.  The packing stays inside this module, apart from
 the operator's column cache in :mod:`liechar.csop`, which keys each column
-by its monomial's packed key: the public accessors and the constructor
-speak exponent tuples.
+by its monomial's packed key and packs a column it reuses into integers, 32
+coefficients to each: the public accessors and the constructor speak
+exponent tuples.
 :meth:`ZPolynomial.combine`, one fused sum of products, is the only
 accumulation routine: the ring operators and every linear combination of
-polynomials in the package call it.  The module also owns the plain-text
-grammar used by the fixture files and the CLI
+polynomials in the package call it, except the operator's sum of its
+cached columns, which :mod:`liechar.csop` adds itself.  The module also
+owns the plain-text grammar used by the fixture files and the CLI
 (``-1 - z1 - z7 - z8 + z8^2`` style), including the one-level factored form
 ``-4*(31 + 7*z1 + ...)`` used by operator tables.
 
@@ -301,102 +303,103 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
     if rank < 1:
         raise ValueError("rank must be positive")
     tokens = _tokenize(text)
-    pos = 0
-    top = _layout(rank)[1]
-
-    def peek():
-        return tokens[pos]
-
-    def parse_term(sign: int, in_paren: bool) -> dict:
-        nonlocal pos
-        coeff = sign
-        key = 0
-        saw_factor = False
-        while True:
-            kind, value, off = peek()
-            if kind == "int":
-                pos += 1
-                coeff *= value
-                saw_factor = True
-                if peek()[0] == "^":
-                    raise ParseError("exponent applies only to variables",
-                                     peek()[2])
-            elif kind == "var":
-                if not 1 <= value <= rank:
-                    raise ParseError(f"variable z{value} exceeds rank {rank}", off)
-                pos += 1
-                exp, exp_off = 1, off
-                if peek()[0] == "^":
-                    pos += 1
-                    k2, v2, o2 = peek()
-                    if k2 != "int":
-                        raise ParseError("expected integer exponent", o2)
-                    pos += 1
-                    exp, exp_off = v2, o2
-                if exp <= MAX_EXPONENT:
-                    # every field stays below 2^31, so this add cannot carry
-                    key += exp << (_FIELD_BITS * (value - 1))
-                if exp > MAX_EXPONENT or key & top:
-                    raise ParseError(
-                        f"exponent of z{value} exceeds {MAX_EXPONENT}", exp_off)
-                saw_factor = True
-            elif kind == "(":
-                if in_paren:
-                    raise ParseError("nested parentheses are not allowed", off)
-                if key:
-                    raise ParseError(
-                        "parenthesized sum must be scaled by a plain integer", off)
-                pos += 1
-                inner = parse_sum(True)
-                k2, _, o2 = peek()
-                if k2 != ")":
-                    raise ParseError("expected ')'", o2)
-                pos += 1
-                k3, _, o3 = peek()
-                if k3 not in ("+", "-", "end"):
-                    raise ParseError("unexpected token after ')'", o3)
-                return {e: coeff * c for e, c in inner.items()}
-            elif kind == "*":
-                if not saw_factor:
-                    raise ParseError("expected term", off)
-                pos += 1
-                if peek()[0] not in ("int", "var", "("):
-                    raise ParseError("expected factor after '*'", peek()[2])
-            else:
-                break
-        if not saw_factor:
-            raise ParseError("expected term", peek()[2])
-        return {key: coeff}
-
-    def parse_sum(in_paren: bool) -> dict:
-        nonlocal pos
-        acc: dict = {}
-        sign = 1
-        kind, _, _ = peek()
-        if kind == "-":
-            sign = -1
-            pos += 1
-        elif kind == "+":
-            pos += 1
-        while True:
-            for key, coeff in parse_term(sign, in_paren).items():
-                acc[key] = acc.get(key, 0) + coeff
-            kind, _, _ = peek()
-            if kind == "+":
-                sign = 1
-                pos += 1
-            elif kind == "-":
-                sign = -1
-                pos += 1
-            else:
-                break
-        return acc
-
-    result = parse_sum(False)
-    kind, _, off = peek()
+    result, pos = _parse_sum(tokens, 0, rank, False)
+    kind, _, off = tokens[pos]
     if kind != "end":
         raise ParseError("unexpected trailing input", off)
     return ZPolynomial._raw(rank, {key: c for key, c in result.items() if c})
+
+
+# The two routines below call each other, and the position in ``tokens``
+# goes in and out as a value: nested functions sharing it through closure
+# cells would reach each other in a reference cycle, left behind by every
+# parse until the cyclic collector runs.
+
+def _parse_sum(tokens: list, pos: int, rank: int, in_paren: bool) -> tuple:
+    """``(packed key -> coefficient, position after it)`` of the signed sum
+    of terms at ``tokens[pos]``."""
+    top = _layout(rank)[1]
+    acc: dict = {}
+    sign = 1
+    kind = tokens[pos][0]
+    if kind == "-":
+        sign = -1
+        pos += 1
+    elif kind == "+":
+        pos += 1
+    while True:
+        term, pos = _parse_term(tokens, pos, rank, top, sign, in_paren)
+        for key, coeff in term.items():
+            acc[key] = acc.get(key, 0) + coeff
+        kind = tokens[pos][0]
+        if kind == "+":
+            sign = 1
+        elif kind == "-":
+            sign = -1
+        else:
+            return acc, pos
+        pos += 1
+
+
+def _parse_term(tokens: list, pos: int, rank: int, top: int, sign: int,
+                in_paren: bool) -> tuple:
+    """As :func:`_parse_sum`, for the one term at ``tokens[pos]``; ``top``
+    holds the top bit of every exponent field."""
+    coeff = sign
+    key = 0
+    saw_factor = False
+    while True:
+        kind, value, off = tokens[pos]
+        if kind == "int":
+            pos += 1
+            coeff *= value
+            saw_factor = True
+            if tokens[pos][0] == "^":
+                raise ParseError("exponent applies only to variables",
+                                 tokens[pos][2])
+        elif kind == "var":
+            if not 1 <= value <= rank:
+                raise ParseError(f"variable z{value} exceeds rank {rank}", off)
+            pos += 1
+            exp, exp_off = 1, off
+            if tokens[pos][0] == "^":
+                k2, v2, o2 = tokens[pos + 1]
+                if k2 != "int":
+                    raise ParseError("expected integer exponent", o2)
+                pos += 2
+                exp, exp_off = v2, o2
+            if exp <= MAX_EXPONENT:
+                # every field stays below 2^31, so this add cannot carry
+                key += exp << (_FIELD_BITS * (value - 1))
+            if exp > MAX_EXPONENT or key & top:
+                raise ParseError(
+                    f"exponent of z{value} exceeds {MAX_EXPONENT}", exp_off)
+            saw_factor = True
+        elif kind == "(":
+            if in_paren:
+                raise ParseError("nested parentheses are not allowed", off)
+            if key:
+                raise ParseError(
+                    "parenthesized sum must be scaled by a plain integer", off)
+            inner, pos = _parse_sum(tokens, pos + 1, rank, True)
+            k2, _, o2 = tokens[pos]
+            if k2 != ")":
+                raise ParseError("expected ')'", o2)
+            k3, _, o3 = tokens[pos + 1]
+            if k3 not in ("+", "-", "end"):
+                raise ParseError("unexpected token after ')'", o3)
+            return {e: coeff * c for e, c in inner.items()}, pos + 1
+        elif kind == "*":
+            if not saw_factor:
+                raise ParseError("expected term", off)
+            pos += 1
+            if tokens[pos][0] not in ("int", "var", "("):
+                raise ParseError("expected factor after '*'", tokens[pos][2])
+        else:
+            break
+    if not saw_factor:
+        raise ParseError("expected term", off)
+    return {key: coeff}, pos
 
 
 def _format_monomial(exponents) -> str:

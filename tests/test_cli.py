@@ -10,7 +10,7 @@ import liechar
 from liechar import parse_poly
 from liechar.cli import _operator_for, main
 import oracles
-from conftest import ORDER2_FILE
+from conftest import OPERATOR_FILE, ORDER2_FILE
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +232,42 @@ class TestFixturesCheck:
                                  "E8", "--no-fixtures", "--budget", "1")
         assert (code, out) == (3, "")
         assert "exceeding the budget 1" in err
+
+
+class TestFixturesCheckIdentity:
+    """Every a[j,k] of the operator ``fixtures-check`` uses vanishes at
+    z_i = dim V_{λ_i}."""
+
+    def test_entry_off_the_identity_is_reported(self, capsys, tmp_path,
+                                                order2_chars):
+        from liechar import Weight, print_poly
+        chars = tmp_path / "one.chi"
+        # chi of 2λ8 reads a[8,8] alone, so its record still passes
+        chars.write_text("chi[0,0,0,0,0,0,0,2] = " + print_poly(
+            order2_chars[Weight((0, 0, 0, 0, 0, 0, 0, 2))]) + "\n")
+        text = OPERATOR_FILE.read_text("utf-8")
+        table = tmp_path / "operator.txt"
+        table.write_text(text)
+        args = ("fixtures-check", str(chars), "E8", "--fixtures", str(table))
+        code, out, err = run_cli(capsys, *args)
+        assert (code, err) == (0, "")
+        start = text.index("a[1,2] = ")
+        end = text.index("\n", start)
+        table.write_text(text[:end] + " + z1" + text[end:])
+        code, bad_out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert bad_out == out
+        assert err == ("a[1,2] = 3875 at the fundamental dimensions, "
+                       "expected 0\n")
+
+    def test_packaged_tables_pass(self, capsys):
+        code, out, err = run_cli(capsys, "fixtures-check", str(ORDER2_FILE),
+                                 "E8", "--budget", "1")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 37
+        assert all(line.endswith(" dim=PASS eigen=PASS recompute=SKIP")
+                   for line in lines[:-1])
 
 
 class TestExitCodes:

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from liechar import (Algebra, BudgetError, CharacterCache, ExponentRangeError,
-                     OperatorIncompleteError, RankMismatchError, Weight,
-                     ZPolynomial, a_coeff, b_coeffs, build_delta1, epsilon,
-                     parse_poly)
+from liechar import (Algebra, BudgetError, CharacterCache, Delta1Operator,
+                     ExponentRangeError, OperatorIncompleteError,
+                     RankMismatchError, Weight, ZPolynomial, a_coeff,
+                     b_coeffs, build_delta1, epsilon, parse_poly,
+                     verify_eigen)
 from liechar.zpoly import MAX_EXPONENT
 
 E8_B = (192, 288, 392, 600, 480, 360, 240, 120)
@@ -318,6 +319,113 @@ class TestColumns:
             oracles.delta1_apply(op, over)
         below = ZPolynomial.monomial(8, (2, 0, 0, 0, 0, 0, 0, 3))
         assert op.apply(below) == oracles.delta1_apply(op, below)
+
+
+class TestPackedColumns:
+    """A column that ``apply`` meets again is added as packed integers.
+    Each test applies a polynomial twice, so that the second call takes
+    the packed path, and checks both against ``oracles.delta1_apply``."""
+
+    @staticmethod
+    def _twice(op, p):
+        expected = oracles.delta1_apply(op, p)
+        assert op.apply(p) == expected
+        assert op.apply(p) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank8_polys)
+    def test_matches_derivative_oracle(self, fixture_op, terms):
+        self._twice(fixture_op, ZPolynomial(8, terms))
+
+    @pytest.mark.parametrize("scale", [2 ** 40, -2 ** 40, 2 ** 100, -2 ** 100])
+    def test_wide_coefficients(self, e8, operator_fixtures, order2_chars,
+                               scale):
+        # max |column coefficient| is 3,720, so the sum needs slots of 64
+        # bits at 2^40 and of 128 at 2^100
+        op = _fixture_operator(e8, operator_fixtures)
+        chi = order2_chars[Weight((0, 0, 0, 0, 0, 0, 1, 1))]
+        small = order2_chars[Weight((1, 0, 0, 0, 0, 0, 0, 1))]
+        wide = scale * chi - 3 * small
+        self._twice(op, wide)
+        # the same columns at 32 bits, then wide again
+        self._twice(op, small)
+        self._twice(op, wide + scale * small)
+
+    @pytest.mark.parametrize("c", [2 ** 31 - 1, 2 ** 31, -2 ** 31,
+                                   2 ** 63 - 1, 2 ** 63, -2 ** 63])
+    def test_width_at_the_bound(self, c):
+        # the column of z1 is z1 and that of z1^2 is 2*z1^2 + 2, so the
+        # bound on the sum is |c| or |c| + 2; a digit of 2^31 needs 64 bits
+        op = Delta1Operator(1, (1,), {(1, 1): ZPolynomial.const(1, 1)})
+        z1 = ZPolynomial.variable(1, 1)
+        self._twice(op, c * z1)
+        self._twice(op, (c - 2) * z1 + z1 * z1)
+        self._twice(op, -c * z1 - z1 * z1)
+
+    def test_zero_and_constant(self, fixture_op):
+        for p in (ZPolynomial.zero(8), ZPolynomial.const(8, -7)):
+            self._twice(fixture_op, p)
+            assert fixture_op.apply(p).is_zero
+
+    def test_follows_replaced_entry_and_b(self, e8, operator_fixtures,
+                                          order2_chars):
+        op = _fixture_operator(e8, operator_fixtures)
+        chi = order2_chars[Weight((0, 0, 0, 0, 0, 0, 1, 1))]
+        self._twice(op, chi)
+        op.entries[(7, 8)] = op.entries[(7, 8)] + ZPolynomial.variable(8, 1)
+        self._twice(op, chi)
+        op.b = op.b[:7] + (op.b[7] + 1,)
+        self._twice(op, chi)
+        op.b = list(op.b)
+        self._twice(op, chi)
+        op.b[6] -= 5
+        self._twice(op, chi)
+
+    def test_two_threads_share_one_operator(self, e8, operator_fixtures,
+                                            higher_chars):
+        op = _fixture_operator(e8, operator_fixtures)
+        chars = [higher_chars[m] for m in sorted(higher_chars)[:40]]
+        chars += [-(2 ** 40) * chars[0] + chars[1], 5 * chars[2]]
+        expected = [oracles.delta1_apply(op, chi) for chi in chars]
+        results = [None, None]
+
+        def work(slot, order):
+            results[slot] = [(i, op.apply(chars[i])) for i in order
+                             for _ in range(2)]
+
+        order = list(range(len(chars)))
+        threads = [threading.Thread(target=work, args=(0, order)),
+                   threading.Thread(target=work, args=(1, order[::-1]))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for result in results:
+            assert len(result) == 2 * len(chars)
+            for i, image in result:
+                assert image == expected[i]
+
+    def test_verify_eigen_on_a_changed_character(self, e8, operator_fixtures,
+                                                 higher_chars):
+        op = _fixture_operator(e8, operator_fixtures)
+        m = sorted(higher_chars)[-1]
+        chi = higher_chars[m]
+        exps, coeff = chi.sorted_terms()[len(chi) // 2]
+        bad = chi + ZPolynomial.monomial(8, exps, 1)
+        eps = int(epsilon(e8, m, 1))
+        residual = oracles.delta1_apply(op, bad) - eps * bad
+        assert not residual.is_zero
+        for _ in range(2):
+            report = verify_eigen(e8, m, bad, op)
+            assert not report.ok
+            assert report.residual == residual
+        assert verify_eigen(e8, m, chi, op).ok
 
 
 class TestIdentityElement:

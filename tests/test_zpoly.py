@@ -1,3 +1,4 @@
+import gc
 import re
 from fractions import Fraction
 
@@ -207,6 +208,22 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             P(text)
         assert err.value.offset == offset
+
+
+    @pytest.mark.parametrize("parse", [
+        lambda: parse_poly("1 + 2*z1", 8),
+        lambda: read_fixture_text(
+            "a[1,2] = -4*(-31 - 6*z1 + 25*z1^2 - 24*z2 + 6*z8^2)\n", 8)])
+    def test_parse_leaves_no_reference_cycle(self, parse):
+        # the collector finds nothing to free, so a parse's tokens and
+        # routines are released as soon as it returns
+        gc.disable()
+        try:
+            gc.collect()
+            parse()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPrinter:
