@@ -235,8 +235,7 @@ def verify_eigen(algebra: Algebra, m, chi: ZPolynomial,
     if expected.denominator != 1:
         raise ValueError(f"eps_{m}(1) = {expected} is not integral")
     expected = int(expected)
-    residual = ZPolynomial.combine(
-        chi.rank, ((1, operator.apply(chi), None), (-expected, chi, None)))
+    residual = operator.apply(chi, expected)
     return EigenReport(Weight(m), expected, residual.is_zero, residual)
 
 

@@ -167,6 +167,10 @@ def _cmd_bcoeffs(args, parser):
 def _cmd_acoeff(args, parser):
     algebra = _algebra(args)
     j, k = args.j, args.k
+    if 1 <= j <= algebra.rank and 1 <= k <= algebra.rank:
+        # the operator's preconditions, before any product or character;
+        # a_coeff itself reports indices out of range first
+        csop.b_coeffs(algebra)
     poly = csop.a_coeff(algebra, j, k, _cache(args, algebra))
     _emit(args,
           [f"a[{min(j, k)},{max(j, k)}] = {print_poly(poly)}"],
@@ -199,6 +203,9 @@ def _cmd_delta1_apply(args, parser):
 def _cmd_verify(args, parser):
     algebra = _algebra(args)
     w = _parse_weight(args.weight, algebra.rank, parser)
+    # the operator's preconditions, simply laced and integral eps, are
+    # checked before the character is computed
+    csop.b_coeffs(algebra)
     cache = _cache(args, algebra)
     chi = cache.character_poly(w)
     operator = _operator_for(algebra, chi, cache)

@@ -13,24 +13,27 @@ m + kappa rho) in the Weyl-invariant form ( , ) of
 eps_m(kappa) = E_m - E_0 = 2 (m, m) + 4 kappa (m, rho) are exact rationals
 for rational kappa.
 
-:meth:`Delta1Operator.apply` sums the cached image, or column, of each
-monomial of its argument.  A column it meets again is held as a few
-Kronecker-packed integers, a block of 32 coefficients in each (D. Harvey,
-J. Symbolic Comput. 44 (2009)), so that adding it is one big-integer
-multiply-add per block; the slot width is chosen per call from an exact
-bound on the sum, so the result stays exact.
+:meth:`Delta1Operator.apply` returns Δ1 p - shift p as the sum of the
+cached image, or column, of each monomial of p, less shift times the
+monomial.  The operator builds the columns from ``b`` and the a_jk, and
+drops them when either changes; a :class:`~liechar.zpoly.ColumnStore`
+keeps them and sums them, a column used a third time, if it spans few
+slots, as one Kronecker-packed integer (D. Harvey, J. Symbolic Comput. 44
+(2009)).
+:func:`~liechar.charlib.verify_eigen` calls ``apply(chi, eps)``: the
+residual of a true eigenvector is a packed sum of 0, which is not decoded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, count
+from itertools import combinations_with_replacement
 from operator import mul
 from typing import Iterable, Iterator
 
-from .errors import OperatorIncompleteError, RankMismatchError
+from .errors import OperatorIncompleteError, RankMismatchError, integer
 from .repth import Algebra
-from .zpoly import ZPolynomial, _unpack_all
+from .zpoly import ColumnStore, ZPolynomial
 
 __all__ = [
     "epsilon",
@@ -44,8 +47,11 @@ __all__ = [
 def epsilon(algebra: Algebra, m, kappa=1) -> Fraction:
     """Excitation energy 2 (m, m) + 4 kappa (m, rho) = E_m - E_0."""
     m = algebra._check_weight(m)
-    return (2 * algebra.weight_form(m, m)
-            + 4 * Fraction(kappa) * algebra.weight_form(m, algebra.rho))
+    kappa = Fraction(kappa)
+    p, q = kappa.numerator, kappa.denominator
+    # 2 (m, m + 2 kappa rho) = 2 (m, q m + 2 p rho) / q, in _form's units
+    return Fraction(2 * algebra._form(m, [q * x + 2 * p for x in m]),
+                    q * algebra._unit)
 
 
 def _epsilon_int(algebra: Algebra, m) -> int:
@@ -133,9 +139,9 @@ class Delta1Operator(_Record):
     ("loaded-from-fixture").
 
     :meth:`apply` keeps the image of each monomial it has met, its column,
-    and packs the column when it meets it again, beside the ``b`` and
-    ``entries`` they were built from; it drops every column once either of
-    them differs.
+    in a :class:`~liechar.zpoly.ColumnStore`, beside the ``b`` and
+    ``entries`` the columns were built from; it drops the store once either
+    of them differs.
     """
 
     _fields = ("rank", "b", "entries", "provenance")
@@ -146,10 +152,7 @@ class Delta1Operator(_Record):
         self.b = b
         self.entries = {} if entries is None else entries
         self.provenance = {} if provenance is None else provenance
-        # (b, entry items) the columns were built from, packed key ->
-        # column, one instance of each int the columns hold, then the
-        # packed columns, the slot of each monomial in them, the monomial
-        # in each slot and the next free slot (see _add_packed)
+        # (b, entry items) the columns were built from, and their store
         self._columns = (None,)
 
     def a(self, j: int, k: int) -> ZPolynomial:
@@ -159,59 +162,46 @@ class Delta1Operator(_Record):
             raise _incomplete(pair)
         return entry
 
-    def apply(self, p: ZPolynomial) -> ZPolynomial:
-        """sum_{j<=k} a_jk d_j d_k p + sum_j b_j z_j d_j p, exactly.
+    def apply(self, p: ZPolynomial, shift: int = 0) -> ZPolynomial:
+        """sum_{j<=k} a_jk d_j d_k p + sum_j b_j z_j d_j p - shift p, exactly.
 
         Off-diagonal entries already hold the full mixed-derivative
         coefficient (both orders of the symmetric double sum), so each
-        pair is applied once.  The image is the sum of the columns of the
-        monomials of ``p``, each scaled by its coefficient.  The columns
-        built by this call are summed by one ``combine``, and those built
-        before are added to its result as packed integers
-        (:func:`_add_packed`).
+        pair is applied once.  The image is the sum over the monomials
+        z^e of ``p`` of c_e (column_e - shift z^e), which the column store
+        adds: a column's first two uses term by term, later ones mostly as
+        one packed integer each, with a packed sum of 0 never decoded.  So
+        ``apply(chi, eps)`` checks the eigen-equation without building the
+        image.
         """
         if p.rank != self.rank:
             raise RankMismatchError(
                 f"polynomial rank {p.rank} vs operator {self.rank}")
+        shift = integer(shift, "shift")
         # tuple equality tests identity first, so an unchanged operator
         # costs one identity test per value here
         snapshot = (tuple(self.b), tuple(self.entries.items()))
         state = self._columns
         if state[0] != snapshot:
-            state = self._columns = (snapshot, {}, {}, {}, {}, {}, count())
-        columns = state[1]
-        new = [key for key in p._terms if key not in columns]
-        if new:
-            columns.update(self._build_columns(new, *snapshot, state[2]))
-        fresh = set(new)
-        image = ZPolynomial.combine(self.rank, (
-            (c, columns[key], None) for key, c in p._terms.items()
-            if key in fresh))
-        reused = [(c, key) for key, c in p._terms.items() if key not in fresh]
-        if reused:
-            # image is this call's own, so its terms may still change
-            _add_packed(reused, columns, *state[3:], image._terms)
-        return image
+            state = self._columns = (snapshot, ColumnStore(self.rank))
+        return state[1].apply(
+            p, shift, lambda exps: self._build_columns(exps, *snapshot))
 
-    def _build_columns(self, keys: list, b: tuple, items: tuple,
-                       ints: dict) -> dict:
-        """Packed key -> Δ1 z^e for the monomial z^e of each key, where
+    def _build_columns(self, monomials: list, b: tuple, items: tuple) -> list:
+        """Δ1 z^e for each exponent tuple e of ``monomials``, where
 
             Δ1 z^e = (sum_j b_j e_j) z^e
                      + sum_{j<=k} e_j (e_k - δ_jk) a_jk z^(e - δ_j - δ_k).
 
         A pair that some column needs and ``items`` lacks raises
         :class:`OperatorIncompleteError` before any column is built, for the
-        first such pair in (j, k) order.  Each key and coefficient of a
-        column is the instance of its value kept in ``ints``: the 249
-        columns of the shipped characters hold 12,120 terms but only 253
-        distinct keys and 427 distinct coefficients.
+        first such pair in (j, k) order.
         """
         rank = self.rank
         entries = dict(items)
-        plans = {}
+        plans = []
         absent = set()
-        for key, exps in zip(keys, _unpack_all(rank, keys)):
+        for exps in monomials:
             terms = [(sum(map(mul, b, exps)), ZPolynomial.monomial(rank, exps),
                       None)]
             for (j, k), weight in _read_pairs(exps):
@@ -223,93 +213,10 @@ class Delta1Operator(_Record):
                 shifted[j - 1] -= 1
                 shifted[k - 1] -= 1
                 terms.append((weight, entry, ZPolynomial.monomial(rank, shifted)))
-            plans[key] = terms
+            plans.append(terms)
         if absent:
             raise _incomplete(min(absent))
-        one = ints.setdefault
-        columns = {}
-        for key, terms in plans.items():
-            column = ZPolynomial.combine(rank, terms)
-            columns[key] = ZPolynomial._raw(
-                rank, {one(k, k): one(c, c) for k, c in column._terms.items()})
-        return columns
-
-
-def _add_packed(terms: list, columns: dict, packed: dict, slots: dict,
-                keys: dict, counter, out: dict):
-    """Add c times the column of ``key`` to the terms ``out`` for each
-    ``(c, key)`` of ``terms``, dropping each term that cancels: one
-    big-integer multiply-add per page of each column, then one decoding per
-    page of the sum.
-
-    The operator numbers the monomials of its packed columns in the order
-    they are first packed, 32 slots to a page.  ``packed`` maps a key to
-    ``(peak, w, pages, ints)``: peak is the largest |coefficient| of the
-    column, and its part on page ``pages[n]`` is ``ints[n]`` =
-    sum_i c_i 2^(w i), c_i the coefficient of the monomial in slot i of
-    that page.  No digit of the sum exceeds B = sum |c| peak in size, and w
-    is the first of 32, 64, 128, ... with B < 2^(w-1), so each page of the
-    sum decodes to its balanced digits exactly.  A column packed at
-    another width is packed again: no sum mixes two widths.
-    """
-    pending = []
-    bound = 0
-    for c, key in terms:
-        entry = packed.get(key)
-        if entry is None:
-            peak = max(map(abs, columns[key]._terms.values()), default=0)
-            entry = (peak, 0)
-        bound += abs(c) * entry[0]
-        pending.append((c, key, entry))
-    width = 32
-    while bound >> (width - 1):
-        width *= 2
-    sums: dict = {}
-    for c, key, entry in pending:
-        if entry[1] != width:
-            entry = packed[key] = (entry[0], width, *_pack(
-                columns[key], width, slots, keys, counter))
-        for page, value in zip(entry[2], entry[3]):
-            sums[page] = sums.get(page, 0) + c * value
-    half = 1 << (width - 1)
-    size = width // 8
-    # half in every slot: the biased digits lie in 0..2^w - 1
-    bias = half * ((1 << 32 * width) - 1) // ((1 << width) - 1)
-    from struct import unpack  # loaded already, by zpoly
-    fields = {32: "<32I", 64: "<32Q"}.get(width)
-    get = out.get
-    for page, value in sums.items():
-        raw = (value + bias).to_bytes(32 * size, "little")
-        digits = unpack(fields, raw) if fields else [
-            int.from_bytes(raw[i:i + size], "little")
-            for i in range(0, 32 * size, size)]
-        for slot, digit in enumerate(digits, 32 * page):
-            if digit != half:
-                k = keys[slot]
-                total = get(k, 0) + digit - half
-                if total:
-                    out[k] = total
-                else:
-                    del out[k]
-
-
-def _pack(column: ZPolynomial, width: int, slots: dict, keys: dict,
-          counter) -> tuple:
-    """``(pages, packed ints)`` of ``column`` at ``width`` bits a slot,
-    numbering the monomials it adds to ``slots``."""
-    pages: dict = {}
-    for k, c in column._terms.items():
-        slot = slots.get(k)
-        if slot is None:
-            # next() and setdefault() are each atomic, and a slot's key is
-            # set before the slot is published: two threads that number one
-            # monomial agree on its slot and leave one unused
-            slot = next(counter)
-            keys[slot] = k
-            slot = slots.setdefault(k, slot)
-        page, i = divmod(slot, 32)
-        pages[page] = pages.get(page, 0) + (c << width * i)
-    return tuple(pages), tuple(pages.values())
+        return [ZPolynomial.combine(rank, terms) for terms in plans]
 
 
 def _read_pairs(exps) -> Iterator[tuple]:

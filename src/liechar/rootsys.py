@@ -120,8 +120,20 @@ def _type_edges(family: str, n: int):
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
 
+#: Largest rank accepted.  The positive roots of A_n and D_n number about
+#: n^2 / 2 and n^2, n labels each: A100 builds in seconds, and a rank
+#: taken as given from a type string could exhaust memory.
+MAX_RANK = 100
+
+
+def _check_rank(n: int):
+    if n > MAX_RANK:
+        raise ValueError(f"rank {n} is above the largest supported rank "
+                         f"{MAX_RANK}")
+
 
 def _entries_for_type(family: str, n: int):
+    _check_rank(n)
     family = family.upper()
     if family == "E":
         if n not in (6, 7, 8):
@@ -148,6 +160,7 @@ class CartanMatrix:
         rows = tuple(tuple(integer(x, "Cartan entry") for x in row)
                      for row in entries)
         n = len(rows)
+        _check_rank(n)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("Cartan matrix must be square and nonempty")
         for i in range(n):

@@ -7,15 +7,15 @@ sum_i e_i * 2^(32 i), so z1 fills the low 32 bits and z_r the high ones; a
 product of monomials is one int add and a derivative a shift, a mask and a
 subtraction.  Every exponent stays within 0..2^31 - 1, so the sum of two
 fields cannot carry into the next one; larger exponents raise
-:class:`ExponentRangeError`.  The packing stays inside this module, apart from
-the operator's column cache in :mod:`liechar.csop`, which keys each column
-by its monomial's packed key and packs a column it reuses into integers, 32
-coefficients to each: the public accessors and the constructor speak
-exponent tuples.
+:class:`ExponentRangeError`.  The packing stays inside this module: the
+public accessors and the constructor speak exponent tuples.
 :meth:`ZPolynomial.combine`, one fused sum of products, is the only
 accumulation routine: the ring operators and every linear combination of
-polynomials in the package call it, except the operator's sum of its
-cached columns, which :mod:`liechar.csop` adds itself.  The module also
+polynomials in the package call it.  The one other sum is that of
+:class:`ColumnStore`, which holds a linear map as one polynomial, a column,
+per monomial, and adds a column it meets a third time as one
+Kronecker-packed integer; the operator of :mod:`liechar.csop` keeps its
+columns there, built by exponent tuple.  The module also
 owns the plain-text grammar used by the fixture files and the CLI
 (``-1 - z1 - z7 - z8 + z8^2`` style), including the one-level factored form
 ``-4*(31 + 7*z1 + ...)`` used by operator tables.
@@ -27,11 +27,12 @@ the golden tables (constants first, highest variable weighted last).
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import struct
 from functools import cache, reduce
-from operator import or_
+from operator import mul, or_
 from typing import NamedTuple, Sequence
 
 from .errors import (ExponentRangeError, ParseError, RankMismatchError,
@@ -262,6 +263,181 @@ class ZPolynomial:
                                self._terms.values()):
             total += math.prod(map(pow, point, exps), start=coeff)
         return total
+
+
+# ---------------------------------------------------------------------------
+# column store
+# ---------------------------------------------------------------------------
+
+#: The use of a column from which :class:`ColumnStore` adds it packed, and
+#: the most slots it may then span per term.
+_PACK_USE = 3
+_SPAN = 16
+
+
+def _bias(width: int, n: int) -> int:
+    """2^(width - 1) in each of ``n`` slots of ``width`` bits."""
+    return int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * n,
+                          "little")
+
+
+def _kronecker(pairs, width: int, n: int) -> int:
+    """sum c 2^(width s) over the ``(s, c)`` of ``pairs``, each s below
+    ``n`` and each |c| below 2^(width - 1)."""
+    half = 1 << width - 1
+    digits = [half] * n
+    for slot, c in pairs:
+        digits[slot] = half + c
+    if width <= 64:
+        raw = struct.pack(f"<{n}{'I' if width == 32 else 'Q'}", *digits)
+    else:
+        raw = b"".join(d.to_bytes(width // 8, "little") for d in digits)
+    return int.from_bytes(raw, "little") - _bias(width, n)
+
+
+class ColumnStore:
+    """Columns, polynomials kept under the keys of the monomials they
+    belong to, and the linear map they define (:meth:`apply`).
+
+    A column's first two uses add it term by term, as ``combine`` does.
+    From its third use on it is one Kronecker-packed integer (D. Harvey,
+    J. Symbolic Comput. 44 (2009)), sum_i c_i 2^(w s_i), s_i the slot of
+    its i-th monomial; the store numbers slots as monomials are first
+    packed.  A sum costs time in proportion to the slots it spans, so a
+    column that would leave more than ``_SPAN`` slots per term of it stays
+    unpacked.  Each call takes the first w of 32, 64, 128, ... with
+    B < 2^(w - 1), B = (max peak + |shift|) sum |c| and peak the largest
+    |coefficient| of a column: no digit of the sum is larger than B in
+    size, so the sum decodes exactly.  Slots come from ``next`` on a
+    counter and ``dict.setdefault``, each atomic, and a slot's key is
+    stored before the slot is published, so threads agree on every slot
+    without a lock.
+    """
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self._columns: dict = {}
+        # uses of a column, its peak once it is packed, and the columns
+        # that stay unpacked because they would span too many slots
+        self._uses: dict = {}
+        self._peaks: dict = {}
+        self._wide: set = set()
+        # width -> key -> packed column, and key -> its highest slot
+        self._packed: dict = {}
+        self._tops: dict = {}
+        self._slots: dict = {}
+        self._keys: dict = {}
+        self._counter = itertools.count()
+        # one instance of each key and coefficient the columns hold: the
+        # 249 columns of the shipped E8 characters hold 12,120 terms but
+        # only 253 distinct keys and 427 distinct coefficients
+        self._ints: dict = {}
+
+    def apply(self, p: ZPolynomial, shift: int, build) -> ZPolynomial:
+        """sum_e c_e (column_e - shift z^e) over the terms c_e z^e of
+        ``p``.  ``build`` maps the list of exponent tuples of the monomials
+        of ``p`` that have no column yet to the list of their columns."""
+        rank, columns, peaks = self.rank, self._columns, self._peaks
+        terms = p._terms
+        new = [key for key in terms if key not in columns]
+        if new:
+            one = self._ints.setdefault
+            for key, column in zip(new, build(_unpack_all(rank, new))):
+                columns[key] = ZPolynomial._raw(rank, {
+                    one(k, k): one(c, c) for k, c in column._terms.items()})
+        tight = [key for key in terms if key in peaks]
+        loose = []
+        if len(tight) < len(terms):
+            tight = []
+            uses, wide = self._uses, self._wide
+            for key in terms:
+                if key not in peaks:
+                    n = uses[key] = uses.get(key, 0) + 1
+                    if n < _PACK_USE or key in wide or not self._admit(key):
+                        loose.append(key)
+                        continue
+                    peaks[key] = max(map(abs, columns[key]._terms.values()),
+                                     default=0)
+                tight.append(key)
+        parts = [(terms[key], columns[key], None) for key in loose]
+        if shift and loose:
+            parts.append((-shift, p if not tight else ZPolynomial._raw(
+                rank, {key: terms[key] for key in loose}), None))
+        image = ZPolynomial.combine(rank, parts)
+        if tight:
+            self._add_packed(tight, list(map(terms.__getitem__, tight)), shift,
+                             image._terms)
+        return image
+
+    def _add_packed(self, keys: list, cs: list, shift: int, out: dict):
+        """Add c (column_key - shift z^key) to the terms ``out`` for each
+        key of ``keys`` and c of ``cs``: one packed sum, decoded only when
+        it is not 0."""
+        bound = (max(map(self._peaks.__getitem__, keys)) + abs(shift)) \
+            * sum(map(abs, cs))
+        width = 32
+        while bound >> (width - 1):
+            width *= 2
+        packed = self._packed.setdefault(width, {})
+        values = list(map(packed.get, keys))
+        if None in values:
+            values = [self._pack(key, width, packed) if v is None else v
+                      for key, v in zip(keys, values)]
+        total = sum(map(mul, cs, values))
+        n = max(map(self._tops.__getitem__, keys)) + 1
+        if shift:
+            total -= shift * _kronecker(
+                zip(map(self._slots.__getitem__, keys), cs), width, n)
+        if not total:
+            return
+        size = width // 8
+        half = 1 << width - 1
+        raw = (total + _bias(width, n)).to_bytes(n * size, "little")
+        if width <= 64:
+            digits = struct.unpack(f"<{n}{'I' if width == 32 else 'Q'}", raw)
+        else:
+            digits = [int.from_bytes(raw[i:i + size], "little")
+                      for i in range(0, n * size, size)]
+        get = out.get
+        for slot, digit in enumerate(digits):
+            if digit != half:
+                k = self._keys[slot]
+                value = get(k, 0) + digit - half
+                if value:
+                    out[k] = value
+                else:
+                    del out[k]
+
+    def _admit(self, key: int) -> bool:
+        """Number the monomials of the column of ``key``, and ``key``
+        itself, if the slots then number at most ``_SPAN`` per term of the
+        column, ``key`` counted; otherwise put ``key`` in ``_wide``."""
+        column = self._columns[key]._terms
+        slots = self._slots
+        fresh = sum(k not in slots for k in column) + (
+            key not in slots and key not in column)
+        if len(slots) + fresh > _SPAN * (len(column) + 1):
+            self._wide.add(key)
+            return False
+        self._tops[key] = max([self._slot(key), *map(self._slot, column)])
+        return True
+
+    def _pack(self, key: int, width: int, packed: dict) -> int:
+        """The column of ``key`` packed at ``width`` bits a slot, stored in
+        ``packed``."""
+        slots = self._slots
+        value = packed[key] = _kronecker(
+            ((slots[k], c) for k, c in self._columns[key]._terms.items()),
+            width, self._tops[key] + 1)
+        return value
+
+    def _slot(self, key: int) -> int:
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = next(self._counter)
+            self._keys[slot] = key
+            slot = self._slots.setdefault(key, slot)
+        return slot
 
 
 # ---------------------------------------------------------------------------

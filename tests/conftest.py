@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import liechar as lc
+from liechar.csop import _pairs_by_cost
 from liechar.zpoly import read_fixture_file
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -76,13 +77,7 @@ def e8_build(e8):
     entries = {}
     timings = {}
     all_pairs = [(j, k) for j in range(1, 9) for k in range(j, 9)]
-
-    def cost(pair):
-        j, k = pair
-        return (min(e8.weyl_dim(e8.fundamental(j)),
-                    e8.weyl_dim(e8.fundamental(k))), j, k)
-
-    for j, k in sorted(all_pairs, key=cost):
+    for j, k in _pairs_by_cost(e8, all_pairs):
         start = time.monotonic()
         entries[(j, k)] = lc.a_coeff(e8, j, k, cache)
         timings[(j, k)] = time.monotonic() - start

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,47 @@ class TestExitCodes:
                                "--budget", "3207120")
         assert code == 3
         assert "budget" in err
+
+
+class TestCheapRefusalsFirst:
+    """A request the operator cannot serve, or an oversized rank, is
+    refused before any character or root system is computed."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "B3", "1,0,0"),
+         "the operator layer supports simply-laced algebras only"),
+        (("verify", "A2", "1000000,0"),
+         "eps_(1, 0)(1) = 16/3 is not integral; the unit-coupling operator "
+         "is not integer-valued in these variables"),
+        (("acoeff", "A2", "1", "1"),
+         "eps_(1, 0)(1) = 16/3 is not integral; the unit-coupling operator "
+         "is not integer-valued in these variables"),
+        # eps of both constituents of λ1 ⊗ λ1 is integral, that of λ1 not
+        (("acoeff", "A3", "1", "1"),
+         "eps_(1, 0, 0)(1) = 15/2 is not integral; the unit-coupling "
+         "operator is not integer-valued in these variables"),
+        (("delta1-apply", "B3", "--poly", "z1^2"),
+         "the operator layer supports simply-laced algebras only"),
+    ])
+    def test_operator_preconditions(self, capsys, monkeypatch, argv, message):
+        def refuse(self, m):
+            raise AssertionError(f"character {m} computed")
+
+        monkeypatch.setattr(liechar.CharacterCache, "character_poly", refuse)
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.monotonic() - start < 5.0
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["cartan", "roots", "dim"])
+    def test_rank_above_the_bound(self, capsys, command):
+        argv = [command, "A99999999"] + (["0"] if command == "dim" else [])
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == ("error: rank 99999999 is above the largest supported "
+                       "rank 100\n")
 
 
 class TestCacheAndBudgetFlags:

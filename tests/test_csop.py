@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from liechar import (Algebra, BudgetError, CharacterCache, Delta1Operator,
                      RankMismatchError, Weight, ZPolynomial, a_coeff,
                      b_coeffs, build_delta1, epsilon, parse_poly,
                      verify_eigen)
-from liechar.zpoly import MAX_EXPONENT
+from liechar.zpoly import _SPAN, MAX_EXPONENT
 
 E8_B = (192, 288, 392, 600, 480, 360, 240, 120)
 
@@ -426,6 +427,175 @@ class TestPackedColumns:
             assert not report.ok
             assert report.residual == residual
         assert verify_eigen(e8, m, chi, op).ok
+
+
+eigen_sized_shifts = st.one_of(
+    st.sampled_from([0, 1, -1, 2 ** 40, -2 ** 40]),
+    st.integers(-1320, 1320))
+
+
+def _shifted(op, p, shift):
+    return oracles.delta1_apply(op, p) - shift * p
+
+
+class TestShiftedPackedSum:
+    """``apply(p, shift)`` is Δ1 p - shift p.  A column's first use builds
+    it, its second adds it term by term and its third and later ones add
+    it packed, so each test applies a polynomial at least three times."""
+
+    @staticmethod
+    def _thrice(op, p, shifts=(0, 5, -248)):
+        for shift in shifts:
+            expected = _shifted(op, p, shift)
+            for _ in range(3):
+                assert op.apply(p, shift) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(rank8_polys, st.tuples(*[eigen_sized_shifts] * 3))
+    def test_matches_derivative_oracle(self, e8, operator_fixtures, terms,
+                                       shifts):
+        op = _fixture_operator(e8, operator_fixtures)
+        p = ZPolynomial(8, terms)
+        for shift in shifts:
+            assert op.apply(p, shift) == _shifted(op, p, shift)
+
+    def test_the_third_use_packs(self, e8, operator_fixtures, order2_chars):
+        op = _fixture_operator(e8, operator_fixtures)
+        chi = order2_chars[Weight((0, 0, 0, 0, 0, 0, 1, 1))]
+        for _ in range(2):
+            op.apply(chi)
+        store = op._columns[1]
+        assert not store._packed
+        op.apply(chi, 1)
+        assert store._packed[32].keys() == chi._terms.keys()
+
+    def test_eigenvector_sums_to_zero(self, e8, operator_fixtures,
+                                      higher_chars):
+        op = _fixture_operator(e8, operator_fixtures)
+        for m in sorted(higher_chars)[:20]:
+            eps = int(epsilon(e8, m, 1))
+            for _ in range(3):
+                assert op.apply(higher_chars[m], eps).is_zero
+
+    @pytest.mark.parametrize("scale", [2 ** 40, -2 ** 40, 2 ** 100, -2 ** 100])
+    def test_wide_coefficients(self, e8, operator_fixtures, order2_chars,
+                               scale):
+        op = _fixture_operator(e8, operator_fixtures)
+        chi = order2_chars[Weight((0, 0, 0, 0, 0, 0, 1, 1))]
+        small = order2_chars[Weight((1, 0, 0, 0, 0, 0, 0, 1))]
+        self._thrice(op, scale * chi - 3 * small)
+        self._thrice(op, small)
+        # a shift alone that needs 64 or 128 bits
+        self._thrice(op, small, (scale, -scale))
+
+    @pytest.mark.parametrize("c", [2 ** 31 - 1, 2 ** 31, -2 ** 31,
+                                   2 ** 63 - 1, 2 ** 63, -2 ** 63])
+    def test_width_at_the_bound(self, c):
+        op = Delta1Operator(1, (1,), {(1, 1): ZPolynomial.const(1, 1)})
+        z1 = ZPolynomial.variable(1, 1)
+        self._thrice(op, c * z1, (0, 1, -1))
+        self._thrice(op, (c - 2) * z1 + z1 * z1, (0, 1))
+        # the bound is (2 + |shift|) |c|: digits of 2^31 and 2^63 in size
+        self._thrice(op, ZPolynomial.const(1, c), (1, -1))
+
+    def test_follows_replaced_entry_and_b(self, e8, operator_fixtures,
+                                          order2_chars):
+        op = _fixture_operator(e8, operator_fixtures)
+        chi = order2_chars[Weight((0, 0, 0, 0, 0, 0, 1, 1))]
+        self._thrice(op, chi)
+        op.entries[(7, 8)] = op.entries[(7, 8)] + ZPolynomial.variable(8, 1)
+        self._thrice(op, chi)
+        op.b = op.b[:7] + (op.b[7] + 1,)
+        self._thrice(op, chi)
+        op.b = list(op.b)
+        self._thrice(op, chi)
+        op.b[6] -= 5
+        self._thrice(op, chi)
+
+    def test_two_threads_share_one_operator(self, e8, operator_fixtures,
+                                            higher_chars):
+        op = _fixture_operator(e8, operator_fixtures)
+        weights = sorted(higher_chars)[:30]
+        chars = [higher_chars[m] for m in weights]
+        shifts = [int(epsilon(e8, m, 1)) for m in weights]
+        chars += [-(2 ** 40) * chars[0] + chars[1], 5 * chars[2]]
+        shifts += [shifts[0], 3]
+        expected = [_shifted(op, chi, s) for chi, s in zip(chars, shifts)]
+        results = [None, None]
+
+        def work(slot, order):
+            results[slot] = [(i, op.apply(chars[i], shifts[i]))
+                             for _ in range(3) for i in order]
+
+        order = list(range(len(chars)))
+        threads = [threading.Thread(target=work, args=(0, order)),
+                   threading.Thread(target=work, args=(1, order[::-1]))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for result in results:
+            assert len(result) == 3 * len(chars)
+            for i, image in result:
+                assert image == expected[i]
+
+    def test_verify_eigen_on_changed_characters(self, e8, operator_fixtures,
+                                                higher_chars):
+        op = _fixture_operator(e8, operator_fixtures)
+        rng = random.Random(41)
+        for m in sorted(higher_chars)[-3:]:
+            chi = higher_chars[m]
+            exps, _ = chi.sorted_terms()[rng.randrange(len(chi))]
+            bad = chi + ZPolynomial.monomial(8, exps, rng.choice([-2, 1]))
+            eps = int(epsilon(e8, m, 1))
+            residual = _shifted(op, bad, eps)
+            assert not residual.is_zero
+            for _ in range(4):
+                report = verify_eigen(e8, m, bad, op)
+                assert not report.ok
+                assert report.residual == residual
+                assert verify_eigen(e8, m, chi, op).ok
+
+    def test_wide_columns_stay_unpacked(self, e8, operator_fixtures):
+        # a random monomial's column has hundreds of terms over monomials
+        # met nowhere else, so packing every column used a third time would
+        # number slots for all of them; a column is packed only while the
+        # slots stay within _SPAN per term of it
+        op = _fixture_operator(e8, operator_fixtures)
+        rng = random.Random(47)
+        for _ in range(30):
+            p = ZPolynomial(8, {
+                tuple(rng.randint(0, 3) for _ in range(8)): rng.randint(1, 9)
+                for _ in range(rng.randint(1, 8))})
+            expected = _shifted(op, p, 7)
+            for _ in range(3):
+                assert op.apply(p, 7) == expected
+        store = op._columns[1]
+        assert store._wide and store._tops
+        for key, top in store._tops.items():
+            assert top < _SPAN * (len(store._columns[key]) + 1)
+
+    def test_random_traffic_within_a_wall_bound(self, e8, operator_fixtures):
+        # 60 random rank-8 polynomials, each applied twice: few columns
+        # are used a third time, so few are packed and the slots stay few
+        op = _fixture_operator(e8, operator_fixtures)
+        rng = random.Random(43)
+        polys = [ZPolynomial(8, {
+            tuple(rng.randint(0, 3) for _ in range(8)):
+                rng.choice([-1, 1]) * rng.randint(1, 10 ** 6)
+            for _ in range(rng.randint(1, 8))}) for _ in range(60)]
+        start = time.monotonic()
+        for p in polys:
+            first = op.apply(p)
+            assert op.apply(p) == first
+        assert time.monotonic() - start < 10.0
+        assert first == oracles.delta1_apply(op, polys[-1])
 
 
 class TestIdentityElement:

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from liechar import Algebra, CartanMatrix, Weight, build_cartan
+from liechar.rootsys import MAX_RANK
 
 E8_EXPECTED = [
     [2, 0, -1, 0, 0, 0, 0, 0],
@@ -65,6 +66,17 @@ class TestBuild:
     def test_invalid_matrices(self, entries):
         with pytest.raises(ValueError):
             CartanMatrix(entries)
+
+    def test_rank_bound(self):
+        assert build_cartan(f"D{MAX_RANK}").rank == MAX_RANK
+        for spec in (f"A{MAX_RANK + 1}", "A99999999", "e999999999999"):
+            with pytest.raises(ValueError, match="largest supported rank"):
+                build_cartan(spec)
+        n = MAX_RANK + 1
+        rows = [[2 if i == j else -(abs(i - j) == 1) for j in range(n)]
+                for i in range(n)]
+        with pytest.raises(ValueError, match="largest supported rank"):
+            CartanMatrix(rows)
 
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "C4", "D4", "D5",
