@@ -167,10 +167,6 @@ def _cmd_bcoeffs(args, parser):
 def _cmd_acoeff(args, parser):
     algebra = _algebra(args)
     j, k = args.j, args.k
-    if 1 <= j <= algebra.rank and 1 <= k <= algebra.rank:
-        # the operator's preconditions, before any product or character;
-        # a_coeff itself reports indices out of range first
-        csop.b_coeffs(algebra)
     poly = csop.a_coeff(algebra, j, k, _cache(args, algebra))
     _emit(args,
           [f"a[{min(j, k)},{max(j, k)}] = {print_poly(poly)}"],

@@ -89,7 +89,8 @@ def a_coeff(algebra: Algebra, j: int, k: int, char_provider) -> ZPolynomial:
     2), asserted integral; off-diagonal entries keep the full sum, matching
     the convention of the reference tables.  ``char_provider`` must expose
     ``character_poly(m)`` for every constituent; the recursion terminates
-    because each constituent lies strictly below λ_j + λ_k.
+    because each constituent lies strictly below λ_j + λ_k.  Every eps is
+    checked integral before any character is computed.
     """
     rank = algebra.rank
     if not (1 <= j <= rank and 1 <= k <= rank):
@@ -97,10 +98,13 @@ def a_coeff(algebra: Algebra, j: int, k: int, char_provider) -> ZPolynomial:
     _require_simply_laced(algebra)
     lam_j = algebra.fundamental(j)
     lam_k = algebra.fundamental(k)
-    terms = [(mult * _epsilon_int(algebra, mu), char_provider.character_poly(mu),
-              None) for mu, mult in algebra.tensor_decompose(lam_j, lam_k).items()]
-    terms.append((-(_epsilon_int(algebra, lam_j) + _epsilon_int(algebra, lam_k)),
-                  ZPolynomial.variable(rank, j), ZPolynomial.variable(rank, k)))
+    own = _epsilon_int(algebra, lam_j) + _epsilon_int(algebra, lam_k)
+    constituents = algebra.tensor_decompose(lam_j, lam_k).items()
+    scales = [mult * _epsilon_int(algebra, mu) for mu, mult in constituents]
+    terms = [(scale, char_provider.character_poly(mu), None)
+             for scale, (mu, _) in zip(scales, constituents)]
+    terms.append((-own, ZPolynomial.variable(rank, j),
+                  ZPolynomial.variable(rank, k)))
     acc = ZPolynomial.combine(rank, terms)
     if j != k:
         return acc

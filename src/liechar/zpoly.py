@@ -270,15 +270,16 @@ class ZPolynomial:
 # ---------------------------------------------------------------------------
 
 #: The use of a column from which :class:`ColumnStore` adds it packed, and
-#: the most slots it may then span per term.
+#: the most slots it may then number per term of the column.
 _PACK_USE = 3
 _SPAN = 16
 
 
-def _bias(width: int, n: int) -> int:
-    """2^(width - 1) in each of ``n`` slots of ``width`` bits."""
-    return int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * n,
-                          "little")
+def _codec(width: int, n: int) -> tuple:
+    """The struct format of ``n`` digits of ``width`` bits, 32 or 64, and
+    the bias of balanced digits: 2^(width - 1) in each of them."""
+    return (f"<{n}{'I' if width == 32 else 'Q'}", int.from_bytes(
+        (1 << width - 1).to_bytes(width // 8, "little") * n, "little"))
 
 
 def _kronecker(pairs, width: int, n: int) -> int:
@@ -288,11 +289,8 @@ def _kronecker(pairs, width: int, n: int) -> int:
     digits = [half] * n
     for slot, c in pairs:
         digits[slot] = half + c
-    if width <= 64:
-        raw = struct.pack(f"<{n}{'I' if width == 32 else 'Q'}", *digits)
-    else:
-        raw = b"".join(d.to_bytes(width // 8, "little") for d in digits)
-    return int.from_bytes(raw, "little") - _bias(width, n)
+    fmt, bias = _codec(width, n)
+    return int.from_bytes(struct.pack(fmt, *digits), "little") - bias
 
 
 class ColumnStore:
@@ -305,26 +303,27 @@ class ColumnStore:
     its i-th monomial; the store numbers slots as monomials are first
     packed.  A sum costs time in proportion to the slots it spans, so a
     column that would leave more than ``_SPAN`` slots per term of it stays
-    unpacked.  Each call takes the first w of 32, 64, 128, ... with
+    unpacked.  Each call takes w = 32 or 64, the first with
     B < 2^(w - 1), B = (max peak + |shift|) sum |c| and peak the largest
     |coefficient| of a column: no digit of the sum is larger than B in
-    size, so the sum decodes exactly.  Slots come from ``next`` on a
-    counter and ``dict.setdefault``, each atomic, and a slot's key is
-    stored before the slot is published, so threads agree on every slot
-    without a lock.
+    size, so the sum decodes exactly, its top digit the one at
+    (bit length of |sum|) // w.  Above 2^63 every column is added term by
+    term.  Slots come from ``next`` on a counter and ``dict.setdefault``,
+    each atomic, and a slot's key is stored before the slot is published,
+    so threads agree on every slot without a lock.  A use count lost
+    between threads only delays a packing.
     """
 
     def __init__(self, rank: int):
         self.rank = rank
         self._columns: dict = {}
-        # uses of a column, its peak once it is packed, and the columns
-        # that stay unpacked because they would span too many slots
+        # uses of each column, the peak of each packed one, and the keys
+        # of those that stay unpacked because they span too many slots
         self._uses: dict = {}
         self._peaks: dict = {}
         self._wide: set = set()
-        # width -> key -> packed column, and key -> its highest slot
-        self._packed: dict = {}
-        self._tops: dict = {}
+        # width -> key -> packed column, and the slots both ways
+        self._packed: dict = {32: {}, 64: {}}
         self._slots: dict = {}
         self._keys: dict = {}
         self._counter = itertools.count()
@@ -346,59 +345,56 @@ class ColumnStore:
                 columns[key] = ZPolynomial._raw(rank, {
                     one(k, k): one(c, c) for k, c in column._terms.items()})
         tight = [key for key in terms if key in peaks]
-        loose = []
         if len(tight) < len(terms):
-            tight = []
             uses, wide = self._uses, self._wide
             for key in terms:
-                if key not in peaks:
+                if key not in peaks and key not in wide:
                     n = uses[key] = uses.get(key, 0) + 1
-                    if n < _PACK_USE or key in wide or not self._admit(key):
-                        loose.append(key)
-                        continue
-                    peaks[key] = max(map(abs, columns[key]._terms.values()),
-                                     default=0)
-                tight.append(key)
+                    if n >= _PACK_USE:
+                        self._admit(key)
+            tight = [key for key in terms if key in peaks]
+        cs = list(map(terms.__getitem__, tight))
+        bound = (max(map(peaks.__getitem__, tight), default=0)
+                 + abs(shift)) * sum(map(abs, cs))
+        if bound >> 63:
+            tight = []
+        loose = []
+        if len(tight) < len(terms):
+            # the complement of tight, not of what another thread packed
+            chosen = set(tight)
+            loose = [key for key in terms if key not in chosen]
         parts = [(terms[key], columns[key], None) for key in loose]
         if shift and loose:
             parts.append((-shift, p if not tight else ZPolynomial._raw(
                 rank, {key: terms[key] for key in loose}), None))
         image = ZPolynomial.combine(rank, parts)
         if tight:
-            self._add_packed(tight, list(map(terms.__getitem__, tight)), shift,
+            self._add_packed(tight, cs, shift, 32 if bound < 1 << 31 else 64,
                              image._terms)
         return image
 
-    def _add_packed(self, keys: list, cs: list, shift: int, out: dict):
+    def _add_packed(self, keys: list, cs: list, shift: int, width: int,
+                    out: dict):
         """Add c (column_key - shift z^key) to the terms ``out`` for each
-        key of ``keys`` and c of ``cs``: one packed sum, decoded only when
-        it is not 0."""
-        bound = (max(map(self._peaks.__getitem__, keys)) + abs(shift)) \
-            * sum(map(abs, cs))
-        width = 32
-        while bound >> (width - 1):
-            width *= 2
-        packed = self._packed.setdefault(width, {})
+        key of ``keys`` and c of ``cs``: one packed sum at ``width`` bits a
+        slot, decoded only when it is not 0."""
+        packed = self._packed[width]
         values = list(map(packed.get, keys))
         if None in values:
-            values = [self._pack(key, width, packed) if v is None else v
+            values = [self._pack(key, width) if v is None else v
                       for key, v in zip(keys, values)]
         total = sum(map(mul, cs, values))
-        n = max(map(self._tops.__getitem__, keys)) + 1
         if shift:
-            total -= shift * _kronecker(
-                zip(map(self._slots.__getitem__, keys), cs), width, n)
+            where = list(map(self._slots.__getitem__, keys))
+            total -= shift * _kronecker(zip(where, cs), width, max(where) + 1)
         if not total:
             return
-        size = width // 8
+        n = abs(total).bit_length() // width + 1
+        fmt, bias = _codec(width, n)
         half = 1 << width - 1
-        raw = (total + _bias(width, n)).to_bytes(n * size, "little")
-        if width <= 64:
-            digits = struct.unpack(f"<{n}{'I' if width == 32 else 'Q'}", raw)
-        else:
-            digits = [int.from_bytes(raw[i:i + size], "little")
-                      for i in range(0, n * size, size)]
         get = out.get
+        digits = struct.unpack(fmt, (total + bias).to_bytes(n * width // 8,
+                                                            "little"))
         for slot, digit in enumerate(digits):
             if digit != half:
                 k = self._keys[slot]
@@ -408,27 +404,28 @@ class ColumnStore:
                 else:
                     del out[k]
 
-    def _admit(self, key: int) -> bool:
+    def _admit(self, key: int):
         """Number the monomials of the column of ``key``, and ``key``
-        itself, if the slots then number at most ``_SPAN`` per term of the
-        column, ``key`` counted; otherwise put ``key`` in ``_wide``."""
+        itself, and record the column's peak, if the slots then number at
+        most ``_SPAN`` per term of the column, ``key`` counted; otherwise
+        put ``key`` in ``_wide``."""
         column = self._columns[key]._terms
         slots = self._slots
         fresh = sum(k not in slots for k in column) + (
             key not in slots and key not in column)
         if len(slots) + fresh > _SPAN * (len(column) + 1):
             self._wide.add(key)
-            return False
-        self._tops[key] = max([self._slot(key), *map(self._slot, column)])
-        return True
+            return
+        for k in (key, *column):
+            self._slot(k)
+        self._peaks[key] = max(map(abs, column.values()), default=0)
 
-    def _pack(self, key: int, width: int, packed: dict) -> int:
-        """The column of ``key`` packed at ``width`` bits a slot, stored in
-        ``packed``."""
+    def _pack(self, key: int, width: int) -> int:
+        """The column of ``key`` packed at ``width`` bits a slot, stored."""
         slots = self._slots
-        value = packed[key] = _kronecker(
-            ((slots[k], c) for k, c in self._columns[key]._terms.items()),
-            width, self._tops[key] + 1)
+        pairs = [(slots[k], c) for k, c in self._columns[key]._terms.items()]
+        value = self._packed[width][key] = _kronecker(
+            pairs, width, max([slot for slot, _ in pairs], default=-1) + 1)
         return value
 
     def _slot(self, key: int) -> int:

@@ -330,6 +330,15 @@ class TestCheapRefusalsFirst:
         assert time.monotonic() - start < 5.0
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, line", [
+        # eps of λ2, 2λ2, λ1 + λ3 and 0 is integral, that of λ1 not
+        (("acoeff", "A3", "2", "2"), "a[2,2] = -8 + 2*z2^2 - 4*z1*z3"),
+        # eps of the spinors λ4, λ5 is 45/2; λ1 ⊗ λ1 = 2λ1 + λ2 + 0
+        (("acoeff", "D5", "1", "1"), "a[1,1] = -20 + 2*z1^2 - 4*z2"),
+    ])
+    def test_acoeff_needs_only_its_own_eps(self, capsys, argv, line):
+        assert run_cli(capsys, *argv) == (0, line + "\n", "")
+
     @pytest.mark.parametrize("command", ["cartan", "roots", "dim"])
     def test_rank_above_the_bound(self, capsys, command):
         argv = [command, "A99999999"] + (["0"] if command == "dim" else [])

@@ -465,7 +465,7 @@ class TestShiftedPackedSum:
         for _ in range(2):
             op.apply(chi)
         store = op._columns[1]
-        assert not store._packed
+        assert not store._packed[32]
         op.apply(chi, 1)
         assert store._packed[32].keys() == chi._terms.keys()
 
@@ -577,8 +577,9 @@ class TestShiftedPackedSum:
             for _ in range(3):
                 assert op.apply(p, 7) == expected
         store = op._columns[1]
-        assert store._wide and store._tops
-        for key, top in store._tops.items():
+        assert store._wide and store._peaks
+        for key in store._peaks:
+            top = max(store._slots[k] for k in (key, *store._columns[key]._terms))
             assert top < _SPAN * (len(store._columns[key]) + 1)
 
     def test_random_traffic_within_a_wall_bound(self, e8, operator_fixtures):
