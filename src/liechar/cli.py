@@ -17,7 +17,7 @@ from importlib import resources
 from . import charlib, csop, zpoly
 from .errors import BudgetError, LiecharError
 from .repth import DEFAULT_TENSOR_BUDGET, Algebra
-from .rootsys import roots_to_json
+from .rootsys import build_cartan, roots_to_json
 from .zpoly import ZPolynomial, parse_poly, print_poly
 
 _PACKAGED_OPERATOR = {"E8": "e8_delta1_operator.txt"}
@@ -94,8 +94,7 @@ def _operator_for(algebra: Algebra, poly: ZPolynomial,
 # ---------------------------------------------------------------------------
 
 def _cmd_cartan(args, parser):
-    algebra = _algebra(args)
-    cm = algebra.cartan
+    cm = build_cartan(args.algebra)
     _emit(args,
           [" ".join(str(x) for x in row) for row in cm.entries],
           cm.to_json_dict())

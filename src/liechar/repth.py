@@ -21,20 +21,25 @@ the sign bit w - 1 of lane k is clear.  Orbits are walked as trees of keys
 product of the paper.  When the smaller factor's largest Weyl orbit has
 fewer than ``_ARRAY_MIN_ORBIT`` (2^16) weights, a Python loop reflects one
 key at a time from the factor's weight system, cached per algebra; numpy is
-never imported.  Longer orbits go to a numpy kernel, which walks all of the
-factor's orbits together, level by level, gathers the levels into batches
-of ``_ARRAY_CHUNK`` (2^16) keys and reflects each batch's sums on the same
-keys, held as ``uint64``; a product whose keys are wider than 64 bits stays
-on the loop.  Both paths drop a sum S = K(ν + ρ + u) with a label 0, which
-lies on a wall (Racah-Speiser cancellation), by one SWAR test: a label 0 is
-a zero lane of S ^ highs, highs holding each lane's sign bit.
+never imported.  The system holds each orbit's keys in runs, one per set of
+lanes where the weight's label is -1, and the loop skips every run whose
+set meets a label 0 of the larger factor ν: ν + ρ + u has the label 0 there
+for each u of the run.  Longer orbits go to a numpy kernel, which walks
+all of the factor's orbits together, level by level, gathers the levels
+into batches of ``_ARRAY_CHUNK`` (2^16) keys and reflects each batch's sums
+on the same keys, held as ``uint64``; a product whose keys are wider than
+64 bits stays on the loop.  Both paths drop a sum S = K(ν + ρ + u) with a
+label 0, which lies on a wall (Racah-Speiser cancellation), by one SWAR
+test: a label 0 is a zero lane of S ^ highs, highs holding each lane's sign
+bit.
 """
 
 from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import islice
 from math import lcm, prod
 from operator import index, mul
 from typing import Iterator
@@ -61,6 +66,9 @@ DEFAULT_TENSOR_BUDGET = 20_000_000
 _ARRAY_MIN_ORBIT = 2 ** 16
 # keys per batch of the array kernel, which bounds its working memory
 _ARRAY_CHUNK = 2 ** 16
+# keys of an orbit walk that the loop's weight system sorts into runs at
+# once, which bounds the memory it holds besides the system
+_RUN_CHUNK = 2 ** 12
 
 
 class Decomposition:
@@ -505,24 +513,52 @@ class Algebra:
         return sizes
 
     def _weight_system(self, table, bits: int) -> list:
-        """``(mult, keys)`` per dominant weight of ``table``, cached: its
-        orbit's keys of ``bits`` bits per label, in an ``array('Q')`` when
-        rank * bits <= 64, so that every key is below 2^64, and in a list of
-        ints otherwise."""
+        """``(mult, keys, ones, ends)`` per dominant weight of ``table``,
+        cached: its orbit's keys of ``bits`` bits per label, in runs.
+
+        Run r is keys[ends[r - 1]:ends[r]] (from 0 for r = 0): weights u
+        whose label is -1 exactly on the lanes whose sign bits make ones[r].
+        Those are the zero lanes of y = K(u) ^ K(-1, ..., -1): (y | highs) -
+        lows keeps a lane's sign bit iff its lower bits are not all 0, so
+        ((y | highs) - lows | y) & highs has the sign bit of each lane of y
+        that is not 0.  The walk is sorted into runs ``_RUN_CHUNK`` keys at
+        a time, so a run lies within one such chunk, and the sort holds
+        little memory besides the system.  Every sequence is an
+        ``array('Q')`` when rank * bits <= 64, so that every key is below
+        2^64, and a list of ints otherwise.
+        """
         lam = tuple(table.highest)
         cached = self._weight_systems.get((lam, bits))
         if cached is not None:
             return cached
         sizes = self._orbit_sizes(lam)
-        packed = self.rank * bits <= 64
+        new = partial(array, "Q") if self.rank * bits <= 64 else list
+        _, lows, signs = self._lanes(bits)
+        highs = signs[-1]
+        minus_ones = highs - lows
         entry = []
         for mu, mult in table.entries.items():
-            keys = self.weyl_orbit(mu).keys(bits)
-            keys = array("Q", keys) if packed else list(keys)
-            if len(keys) != sizes[mu]:
-                raise AssertionError(f"orbit of {mu} has {len(keys)} "
-                                     f"weights, expected {sizes[mu]}")
-            entry.append((mult, keys))
+            walk = self.weyl_orbit(mu).keys(bits)
+            keys = new([0]) * sizes[mu]
+            ones, ends, end = new(), new(), 0
+            while chunk := new(islice(walk, _RUN_CHUNK)):
+                runs: dict = {}
+                for key in chunk:
+                    y = key ^ minus_ones
+                    lanes = ((y | highs) - lows | y) & highs
+                    run = runs.get(lanes)
+                    if run is None:
+                        run = runs[lanes] = new()
+                    run.append(key)
+                for lanes, run in runs.items():
+                    keys[end:end + len(run)] = run
+                    end += len(run)
+                    ones.append(lanes ^ highs)
+                    ends.append(end)
+            if end != sizes[mu]:
+                raise AssertionError(f"orbit of {mu} has {end} weights, "
+                                     f"expected {sizes[mu]}")
+            entry.append((mult, keys, ones, ends))
         self._weight_systems[(lam, bits)] = entry
         return entry
 
@@ -530,7 +566,10 @@ class Algebra:
         """Klimyk sum over the weights of ``table``, one key at a time.
 
         The keys, ``bits`` bits per label, come from the cached weight
-        system of ``table``'s highest weight.  A sum S = K(u) + K(ν + ρ)
+        system of ``table``'s highest weight, in runs by the lanes where
+        the weight's label is -1.  A run whose -1 lanes meet a lane where ν
+        has the label 0 is skipped whole: each of its sums ν + ρ + u has
+        the label 0 there.  Within the other runs, a sum S = K(u) + K(ν + ρ)
         with a label 0, a zero lane of y = S ^ highs, lies on a wall and is
         skipped: (y - lows) & ~y & highs is then nonzero, and ~y & highs =
         S & highs, the same test as the array kernel's.  Any other sum is
@@ -539,8 +578,9 @@ class Algebra:
         element that makes S dominant by one, so whatever the order of the
         steps, the sign is (-1)^length of that element.  A sum on the wall
         of a root that is not simple shows a label 0 only once reflected; a
-        dominant S has one, and is dropped, when S - K(ρ) lacks a sign bit.  Returns the key of each
-        dominant sum off the walls with its signed count.
+        dominant S has one, and is dropped, when S - K(ρ) lacks a sign
+        bit.  Returns the key of each dominant sum off the walls with its
+        signed count.
         """
         roots, lows, signs = self._lanes(bits)
         highs = signs[-1]
@@ -549,21 +589,34 @@ class Algebra:
         # per lane i, at the bit length of its sign bit: the shift and K(α_i)
         steps = {bits * (i + 1): (bits * i, r) for i, r in enumerate(roots)}
         top = sum(x << bits * k for k, x in enumerate(shifted))
+        # the sign bit of each lane where ν has the label 0, ν + ρ the label 1
+        zeros = sum(1 << bits * (k + 1) - 1 for k, x in enumerate(shifted)
+                    if x == 1)
+        packed = self.rank * bits <= 64
         acc: dict = {}
-        for mult, keys in self._weight_system(table, bits):
-            for s in keys:
-                s += top
-                if (s ^ highs) - lows & s & highs:
+        for mult, keys, ones, ends in self._weight_system(table, bits):
+            if packed:
+                # a run is read through a view of the array, not copied
+                keys = memoryview(keys)
+            start = 0
+            for lanes, end in zip(ones, ends):
+                if lanes & zeros:
+                    start = end
                     continue
-                sign = mult
-                x = s & highs ^ highs
-                while x:
-                    shift, root = steps[x.bit_length()]
-                    s -= ((s >> shift & mask) - bias) * root
-                    sign = -sign
+                for s in keys[start:end]:
+                    s += top
+                    if (s ^ highs) - lows & s & highs:
+                        continue
+                    sign = mult
                     x = s & highs ^ highs
-                if s - lows & highs == highs:
-                    acc[s] = acc.get(s, 0) + sign
+                    while x:
+                        shift, root = steps[x.bit_length()]
+                        s -= ((s >> shift & mask) - bias) * root
+                        sign = -sign
+                        x = s & highs ^ highs
+                    if s - lows & highs == highs:
+                        acc[s] = acc.get(s, 0) + sign
+                start = end
         return acc
 
 

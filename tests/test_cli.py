@@ -349,6 +349,18 @@ class TestCheapRefusalsFirst:
         assert err == ("error: rank 99999999 is above the largest supported "
                        "rank 100\n")
 
+    def test_cartan_builds_only_the_matrix(self, capsys):
+        # the whole Algebra of A100 takes seconds, nearly all of it in its
+        # 5,050 positive roots; the matrix alone takes about 0.1 s
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "cartan", "A100")
+        assert time.monotonic() - start < 1.0
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == 100
+        assert rows[0] == " ".join(["2", "-1"] + ["0"] * 98)
+        assert rows[50].split()[49:52] == ["-1", "2", "-1"]
+
 
 class TestCacheAndBudgetFlags:
     def test_env_var_selects_cache_root(self, capsys, tmp_path, monkeypatch):

@@ -595,6 +595,13 @@ class TestKlimykKernels:
             monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
             results.append(Algebra(name).tensor_decompose(big, small))
         assert results[0] == results[1]
+        # the loop skips the runs that meet big's zero labels; reading
+        # every run gives the same sum
+        assert alg.tensor_decompose(big, small) == results[0]
+        assert_runs(alg)
+        assert skipped_keys(alg, big, small, bits) > 0
+        unskipped_loop(monkeypatch)
+        assert Algebra(name).tensor_decompose(big, small) == results[0]
 
     def test_labels_beyond_the_walk_lanes_take_the_loop(self, monkeypatch):
         # 4λ1 has the labels ±4, so they are not all below 4 while those of
@@ -614,6 +621,11 @@ class TestKlimykKernels:
             monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
             results.append(Algebra("A20").tensor_decompose(big, small))
         assert results[0] == results[1]
+        assert a20.tensor_decompose(big, small) == results[0]
+        assert_runs(a20)
+        assert skipped_keys(a20, big, small, 8) > 0
+        unskipped_loop(monkeypatch)
+        assert Algebra("A20").tensor_decompose(big, small) == results[0]
         # Pieri: e_5 h_4 = s_(5,1^4) + s_(4,1^5)
         hooks = [tuple(a + b for a, b in zip(small, big)),
                  tuple(3 * x + y for x, y in zip(a20.fundamental(1),
@@ -710,13 +722,55 @@ class TestKlimykKernels:
 
 
 def assert_keys_fit(alg):
-    """array('Q') holds the keys of a weight system only when every key,
-    rank times the lane width in bits, is below 2^64."""
+    """array('Q') holds the keys of a weight system, and its runs' -1 lanes
+    and ends, only when every key, rank times the lane width in bits, is
+    below 2^64."""
     from array import array
     for (_, bits), system in alg._weight_systems.items():
-        for _, keys in system:
-            assert isinstance(keys, array) == (alg.rank * bits <= 64)
+        for _, keys, ones, ends in system:
+            for seq in (keys, ones, ends):
+                assert isinstance(seq, array) == (alg.rank * bits <= 64)
             assert max(keys) < 1 << alg.rank * bits
+
+
+def assert_runs(alg):
+    """The runs of each orbit cover its keys in order, and run r holds the
+    weights whose label is -1 exactly on the lanes of ones[r]."""
+    for (_, bits), system in alg._weight_systems.items():
+        for _, keys, ones, ends in system:
+            assert len(ones) == len(ends)
+            assert list(ends) == sorted(set(ends)) and ends[-1] == len(keys)
+            start = 0
+            for lanes, end in zip(ones, ends):
+                labels = repth._decode(keys[start:end], bits, alg.rank,
+                                       1 << bits - 1)
+                for u in labels:
+                    assert lanes == sum(1 << bits * (k + 1) - 1
+                                        for k, x in enumerate(u) if x == -1)
+                start = end
+
+
+def skipped_keys(alg, big, small, bits):
+    """How many keys of V_small's weight system lie in runs whose -1 lanes
+    meet a label 0 of ``big``."""
+    zeros = sum(1 << bits * (k + 1) - 1 for k, x in enumerate(big) if x == 0)
+    count = 0
+    for _, keys, ones, ends in alg._weight_systems[tuple(small), bits]:
+        for lanes, start, end in zip(ones, [0, *ends], ends):
+            count += (end - start) * bool(lanes & zeros)
+    return count
+
+
+def unskipped_loop(monkeypatch):
+    """Make the loop read each orbit as one run with no -1 lane, so that it
+    skips nothing."""
+    build = Algebra._weight_system
+
+    def whole(self, table, bits):
+        return [(mult, keys, [0], [len(keys)])
+                for mult, keys, _, _ in build(self, table, bits)]
+
+    monkeypatch.setattr(Algebra, "_weight_system", whole)
 
 
 class TestKeyLoop:
@@ -739,10 +793,11 @@ class TestKeyLoop:
         assert e8._lane_width(tuple(x + 1 for x in big), lam8) == 16
         dec = e8.tensor_decompose(big, lam8)
         assert list(e8._weight_systems) == [(lam8, 16)]
-        for _, keys in e8._weight_systems[lam8, 16]:
+        for _, keys, _, _ in e8._weight_systems[lam8, 16]:
             assert type(keys) is list
             assert max(keys) >= 1 << 64
         assert_keys_fit(e8)
+        assert_runs(e8)
         assert sum(m * e8.weyl_dim(w) for w, m in dec.items()) == \
             e8.weyl_dim(big) * 248
 
@@ -752,9 +807,10 @@ class TestKeyLoop:
         big = a20.fundamental(5)
         dec = a20.tensor_decompose(big, small)
         assert list(a20._weight_systems) == [(small, 8)]
-        for _, keys in a20._weight_systems[small, 8]:
+        for _, keys, _, _ in a20._weight_systems[small, 8]:
             assert type(keys) is list
         assert_keys_fit(a20)
+        assert_runs(a20)
         # Pieri: e_5 h_4 = s_(5,1^4) + s_(4,1^5)
         hooks = [tuple(a + b for a, b in zip(small, big)),
                  tuple(3 * x + y for x, y in zip(a20.fundamental(1),
@@ -783,6 +839,36 @@ class TestKeyLoop:
         if name != "F4":
             assert results[0].entries == oracles.tensor_oracle(
                 Algebra(name), left, right)
+
+    @pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2", "D4", "F4",
+                                      "E6"])
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_skipped_runs_on_random_pairs(self, name, data):
+        # ν takes each label from 0 to 2, so the loop skips the runs that
+        # meet its zeros and reads the others; the loop that skips nothing
+        # and the kernel read every weight.  The oracle peels whole
+        # characters, seconds for F4 2λ4 ⊗ λ4, so it checks the smaller
+        # products of ranks up to 4
+        rank = Algebra(name).rank
+        nu = tuple(data.draw(st.lists(st.integers(0, 2), min_size=rank,
+                                      max_size=rank)))
+        small = Algebra(name).fundamental(data.draw(st.integers(1, rank)))
+        results = []
+        with pytest.MonkeyPatch.context() as mp:
+            for threshold in (FORCE_LOOP, FORCE_ARRAY):
+                mp.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
+                alg = Algebra(name)
+                results.append(alg.tensor_decompose(nu, small))
+                if threshold == FORCE_LOOP:
+                    assert_runs(alg)
+            mp.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_LOOP)
+            unskipped_loop(mp)
+            results.append(Algebra(name).tensor_decompose(nu, small))
+        assert results[0] == results[1] == results[2]
+        alg = Algebra(name)
+        if rank <= 4 and alg.weyl_dim(nu) * alg.weyl_dim(small) <= 200:
+            assert results[0].entries == oracles.tensor_oracle(alg, nu, small)
 
 
 class TestPackedWalk:
@@ -930,10 +1016,30 @@ class TestWeightSystemCache:
         system = a1._weight_system(a1.freudenthal((k,)), bits)
         bias = 1 << bits - 1
         labels = []
-        for _, keys in system:
+        for _, keys, _, _ in system:
             assert isinstance(keys, array)
             labels += [key - bias for key in keys]
         assert sorted(labels) == list(range(-k, k + 1, 2))
+
+    def test_memory_of_the_lambda6_weight_system(self):
+        # its 117,361 keys take 8 bytes each; a list of ints per orbit, or
+        # a flag per key beside the keys, would take far more
+        import tracemalloc
+
+        e8 = Algebra("E8")
+        lam = e8.fundamental(6)
+        table = e8.freudenthal(lam)
+        e8._orbit_sizes(lam)
+        tracemalloc.start()
+        try:
+            system = e8._weight_system(table, 8)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        count = sum(len(keys) for _, keys, _, _ in system)
+        assert count == 117_361
+        assert kept <= 1.2 * 8 * count
+        assert peak <= 1.25 * 8 * count
 
     def test_orbit_length_is_checked(self, monkeypatch):
         orbit_size = Algebra.orbit_size
