@@ -17,9 +17,9 @@ for rational kappa.
 cached image, or column, of each monomial of p, less shift times the
 monomial.  The operator builds the columns from ``b`` and the a_jk, and
 drops them when either changes; a :class:`~liechar.zpoly.ColumnStore`
-keeps them and sums them, a column used a third time, if it spans few
-slots, as one Kronecker-packed integer (D. Harvey, J. Symbolic Comput. 44
-(2009)).
+keeps them, packs each one that spans few slots when it is built, and sums
+a call's packed columns as one Kronecker integer (D. Harvey, J. Symbolic
+Comput. 44 (2009)).
 :func:`~liechar.charlib.verify_eigen` calls ``apply(chi, eps)``: the
 residual of a true eigenvector is a packed sum of 0, which is not decoded.
 """
@@ -93,6 +93,7 @@ def a_coeff(algebra: Algebra, j: int, k: int, char_provider) -> ZPolynomial:
     checked integral before any character is computed.
     """
     rank = algebra.rank
+    j, k = integer(j, "index"), integer(k, "index")
     if not (1 <= j <= rank and 1 <= k <= rank):
         raise ValueError(f"indices ({j}, {k}) out of range 1..{rank}")
     _require_simply_laced(algebra)
@@ -173,10 +174,10 @@ class Delta1Operator(_Record):
         coefficient (both orders of the symmetric double sum), so each
         pair is applied once.  The image is the sum over the monomials
         z^e of ``p`` of c_e (column_e - shift z^e), which the column store
-        adds: a column's first two uses term by term, later ones mostly as
-        one packed integer each, with a packed sum of 0 never decoded.  So
-        ``apply(chi, eps)`` checks the eigen-equation without building the
-        image.
+        adds: its packed columns as one integer when the call's bound
+        allows it, the rest term by term, with a packed sum of 0 never
+        decoded.  So ``apply(chi, eps)`` checks the eigen-equation without
+        building the image.
         """
         if p.rank != self.rank:
             raise RankMismatchError(

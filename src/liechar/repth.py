@@ -215,6 +215,7 @@ class Algebra:
 
     def fundamental(self, index: int) -> Weight:
         """The fundamental weight λ_index (1-based)."""
+        index = integer(index, "index")
         if not 1 <= index <= self.rank:
             raise ValueError(f"index {index} out of range 1..{self.rank}")
         return Weight(1 if k == index - 1 else 0 for k in range(self.rank))

@@ -13,12 +13,13 @@ public accessors and the constructor speak exponent tuples.
 accumulation routine: the ring operators and every linear combination of
 polynomials in the package call it.  The one other sum is that of
 :class:`ColumnStore`, which holds a linear map as one polynomial, a column,
-per monomial, and adds a column it meets a third time as one
-Kronecker-packed integer; the operator of :mod:`liechar.csop` keeps its
-columns there, built by exponent tuple.  The module also
-owns the plain-text grammar used by the fixture files and the CLI
-(``-1 - z1 - z7 - z8 + z8^2`` style), including the one-level factored form
-``-4*(31 + 7*z1 + ...)`` used by operator tables.
+per monomial, packs each column once, when it is built, as one Kronecker
+integer in 32-bit slots, and adds a call's packed columns as one integer;
+the operator of :mod:`liechar.csop` keeps its columns there, built by
+exponent tuple.  The module also owns the plain-text grammar used by the
+fixture files and the CLI (``-1 - z1 - z7 - z8 + z8^2`` style), including
+the one-level factored form ``-4*(31 + 7*z1 + ...)`` used by operator
+tables.
 
 Canonical emission order is the numeric order of the keys, that is
 ascending by the *reversed* exponent vector, which reproduces the layout of
@@ -87,6 +88,7 @@ class ZPolynomial:
     __slots__ = ("rank", "_terms")
 
     def __init__(self, rank: int, terms=None):
+        rank = integer(rank, "rank")
         if rank < 1:
             raise ValueError("rank must be positive")
         self.rank = rank
@@ -118,6 +120,7 @@ class ZPolynomial:
     @classmethod
     def variable(cls, rank: int, index: int) -> "ZPolynomial":
         """The monomial z_index, 1-based."""
+        index = integer(index, "variable index")
         if not 1 <= index <= rank:
             raise ValueError(f"variable index {index} out of range 1..{rank}")
         p = cls(rank)
@@ -243,6 +246,7 @@ class ZPolynomial:
 
     def partial_derivative(self, index: int) -> "ZPolynomial":
         """Formal derivative with respect to z_index (1-based)."""
+        index = integer(index, "variable index")
         if not 1 <= index <= self.rank:
             raise ValueError(f"variable index {index} out of range 1..{self.rank}")
         shift = _FIELD_BITS * (index - 1)
@@ -269,27 +273,25 @@ class ZPolynomial:
 # column store
 # ---------------------------------------------------------------------------
 
-#: The use of a column from which :class:`ColumnStore` adds it packed, and
-#: the most slots it may then number per term of the column.
-_PACK_USE = 3
+#: The most slots :class:`ColumnStore` may number per term of a column it
+#: packs, and the balanced digit's offset, 2^31, in each 32-bit slot.
 _SPAN = 16
+_HALF = 1 << 31
 
 
-def _codec(width: int, n: int) -> tuple:
-    """The struct format of ``n`` digits of ``width`` bits, 32 or 64, and
-    the bias of balanced digits: 2^(width - 1) in each of them."""
-    return (f"<{n}{'I' if width == 32 else 'Q'}", int.from_bytes(
-        (1 << width - 1).to_bytes(width // 8, "little") * n, "little"))
+def _codec(n: int) -> tuple:
+    """The struct format of ``n`` 32-bit digits, and the bias of balanced
+    digits: 2^31 in each of them."""
+    return f"<{n}I", int.from_bytes(b"\0\0\0\x80" * n, "little")
 
 
-def _kronecker(pairs, width: int, n: int) -> int:
-    """sum c 2^(width s) over the ``(s, c)`` of ``pairs``, each s below
-    ``n`` and each |c| below 2^(width - 1)."""
-    half = 1 << width - 1
-    digits = [half] * n
+def _kronecker(pairs, n: int) -> int:
+    """sum c 2^(32 s) over the ``(s, c)`` of ``pairs``, each s below ``n``
+    and each |c| below 2^31."""
+    digits = [_HALF] * n
     for slot, c in pairs:
-        digits[slot] = half + c
-    fmt, bias = _codec(width, n)
+        digits[slot] = _HALF + c
+    fmt, bias = _codec(n)
     return int.from_bytes(struct.pack(fmt, *digits), "little") - bias
 
 
@@ -297,33 +299,28 @@ class ColumnStore:
     """Columns, polynomials kept under the keys of the monomials they
     belong to, and the linear map they define (:meth:`apply`).
 
-    A column's first two uses add it term by term, as ``combine`` does.
-    From its third use on it is one Kronecker-packed integer (D. Harvey,
-    J. Symbolic Comput. 44 (2009)), sum_i c_i 2^(w s_i), s_i the slot of
-    its i-th monomial; the store numbers slots as monomials are first
-    packed.  A sum costs time in proportion to the slots it spans, so a
-    column that would leave more than ``_SPAN`` slots per term of it stays
-    unpacked.  Each call takes w = 32 or 64, the first with
-    B < 2^(w - 1), B = (max peak + |shift|) sum |c| and peak the largest
-    |coefficient| of a column: no digit of the sum is larger than B in
-    size, so the sum decodes exactly, its top digit the one at
-    (bit length of |sum|) // w.  Above 2^63 every column is added term by
-    term.  Slots come from ``next`` on a counter and ``dict.setdefault``,
-    each atomic, and a slot's key is stored before the slot is published,
-    so threads agree on every slot without a lock.  A use count lost
-    between threads only delays a packing.
+    A column is packed once, when it is built, as one Kronecker integer
+    (D. Harvey, J. Symbolic Comput. 44 (2009)), sum_i c_i 2^(32 s_i), s_i
+    the slot of its i-th monomial; the store numbers slots as monomials
+    are first packed.  A sum costs time in proportion to the slots it
+    spans, so a column that would leave more than ``_SPAN`` slots per term
+    of it stays unpacked, as does one with a coefficient of 2^31 or more
+    in size.  A call adds its packed columns as one integer when
+    B = (max peak + |shift|) sum |c| < 2^31, peak the largest |coefficient|
+    of a column: no digit of the sum is larger than B in size, so the sum
+    decodes exactly, its top digit the one at (bit length of |sum|) // 32.
+    Every other column, and every column of a call with a larger B, is
+    added term by term, as ``combine`` does.  Slots come from ``next`` on
+    a counter and ``dict.setdefault``, each atomic, and a slot's key is
+    stored before the slot is published, so threads agree on every slot
+    without a lock.
     """
 
     def __init__(self, rank: int):
         self.rank = rank
         self._columns: dict = {}
-        # uses of each column, the peak of each packed one, and the keys
-        # of those that stay unpacked because they span too many slots
-        self._uses: dict = {}
-        self._peaks: dict = {}
-        self._wide: set = set()
-        # width -> key -> packed column, and the slots both ways
-        self._packed: dict = {32: {}, 64: {}}
+        # key -> (peak, packed column), and the slots both ways
+        self._packed: dict = {}
         self._slots: dict = {}
         self._keys: dict = {}
         self._counter = itertools.count()
@@ -336,27 +333,21 @@ class ColumnStore:
         """sum_e c_e (column_e - shift z^e) over the terms c_e z^e of
         ``p``.  ``build`` maps the list of exponent tuples of the monomials
         of ``p`` that have no column yet to the list of their columns."""
-        rank, columns, peaks = self.rank, self._columns, self._peaks
+        rank, columns, packed = self.rank, self._columns, self._packed
         terms = p._terms
         new = [key for key in terms if key not in columns]
         if new:
             one = self._ints.setdefault
             for key, column in zip(new, build(_unpack_all(rank, new))):
-                columns[key] = ZPolynomial._raw(rank, {
-                    one(k, k): one(c, c) for k, c in column._terms.items()})
-        tight = [key for key in terms if key in peaks]
-        if len(tight) < len(terms):
-            uses, wide = self._uses, self._wide
-            for key in terms:
-                if key not in peaks and key not in wide:
-                    n = uses[key] = uses.get(key, 0) + 1
-                    if n >= _PACK_USE:
-                        self._admit(key)
-            tight = [key for key in terms if key in peaks]
+                column = {one(k, k): one(c, c)
+                          for k, c in column._terms.items()}
+                columns[key] = ZPolynomial._raw(rank, column)
+                self._pack(key, column)
+        tight = [key for key in terms if key in packed]
+        pairs = list(map(packed.__getitem__, tight))
         cs = list(map(terms.__getitem__, tight))
-        bound = (max(map(peaks.__getitem__, tight), default=0)
-                 + abs(shift)) * sum(map(abs, cs))
-        if bound >> 63:
+        if (max([peak for peak, _ in pairs], default=0)
+                + abs(shift)) * sum(map(abs, cs)) >> 31:
             tight = []
         loose = []
         if len(tight) < len(terms):
@@ -368,73 +359,47 @@ class ColumnStore:
             parts.append((-shift, p if not tight else ZPolynomial._raw(
                 rank, {key: terms[key] for key in loose}), None))
         image = ZPolynomial.combine(rank, parts)
-        if tight:
-            self._add_packed(tight, cs, shift, 32 if bound < 1 << 31 else 64,
-                             image._terms)
+        if not tight:
+            return image
+        total = sum(map(mul, cs, [value for _, value in pairs]))
+        if shift:
+            where = list(map(self._slots.__getitem__, tight))
+            total -= shift * _kronecker(zip(where, cs), max(where) + 1)
+        if total:
+            n = abs(total).bit_length() // 32 + 1
+            fmt, bias = _codec(n)
+            out = image._terms
+            get = out.get
+            for slot, digit in enumerate(struct.unpack(
+                    fmt, (total + bias).to_bytes(4 * n, "little"))):
+                if digit != _HALF:
+                    k = self._keys[slot]
+                    value = get(k, 0) + digit - _HALF
+                    if value:
+                        out[k] = value
+                    else:
+                        del out[k]
         return image
 
-    def _add_packed(self, keys: list, cs: list, shift: int, width: int,
-                    out: dict):
-        """Add c (column_key - shift z^key) to the terms ``out`` for each
-        key of ``keys`` and c of ``cs``: one packed sum at ``width`` bits a
-        slot, decoded only when it is not 0."""
-        packed = self._packed[width]
-        values = list(map(packed.get, keys))
-        if None in values:
-            values = [self._pack(key, width) if v is None else v
-                      for key, v in zip(keys, values)]
-        total = sum(map(mul, cs, values))
-        if shift:
-            where = list(map(self._slots.__getitem__, keys))
-            total -= shift * _kronecker(zip(where, cs), width, max(where) + 1)
-        if not total:
-            return
-        n = abs(total).bit_length() // width + 1
-        fmt, bias = _codec(width, n)
-        half = 1 << width - 1
-        get = out.get
-        digits = struct.unpack(fmt, (total + bias).to_bytes(n * width // 8,
-                                                            "little"))
-        for slot, digit in enumerate(digits):
-            if digit != half:
-                k = self._keys[slot]
-                value = get(k, 0) + digit - half
-                if value:
-                    out[k] = value
-                else:
-                    del out[k]
-
-    def _admit(self, key: int):
-        """Number the monomials of the column of ``key``, and ``key``
-        itself, and record the column's peak, if the slots then number at
-        most ``_SPAN`` per term of the column, ``key`` counted; otherwise
-        put ``key`` in ``_wide``."""
-        column = self._columns[key]._terms
+    def _pack(self, key: int, column: dict):
+        """Store the column of ``key``, whose terms are ``column``, packed,
+        numbering slots for its monomials and ``key``, unless a coefficient
+        is 2^31 or more in size or the slots would then number more than
+        ``_SPAN`` per term of the column, ``key`` counted."""
+        peak = max(map(abs, column.values()), default=0)
         slots = self._slots
         fresh = sum(k not in slots for k in column) + (
             key not in slots and key not in column)
-        if len(slots) + fresh > _SPAN * (len(column) + 1):
-            self._wide.add(key)
+        if peak >> 31 or len(slots) + fresh > _SPAN * (len(column) + 1):
             return
         for k in (key, *column):
-            self._slot(k)
-        self._peaks[key] = max(map(abs, column.values()), default=0)
-
-    def _pack(self, key: int, width: int) -> int:
-        """The column of ``key`` packed at ``width`` bits a slot, stored."""
-        slots = self._slots
-        pairs = [(slots[k], c) for k, c in self._columns[key]._terms.items()]
-        value = self._packed[width][key] = _kronecker(
-            pairs, width, max([slot for slot, _ in pairs], default=-1) + 1)
-        return value
-
-    def _slot(self, key: int) -> int:
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = next(self._counter)
-            self._keys[slot] = key
-            slot = self._slots.setdefault(key, slot)
-        return slot
+            if k not in slots:
+                slot = next(self._counter)
+                self._keys[slot] = k
+                slots.setdefault(k, slot)
+        where = list(map(slots.__getitem__, column))
+        self._packed[key] = (peak, _kronecker(
+            zip(where, column.values()), max(where, default=-1) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +438,7 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
     juxtaposition, or an integer-scaled parenthesized sum (one level only).
     ``\\,`` and whitespace are ignored.  Errors carry the byte offset.
     """
+    rank = integer(rank, "rank")
     if rank < 1:
         raise ValueError("rank must be positive")
     tokens = _tokenize(text)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import threading
 import time
@@ -140,6 +141,35 @@ class TestACoeff:
     def test_index_range(self, e8):
         with pytest.raises(ValueError):
             a_coeff(e8, 0, 9, CharacterCache(e8))
+
+
+_A1 = Algebra("A1")
+
+# each call reads its argument as a rank or a 1-based index
+_INTEGER_READS = {
+    "fundamental": lambda x: _A1.fundamental(x),
+    "rank": lambda x: ZPolynomial(x),
+    "rank-with-terms": lambda x: ZPolynomial(x, {(1,): 1}),
+    "variable": lambda x: ZPolynomial.variable(3, x),
+    "derivative": lambda x: ZPolynomial.variable(3, 1).partial_derivative(x),
+    "parse-rank": lambda x: parse_poly("z1", x),
+    "a_coeff": lambda x: a_coeff(_A1, x, 1, CharacterCache(_A1)),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(1, 2), "1", None])
+    @pytest.mark.parametrize("read", _INTEGER_READS.values(),
+                             ids=list(_INTEGER_READS))
+    def test_non_integers_refused(self, read, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            read(bad)
+
+    @pytest.mark.parametrize("read", _INTEGER_READS.values(),
+                             ids=list(_INTEGER_READS))
+    def test_integer_types_accepted(self, read):
+        import numpy as np
+        assert read(True) == read(np.int64(1)) == read(1)
 
 
 @pytest.fixture(scope="module")
@@ -323,12 +353,14 @@ class TestColumns:
 
 
 class TestPackedColumns:
-    """A column that ``apply`` meets again is added as packed integers.
-    Each test applies a polynomial twice, so that the second call takes
-    the packed path, and checks both against ``oracles.delta1_apply``."""
+    """``apply`` packs a column when it builds it, and adds the packed
+    columns of a call as one integer when the call's bound allows it."""
 
     @staticmethod
     def _twice(op, p):
+        """Check ``apply(p)`` against ``oracles.delta1_apply`` twice: on
+        the call that builds and packs the columns of ``p``, and on one
+        that finds them stored."""
         expected = oracles.delta1_apply(op, p)
         assert op.apply(p) == expected
         assert op.apply(p) == expected
@@ -341,14 +373,14 @@ class TestPackedColumns:
     @pytest.mark.parametrize("scale", [2 ** 40, -2 ** 40, 2 ** 100, -2 ** 100])
     def test_wide_coefficients(self, e8, operator_fixtures, order2_chars,
                                scale):
-        # max |column coefficient| is 3,720, so the sum needs slots of 64
-        # bits at 2^40 and of 128 at 2^100
+        # max |column coefficient| is 3,720, so at 2^40 and 2^100 the bound
+        # is over 2^31 and the call adds every column term by term
         op = _fixture_operator(e8, operator_fixtures)
         chi = order2_chars[Weight((0, 0, 0, 0, 0, 0, 1, 1))]
         small = order2_chars[Weight((1, 0, 0, 0, 0, 0, 0, 1))]
         wide = scale * chi - 3 * small
         self._twice(op, wide)
-        # the same columns at 32 bits, then wide again
+        # the same columns packed, then term by term again
         self._twice(op, small)
         self._twice(op, wide + scale * small)
 
@@ -356,7 +388,8 @@ class TestPackedColumns:
                                    2 ** 63 - 1, 2 ** 63, -2 ** 63])
     def test_width_at_the_bound(self, c):
         # the column of z1 is z1 and that of z1^2 is 2*z1^2 + 2, so the
-        # bound on the sum is |c| or |c| + 2; a digit of 2^31 needs 64 bits
+        # bound on the sum is |c| or |c| + 2; a bound of 2^31 or more sends
+        # the call term by term
         op = Delta1Operator(1, (1,), {(1, 1): ZPolynomial.const(1, 1)})
         z1 = ZPolynomial.variable(1, 1)
         self._twice(op, c * z1)
@@ -439,9 +472,10 @@ def _shifted(op, p, shift):
 
 
 class TestShiftedPackedSum:
-    """``apply(p, shift)`` is Δ1 p - shift p.  A column's first use builds
-    it, its second adds it term by term and its third and later ones add
-    it packed, so each test applies a polynomial at least three times."""
+    """``apply(p, shift)`` is Δ1 p - shift p, with -shift p packed beside
+    the packed columns.  Each test applies a polynomial more than once:
+    the first call builds and packs its columns, later ones find them
+    stored."""
 
     @staticmethod
     def _thrice(op, p, shifts=(0, 5, -248)):
@@ -459,15 +493,26 @@ class TestShiftedPackedSum:
         for shift in shifts:
             assert op.apply(p, shift) == _shifted(op, p, shift)
 
-    def test_the_third_use_packs(self, e8, operator_fixtures, order2_chars):
+    def test_the_first_use_packs(self, e8, operator_fixtures, order2_chars):
         op = _fixture_operator(e8, operator_fixtures)
         chi = order2_chars[Weight((0, 0, 0, 0, 0, 0, 1, 1))]
-        for _ in range(2):
-            op.apply(chi)
+        assert op.apply(chi, 1) == _shifted(op, chi, 1)
         store = op._columns[1]
-        assert not store._packed[32]
-        op.apply(chi, 1)
-        assert store._packed[32].keys() == chi._terms.keys()
+        assert store._packed.keys() == chi._terms.keys()
+
+    @pytest.mark.parametrize("b", [2 ** 31, -2 ** 31])
+    def test_a_peak_of_two_to_the_31_stays_unpacked(self, b):
+        # the column of z1 is b*z1, that of z1^2 is 2b*z1^2 + 2, and that
+        # of 1 is 0; a digit of 2^31 does not fit a 32-bit slot.  At b = 1
+        # all three columns, under the keys 0, 1 and 2, are packed
+        op = Delta1Operator(1, (1,), {(1, 1): ZPolynomial.const(1, 1)})
+        z1 = ZPolynomial.variable(1, 1)
+        p = 1 - z1 + z1 * z1
+        self._thrice(op, p, (0, 1, -1))
+        assert op._columns[1]._packed.keys() == {0, 1, 2}
+        op.b = (b,)
+        self._thrice(op, p, (0, 1, -1))
+        assert op._columns[1]._packed.keys() == {0}
 
     def test_eigenvector_sums_to_zero(self, e8, operator_fixtures,
                                       higher_chars):
@@ -485,7 +530,7 @@ class TestShiftedPackedSum:
         small = order2_chars[Weight((1, 0, 0, 0, 0, 0, 0, 1))]
         self._thrice(op, scale * chi - 3 * small)
         self._thrice(op, small)
-        # a shift alone that needs 64 or 128 bits
+        # a shift alone that puts the bound over 2^31
         self._thrice(op, small, (scale, -scale))
 
     @pytest.mark.parametrize("c", [2 ** 31 - 1, 2 ** 31, -2 ** 31,
@@ -495,7 +540,8 @@ class TestShiftedPackedSum:
         z1 = ZPolynomial.variable(1, 1)
         self._thrice(op, c * z1, (0, 1, -1))
         self._thrice(op, (c - 2) * z1 + z1 * z1, (0, 1))
-        # the bound is (2 + |shift|) |c|: digits of 2^31 and 2^63 in size
+        # the column of 1 is 0, so the bound is |c|: 2^31 and over go term
+        # by term
         self._thrice(op, ZPolynomial.const(1, c), (1, -1))
 
     def test_follows_replaced_entry_and_b(self, e8, operator_fixtures,
@@ -564,9 +610,9 @@ class TestShiftedPackedSum:
 
     def test_wide_columns_stay_unpacked(self, e8, operator_fixtures):
         # a random monomial's column has hundreds of terms over monomials
-        # met nowhere else, so packing every column used a third time would
-        # number slots for all of them; a column is packed only while the
-        # slots stay within _SPAN per term of it
+        # met nowhere else, so packing every column would number slots for
+        # all of them; a column is packed only while the slots stay within
+        # _SPAN per term of it
         op = _fixture_operator(e8, operator_fixtures)
         rng = random.Random(47)
         for _ in range(30):
@@ -577,14 +623,14 @@ class TestShiftedPackedSum:
             for _ in range(3):
                 assert op.apply(p, 7) == expected
         store = op._columns[1]
-        assert store._wide and store._peaks
-        for key in store._peaks:
+        assert store._packed and store._columns.keys() - store._packed.keys()
+        for key in store._packed:
             top = max(store._slots[k] for k in (key, *store._columns[key]._terms))
             assert top < _SPAN * (len(store._columns[key]) + 1)
 
     def test_random_traffic_within_a_wall_bound(self, e8, operator_fixtures):
-        # 60 random rank-8 polynomials, each applied twice: few columns
-        # are used a third time, so few are packed and the slots stay few
+        # 60 random rank-8 polynomials, each applied twice: the span rule
+        # keeps most of their columns unpacked and the slots few
         op = _fixture_operator(e8, operator_fixtures)
         rng = random.Random(43)
         polys = [ZPolynomial(8, {
@@ -597,6 +643,23 @@ class TestShiftedPackedSum:
             assert op.apply(p) == first
         assert time.monotonic() - start < 10.0
         assert first == oracles.delta1_apply(op, polys[-1])
+
+    def test_one_shot_traffic_within_a_wall_bound(self, e8,
+                                                  operator_fixtures):
+        # 60 random rank-8 polynomials, each applied once on a fresh
+        # operator: every column is built, and packed if the span rule
+        # admits it, on the call that first meets it
+        op = _fixture_operator(e8, operator_fixtures)
+        rng = random.Random(53)
+        polys = [ZPolynomial(8, {
+            tuple(rng.randint(0, 3) for _ in range(8)):
+                rng.choice([-1, 1]) * rng.randint(1, 10 ** 6)
+            for _ in range(rng.randint(1, 8))}) for _ in range(60)]
+        start = time.monotonic()
+        images = [op.apply(p) for p in polys]
+        assert time.monotonic() - start < 10.0
+        for p, image in zip(polys[-3:], images[-3:]):
+            assert image == oracles.delta1_apply(op, p)
 
 
 class TestIdentityElement:

@@ -750,6 +750,17 @@ def assert_runs(alg):
                 start = end
 
 
+def assert_dimension_and_casimir(alg, left, right, dec):
+    """The dimension sum, sum N_mu dim V_mu = dim V_left dim V_right, and
+    the Casimir sum, sum N_mu eps_mu dim V_mu = (eps_left + eps_right)
+    dim V_left dim V_right, hold on ``dec``, the product's constituents."""
+    dims = {mu: alg.weyl_dim(mu) for mu in dec.entries}
+    product = alg.weyl_dim(left) * alg.weyl_dim(right)
+    assert sum(n * dims[mu] for mu, n in dec.items()) == product
+    assert sum(n * epsilon(alg, mu) * dims[mu] for mu, n in dec.items()) == \
+        (epsilon(alg, left) + epsilon(alg, right)) * product
+
+
 def skipped_keys(alg, big, small, bits):
     """How many keys of V_small's weight system lie in runs whose -1 lanes
     meet a label 0 of ``big``."""
@@ -836,6 +847,7 @@ class TestKeyLoop:
                 if threshold == FORCE_LOOP:
                     assert_keys_fit(alg)
         assert results[0] == results[1]
+        assert_dimension_and_casimir(Algebra(name), left, right, results[0])
         if name != "F4":
             assert results[0].entries == oracles.tensor_oracle(
                 Algebra(name), left, right)
@@ -867,6 +879,7 @@ class TestKeyLoop:
             results.append(Algebra(name).tensor_decompose(nu, small))
         assert results[0] == results[1] == results[2]
         alg = Algebra(name)
+        assert_dimension_and_casimir(alg, nu, small, results[0])
         if rank <= 4 and alg.weyl_dim(nu) * alg.weyl_dim(small) <= 200:
             assert results[0].entries == oracles.tensor_oracle(alg, nu, small)
 

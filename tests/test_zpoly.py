@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from liechar import (ExponentRangeError, LiecharError, ParseError,
                      RankMismatchError, ZPolynomial)
 import oracles
-from liechar.zpoly import (format_fixture_record, parse_poly, print_poly,
-                           read_fixture_text)
+from liechar.zpoly import (ColumnStore, format_fixture_record, parse_poly,
+                           print_poly, read_fixture_text)
 
 
 def P(text, rank=8):
@@ -353,6 +353,51 @@ class TestCombine:
             ZPolynomial.combine(2, [(1, P("z1", rank=3), None)])
         with pytest.raises(RankMismatchError):
             ZPolynomial.combine(2, [(1, P("z1", rank=2), P("z1", rank=3))])
+
+
+# column coefficients: small ones, whose columns pack, and ones at and
+# around a 32-bit digit's range and up to 2^40, whose columns do not
+_column_coeff = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from([2 ** 31 - 1, 2 ** 31, -2 ** 31 + 1, -2 ** 31]),
+    st.integers(-2 ** 40, 2 ** 40)).filter(bool)
+
+
+def _store_poly_strategy(rank, coeff):
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * rank), coeff)
+    return st.lists(term, max_size=6).map(
+        lambda pairs: ZPolynomial(rank, dict(pairs)))
+
+
+class TestColumnStore:
+    """``ColumnStore.apply`` against one ``combine`` of the same columns,
+    built by a callback that draws each new column at random."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda r: st.lists(
+        _store_poly_strategy(r, st.one_of(st.sampled_from([1, -1]),
+                                          st.integers(-10 ** 4, 10 ** 4))),
+        min_size=1, max_size=4)), st.data())
+    def test_matches_combine(self, polys, data):
+        rank = polys[0].rank
+        columns = {}
+
+        def build(monomials):
+            for exps in monomials:
+                columns[exps] = data.draw(
+                    _store_poly_strategy(rank, _column_coeff))
+            return [columns[exps] for exps in monomials]
+
+        store = ColumnStore(rank)
+        for p in polys:
+            for _ in range(data.draw(st.integers(1, 3))):
+                shift = data.draw(st.sampled_from(
+                    [0, 1, -1, 2 ** 31, -2 ** 31]))
+                image = store.apply(p, shift, build)
+                assert image == ZPolynomial.combine(rank, [
+                    (c, columns[exps], None) for exps, c in p.terms.items()
+                ] + [(-shift, p, None)])
+                assert 0 not in image._terms.values()
 
 
 class TestFixtureRecords:
