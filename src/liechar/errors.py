@@ -40,7 +40,8 @@ class BudgetError(LiecharError, RuntimeError):
 
 
 class ParseError(LiecharError, ValueError):
-    """Syntax error in polynomial or fixture text, with a byte offset."""
+    """Syntax error in polynomial or fixture text, with the character
+    offset (a ``str`` index) where it was found."""
 
     def __init__(self, message, offset):
         super().__init__(message, offset)

@@ -221,7 +221,11 @@ class Algebra:
         return Weight(1 if k == index - 1 else 0 for k in range(self.rank))
 
     def _check_weight(self, w) -> tuple:
-        w = tuple(w)
+        try:
+            w = tuple(w)
+        except TypeError:
+            raise ValueError(
+                f"weight {w!r} is not a sequence of labels") from None
         try:
             t = tuple(map(index, w))
         except TypeError:

@@ -34,10 +34,16 @@ class Weight(tuple):
     """Integer vector of Dynkin labels in the fundamental-weight basis.
 
     A label is anything with ``__index__`` (int, bool, numpy integers);
-    any other label raises ``ValueError``.
+    any other label, or ``labels`` that is not iterable, raises
+    ``ValueError``.
     """
 
     def __new__(cls, labels):
+        try:
+            labels = iter(labels)
+        except TypeError:
+            raise ValueError(
+                f"weight {labels!r} is not a sequence of labels") from None
         return super().__new__(cls, (integer(x, "weight label")
                                      for x in labels))
 

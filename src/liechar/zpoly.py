@@ -7,8 +7,9 @@ sum_i e_i * 2^(32 i), so z1 fills the low 32 bits and z_r the high ones; a
 product of monomials is one int add and a derivative a shift, a mask and a
 subtraction.  Every exponent stays within 0..2^31 - 1, so the sum of two
 fields cannot carry into the next one; larger exponents raise
-:class:`ExponentRangeError`.  The packing stays inside this module: the
-public accessors and the constructor speak exponent tuples.
+:class:`ExponentRangeError`; a rank outside 1..``rootsys.MAX_RANK`` raises
+``ValueError`` before anything is built.  The packing stays inside this
+module: the public accessors and the constructor speak exponent tuples.
 :meth:`ZPolynomial.combine`, one fused sum of products, is the only
 accumulation routine: the ring operators and every linear combination of
 polynomials in the package call it.  The one other sum is that of
@@ -19,7 +20,8 @@ the operator of :mod:`liechar.csop` keeps its columns there, built by
 exponent tuple.  The module also owns the plain-text grammar used by the
 fixture files and the CLI (``-1 - z1 - z7 - z8 + z8^2`` style), including
 the one-level factored form ``-4*(31 + 7*z1 + ...)`` used by operator
-tables.
+tables: one regex pass makes the tokens, and one loop reads one signed
+term at a time.
 
 Canonical emission order is the numeric order of the keys, that is
 ascending by the *reversed* exponent vector, which reproduces the layout of
@@ -38,6 +40,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import (ExponentRangeError, ParseError, RankMismatchError,
                      integer)
+from .rootsys import _check_rank
 
 __all__ = [
     "ZPolynomial",
@@ -56,11 +59,26 @@ _FIELD_BITS = 32
 _FIELD_MASK = 2 ** _FIELD_BITS - 1
 
 
+def _codec(n: int) -> tuple:
+    """The struct format of ``n`` 32-bit fields, and 2^31 in each of them:
+    the top bit of every exponent field, and the bias of balanced digits."""
+    return f"<{n}I", int.from_bytes(b"\0\0\0\x80" * n, "little")
+
+
 @cache
 def _layout(rank: int) -> tuple:
     """``(struct of rank uint32 fields, mask of every field's top bit)``."""
-    top = sum(1 << (_FIELD_BITS * i + _FIELD_BITS - 1) for i in range(rank))
-    return struct.Struct(f"<{rank}I"), top
+    fmt, top = _codec(rank)
+    return struct.Struct(fmt), top
+
+
+def _checked_rank(rank) -> int:
+    """``rank`` as an int; ``ValueError`` unless in 1..``MAX_RANK``."""
+    rank = integer(rank, "rank")
+    if rank < 1:
+        raise ValueError("rank must be positive")
+    _check_rank(rank)
+    return rank
 
 
 def _pack(rank: int, exponents) -> int:
@@ -88,10 +106,7 @@ class ZPolynomial:
     __slots__ = ("rank", "_terms")
 
     def __init__(self, rank: int, terms=None):
-        rank = integer(rank, "rank")
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        self.rank = rank
+        self.rank = rank = _checked_rank(rank)
         clean = {}
         if terms:
             for exps, coeff in terms.items():
@@ -279,12 +294,6 @@ _SPAN = 16
 _HALF = 1 << 31
 
 
-def _codec(n: int) -> tuple:
-    """The struct format of ``n`` 32-bit digits, and the bias of balanced
-    digits: 2^31 in each of them."""
-    return f"<{n}I", int.from_bytes(b"\0\0\0\x80" * n, "little")
-
-
 def _kronecker(pairs, n: int) -> int:
     """sum c 2^(32 s) over the ``(s, c)`` of ``pairs``, each s below ``n``
     and each |c| below 2^31."""
@@ -406,27 +415,28 @@ class ColumnStore:
 # text grammar
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+|\\,)|(?P<int>\d+)|z(?P<var>\d+)|(?P<op>[+\-*^()])")
+_TOKEN_RE = re.compile(r"(\s+|\\,)|(\d+)|z(\d+)|([-+*^()])|(.)", re.S)
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """``(kind, value, offset)`` of each token of ``text`` but blanks, then
+    an "end" token: kind "int" or "var" with an int, or an operator."""
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("ws") is None:
-            if m.group("int") is not None:
-                tokens.append(("int", int(m.group("int")), m.start()))
-            elif m.group("var") is not None:
-                tokens.append(("var", int(m.group("var")), m.start()))
-            else:
-                tokens.append((m.group("op"), None, m.start()))
-        pos = m.end()
-    tokens.append(("end", None, n))
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 4:
+            tokens.append((m[4], None, m.start()))
+        elif group == 5:
+            raise ParseError(f"unexpected character {m[5]!r}", m.start())
+        elif group != 1:
+            try:
+                value = int(m[group])
+            except ValueError:
+                # more digits than int() reads; its limit is left alone
+                raise ParseError("integer has too many digits",
+                                 m.start()) from None
+            tokens.append(("int" if group == 2 else "var", value, m.start()))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -436,109 +446,82 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
     Grammar: a signed sum of terms; a term is a product of integer
     coefficients and factors ``zN`` / ``zN^E`` joined by ``*`` or plain
     juxtaposition, or an integer-scaled parenthesized sum (one level only).
-    ``\\,`` and whitespace are ignored.  Errors carry the byte offset.
+    ``\\,`` and whitespace are ignored.  Terms are merged as they are read
+    and zeros dropped at the end.  Errors carry the character offset.
     """
-    rank = integer(rank, "rank")
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    tokens = _tokenize(text)
-    result, pos = _parse_sum(tokens, 0, rank, False)
-    kind, _, off = tokens[pos]
-    if kind != "end":
-        raise ParseError("unexpected trailing input", off)
-    return ZPolynomial._raw(rank, {key: c for key, c in result.items() if c})
-
-
-# The two routines below call each other, and the position in ``tokens``
-# goes in and out as a value: nested functions sharing it through closure
-# cells would reach each other in a reference cycle, left behind by every
-# parse until the cyclic collector runs.
-
-def _parse_sum(tokens: list, pos: int, rank: int, in_paren: bool) -> tuple:
-    """``(packed key -> coefficient, position after it)`` of the signed sum
-    of terms at ``tokens[pos]``."""
+    rank = _checked_rank(rank)
     top = _layout(rank)[1]
+    tokens = _tokenize(text)
     acc: dict = {}
-    sign = 1
-    kind = tokens[pos][0]
-    if kind == "-":
-        sign = -1
-        pos += 1
-    elif kind == "+":
-        pos += 1
+    scale = None  # the integer scaling the open parenthesized sum
+    pos = 0
     while True:
-        term, pos = _parse_term(tokens, pos, rank, top, sign, in_paren)
-        for key, coeff in term.items():
-            acc[key] = acc.get(key, 0) + coeff
         kind = tokens[pos][0]
-        if kind == "+":
-            sign = 1
-        elif kind == "-":
-            sign = -1
-        else:
-            return acc, pos
-        pos += 1
-
-
-def _parse_term(tokens: list, pos: int, rank: int, top: int, sign: int,
-                in_paren: bool) -> tuple:
-    """As :func:`_parse_sum`, for the one term at ``tokens[pos]``; ``top``
-    holds the top bit of every exponent field."""
-    coeff = sign
-    key = 0
-    saw_factor = False
-    while True:
-        kind, value, off = tokens[pos]
-        if kind == "int":
+        coeff = 1 if scale is None else scale
+        if kind in ("+", "-"):
+            coeff = -coeff if kind == "-" else coeff
             pos += 1
-            coeff *= value
-            saw_factor = True
-            if tokens[pos][0] == "^":
-                raise ParseError("exponent applies only to variables",
-                                 tokens[pos][2])
-        elif kind == "var":
-            if not 1 <= value <= rank:
-                raise ParseError(f"variable z{value} exceeds rank {rank}", off)
-            pos += 1
-            exp, exp_off = 1, off
-            if tokens[pos][0] == "^":
-                k2, v2, o2 = tokens[pos + 1]
-                if k2 != "int":
-                    raise ParseError("expected integer exponent", o2)
-                pos += 2
-                exp, exp_off = v2, o2
-            if exp <= MAX_EXPONENT:
-                # every field stays below 2^31, so this add cannot carry
+        key = 0
+        saw_factor = False
+        while True:
+            kind, value, off = tokens[pos]
+            if kind == "int":
+                pos += 1
+                coeff *= value
+                saw_factor = True
+                if tokens[pos][0] == "^":
+                    raise ParseError("exponent applies only to variables",
+                                     tokens[pos][2])
+            elif kind == "var":
+                if not 1 <= value <= rank:
+                    raise ParseError(f"variable z{value} exceeds rank {rank}",
+                                     off)
+                pos += 1
+                exp, exp_off = 1, off
+                if tokens[pos][0] == "^":
+                    kind, exp, exp_off = tokens[pos + 1]
+                    if kind != "int":
+                        raise ParseError("expected integer exponent", exp_off)
+                    pos += 2
+                # an exponent within the bound cannot carry out of its field
                 key += exp << (_FIELD_BITS * (value - 1))
-            if exp > MAX_EXPONENT or key & top:
-                raise ParseError(
-                    f"exponent of z{value} exceeds {MAX_EXPONENT}", exp_off)
-            saw_factor = True
-        elif kind == "(":
-            if in_paren:
+                if exp > MAX_EXPONENT or key & top:
+                    raise ParseError(
+                        f"exponent of z{value} exceeds {MAX_EXPONENT}", exp_off)
+                saw_factor = True
+            elif kind == "*":
+                if not saw_factor:
+                    raise ParseError("expected term", off)
+                pos += 1
+                if tokens[pos][0] not in ("int", "var", "("):
+                    raise ParseError("expected factor after '*'",
+                                     tokens[pos][2])
+            else:
+                break
+        if kind == "(":
+            if scale is not None:
                 raise ParseError("nested parentheses are not allowed", off)
             if key:
                 raise ParseError(
                     "parenthesized sum must be scaled by a plain integer", off)
-            inner, pos = _parse_sum(tokens, pos + 1, rank, True)
-            k2, _, o2 = tokens[pos]
-            if k2 != ")":
-                raise ParseError("expected ')'", o2)
-            k3, _, o3 = tokens[pos + 1]
-            if k3 not in ("+", "-", "end"):
-                raise ParseError("unexpected token after ')'", o3)
-            return {e: coeff * c for e, c in inner.items()}, pos + 1
-        elif kind == "*":
-            if not saw_factor:
-                raise ParseError("expected term", off)
+            scale = coeff
             pos += 1
-            if tokens[pos][0] not in ("int", "var", "("):
-                raise ParseError("expected factor after '*'", tokens[pos][2])
-        else:
-            break
-    if not saw_factor:
-        raise ParseError("expected term", off)
-    return {key: coeff}, pos
+            continue
+        if not saw_factor:
+            raise ParseError("expected term", off)
+        acc[key] = acc.get(key, 0) + coeff
+        if scale is not None and kind not in ("+", "-"):
+            if kind != ")":
+                raise ParseError("expected ')'", off)
+            pos += 1
+            kind, _, off = tokens[pos]
+            if kind not in ("+", "-", "end"):
+                raise ParseError("unexpected token after ')'", off)
+            scale = None
+        if kind == "end":
+            return ZPolynomial._raw(rank, {k: c for k, c in acc.items() if c})
+        if kind not in ("+", "-"):
+            raise ParseError("unexpected trailing input", off)
 
 
 def _format_monomial(exponents) -> str:

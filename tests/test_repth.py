@@ -107,6 +107,17 @@ class TestLabels:
                     f"weight {w} has a label that is not an integer")):
                 call()
 
+    @pytest.mark.parametrize("w", [5, None, 1.5])
+    def test_non_iterable_weight_is_refused(self, a2, w):
+        calls = [lambda: a2.weyl_dim(w),
+                 lambda: a2.tensor_decompose(w, (1, 0)),
+                 lambda: CharacterCache(a2).character_poly(w),
+                 lambda: epsilon(a2, w, 1)]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"weight {w!r} is not a sequence of labels")):
+                call()
+
     def test_integer_types_are_accepted(self, a2):
         import numpy as np
         assert a2.weyl_dim((True, np.int64(1))) == 8

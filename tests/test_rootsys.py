@@ -212,6 +212,12 @@ class TestWeight:
                            match=re.escape(f"weight label {bad} is not an integer")):
             Weight(labels)
 
+    @pytest.mark.parametrize("labels", [5, None, 2.0])
+    def test_non_iterable_labels_are_refused(self, labels):
+        with pytest.raises(ValueError, match=re.escape(
+                f"weight {labels!r} is not a sequence of labels")):
+            Weight(labels)
+
     def test_integer_types_are_accepted(self):
         import numpy as np
         w = Weight((np.int64(3), np.uint8(0), True, 2))

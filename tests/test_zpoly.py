@@ -1,5 +1,6 @@
 import gc
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from liechar import (ExponentRangeError, LiecharError, ParseError,
                      RankMismatchError, ZPolynomial)
 import oracles
+from liechar.rootsys import MAX_RANK
 from liechar.zpoly import (ColumnStore, format_fixture_record, parse_poly,
                            print_poly, read_fixture_text)
 
@@ -86,6 +88,26 @@ class TestArithmetic:
         for exps in [(1,), (0, 1, 0), (1, 0, 0, 0)]:
             with pytest.raises(RankMismatchError):
                 p.coefficient(exps)
+
+
+class TestRankBound:
+    def test_largest_rank_is_accepted(self):
+        z = ZPolynomial.variable(MAX_RANK, MAX_RANK)
+        assert parse_poly(f"1 + z{MAX_RANK}", MAX_RANK) == z + 1
+        assert read_fixture_text(f"b[1] = z{MAX_RANK}", MAX_RANK)[0].poly == z
+
+    @pytest.mark.parametrize("rank", [MAX_RANK + 1, 10 ** 9])
+    def test_larger_rank_is_refused_at_once(self, rank):
+        # refused before any key or mask of 32 bits per field is built
+        start = time.perf_counter()
+        for call in (lambda: ZPolynomial(rank),
+                     lambda: ZPolynomial.variable(rank, 1),
+                     lambda: parse_poly("1 + z1", rank),
+                     lambda: read_fixture_text("b[1] = 3*z1\n", rank)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"rank {rank} is above the largest supported rank")):
+                call()
+        assert time.perf_counter() - start < 1
 
 
 TOP = 2 ** 31 - 1
@@ -209,6 +231,47 @@ class TestParser:
             P(text)
         assert err.value.offset == offset
 
+    # each way text can fail to parse, with its message and offset
+    @pytest.mark.parametrize("text, message, offset", [
+        ("z1 + q", "unexpected character 'q'", 5),
+        ("z1 )", "unexpected trailing input", 3),
+        ("2*(z1) - 3)", "unexpected trailing input", 10),
+        ("1 + 2^3", "exponent applies only to variables", 5),
+        ("1 + z9", "variable z9 exceeds rank 8", 4),
+        ("z1^z2", "expected integer exponent", 3),
+        ("z1^", "expected integer exponent", 3),
+        ("z1^2147483648", "exponent of z1 exceeds 2147483647", 3),
+        ("z2^2147483647*z2", "exponent of z2 exceeds 2147483647", 14),
+        ("2*(1 + 3*(z1))", "nested parentheses are not allowed", 9),
+        ("(z1 (1))", "nested parentheses are not allowed", 4),
+        ("z1*(1 + z2)", "parenthesized sum must be scaled by a plain integer",
+         3),
+        ("-4*(31 + 7*z1", "expected ')'", 13),
+        ("2*(z1^2^3)", "expected ')'", 7),
+        ("2*(z1) 3", "unexpected token after ')'", 7),
+        ("3 (z1)(z2)", "unexpected token after ')'", 6),
+        ("1 - *z1", "expected term", 4),
+        ("z1 * + z2", "expected factor after '*'", 5),
+        ("2*(z1 *)", "expected factor after '*'", 7),
+        ("", "expected term", 0),
+        ("1 +", "expected term", 3),
+        ("1 + - z1", "expected term", 4),
+        ("2*()", "expected term", 3),
+    ])
+    def test_error_message_and_offset(self, text, message, offset):
+        with pytest.raises(ParseError) as err:
+            P(text)
+        assert err.value.args == (message, offset)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text, offset", [
+        ("1" * 5000, 0), ("3 + z" + "1" * 5000, 4),
+        ("z1^" + "9" * 5000, 3)], ids=["integer", "variable", "exponent"])
+    def test_over_long_literal_is_a_parse_error(self, text, offset):
+        # the interpreter's digit limit on int() is left alone
+        with pytest.raises(ParseError, match="too many digits") as err:
+            P(text)
+        assert err.value.offset == offset
 
     @pytest.mark.parametrize("parse", [
         lambda: parse_poly("1 + 2*z1", 8),
@@ -251,6 +314,42 @@ triples = st.integers(1, 4).flatmap(
     lambda r: st.tuples(_poly_strategy(r), _poly_strategy(r), _poly_strategy(r)))
 
 
+# blanks the grammar skips, and the ways two factors of a term may meet
+_blank = st.sampled_from(["", " ", "  ", "\\,", "\t", "\n "])
+_join = st.sampled_from(["*", " * ", " ", "\\,", ""])
+
+
+def _sign(data, c: int, first: bool) -> str:
+    """The sign written before a term or run of coefficient ``c``: a first
+    one with c >= 0 may go without."""
+    if c < 0:
+        return "-"
+    return data.draw(st.sampled_from(["", "+"])) if first else "+"
+
+
+def _render_term(data, exps, c: int, first: bool) -> str:
+    """c z^exps as text: its sign, then its factors in any order, a power
+    split in parts, joined by '*', blanks or nothing where no digit would
+    run into the factor before it."""
+    factors = []
+    if abs(c) != 1 or not any(exps) or data.draw(st.booleans()):
+        factors.append(str(abs(c)))
+    for i, e in enumerate(exps, 1):
+        while e:
+            k = data.draw(st.integers(1, e))
+            factors.append(f"z{i}^{k}" if k > 1 or data.draw(st.booleans())
+                           else f"z{i}")
+            e -= k
+    factors = data.draw(st.permutations(factors))
+    text = factors[0]
+    for factor in factors[1:]:
+        join = data.draw(_join)
+        if not join and factor[0].isdigit():
+            join = "*"
+        text += join + factor
+    return _sign(data, c, first) + data.draw(_blank) + text
+
+
 class TestProperties:
     @given(triples)
     def test_ring_axioms(self, polys):
@@ -277,6 +376,40 @@ class TestProperties:
     @given(st.integers(1, 5).flatmap(_poly_strategy))
     def test_parse_print_round_trip(self, p):
         assert parse_poly(print_poly(p), p.rank) == p
+
+    @settings(max_examples=50)
+    @given(st.data())
+    def test_parse_of_free_form_text(self, data):
+        """Text that print_poly never writes: factors in any order, joined
+        by '*', blanks or nothing, a leading '+', and runs of terms written
+        as k*(...), k (...) or (...), parse to the sum of their terms."""
+        rank = data.draw(st.integers(1, 4))
+        run = st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * rank),
+                                 st.integers(-10 ** 6, 10 ** 6)),
+                       min_size=1, max_size=4)
+        expected: dict = {}
+        pieces = []
+        for terms in data.draw(st.lists(run, min_size=1, max_size=4)):
+            wrap = data.draw(st.sampled_from(["", "()", "k*()", "k ()"]))
+            if not wrap:
+                scale = 1
+                for e, c in terms:
+                    pieces.append(_render_term(data, e, c, not pieces))
+            else:
+                scale = data.draw(st.integers(-999, 999) if "k" in wrap
+                                  else st.sampled_from([1, -1]))
+                body = "(" + data.draw(_blank).join(
+                    _render_term(data, e, c, not j)
+                    for j, (e, c) in enumerate(terms)) + ")"
+                if "k" in wrap:
+                    body = f"{abs(scale)}{wrap[1:-2]}{body}"
+                pieces.append(_sign(data, scale, not pieces)
+                              + data.draw(_blank) + body)
+            for e, c in terms:
+                expected[e] = expected.get(e, 0) + scale * c
+        text = data.draw(_blank).join(pieces)
+        assert parse_poly(text, rank).terms == \
+            {e: c for e, c in expected.items() if c}
 
 
 # every field filled up to 2^30 - 1, so a product reaches 2^31 - 2 without
@@ -446,6 +579,12 @@ b[8] = 120*z8
                 as err:
             read_fixture_text(text, 2)
         assert err.value.offset == text.index("z9")
+
+    def test_over_long_literal_offset_is_into_the_file(self):
+        text = "b[1] = 192*z1\n\nb[2] = 288*z2 + " + "7" * 5000 + "\n"
+        with pytest.raises(ParseError, match="too many digits") as err:
+            read_fixture_text(text, 2)
+        assert err.value.offset == text.index("7" * 5000)
 
     def test_packaged_files_parse(self, operator_fixtures, order2_chars,
                                   higher_chars):
