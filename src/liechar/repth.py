@@ -8,8 +8,11 @@ iterate over every weight of the smaller factor, dominant-reflect the
 multiplicities come from the Freudenthal recursion, evaluated in integers
 with the invariant form :meth:`Algebra._form` and asserted integral; it
 takes the dominant weights μ in the order of its own denominator
-|λ + ρ|^2 - |μ + ρ|^2, and each root string ends at its first weight of
-multiplicity 0.
+|λ + ρ|^2 - |μ + ρ|^2.  In the orbit form of R. V. Moody and J. Patera
+(Bull. AMS 7, 1982), it sums one root per class of the positive roots, up
+to sign, under the stabilizer of μ, and takes each root string's sum from
+the string one step up, kept at the dominant weight that step reflects to,
+so that no string is walked.
 
 Both Klimyk paths hold a weight u as one integer key, K(u) = sum_k
 (u_k + B) 2^(w k) with B = 2^(w-1), w bits per label.  A reflection is one
@@ -202,14 +205,16 @@ class Algebra:
             (sum(1 << i for i, c in enumerate(root.coeffs) if c),
              sum(root.coeffs))
             for root in self.roots)
-        self._root_norm = tuple(self._form(root.labels, root.labels)
-                                for root in self.roots)
+        # _form of a short root: every root is a Weyl image of a simple
+        # one, and (α_j, α_j) = 2 d_j
+        self._short_norm = 2 * self._det * min(self._lengths)
         self.rho = Weight((1,) * self.rank)
         self._dims: dict = {}
         self._freudenthal: dict = {}
         self._tensor: dict = {}
         self._weight_systems: dict = {}
         self._orbit_tables: dict = {}
+        self._classes: dict = {}
 
     # -- basics ---------------------------------------------------------
 
@@ -281,11 +286,15 @@ class Algebra:
 
     # -- reflections ------------------------------------------------------
 
-    def _reflect(self, v: list) -> tuple:
-        """The dominant tuple in the Weyl orbit of the label list ``v``,
-        which is reflected in place, each time at its first negative label.
+    def _reflect(self, v: list, root: int = 0) -> tuple:
+        """``(w, r)``: the dominant tuple w in the Weyl orbit of the label
+        list ``v``, which is reflected in place, each time at its first
+        negative label, and the image r of the root ``root`` under the same
+        reflections.  A root is an index into ``self.roots``, or ~r for the
+        negative of ``self.roots[r]``.
         """
         nbrs = self._nbrs
+        images = self._root_reflections
         i = 0
         n = self.rank
         while i < n:
@@ -294,10 +303,74 @@ class Algebra:
                 v[i] = -x
                 for j, c in nbrs[i]:
                     v[j] += c * x
+                root = images[i][root]
                 i = 0
             else:
                 i += 1
-        return tuple(v)
+        return tuple(v), root
+
+    @cached_property
+    def _root_reflections(self) -> tuple:
+        """Per node i, s_i on the roots: entry r is the image of root r and
+        entry ~r (from the end) that of its negative, roots written as in
+        :meth:`_reflect`.
+
+        A root is keyed by its coefficients, 8 bits each (none exceeds 6),
+        so s_i α = α - (α, α_i^∨) α_i subtracts the label i of α times the
+        key of α_i.  Only α_i itself maps to a negative root.
+        """
+        keys = [int.from_bytes(bytes(root.coeffs), "little")
+                for root in self.roots]
+        index = {k: r for r, k in enumerate(keys)}
+        steps = [1 << 8 * i for i in range(self.rank)]
+        index.update([(-step, ~index[step]) for step in steps])
+        table = []
+        for step, labels in zip(steps,
+                                zip(*(root.labels for root in self.roots))):
+            row = [index[k - x * step] for k, x in zip(keys, labels)]
+            table.append(tuple(row) + tuple([~r for r in reversed(row)]))
+        return tuple(table)
+
+    def _root_classes(self, zeros: int) -> tuple:
+        """``(slots, reps, sizes)`` for the stabilizer W_J of a dominant
+        weight whose zero labels are the nodes J of the bit mask ``zeros``,
+        cached per mask.
+
+        W_J permutes the positive roots up to sign; class c has
+        ``sizes[c]`` roots and its first root ``reps[c]``.  With k classes,
+        ``slots[r]`` is k plus the class of root r and ``slots[~r]`` its
+        class, which is where :meth:`freudenthal` keeps the string sums of
+        -r and r.
+        """
+        cached = self._classes.get(zeros)
+        if cached is not None:
+            return cached
+        images = [row for i, row in enumerate(self._root_reflections)
+                  if zeros >> i & 1]
+        owner = [-1] * len(self.roots)
+        reps, sizes = [], []
+        for r, c in enumerate(owner):
+            if c >= 0:
+                continue
+            c = owner[r] = len(reps)
+            stack, size = [r], 0
+            while stack:
+                x = stack.pop()
+                size += 1
+                for row in images:
+                    y = row[x]
+                    if y < 0:
+                        y = ~y
+                    if owner[y] < 0:
+                        owner[y] = c
+                        stack.append(y)
+            reps.append(r)
+            sizes.append(size)
+        k = len(reps)
+        entry = (tuple([c + k for c in owner]) + tuple(reversed(owner)),
+                 reps, sizes)
+        self._classes[zeros] = entry
+        return entry
 
     def weyl_orbit(self, w) -> WeylOrbit:
         """All distinct images of a dominant weight under the Weyl group."""
@@ -331,9 +404,8 @@ class Algebra:
         ladder lets the products of a factor share one weight system.
         """
         square = 4 * len(weights) * sum(self._form(w, w) for w in weights)
-        short = min(self._root_norm)
         bits = 8
-        while square >= short << 2 * (bits - 1):
+        while square >= self._short_norm << 2 * (bits - 1):
             bits *= 2
         return bits
 
@@ -391,12 +463,72 @@ class Algebra:
     # -- Freudenthal multiplicities ----------------------------------------
 
     def freudenthal(self, highest) -> WeightMultiplicityTable:
-        """Multiplicities of all dominant weights of one irreducible module."""
+        """Multiplicities of all dominant weights of one irreducible module.
+
+        Freudenthal's formula gap(μ) m(μ) = 2 sum_{α>0} f(μ, α), with f(μ, α)
+        = sum_{k>=1} (μ + kα, α) m(μ + kα), in the orbit form of R. V. Moody
+        and J. Patera (Bull. AMS 7, 1982), by two exact identities:
+
+        - f(μ, wα) = f(μ, α) for w in the stabilizer W_J of μ, J its zero
+          labels, and f(μ, -γ) = f(μ, γ) + (μ, γ) m(μ).  So the sum over
+          α > 0 is one term per W_J-class of positive roots up to sign,
+          times the class size.
+        - f(μ, α) = f(ν, -wα), where ν = w(μ + α) is dominant: the string
+          above μ is that above μ + α, one term longer.  ν comes earlier in
+          the gap order, and keeps f(ν, γ) and f(ν, -γ) per class.
+
+        So each class costs one reflection, which carries the root along,
+        and no root string is walked.
+        """
         lam = self._check_dominant(highest)
         cached = self._freudenthal.get(lam)
         if cached is not None:
             return cached
-        # dominant weights of the module: BFS downward by positive roots
+        seen = self._dominant_weights(lam)
+        # gap(μ) = |λ+ρ|^2 - |μ+ρ|^2 in units of _form, the recursion's
+        # denominator.  For dominant ν > μ, gap(μ) - gap(ν) = (ν - μ, ν + μ
+        # + 2ρ) > 0, and dom(μ + α) >= μ + α > μ, so sorting by gap
+        # computes m(ν) before m(μ) (J. E. Humphreys, Lie algebras, §13)
+        lam_norm = self._shifted_norm(lam)
+        gaps = {mu: lam_norm - self._shifted_norm(mu) for mu in seen}
+        order = sorted(seen, key=lambda w: (gaps[w], w))
+        labels = [root.labels for root in self.roots]
+        terms = self._dim_terms
+        mults = {}
+        # μ -> (slots, sums): f(μ, γ) per class of positive roots γ, then
+        # f(μ, -γ), in units of _form, each at its slot of _root_classes
+        strings = {}
+        for mu in order:
+            slots, reps, sizes = self._root_classes(
+                sum(1 << i for i, x in enumerate(mu) if not x))
+            ups = []
+            for r in reps:
+                nu, image = self._reflect(
+                    [a + b for a, b in zip(mu, labels[r])], r)
+                # f(μ, r) = f(ν, -image), and 0 where the string has ended
+                hit = strings.get(nu)
+                ups.append(0 if hit is None else hit[1][hit[0][image]])
+            if mults:
+                value, remainder = divmod(2 * sum(map(mul, ups, sizes)),
+                                          gaps[mu])
+                if remainder or value <= 0:
+                    raise AssertionError(
+                        f"bad Freudenthal multiplicity at {mu}")
+            else:
+                # the highest weight, with gap 0
+                value = 1
+            mults[mu] = value
+            # (μ, γ) in units of _form is det(A) sum_j μ_j c_j L d_j
+            scale = value * self._det
+            strings[mu] = (slots, ups + [
+                f + scale * sum(mu[j] * e for j, e in terms[r])
+                for f, r in zip(ups, reps)])
+        table = WeightMultiplicityTable(Weight(lam), mults)
+        self._freudenthal[lam] = table
+        return table
+
+    def _dominant_weights(self, lam: tuple) -> set:
+        """The dominant weights of V_lam: BFS downward by positive roots."""
         seen = {lam}
         frontier = [lam]
         while frontier:
@@ -409,38 +541,7 @@ class Algebra:
                     seen.add(cand)
                     fresh.append(cand)
             frontier = fresh
-        # gap(μ) = |λ+ρ|^2 - |μ+ρ|^2 in units of _form, the recursion's
-        # denominator.  For dominant ν > μ, gap(μ) - gap(ν) = (ν - μ, ν + μ
-        # + 2ρ) > 0, and dom(μ + kα) >= μ + kα > μ, so sorting by gap
-        # computes m(μ + kα) before m(μ) (J. E. Humphreys, Lie algebras,
-        # §13)
-        lam_norm = self._shifted_norm(lam)
-        gaps = {mu: lam_norm - self._shifted_norm(mu) for mu in seen}
-        order = sorted(seen, key=lambda w: (gaps[w], w))
-        mults = {order[0]: 1}
-        for mu in order[1:]:
-            # sum over α > 0 and k >= 1 of (μ + kα, α) m(μ + kα), in units
-            # of _form; a string ends at its first k with m = 0, since
-            # weight strings are unbroken intervals
-            acc = 0
-            for root, step in zip(self.roots, self._root_norm):
-                labels = root.labels
-                total = weighted = 0
-                k = 1
-                while m_v := mults.get(self._reflect(
-                        [a + k * b for a, b in zip(mu, labels)]), 0):
-                    total += m_v
-                    weighted += k * m_v
-                    k += 1
-                if total:
-                    acc += self._form(mu, labels) * total + step * weighted
-            value, remainder = divmod(2 * acc, gaps[mu])
-            if remainder or value <= 0:
-                raise AssertionError(f"bad Freudenthal multiplicity at {mu}")
-            mults[mu] = value
-        table = WeightMultiplicityTable(Weight(lam), mults)
-        self._freudenthal[lam] = table
-        return table
+        return seen
 
     def _shifted_norm(self, w) -> int:
         shifted = [x + 1 for x in w]

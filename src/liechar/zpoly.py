@@ -574,8 +574,10 @@ def read_fixture_text(text: str, rank: int) -> list[FixtureRecord]:
     """Parse a fixture file: blank-line-separated records, ``#`` comments.
 
     Each comment is blanked with spaces, so every error offset, in a header
-    or in a record's polynomial, is an offset into ``text``.
+    or in a record's polynomial, is an offset into ``text``.  The rank is
+    checked first, so text without records does not hide a bad one.
     """
+    rank = _checked_rank(rank)
     clean = re.sub(r"#[^\r\n]*", lambda m: " " * len(m[0]), text)
     records = []
     end = 0

@@ -209,6 +209,50 @@ def tensor_oracle(alg, lam, nu):
     return out
 
 
+def freudenthal_strings(alg, lam):
+    """Dominant weight -> multiplicity of V_lam by Freudenthal's formula,
+    walking each root string term by term to its first weight of
+    multiplicity 0, in the package's integer form ``alg._form``; the
+    multiplicities in the order of the denominator |lam+rho|^2 - |mu+rho|^2,
+    as ``Algebra.freudenthal`` inserts them."""
+    lam = tuple(lam)
+    roots = [root.labels for root in alg.roots]
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        fresh = []
+        for w in frontier:
+            for root in roots:
+                cand = tuple(a - b for a, b in zip(w, root))
+                if min(cand) >= 0 and cand not in seen:
+                    seen.add(cand)
+                    fresh.append(cand)
+        frontier = fresh
+
+    def shifted_norm(w):
+        shifted = [x + 1 for x in w]
+        return alg._form(shifted, shifted)
+
+    gaps = {mu: shifted_norm(lam) - shifted_norm(mu) for mu in seen}
+    order = sorted(seen, key=lambda w: (gaps[w], w))
+    mults = {order[0]: 1}
+    for mu in order[1:]:
+        acc = 0
+        for root in roots:
+            k = 1
+            while True:
+                step = [a + k * b for a, b in zip(mu, root)]
+                m = mults.get(alg._reflect(list(step))[0], 0)
+                if not m:
+                    break
+                acc += alg._form(step, root) * m
+                k += 1
+        value, remainder = divmod(2 * acc, gaps[mu])
+        assert remainder == 0 and value > 0, f"bad multiplicity at {mu}"
+        mults[mu] = value
+    return mults
+
+
 def torus_value(alg, poly):
     """Substitute the torus fundamental characters into a z-polynomial."""
     n = alg.rank

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +36,7 @@ class TestRootNorms:
         alg = Algebra(name)
         for root in alg.roots:
             assert alg.weight_form(root.labels, root.labels) == 2
+        assert alg._short_norm == 2 * alg._unit
 
     @pytest.mark.parametrize("name, short, long_count, short_count", [
         ("B2", 1, 2, 2), ("B3", 1, 6, 3), ("C3", 1, 3, 6), ("F4", 1, 12, 12),
@@ -47,6 +49,7 @@ class TestRootNorms:
         assert norms.count(2) == long_count
         assert norms.count(short) == short_count
         assert len(norms) == long_count + short_count
+        assert alg._short_norm == short * alg._unit
 
     @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2",
                                       "E8"])
@@ -67,22 +70,22 @@ class TestDominantReflect:
     # a zero label in the dominant representative is a nontrivial
     # stabilizer; for ρ-shifted inputs it is the wall-cancellation test
     def test_already_dominant(self, a2):
-        w = a2._reflect([2, 1])
+        w, _ = a2._reflect([2, 1])
         assert (w, 0 in w) == ((2, 1), False)
 
     def test_zero_label_is_singular(self, a2):
-        w = a2._reflect([1, 0])
+        w, _ = a2._reflect([1, 0])
         assert 0 in w
 
     def test_single_reflection(self, a2):
         # s1 acts by (m1, m2) -> (-m1, m2 + m1)
-        w = a2._reflect([-1, 1])
+        w, _ = a2._reflect([-1, 1])
         assert w == (1, 0)
         assert 0 in w  # the arrival weight sits on a wall
 
     def test_regular_orbit_signs(self, a2):
         # (-2, -1) = s1 s2 s1 (1, 2), the longest element's image
-        w = a2._reflect([-2, -1])
+        w, _ = a2._reflect([-2, -1])
         assert w == (1, 2)
         assert 0 not in w
 
@@ -90,8 +93,44 @@ class TestDominantReflect:
         rng = random.Random(11)
         for _ in range(300):
             v = [rng.randint(-8, 8) for _ in range(4)]
-            w = d4._reflect(v)
+            w, _ = d4._reflect(v)
             assert all(x >= 0 for x in w)
+
+    @pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2", "D4", "F4",
+                                      "E6"])
+    def test_root_is_carried_by_the_same_reflections(self, name):
+        # replayed on label vectors: s_i x = x - x_i A[i], at the first
+        # negative label of the weight each time
+        alg = Algebra(name)
+        rows = alg.cartan.entries
+        rng = random.Random(13)
+        n = len(alg.roots)
+        for _ in range(200):
+            v = [rng.randint(-6, 6) for _ in range(alg.rank)]
+            r = rng.randrange(-n, n)  # ~r, below 0, is -roots[r]
+            w, image = alg._reflect(list(v), r)
+            x = v
+            y = (alg.roots[r].labels if r >= 0
+                 else tuple(-c for c in alg.roots[~r].labels))
+            while any(c < 0 for c in x):
+                i = next(k for k, c in enumerate(x) if c < 0)
+                x = [a - x[i] * b for a, b in zip(x, rows[i])]
+                y = [a - y[i] * b for a, b in zip(y, rows[i])]
+            assert w == tuple(x)
+            assert tuple(y) == (alg.roots[image].labels if image >= 0 else
+                                tuple(-c for c in alg.roots[~image].labels))
+
+    @pytest.mark.parametrize("name", ["A1", "B2", "G2", "D4", "E8"])
+    def test_root_reflections_permute_the_roots(self, name):
+        alg = Algebra(name)
+        n = len(alg.roots)
+        for i, row in enumerate(alg._root_reflections):
+            assert sorted(row) == list(range(-n, n))
+            for r, root in enumerate(alg.roots):
+                # only α_i goes negative, and s_i is an involution
+                assert (row[r] < 0) == (root.coeffs[i] == 1
+                                        and root.height == 1)
+                assert row[row[r]] == r and row[~r] == ~row[r]
 
 
 class TestLabels:
@@ -283,9 +322,13 @@ class TestFreudenthal:
 
     def test_dimension_sums(self, a2, a3, d4):
         rng = random.Random(5)
-        for alg in (a2, a3, d4):
+        # labels up to 2 on F4 and E6, where 3 gives tables of up to 10^4
+        # weights
+        for alg, top in ((a2, 3), (a3, 3), (d4, 3), (Algebra("B3"), 3),
+                         (Algebra("C3"), 3), (Algebra("G2"), 3),
+                         (Algebra("F4"), 2), (Algebra("E6"), 2)):
             for _ in range(25):
-                w = [rng.randint(0, 3) for _ in range(alg.rank)]
+                w = [rng.randint(0, top) for _ in range(alg.rank)]
                 table = alg.freudenthal(w)
                 total = sum(m * alg.orbit_size(v) for v, m in table.items())
                 assert total == alg.weyl_dim(w)
@@ -320,12 +363,49 @@ class TestFreudenthal:
 
     @pytest.mark.parametrize("name, lam", [("G2", (9, 7)), ("A1", (200,))])
     def test_long_strings_oracle(self, name, lam):
-        # root strings of up to 200 weights, each ending only at its first
-        # weight of multiplicity 0
+        # root strings of up to 200 weights, none of which is walked: each
+        # string sum is the one above the next dominant weight, carried
+        # through the reflection that makes it dominant
         alg = Algebra(name)
         oracle = {w: m for w, m in oracles.weight_multiplicities(
             alg, lam).items() if all(x >= 0 for x in w)}
         assert alg.freudenthal(lam).entries == oracle
+
+    @pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4", "D5", "E6",
+                                      "E7", "E8", "F4", "G2"])
+    def test_fundamentals_match_the_string_sums(self, name):
+        alg = Algebra(name)
+        for i in range(1, alg.rank + 1):
+            lam = alg.fundamental(i)
+            # equal tables, in the same insertion order
+            assert (list(alg.freudenthal(lam).entries.items())
+                    == list(oracles.freudenthal_strings(alg, lam).items()))
+
+    @pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4", "F4", "G2"])
+    def test_random_weights_match_the_string_sums(self, name):
+        alg = Algebra(name)
+        rng = random.Random(23)
+        for _ in range(10):
+            lam = tuple(rng.randint(0, 2) for _ in range(alg.rank))
+            assert (list(alg.freudenthal(lam).entries.items())
+                    == list(oracles.freudenthal_strings(alg, lam).items()))
+
+    def test_long_strings_take_linear_time(self):
+        # a root string walked term by term makes V_4000 of A1 quadratic,
+        # about 1 s, and 12λ8 of E8 about 1.5 s
+        a1 = Algebra("A1")
+        start = time.perf_counter()
+        table = a1.freudenthal((4000,))
+        assert time.perf_counter() - start < 0.25
+        assert len(table) == 2001 and set(table.entries.values()) == {1}
+        e8 = Algebra("E8")
+        lam = (0, 0, 0, 0, 0, 0, 0, 12)
+        start = time.perf_counter()
+        table = e8.freudenthal(lam)
+        assert time.perf_counter() - start < 1.0
+        assert len(table) == 843
+        assert (sum(m * e8.orbit_size(v) for v, m in table.items())
+                == e8.weyl_dim(lam))
 
 
 class TestTensor:
@@ -577,13 +657,13 @@ class TestKlimykKernels:
         for mu in alg.freudenthal(small).entries:
             for u in alg.weyl_orbit(mu):
                 x = tuple(b + 1 + v for b, v in zip(big, u))
-                for y in alg.weyl_orbit(alg._reflect(list(x))):
+                for y in alg.weyl_orbit(alg._reflect(list(x))[0]):
                     worst = max(worst, max(abs(v) for v in y))
         # the Cauchy-Schwarz bound of _lane_width for two weights:
         # (α, α) worst^2 <= 4 * 2 * ((ν + ρ, ν + ρ) + (small, small))
         square = 8 * (alg._form(shifted, shifted) + alg._form(small, small))
         assert 0 < worst
-        assert min(alg._root_norm) * worst * worst <= square
+        assert alg._short_norm * worst * worst <= square
         assert worst < 1 << bits - 1
 
     @pytest.mark.parametrize("name, big, small", [

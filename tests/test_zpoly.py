@@ -103,11 +103,20 @@ class TestRankBound:
         for call in (lambda: ZPolynomial(rank),
                      lambda: ZPolynomial.variable(rank, 1),
                      lambda: parse_poly("1 + z1", rank),
-                     lambda: read_fixture_text("b[1] = 3*z1\n", rank)):
+                     lambda: read_fixture_text("b[1] = 3*z1\n", rank),
+                     lambda: read_fixture_text("chi[1] = 1", rank),
+                     lambda: read_fixture_text("", rank),
+                     lambda: read_fixture_text("# only a comment", rank)):
             with pytest.raises(ValueError, match=re.escape(
                     f"rank {rank} is above the largest supported rank")):
                 call()
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("text", ["", "# only a comment", "b[1] = 3*z1\n",
+                                      "chi[1] = 1"])
+    def test_rank_zero_is_refused_before_the_text(self, text):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            read_fixture_text(text, 0)
 
 
 TOP = 2 ** 31 - 1
