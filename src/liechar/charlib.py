@@ -17,12 +17,16 @@ from __future__ import annotations
 import os
 import threading
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .csop import Delta1Operator, _Record, epsilon
-from .repth import Algebra
+from .repth import Algebra, epsilon
 from .rootsys import Weight
 from .zpoly import (FixtureRecord, ZPolynomial, format_fixture_record,
                     read_fixture_file)
+
+if TYPE_CHECKING:
+    # csop imports this module; a cached character read needs no operator
+    from .csop import Delta1Operator
 
 __all__ = [
     "CharacterCache",
@@ -195,6 +199,24 @@ class CharacterCache:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+
+
+class _Record:
+    """Plain mutable value class: equal to an instance of its own class
+    with equal fields, unhashable, and shown field by field."""
+
+    _fields: tuple = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class EigenReport(_Record):

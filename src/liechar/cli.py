@@ -11,14 +11,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from . import charlib, csop, zpoly
+from . import zpoly
 from .errors import BudgetError, LiecharError
-from .repth import DEFAULT_TENSOR_BUDGET, Algebra
+from .repth import DEFAULT_TENSOR_BUDGET, Algebra, epsilon
 from .rootsys import build_cartan, roots_to_json
 from .zpoly import ZPolynomial, parse_poly, print_poly
+
+# charlib, csop and fractions are imported where they are used: a cartan,
+# roots, dim, mult or tensor request loads none of them, and a char request
+# loads only charlib
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from . import charlib, csop
 
 _PACKAGED_OPERATOR = {"E8": "e8_delta1_operator.txt"}
 
@@ -41,6 +49,8 @@ def _parse_weight(text: str, rank: int, parser: argparse.ArgumentParser):
 
 
 def _parse_rational(text: str, parser: argparse.ArgumentParser) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -63,6 +73,8 @@ def _algebra(args) -> Algebra:
 
 
 def _cache(args, algebra: Algebra) -> charlib.CharacterCache:
+    from . import charlib
+
     cache_dir = getattr(args, "cache_dir", None) or charlib.default_cache_dir()
     return charlib.CharacterCache(algebra, cache_dir=cache_dir)
 
@@ -85,6 +97,8 @@ def _operator_for(algebra: Algebra, poly: ZPolynomial,
     """The operator with the pairs (j, k), j <= k, that applying it to
     ``poly`` reads: those :func:`csop._read_pairs` gives for one of its
     monomials."""
+    from . import csop
+
     pairs = {pair for exps in poly.terms for pair, _ in csop._read_pairs(exps)}
     return csop.build_delta1(algebra, cache, pairs=pairs)
 
@@ -148,13 +162,15 @@ def _cmd_epsilon(args, parser):
     w = _parse_weight(args.weight, algebra.rank, parser)
     kappa = _parse_rational(args.kappa, parser)
     # str of a Fraction is "n" or "n/d"
-    value = str(csop.epsilon(algebra, w, kappa))
+    value = str(epsilon(algebra, w, kappa))
     _emit(args, [value],
           {"labels": list(w), "kappa": str(kappa), "epsilon": value})
     return 0
 
 
 def _cmd_bcoeffs(args, parser):
+    from . import csop
+
     algebra = _algebra(args)
     values = csop.b_coeffs(algebra)
     _emit(args,
@@ -164,6 +180,8 @@ def _cmd_bcoeffs(args, parser):
 
 
 def _cmd_acoeff(args, parser):
+    from . import csop
+
     algebra = _algebra(args)
     j, k = args.j, args.k
     poly = csop.a_coeff(algebra, j, k, _cache(args, algebra))
@@ -196,6 +214,8 @@ def _cmd_delta1_apply(args, parser):
 
 
 def _cmd_verify(args, parser):
+    from . import charlib, csop
+
     algebra = _algebra(args)
     w = _parse_weight(args.weight, algebra.rank, parser)
     # the operator's preconditions, simply laced and integral eps, are
@@ -221,6 +241,8 @@ def _cmd_verify(args, parser):
 
 
 def _cmd_fixtures_check(args, parser):
+    from . import charlib, csop
+
     algebra = _algebra(args)
     rank = algebra.rank
     records = zpoly.read_fixture_file(args.path, rank)
@@ -288,7 +310,7 @@ def _add_common(sub, budget=False, cache=False, fixtures=False):
     if cache:
         sub.add_argument("--cache-dir", default=None,
                          help="character cache root (default: "
-                              f"${charlib.CACHE_ENV_VAR})")
+                              "$LIECHAR_CACHE)")
     if fixtures:
         sub.add_argument("--fixtures", default=None,
                          help="operator fixture file (default: packaged E8 tables)")

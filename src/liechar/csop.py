@@ -11,29 +11,30 @@ Clebsch-Gordan expansion of z_j z_k.  With E_m = 2 (m + kappa rho,
 m + kappa rho) in the Weyl-invariant form ( , ) of
 :meth:`Algebra.weight_form`, long roots of norm 2, the excitation energies
 eps_m(kappa) = E_m - E_0 = 2 (m, m) + 4 kappa (m, rho) are exact rationals
-for rational kappa.
+for rational kappa (:func:`~liechar.repth.epsilon`).
 
 :meth:`Delta1Operator.apply` returns Δ1 p - shift p as the sum of the
 cached image, or column, of each monomial of p, less shift times the
 monomial.  The operator builds the columns from ``b`` and the a_jk, and
-drops them when either changes; a :class:`~liechar.zpoly.ColumnStore`
-keeps them, packs each one that spans few slots when it is built, and sums
-a call's packed columns as one Kronecker integer (D. Harvey, J. Symbolic
-Comput. 44 (2009)).
+drops them when either changes; a :class:`ColumnStore` keeps them, packs
+each one that spans few slots when it is built, and sums a call's packed
+columns as one Kronecker integer (D. Harvey, J. Symbolic Comput. 44
+(2009)).
 :func:`~liechar.charlib.verify_eigen` calls ``apply(chi, eps)``: the
 residual of a true eigenvector is a packed sum of 0, which is not decoded.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations_with_replacement
+import struct
+from itertools import combinations_with_replacement, count
 from operator import mul
 from typing import Iterable, Iterator
 
+from .charlib import _Record
 from .errors import OperatorIncompleteError, RankMismatchError, integer
-from .repth import Algebra
-from .zpoly import ColumnStore, ZPolynomial
+from .repth import Algebra, epsilon
+from .zpoly import ZPolynomial, _codec, _unpack_all
 
 __all__ = [
     "epsilon",
@@ -42,16 +43,6 @@ __all__ = [
     "Delta1Operator",
     "build_delta1",
 ]
-
-
-def epsilon(algebra: Algebra, m, kappa=1) -> Fraction:
-    """Excitation energy 2 (m, m) + 4 kappa (m, rho) = E_m - E_0."""
-    m = algebra._check_weight(m)
-    kappa = Fraction(kappa)
-    p, q = kappa.numerator, kappa.denominator
-    # 2 (m, m + 2 kappa rho) = 2 (m, q m + 2 p rho) / q, in _form's units
-    return Fraction(2 * algebra._form(m, [q * x + 2 * p for x in m]),
-                    q * algebra._unit)
 
 
 def _epsilon_int(algebra: Algebra, m) -> int:
@@ -117,24 +108,6 @@ def a_coeff(algebra: Algebra, j: int, k: int, char_provider) -> ZPolynomial:
     return ZPolynomial(rank, half)
 
 
-class _Record:
-    """Plain mutable value class: equal to an instance of its own class
-    with equal fields, unhashable, and shown field by field."""
-
-    _fields: tuple = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
-
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-
 class Delta1Operator(_Record):
     """The kappa=1 operator: b_j scalars plus the symmetric a_jk matrix.
 
@@ -144,9 +117,8 @@ class Delta1Operator(_Record):
     ("loaded-from-fixture").
 
     :meth:`apply` keeps the image of each monomial it has met, its column,
-    in a :class:`~liechar.zpoly.ColumnStore`, beside the ``b`` and
-    ``entries`` the columns were built from; it drops the store once either
-    of them differs.
+    in a :class:`ColumnStore`, beside the ``b`` and ``entries`` the columns
+    were built from; it drops the store once either of them differs.
     """
 
     _fields = ("rank", "b", "entries", "provenance")
@@ -288,3 +260,130 @@ def build_delta1(algebra: Algebra, char_provider=None,
         op.entries[(j, k)] = a_coeff(algebra, j, k, char_provider)
         op.provenance[(j, k)] = "computed"
     return op
+
+
+# ---------------------------------------------------------------------------
+# column store
+# ---------------------------------------------------------------------------
+
+#: The most slots :class:`ColumnStore` may number per term of a column it
+#: packs, and the balanced digit's offset, 2^31, in each 32-bit slot.
+_SPAN = 16
+_HALF = 1 << 31
+
+
+def _kronecker(pairs, n: int) -> int:
+    """sum c 2^(32 s) over the ``(s, c)`` of ``pairs``, each s below ``n``
+    and each |c| below 2^31."""
+    digits = [_HALF] * n
+    for slot, c in pairs:
+        digits[slot] = _HALF + c
+    fmt, bias = _codec(n)
+    return int.from_bytes(struct.pack(fmt, *digits), "little") - bias
+
+
+class ColumnStore:
+    """Columns, polynomials kept under the keys of the monomials they
+    belong to, and the linear map they define (:meth:`apply`).
+
+    A column is packed once, when it is built, as one Kronecker integer
+    (D. Harvey, J. Symbolic Comput. 44 (2009)), sum_i c_i 2^(32 s_i), s_i
+    the slot of its i-th monomial; the store numbers slots as monomials
+    are first packed.  A sum costs time in proportion to the slots it
+    spans, so a column that would leave more than ``_SPAN`` slots per term
+    of it stays unpacked, as does one with a coefficient of 2^31 or more
+    in size.  A call adds its packed columns as one integer when
+    B = (max peak + |shift|) sum |c| < 2^31, peak the largest |coefficient|
+    of a column: no digit of the sum is larger than B in size, so the sum
+    decodes exactly, its top digit the one at (bit length of |sum|) // 32.
+    Every other column, and every column of a call with a larger B, is
+    added term by term, as ``combine`` does.  Slots come from ``next`` on
+    a counter and ``dict.setdefault``, each atomic, and a slot's key is
+    stored before the slot is published, so threads agree on every slot
+    without a lock.
+    """
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self._columns: dict = {}
+        # key -> (peak, packed column), and the slots both ways
+        self._packed: dict = {}
+        self._slots: dict = {}
+        self._keys: dict = {}
+        self._counter = count()
+        # one instance of each key and coefficient the columns hold: the
+        # 249 columns of the shipped E8 characters hold 12,120 terms but
+        # only 253 distinct keys and 427 distinct coefficients
+        self._ints: dict = {}
+
+    def apply(self, p: ZPolynomial, shift: int, build) -> ZPolynomial:
+        """sum_e c_e (column_e - shift z^e) over the terms c_e z^e of
+        ``p``.  ``build`` maps the list of exponent tuples of the monomials
+        of ``p`` that have no column yet to the list of their columns."""
+        rank, columns, packed = self.rank, self._columns, self._packed
+        terms = p._terms
+        new = [key for key in terms if key not in columns]
+        if new:
+            one = self._ints.setdefault
+            for key, column in zip(new, build(_unpack_all(rank, new))):
+                column = {one(k, k): one(c, c)
+                          for k, c in column._terms.items()}
+                columns[key] = ZPolynomial._raw(rank, column)
+                self._pack(key, column)
+        tight = [key for key in terms if key in packed]
+        pairs = list(map(packed.__getitem__, tight))
+        cs = list(map(terms.__getitem__, tight))
+        if (max([peak for peak, _ in pairs], default=0)
+                + abs(shift)) * sum(map(abs, cs)) >> 31:
+            tight = []
+        loose = []
+        if len(tight) < len(terms):
+            # the complement of tight, not of what another thread packed
+            chosen = set(tight)
+            loose = [key for key in terms if key not in chosen]
+        parts = [(terms[key], columns[key], None) for key in loose]
+        if shift and loose:
+            parts.append((-shift, p if not tight else ZPolynomial._raw(
+                rank, {key: terms[key] for key in loose}), None))
+        image = ZPolynomial.combine(rank, parts)
+        if not tight:
+            return image
+        total = sum(map(mul, cs, [value for _, value in pairs]))
+        if shift:
+            where = list(map(self._slots.__getitem__, tight))
+            total -= shift * _kronecker(zip(where, cs), max(where) + 1)
+        if total:
+            n = abs(total).bit_length() // 32 + 1
+            fmt, bias = _codec(n)
+            out = image._terms
+            get = out.get
+            for slot, digit in enumerate(struct.unpack(
+                    fmt, (total + bias).to_bytes(4 * n, "little"))):
+                if digit != _HALF:
+                    k = self._keys[slot]
+                    value = get(k, 0) + digit - _HALF
+                    if value:
+                        out[k] = value
+                    else:
+                        del out[k]
+        return image
+
+    def _pack(self, key: int, column: dict):
+        """Store the column of ``key``, whose terms are ``column``, packed,
+        numbering slots for its monomials and ``key``, unless a coefficient
+        is 2^31 or more in size or the slots would then number more than
+        ``_SPAN`` per term of the column, ``key`` counted."""
+        peak = max(map(abs, column.values()), default=0)
+        slots = self._slots
+        fresh = sum(k not in slots for k in column) + (
+            key not in slots and key not in column)
+        if peak >> 31 or len(slots) + fresh > _SPAN * (len(column) + 1):
+            return
+        for k in (key, *column):
+            if k not in slots:
+                slot = next(self._counter)
+                self._keys[slot] = k
+                slots.setdefault(k, slot)
+        where = list(map(slots.__getitem__, column))
+        self._packed[key] = (peak, _kronecker(
+            zip(where, column.values()), max(where, default=-1) + 1))

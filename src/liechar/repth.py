@@ -12,7 +12,9 @@ takes the dominant weights μ in the order of its own denominator
 (Bull. AMS 7, 1982), it sums one root per class of the positive roots, up
 to sign, under the stabilizer of μ, and takes each root string's sum from
 the string one step up, kept at the dominant weight that step reflects to,
-so that no string is walked.
+so that no string is walked.  The excitation energy :func:`epsilon`, which
+the operator and the character checks read, is one exact rational of the
+same form.
 
 Both Klimyk paths hold a weight u as one integer key, K(u) = sum_k
 (u_k + B) 2^(w k) with B = 2^(w-1), w bits per label.  A reflection is one
@@ -40,21 +42,26 @@ bit.
 from __future__ import annotations
 
 from array import array
-from fractions import Fraction
 from functools import cached_property, partial
 from itertools import islice
-from math import lcm, prod
+from math import prod
 from operator import index, mul
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import BudgetError, integer
 from .rootsys import CartanMatrix, Weight, build_cartan
+
+if TYPE_CHECKING:
+    # imported where a Fraction is built: a CLI request that builds none
+    # does not load the module
+    from fractions import Fraction
 
 __all__ = [
     "Algebra",
     "WeightMultiplicityTable",
     "Decomposition",
     "DEFAULT_TENSOR_BUDGET",
+    "epsilon",
 ]
 
 DEFAULT_TENSOR_BUDGET = 20_000_000
@@ -181,14 +188,13 @@ class Algebra:
             tuple(range(f)) + tuple(j for j, _ in self._nbrs[f] if j > f)
             for f in range(self.rank)) + (tuple(range(self.rank)),)
         # the invariant form in integers (see _form): the half root lengths
-        # d_j, long roots 1, times the lcm L of their denominators, and the
-        # adjugate det(A) * A^-1, whose column m gives det(A) times the m-th
-        # root coordinate of a label vector
-        d = cartan.symmetrizer
-        scale = lcm(*(x.denominator for x in d))
-        self._lengths = tuple(int(x * scale) for x in d)
+        # d_j, long roots 1, times the least L that makes them all integers
+        # (the largest of the primitive lengths), and the adjugate det(A) *
+        # A^-1, whose column m gives det(A) times the m-th root coordinate
+        # of a label vector
+        self._lengths = cartan._lengths
         self._det = cartan.determinant
-        self._unit = self._det * scale
+        self._unit = self._det * max(self._lengths)
         self._adj_cols = tuple(zip(*cartan.adjugate))
         self.roots = cartan.positive_roots
         # (w + ρ, α) * L = sum_j (w_j + 1) c_j L d_j per positive root; the
@@ -200,6 +206,24 @@ class Algebra:
             for root in self.roots)
         self._dim_denominator = prod(
             sum(e for _, e in terms) for terms in self._dim_terms)
+        # per positive root of height > 1, in order: (p, i) with the root
+        # equal to root p plus α_i, where the simple root α_j is root j and
+        # the k-th root of height > 1 is root rank + k (see weyl_dim)
+        where = {}
+        steps = []
+        for root in self.roots:
+            coeffs = root.coeffs
+            if sum(coeffs) == 1:
+                where[coeffs] = coeffs.index(1)
+                continue
+            for i, c in enumerate(coeffs):
+                if c:
+                    lower = where.get(coeffs[:i] + (c - 1,) + coeffs[i + 1:])
+                    if lower is not None:
+                        break
+            where[coeffs] = self.rank + len(steps)
+            steps.append((lower, i))
+        self._dim_steps = tuple(steps)
         # per positive root: its support as a bit mask of nodes, its height
         self._root_heights = tuple(
             (sum(1 << i for i, c in enumerate(root.coeffs) if c),
@@ -258,12 +282,16 @@ class Algebra:
 
     def weight_form(self, x, y) -> Fraction:
         """Weyl-invariant symmetric form on label vectors (long roots norm 2)."""
+        from fractions import Fraction
+
         x = self._check_weight(x)
         y = self._check_weight(y)
         return Fraction(self._form(x, y), self._unit)
 
     def dominance_gap(self, high, low):
         """Root coords of ``high - low``; all >= 0 and integral iff low <= high."""
+        from fractions import Fraction
+
         high = self._check_weight(high)
         low = self._check_weight(low)
         diff = tuple(a - b for a, b in zip(high, low))
@@ -417,11 +445,12 @@ class Algebra:
         cached = self._dims.get(w)
         if cached is not None:
             return cached
-        shifted = [x + 1 for x in w]
-        numerator = 1
-        for terms in self._dim_terms:
-            numerator *= sum(shifted[j] * e for j, e in terms)
-        value, remainder = divmod(numerator, self._dim_denominator)
+        # (w + ρ, α) * L per positive root α: (w_i + 1) L d_i at α_i, and
+        # at α = β + α_i that of β plus that of α_i
+        factors = [(x + 1) * e for x, e in zip(w, self._lengths)]
+        for lower, i in self._dim_steps:
+            factors.append(factors[lower] + factors[i])
+        value, remainder = divmod(prod(factors), self._dim_denominator)
         if remainder:
             raise AssertionError(f"non-integral dimension for {w}")
         self._dims[w] = value
@@ -724,6 +753,18 @@ class Algebra:
                         acc[s] = acc.get(s, 0) + sign
                 start = end
         return acc
+
+
+def epsilon(algebra: Algebra, m, kappa=1) -> Fraction:
+    """Excitation energy 2 (m, m) + 4 kappa (m, rho) = E_m - E_0."""
+    from fractions import Fraction
+
+    m = algebra._check_weight(m)
+    kappa = Fraction(kappa)
+    p, q = kappa.numerator, kappa.denominator
+    # 2 (m, m + 2 kappa rho) = 2 (m, q m + 2 p rho) / q, in _form's units
+    return Fraction(2 * algebra._form(m, [q * x + 2 * p for x in m]),
+                    q * algebra._unit)
 
 
 def _budget(value) -> int:

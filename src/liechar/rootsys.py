@@ -16,8 +16,8 @@ given as Dynkin-label vectors in the same node order.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple
 
 from .errors import integer
@@ -184,32 +184,51 @@ class CartanMatrix:
         self.determinant, self.adjugate = _adjugate(rows)
 
     @cached_property
-    def symmetrizer(self) -> tuple:
-        """Half root-lengths d_i = (α_i, α_i)/2, long roots normalized to 1."""
+    def _lengths(self) -> tuple:
+        """The half root-lengths d_i = (α_i, α_i)/2 scaled to the primitive
+        integer vector, so that the long roots have the largest entry.
+
+        The BFS sets the first node of each component to 1 and keeps each
+        d_j as a pair ``(num, den)`` of positive integers, with d_j / d_i =
+        A[j][i] / A[i][j] along every edge; a second path that gives
+        another ratio raises ``ValueError``.
+        """
         n = self.rank
+        rows = self.entries
         d: list = [None] * n
         for start in range(n):
             if d[start] is not None:
                 continue
-            d[start] = Fraction(1)
+            d[start] = (1, 1)
             stack = [start]
             while stack:
                 i = stack.pop()
+                num, den = d[i]
                 for j in range(n):
-                    if i != j and self.entries[i][j] != 0:
-                        ratio = Fraction(self.entries[j][i], self.entries[i][j])
-                        value = d[i] * ratio
+                    if i != j and rows[i][j] != 0:
+                        value = (-num * rows[j][i], -den * rows[i][j])
                         if d[j] is None:
                             d[j] = value
                             stack.append(j)
-                        elif d[j] != value:
+                        elif d[j][0] * value[1] != value[0] * d[j][1]:
                             raise ValueError("matrix is not symmetrizable")
-        top = max(d)
-        return tuple(x / top for x in d)
+        # a component of a finite-type diagram has at most one multiple
+        # edge, so each pair is in lowest terms and, with its first node
+        # at 1, the lcm of the denominators gives a primitive vector
+        scale = lcm(*(den for _, den in d))
+        return tuple(num * scale // den for num, den in d)
+
+    @cached_property
+    def symmetrizer(self) -> tuple:
+        """Half root-lengths d_i = (α_i, α_i)/2, long roots normalized to 1."""
+        from fractions import Fraction
+
+        top = max(self._lengths)
+        return tuple(Fraction(x, top) for x in self._lengths)
 
     @cached_property
     def is_simply_laced(self) -> bool:
-        return all(x == Fraction(1) for x in self.symmetrizer)
+        return all(x == 1 for x in self._lengths)
 
     @cached_property
     def positive_roots(self) -> tuple:

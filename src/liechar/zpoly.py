@@ -9,16 +9,13 @@ subtraction.  Every exponent stays within 0..2^31 - 1, so the sum of two
 fields cannot carry into the next one; larger exponents raise
 :class:`ExponentRangeError`; a rank outside 1..``rootsys.MAX_RANK`` raises
 ``ValueError`` before anything is built.  The packing stays inside this
-module: the public accessors and the constructor speak exponent tuples.
-:meth:`ZPolynomial.combine`, one fused sum of products, is the only
-accumulation routine: the ring operators and every linear combination of
-polynomials in the package call it.  The one other sum is that of
-:class:`ColumnStore`, which holds a linear map as one polynomial, a column,
-per monomial, packs each column once, when it is built, as one Kronecker
-integer in 32-bit slots, and adds a call's packed columns as one integer;
-the operator of :mod:`liechar.csop` keeps its columns there, built by
-exponent tuple.  The module also owns the plain-text grammar used by the
-fixture files and the CLI (``-1 - z1 - z7 - z8 + z8^2`` style), including
+module and the column store of :mod:`liechar.csop`: the public accessors
+and the constructor speak exponent tuples.  :meth:`ZPolynomial.combine`,
+one fused sum of products, is the only accumulation routine: the ring
+operators and every linear combination of polynomials in the package call
+it; the one other sum is that of the column store, which adds the
+operator's columns as Kronecker integers.  The module also owns the
+plain-text grammar used by the fixture files and the CLI (``-1 - z1 - z7 - z8 + z8^2`` style), including
 the one-level factored form ``-4*(31 + 7*z1 + ...)`` used by operator
 tables: one regex pass makes the tokens, and one loop reads one signed
 term at a time.
@@ -30,12 +27,11 @@ the golden tables (constants first, highest variable weighted last).
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import struct
 from functools import cache, reduce
-from operator import mul, or_
+from operator import or_
 from typing import NamedTuple, Sequence
 
 from .errors import (ExponentRangeError, ParseError, RankMismatchError,
@@ -282,133 +278,6 @@ class ZPolynomial:
                                self._terms.values()):
             total += math.prod(map(pow, point, exps), start=coeff)
         return total
-
-
-# ---------------------------------------------------------------------------
-# column store
-# ---------------------------------------------------------------------------
-
-#: The most slots :class:`ColumnStore` may number per term of a column it
-#: packs, and the balanced digit's offset, 2^31, in each 32-bit slot.
-_SPAN = 16
-_HALF = 1 << 31
-
-
-def _kronecker(pairs, n: int) -> int:
-    """sum c 2^(32 s) over the ``(s, c)`` of ``pairs``, each s below ``n``
-    and each |c| below 2^31."""
-    digits = [_HALF] * n
-    for slot, c in pairs:
-        digits[slot] = _HALF + c
-    fmt, bias = _codec(n)
-    return int.from_bytes(struct.pack(fmt, *digits), "little") - bias
-
-
-class ColumnStore:
-    """Columns, polynomials kept under the keys of the monomials they
-    belong to, and the linear map they define (:meth:`apply`).
-
-    A column is packed once, when it is built, as one Kronecker integer
-    (D. Harvey, J. Symbolic Comput. 44 (2009)), sum_i c_i 2^(32 s_i), s_i
-    the slot of its i-th monomial; the store numbers slots as monomials
-    are first packed.  A sum costs time in proportion to the slots it
-    spans, so a column that would leave more than ``_SPAN`` slots per term
-    of it stays unpacked, as does one with a coefficient of 2^31 or more
-    in size.  A call adds its packed columns as one integer when
-    B = (max peak + |shift|) sum |c| < 2^31, peak the largest |coefficient|
-    of a column: no digit of the sum is larger than B in size, so the sum
-    decodes exactly, its top digit the one at (bit length of |sum|) // 32.
-    Every other column, and every column of a call with a larger B, is
-    added term by term, as ``combine`` does.  Slots come from ``next`` on
-    a counter and ``dict.setdefault``, each atomic, and a slot's key is
-    stored before the slot is published, so threads agree on every slot
-    without a lock.
-    """
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        self._columns: dict = {}
-        # key -> (peak, packed column), and the slots both ways
-        self._packed: dict = {}
-        self._slots: dict = {}
-        self._keys: dict = {}
-        self._counter = itertools.count()
-        # one instance of each key and coefficient the columns hold: the
-        # 249 columns of the shipped E8 characters hold 12,120 terms but
-        # only 253 distinct keys and 427 distinct coefficients
-        self._ints: dict = {}
-
-    def apply(self, p: ZPolynomial, shift: int, build) -> ZPolynomial:
-        """sum_e c_e (column_e - shift z^e) over the terms c_e z^e of
-        ``p``.  ``build`` maps the list of exponent tuples of the monomials
-        of ``p`` that have no column yet to the list of their columns."""
-        rank, columns, packed = self.rank, self._columns, self._packed
-        terms = p._terms
-        new = [key for key in terms if key not in columns]
-        if new:
-            one = self._ints.setdefault
-            for key, column in zip(new, build(_unpack_all(rank, new))):
-                column = {one(k, k): one(c, c)
-                          for k, c in column._terms.items()}
-                columns[key] = ZPolynomial._raw(rank, column)
-                self._pack(key, column)
-        tight = [key for key in terms if key in packed]
-        pairs = list(map(packed.__getitem__, tight))
-        cs = list(map(terms.__getitem__, tight))
-        if (max([peak for peak, _ in pairs], default=0)
-                + abs(shift)) * sum(map(abs, cs)) >> 31:
-            tight = []
-        loose = []
-        if len(tight) < len(terms):
-            # the complement of tight, not of what another thread packed
-            chosen = set(tight)
-            loose = [key for key in terms if key not in chosen]
-        parts = [(terms[key], columns[key], None) for key in loose]
-        if shift and loose:
-            parts.append((-shift, p if not tight else ZPolynomial._raw(
-                rank, {key: terms[key] for key in loose}), None))
-        image = ZPolynomial.combine(rank, parts)
-        if not tight:
-            return image
-        total = sum(map(mul, cs, [value for _, value in pairs]))
-        if shift:
-            where = list(map(self._slots.__getitem__, tight))
-            total -= shift * _kronecker(zip(where, cs), max(where) + 1)
-        if total:
-            n = abs(total).bit_length() // 32 + 1
-            fmt, bias = _codec(n)
-            out = image._terms
-            get = out.get
-            for slot, digit in enumerate(struct.unpack(
-                    fmt, (total + bias).to_bytes(4 * n, "little"))):
-                if digit != _HALF:
-                    k = self._keys[slot]
-                    value = get(k, 0) + digit - _HALF
-                    if value:
-                        out[k] = value
-                    else:
-                        del out[k]
-        return image
-
-    def _pack(self, key: int, column: dict):
-        """Store the column of ``key``, whose terms are ``column``, packed,
-        numbering slots for its monomials and ``key``, unless a coefficient
-        is 2^31 or more in size or the slots would then number more than
-        ``_SPAN`` per term of the column, ``key`` counted."""
-        peak = max(map(abs, column.values()), default=0)
-        slots = self._slots
-        fresh = sum(k not in slots for k in column) + (
-            key not in slots and key not in column)
-        if peak >> 31 or len(slots) + fresh > _SPAN * (len(column) + 1):
-            return
-        for k in (key, *column):
-            if k not in slots:
-                slot = next(self._counter)
-                self._keys[slot] = k
-                slots.setdefault(k, slot)
-        where = list(map(slots.__getitem__, column))
-        self._packed[key] = (peak, _kronecker(
-            zip(where, column.values()), max(where, default=-1) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,46 @@ def dim_of(alg, lam):
     return sum(wcf_character(alg, lam).values())
 
 
+def weyl_dim_by_support(alg, lam):
+    """Weyl's dimension product with each factor (lam + ρ, α) L summed over
+    the support of the root α, the rule ``Algebra.weyl_dim`` used before it
+    took each factor from a root one step lower."""
+    lifted = [(x + 1) * e for x, e in zip(lam, alg._lengths)]
+    numerator = 1
+    for root in alg.roots:
+        numerator *= sum(c * x for c, x in zip(root.coeffs, lifted))
+    value, remainder = divmod(numerator, alg._dim_denominator)
+    assert not remainder
+    return value
+
+
+def fraction_symmetrizer(entries):
+    """Half root lengths d_i = (α_i, α_i)/2 in Fractions, long roots 1, by
+    the BFS that ``CartanMatrix.symmetrizer`` ran before it kept integer
+    lengths: each component's first node is 1, and d_j = d_i A[j][i] /
+    A[i][j] along every edge; a second path with another ratio raises
+    ``ValueError``."""
+    n = len(entries)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if i != j and entries[i][j] != 0:
+                    value = d[i] * Fraction(entries[j][i], entries[i][j])
+                    if d[j] is None:
+                        d[j] = value
+                        stack.append(j)
+                    elif d[j] != value:
+                        raise ValueError("matrix is not symmetrizable")
+    top = max(d)
+    return tuple(x / top for x in d)
+
+
 _inverse_cache = {}
 
 

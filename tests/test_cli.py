@@ -401,7 +401,105 @@ class TestDeterminism:
         assert result.stdout.startswith("b[1] = 192*z1")
 
 
+def _fresh_process(code: str):
+    """Run ``code`` in a new interpreter on this tree's package, with no
+    user character cache; the finished process."""
+    src = str(Path(liechar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("LIECHAR_CACHE", None)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+
+
+# the modules a request must not load, by what it runs: the cheap commands
+# need neither the cache nor the operator, a character needs no operator,
+# and only a rational coupling or an operator's eps builds a Fraction
+_NOT_CHEAP = ["liechar.charlib", "liechar.csop", "fractions"]
+_NOT_CHAR = ["liechar.csop", "fractions"]
+
+
 class TestImportCost:
+    def test_import_loads_no_submodule(self):
+        # and a name, once read, loads its own module and what it imports
+        out = _fresh_process(
+            "import sys, liechar\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in sys.modules\n"
+            "                 if m.startswith('liechar.')))\n"
+            "loaded()\n"
+            "liechar.Algebra\n"
+            "loaded()\n")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "[]", "['liechar.errors', 'liechar.repth', 'liechar.rootsys']"]
+
+    def test_public_names_resolve_to_their_modules(self):
+        # in a fresh process, so that dir() is read before any name is used
+        out = _fresh_process(
+            "import importlib, liechar\n"
+            "listed = set(dir(liechar))\n"
+            "for name in liechar.__all__:\n"
+            "    value = getattr(liechar, name)\n"
+            "    home = importlib.import_module(\n"
+            "        'liechar.' + liechar._HOME[name])\n"
+            "    assert name in listed, name\n"
+            "    assert value is home.__dict__[name], name\n"
+            "    owner = getattr(value, '__module__', home.__name__)\n"
+            "    assert owner == home.__name__, (name, owner)\n"
+            "print(len(liechar.__all__))\n")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == str(len(liechar.__all__))
+        assert set(liechar._HOME) == set(liechar.__all__)
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            liechar.nothing
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["cartan", "E8"], _NOT_CHEAP),
+        (["roots", "F4"], _NOT_CHEAP),
+        (["dim", "E8", "0,0,0,0,0,0,0,1"], _NOT_CHEAP),
+        (["mult", "F4", "1,0,1,0"], _NOT_CHEAP),
+        # λ7 ⊗ λ8 goes to the Python loop
+        (["tensor", "E8", "0,0,0,0,0,0,1,0", "0,0,0,0,0,0,0,1"], _NOT_CHEAP),
+        (["char", "E8", "0,0,0,0,0,0,2,0"], _NOT_CHAR),
+        (["epsilon", "B3", "1,0,0", "--kappa", "2"], ["liechar.csop"]),
+    ], ids=["cartan", "roots", "dim", "mult", "tensor", "char", "epsilon"])
+    def test_request_loads_only_what_it_runs(self, argv, absent):
+        # the exit code and the unwanted modules loaded, on stderr's last line
+        out = _fresh_process(
+            "import sys\n"
+            "from liechar import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(code, sorted(set(sys.modules) & set("
+            f"{absent!r})), file=sys.stderr)\n")
+        assert out.stderr.splitlines()[-1] == "0 []"
+
+    def test_cached_character_loads_no_operator(self, tmp_path):
+        argv = ["char", "E8", "0,0,0,0,0,0,2,0", "--cache-dir", str(tmp_path)]
+        script = (
+            "import sys\n"
+            "from liechar import charlib, cli\n"
+            "read = charlib.read_fixture_file\n"
+            "def counted(*args):\n"
+            "    print('read', file=sys.stderr)\n"
+            "    return read(*args)\n"
+            "charlib.read_fixture_file = counted\n"
+            f"code = cli.main({argv!r})\n"
+            "print(code, sorted(set(sys.modules) & set("
+            f"{_NOT_CHAR!r})), file=sys.stderr)\n")
+        cold = _fresh_process(script)
+        assert cold.stderr.splitlines() == ["0 []"]
+        warm = _fresh_process(script)
+        assert warm.stderr.splitlines() == ["read", "0 []"]
+        assert warm.stdout == cold.stdout
+
+    def test_cache_dir_help_names_the_variable(self, capsys):
+        # written out, so that building the parser needs no charlib
+        from liechar import charlib
+
+        with pytest.raises(SystemExit):
+            main(["char", "--help"])
+        assert f"${charlib.CACHE_ENV_VAR}" in capsys.readouterr().out
+
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         # dataclasses pulls in inspect, a few milliseconds of every start
         code = ("import sys, liechar, liechar.cli\n"

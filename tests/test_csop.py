@@ -16,7 +16,8 @@ from liechar import (Algebra, BudgetError, CharacterCache, Delta1Operator,
                      RankMismatchError, Weight, ZPolynomial, a_coeff,
                      b_coeffs, build_delta1, epsilon, parse_poly,
                      verify_eigen)
-from liechar.zpoly import _SPAN, MAX_EXPONENT
+from liechar.csop import _SPAN
+from liechar.zpoly import MAX_EXPONENT
 
 E8_B = (192, 288, 392, 600, 480, 360, 240, 120)
 

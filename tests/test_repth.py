@@ -206,6 +206,25 @@ class TestWeylDim:
         with pytest.raises(ValueError):
             a2.weyl_dim((-1, 0))
 
+    @pytest.mark.parametrize("name", ["A1", "A4", "B2", "B3", "C3", "C4",
+                                      "D4", "D5", "G2", "F4", "E6", "E7",
+                                      "E8"])
+    def test_matches_per_root_support_sum(self, name):
+        # each factor from the root one step lower, against the factor
+        # summed over the root's support, on a fresh algebra's first calls
+        alg = Algebra(name)
+        rng = random.Random(name)
+        weights = [tuple(rng.randint(0, 6) for _ in range(alg.rank))
+                   for _ in range(100)] + [(0,) * alg.rank]
+        for w in weights:
+            assert alg.weyl_dim(w) == oracles.weyl_dim_by_support(alg, w)
+
+    def test_shipped_e8_weights_match_per_root_support_sum(
+            self, order2_chars, higher_chars):
+        e8 = Algebra("E8")
+        for m in [*order2_chars, *higher_chars]:
+            assert e8.weyl_dim(m) == oracles.weyl_dim_by_support(e8, m)
+
 
 class TestOrbits:
     def test_origin(self, e8):

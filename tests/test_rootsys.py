@@ -1,10 +1,12 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
 
+import oracles
 from liechar import Algebra, CartanMatrix, Weight, build_cartan
 from liechar.rootsys import MAX_RANK
 
@@ -194,6 +196,57 @@ class TestWeylVector:
     def test_values(self):
         assert tuple(Algebra("A1").rho) == (1,)
         assert tuple(Algebra("E8").rho) == (1,) * 8
+
+
+LENGTH_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+                + ["E6", "E7", "E8", "F4", "G2"])
+# B2 and G2 side by side: two components, scaled independently
+TWO_COMPONENTS = ((2, -2, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -3, 2))
+# a 3-cycle with d_2 = 2 d_1 by one path and d_2 = d_1 by the other
+NOT_SYMMETRIZABLE = ((2, -1, -1), (-2, 2, -1), (-1, -1, 2))
+
+
+class TestRootLengths:
+    """The integer half root lengths against the Fraction BFS they
+    replaced, kept in ``oracles.fraction_symmetrizer``."""
+
+    @pytest.mark.parametrize("spec", LENGTH_TYPES + [TWO_COMPONENTS])
+    def test_integer_lengths_match_fraction_bfs(self, spec):
+        cm = build_cartan(spec)
+        lengths = cm._lengths
+        reference = oracles.fraction_symmetrizer(cm.entries)
+        assert all(type(x) is int and x > 0 for x in lengths)
+        assert gcd(*lengths) == 1
+        assert tuple(x / max(lengths) for x in map(Fraction, lengths)) \
+            == reference
+        assert cm.symmetrizer == reference
+        assert all(type(x) is Fraction for x in cm.symmetrizer)
+
+    @pytest.mark.parametrize("spec", LENGTH_TYPES + [TWO_COMPONENTS])
+    def test_algebra_constants_unchanged(self, spec):
+        # the values Algebra derived from the Fraction symmetrizer
+        alg = Algebra(spec)
+        d = oracles.fraction_symmetrizer(alg.cartan.entries)
+        scale = lcm(*(x.denominator for x in d))
+        lengths = tuple(int(x * scale) for x in d)
+        det = alg.cartan.determinant
+        assert alg._lengths == lengths
+        assert alg._unit == det * scale
+        assert alg._short_norm == 2 * det * min(lengths)
+        assert alg.cartan.is_simply_laced == all(x == 1 for x in d)
+
+    @pytest.mark.parametrize("attr", ["_lengths", "symmetrizer",
+                                      "is_simply_laced"])
+    def test_non_symmetrizable_matrix_raises(self, attr):
+        # no such matrix passes the constructor's finite-type test, so the
+        # rows are set on a bare instance
+        with pytest.raises(ValueError, match="not symmetrizable"):
+            oracles.fraction_symmetrizer(NOT_SYMMETRIZABLE)
+        cm = object.__new__(CartanMatrix)
+        cm.entries, cm.rank = NOT_SYMMETRIZABLE, 3
+        with pytest.raises(ValueError, match="not symmetrizable"):
+            getattr(cm, attr)
 
 
 class TestJson:

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from liechar import (ExponentRangeError, LiecharError, ParseError,
                      RankMismatchError, ZPolynomial)
 import oracles
+from liechar.csop import ColumnStore
 from liechar.rootsys import MAX_RANK
-from liechar.zpoly import (ColumnStore, format_fixture_record, parse_poly,
-                           print_poly, read_fixture_text)
+from liechar.zpoly import (format_fixture_record, parse_poly, print_poly,
+                           read_fixture_text)
 
 
 def P(text, rank=8):
