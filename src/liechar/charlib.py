@@ -9,7 +9,11 @@ all strictly lower weights being resolved through the cache.  Computed
 characters are validated (unit leading coefficient, every monomial weight
 below m in dominance order) and optionally persisted, one fixture-grammar
 file per weight.  The eigen-equation and the dimension identity are kept as
-independent verification layers.
+independent verification layers.  The eigen-equation reads eps_m(1) in
+integers.  The dimension identity reads each monomial's value at the
+fundamental dimensions from a memo kept by the algebra, so the characters
+of one algebra, which share most of their monomials, evaluate each
+monomial once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .repth import Algebra, epsilon
+# epsilon is not called here but stays a module attribute: perfbench/spans.py
+# counts its calls through this name
+from .repth import Algebra, _epsilon_int, epsilon
 from .rootsys import Weight
 from .zpoly import (FixtureRecord, ZPolynomial, format_fixture_record,
                     read_fixture_file)
@@ -253,19 +259,22 @@ def verify_eigen(algebra: Algebra, m, chi: ZPolynomial,
                  operator: Delta1Operator) -> EigenReport:
     """Check that the operator multiplies the character by eps_m(1)."""
     m = algebra._check_dominant(m)
-    expected = epsilon(algebra, m, 1)
-    if expected.denominator != 1:
-        raise ValueError(f"eps_{m}(1) = {expected} is not integral")
-    expected = int(expected)
+    expected = _epsilon_int(algebra, m)
     residual = operator.apply(chi, expected)
     return EigenReport(Weight(m), expected, residual.is_zero, residual)
 
 
 def dim_identity(algebra: Algebra, m, chi: ZPolynomial) -> DimReport:
-    """Evaluate the character at the fundamental dimensions."""
+    """Evaluate the character at the fundamental dimensions.
+
+    Each monomial's value there is computed once per algebra and kept in
+    its memo, so the characters of one algebra, which share most of their
+    monomials, cost about one multiply-add per term.
+    """
     m = algebra._check_dominant(m)
-    return DimReport(Weight(m), chi.evaluate(algebra._fundamental_dims),
-                     algebra.weyl_dim(m))
+    value = chi._evaluate_memo(algebra._fundamental_dims,
+                               algebra._monomial_dims)
+    return DimReport(Weight(m), value, algebra.weyl_dim(m))
 
 
 def default_cache_dir() -> Path | None:

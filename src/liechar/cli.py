@@ -353,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("epsilon", help="excitation energy of a level")
     _add_common(sub)
     sub.add_argument("weight")
-    sub.add_argument("--kappa", default="1", help="coupling (rational, default 1)")
+    sub.add_argument("--kappa", default="1",
+                     help="coupling (rational, default 1); a negative "
+                          "fraction is written --kappa=-1/2")
     sub.set_defaults(func=_cmd_epsilon)
 
     sub = subs.add_parser("bcoeffs", help="first-order operator coefficients")

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 
 from .charlib import _Record
 from .errors import OperatorIncompleteError, RankMismatchError, integer
-from .repth import Algebra, epsilon
+from .repth import Algebra, _epsilon_int, epsilon
 from .zpoly import ZPolynomial, _codec, _unpack_all
 
 __all__ = [
@@ -43,17 +43,6 @@ __all__ = [
     "Delta1Operator",
     "build_delta1",
 ]
-
-
-def _epsilon_int(algebra: Algebra, m) -> int:
-    value = epsilon(algebra, m, 1)
-    if value.denominator != 1:
-        # happens when the weight lattice strictly contains the root lattice
-        # with bad index (e.g. A2); the integer operator then does not exist
-        raise ValueError(
-            f"eps_{tuple(m)}(1) = {value} is not integral; the unit-coupling "
-            "operator is not integer-valued in these variables")
-    return int(value)
 
 
 def _require_simply_laced(algebra: Algebra):

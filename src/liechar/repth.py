@@ -12,9 +12,9 @@ takes the dominant weights μ in the order of its own denominator
 (Bull. AMS 7, 1982), it sums one root per class of the positive roots, up
 to sign, under the stabilizer of μ, and takes each root string's sum from
 the string one step up, kept at the dominant weight that step reflects to,
-so that no string is walked.  The excitation energy :func:`epsilon`, which
-the operator and the character checks read, is one exact rational of the
-same form.
+so that no string is walked.  The excitation energy :func:`epsilon` is one
+exact rational of the same form; the operator and the character checks read
+its value at unit coupling in integers, from ``_epsilon_int``.
 
 Both Klimyk paths hold a weight u as one integer key, K(u) = sum_k
 (u_k + B) 2^(w k) with B = 2^(w-1), w bits per label.  A reflection is one
@@ -234,6 +234,9 @@ class Algebra:
         self._short_norm = 2 * self._det * min(self._lengths)
         self.rho = Weight((1,) * self.rank)
         self._dims: dict = {}
+        # packed monomial key -> its value at _fundamental_dims, which
+        # charlib.dim_identity fills and reads
+        self._monomial_dims: dict = {}
         self._freudenthal: dict = {}
         self._tensor: dict = {}
         self._weight_systems: dict = {}
@@ -765,6 +768,23 @@ def epsilon(algebra: Algebra, m, kappa=1) -> Fraction:
     # 2 (m, m + 2 kappa rho) = 2 (m, q m + 2 p rho) / q, in _form's units
     return Fraction(2 * algebra._form(m, [q * x + 2 * p for x in m]),
                     q * algebra._unit)
+
+
+def _epsilon_int(algebra: Algebra, m) -> int:
+    """eps_m(1) of the label tuple ``m``, the operator's eigenvalue at
+    unit coupling, as an int: :func:`epsilon` at kappa = 1, in integers."""
+    twice = 2 * algebra._form(m, [x + 2 for x in m])
+    value, rest = divmod(twice, algebra._unit)
+    if rest:
+        from fractions import Fraction
+
+        # happens when the weight lattice strictly contains the root lattice
+        # with bad index (e.g. A2); the integer operator then does not exist
+        raise ValueError(
+            f"eps_{tuple(m)}(1) = {Fraction(twice, algebra._unit)} is not "
+            "integral; the unit-coupling operator is not integer-valued in "
+            "these variables")
+    return value
 
 
 def _budget(value) -> int:

@@ -31,7 +31,7 @@ import math
 import re
 import struct
 from functools import cache, reduce
-from operator import or_
+from operator import mul, or_
 from typing import NamedTuple, Sequence
 
 from .errors import (ExponentRangeError, ParseError, RankMismatchError,
@@ -278,6 +278,22 @@ class ZPolynomial:
                                self._terms.values()):
             total += math.prod(map(pow, point, exps), start=coeff)
         return total
+
+    def _evaluate_memo(self, point: Sequence[int], memo: dict) -> int:
+        """:meth:`evaluate` at ``point``, a tuple of ints, with each
+        monomial's value read from ``memo``: a dict from packed keys to
+        values at ``point``, which gains the monomials it lacks."""
+        if len(point) != self.rank:
+            raise RankMismatchError(
+                f"point of length {len(point)} for rank {self.rank}")
+        terms = self._terms
+        try:
+            return sum(map(mul, terms.values(), map(memo.__getitem__, terms)))
+        except KeyError:
+            new = [key for key in terms if key not in memo]
+        for key, exps in zip(new, _unpack_all(self.rank, new)):
+            memo[key] = math.prod(map(pow, point, exps))
+        return sum(map(mul, terms.values(), map(memo.__getitem__, terms)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import liechar
 import oracles
 from conftest import expand_through
 from liechar import (Algebra, BudgetError, CharacterCache, Delta1Operator,
-                     DimReport, EigenReport, Weight, ZPolynomial,
-                     build_delta1, dim_identity, epsilon, print_poly,
+                     DimReport, EigenReport, RankMismatchError, Weight,
+                     ZPolynomial, build_delta1, dim_identity, epsilon, print_poly,
                      read_fixture_file, verify_eigen)
 
 
@@ -209,10 +209,120 @@ class TestValidationLayers:
         assert not report.ok and report == oracle_report(m, bad)
 
     def test_verify_eigen_non_integral_eigenvalue(self, a2):
-        # eps_(1,0)(1) = 16/3 in A2: no integer operator has it
+        # eps_(1,0)(1) = 16/3 in A2: no integer operator has it; the
+        # message is the one the operator's own coefficients raise
         op = Delta1Operator(2, (0, 0))
-        with pytest.raises(ValueError, match=r"16/3 is not integral"):
+        with pytest.raises(ValueError) as err:
             verify_eigen(a2, (1, 0), ZPolynomial.variable(2, 1), op)
+        assert str(err.value) == (
+            "eps_(1, 0)(1) = 16/3 is not integral; the unit-coupling "
+            "operator is not integer-valued in these variables")
+
+
+def _unmemoized(alg, m, chi):
+    """The dimension identity's report, by the public ``evaluate``."""
+    return DimReport(Weight(m), chi.evaluate(alg._fundamental_dims),
+                     alg.weyl_dim(m))
+
+
+class TestDimIdentityMemo:
+    """``dim_identity`` reads each monomial's value at the fundamental
+    dimensions from a memo kept per algebra; every report must be the one
+    that ``evaluate`` gives."""
+
+    def test_shipped_characters_in_both_orders(self, order2_chars,
+                                               higher_chars):
+        chars = list({**order2_chars, **higher_chars}.items())
+        assert len(chars) == 187
+        for order in (chars, chars[::-1]):
+            alg = Algebra("E8")
+            assert alg._monomial_dims == {}
+            for m, chi in order:
+                report = dim_identity(alg, m, chi)
+                assert report.ok and report == _unmemoized(alg, m, chi)
+            assert len(alg._monomial_dims) == 249
+
+    def test_threads_share_one_fresh_algebra(self, order2_chars,
+                                             higher_chars):
+        import threading
+        chars = list({**order2_chars, **higher_chars}.items())
+        alg = Algebra("E8")
+        results = [None] * 8
+
+        def worker(idx):
+            order = chars[:]
+            random.Random(idx).shuffle(order)
+            results[idx] = {m: dim_identity(alg, m, chi) for m, chi in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        reference = Algebra("E8")
+        expected = {m: _unmemoized(reference, m, chi) for m, chi in chars}
+        assert all(answers == expected for answers in results)
+
+    def test_perturbed_characters_fail_on_a_warm_memo(self, order2_chars,
+                                                      higher_chars):
+        alg = Algebra("E8")
+        chars = {**order2_chars, **higher_chars}
+        for m, chi in chars.items():
+            dim_identity(alg, m, chi)
+        m = Weight((0, 0, 0, 0, 0, 0, 1, 1))
+        chi = chars[m]
+        exps, _ = chi.sorted_terms()[3]
+        # one coefficient +1, and a monomial that no character has
+        for bad in (chi + ZPolynomial.monomial(8, exps, 1),
+                    chi + ZPolynomial.monomial(8, (0,) * 7 + (9,), 1)):
+            report = dim_identity(alg, m, bad)
+            assert not report.ok and report == _unmemoized(alg, m, bad)
+
+    def test_other_rank_raises(self, e8, order2_chars):
+        m = Weight((0, 0, 0, 0, 0, 0, 0, 2))
+        dim_identity(e8, m, order2_chars[m])
+        # z1 of rank 7 has the key of z1 of rank 8, which the memo holds
+        for poly in (ZPolynomial.variable(7, 1), ZPolynomial.variable(9, 1)):
+            with pytest.raises(RankMismatchError):
+                dim_identity(e8, m, poly)
+
+    def test_two_algebras_keep_their_own_values(self, order2_chars):
+        e6, e8 = Algebra("E6"), Algebra("E8")
+        e6_cache = CharacterCache(e6)
+        e6_chars = {m: e6_cache.character_poly(m)
+                    for m in [(1, 0, 0, 0, 0, 1), (0, 2, 0, 0, 0, 0),
+                              (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]}
+        e8_chars = list(order2_chars.items())[:4]
+        # z1 and its products have the same keys in both algebras
+        for (m6, chi6), (m8, chi8) in zip(e6_chars.items(), e8_chars):
+            for alg, m, chi in ((e6, m6, chi6), (e8, m8, chi8)):
+                report = dim_identity(alg, m, chi)
+                assert report.ok and report == _unmemoized(alg, m, chi)
+        assert e6._monomial_dims[1] == 27 and e8._monomial_dims[1] == 3875
+
+    def test_perturbed_disk_entry_rejected(self, tmp_path, caplog):
+        a2 = Algebra("A2")
+        chi = CharacterCache(a2, cache_dir=tmp_path).character_poly((2, 2))
+        dim_identity(a2, (2, 2), chi)
+        stored = tmp_path / "a2" / "2-2.chi"
+        text = stored.read_text()
+        exps, coeff = next((e, c) for e, c in chi.sorted_terms()
+                           if e != (2, 2))
+        terms = chi.terms
+        terms[exps] = coeff + 1
+        stored.write_text(f"chi[2,2] = {print_poly(ZPolynomial(2, terms))}\n")
+        with caplog.at_level(logging.DEBUG, logger="liechar"):
+            fresh = CharacterCache(a2, cache_dir=tmp_path)
+            assert fresh.character_poly((2, 2)) == chi
+        assert "dimension identity fails" in caplog.records[0].getMessage()
+        assert stored.read_text() == text
 
 
 class TestFixtures:

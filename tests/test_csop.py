@@ -17,6 +17,7 @@ from liechar import (Algebra, BudgetError, CharacterCache, Delta1Operator,
                      b_coeffs, build_delta1, epsilon, parse_poly,
                      verify_eigen)
 from liechar.csop import _SPAN
+from liechar.repth import _epsilon_int
 from liechar.zpoly import MAX_EXPONENT
 
 E8_B = (192, 288, 392, 600, 480, 360, 240, 120)
@@ -89,6 +90,43 @@ class TestSpectrum:
                 value = epsilon(alg, m, kappa)
                 assert value >= 0
                 assert (value == 0) == (not any(m))
+
+
+class TestIntegerEpsilon:
+    """``repth._epsilon_int``, which the operator and ``verify_eigen``
+    read, is ``epsilon`` at kappa = 1 computed in integers."""
+
+    @staticmethod
+    def _agrees(alg, m):
+        value = epsilon(alg, m, 1)
+        if value.denominator == 1:
+            assert _epsilon_int(alg, m) == value
+            return True
+        message = (f"eps_{tuple(m)}(1) = {value} is not integral; the "
+                   "unit-coupling operator is not integer-valued in these "
+                   "variables")
+        with pytest.raises(ValueError) as err:
+            _epsilon_int(alg, m)
+        assert str(err.value) == message
+        return False
+
+    def test_shipped_weights(self, e8, order2_chars, higher_chars):
+        weights = {**order2_chars, **higher_chars}
+        assert len(weights) == 187
+        assert all(self._agrees(e8, m) for m in weights)
+
+    @pytest.mark.parametrize("name", ["A4", "D5", "E6", "E7", "E8"])
+    def test_random_dominant_weights(self, name):
+        alg = Algebra(name)
+        rng = random.Random(sum(map(ord, name)))
+        integral = sum(
+            self._agrees(alg, tuple(rng.randint(0, 4)
+                                    for _ in range(alg.rank)))
+            for _ in range(200))
+        # A4, D5 and E6 have weights of both kinds, E7 and E8 only integral
+        # ones
+        assert 0 < integral <= 200
+        assert (integral == 200) == (name in ("E7", "E8"))
 
 
 class TestBCoeffs:
