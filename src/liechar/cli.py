@@ -53,7 +53,8 @@ def _parse_rational(text: str, parser: argparse.ArgumentParser) -> Fraction:
 
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, TypeError, ZeroDivisionError):
+        # argparse gives --kappa=-- as the list []
         parser.error(f"cannot parse rational {text!r}")
 
 

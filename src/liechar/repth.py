@@ -196,34 +196,14 @@ class Algebra:
         self._det = cartan.determinant
         self._unit = self._det * max(self._lengths)
         self._adj_cols = tuple(zip(*cartan.adjugate))
-        self.roots = cartan.positive_roots
-        # (w + ρ, α) * L = sum_j (w_j + 1) c_j L d_j per positive root; the
-        # product of (ρ, α) * L over the positive roots divides the Weyl
+        self.rho = Weight((1,) * self.rank)
+        self.roots, self._dim_steps = cartan._root_steps
+        # per simple root, roots[0] to roots[rank - 1]: its node j and L d_j
+        nodes = [root.coeffs.index(1) for root in self.roots[:self.rank]]
+        self._simple_lengths = tuple((j, self._lengths[j]) for j in nodes)
+        # the product of (ρ, α) L over the positive roots α divides the Weyl
         # dimension numerator exactly
-        self._dim_terms = tuple(
-            tuple((j, c * e) for j, (c, e)
-                  in enumerate(zip(root.coeffs, self._lengths)) if c)
-            for root in self.roots)
-        self._dim_denominator = prod(
-            sum(e for _, e in terms) for terms in self._dim_terms)
-        # per positive root of height > 1, in order: (p, i) with the root
-        # equal to root p plus α_i, where the simple root α_j is root j and
-        # the k-th root of height > 1 is root rank + k (see weyl_dim)
-        where = {}
-        steps = []
-        for root in self.roots:
-            coeffs = root.coeffs
-            if sum(coeffs) == 1:
-                where[coeffs] = coeffs.index(1)
-                continue
-            for i, c in enumerate(coeffs):
-                if c:
-                    lower = where.get(coeffs[:i] + (c - 1,) + coeffs[i + 1:])
-                    if lower is not None:
-                        break
-            where[coeffs] = self.rank + len(steps)
-            steps.append((lower, i))
-        self._dim_steps = tuple(steps)
+        self._dim_denominator = prod(self._root_pairings(self.rho))
         # per positive root: its support as a bit mask of nodes, its height
         self._root_heights = tuple(
             (sum(1 << i for i, c in enumerate(root.coeffs) if c),
@@ -232,7 +212,6 @@ class Algebra:
         # _form of a short root: every root is a Weyl image of a simple
         # one, and (α_j, α_j) = 2 d_j
         self._short_norm = 2 * self._det * min(self._lengths)
-        self.rho = Weight((1,) * self.rank)
         self._dims: dict = {}
         # packed monomial key -> its value at _fundamental_dims, which
         # charlib.dim_identity fills and reads
@@ -346,19 +325,16 @@ class Algebra:
         entry ~r (from the end) that of its negative, roots written as in
         :meth:`_reflect`.
 
-        A root is keyed by its coefficients, 8 bits each (none exceeds 6),
-        so s_i α = α - (α, α_i^∨) α_i subtracts the label i of α times the
-        key of α_i.  Only α_i itself maps to a negative root.
+        s_i α = α - <α, α_i^∨> α_i lowers coefficient i of α by its label
+        i, and is found by its coefficients; a root whose label i is 0 is
+        fixed.  Only α_i itself, whose image is no positive root, maps to a
+        negative root: -α_i.
         """
-        keys = [int.from_bytes(bytes(root.coeffs), "little")
-                for root in self.roots]
-        index = {k: r for r, k in enumerate(keys)}
-        steps = [1 << 8 * i for i in range(self.rank)]
-        index.update([(-step, ~index[step]) for step in steps])
+        index = {root.coeffs: r for r, root in enumerate(self.roots)}
         table = []
-        for step, labels in zip(steps,
-                                zip(*(root.labels for root in self.roots))):
-            row = [index[k - x * step] for k, x in zip(keys, labels)]
+        for i in range(self.rank):
+            row = [index.get(c[:i] + (c[i] - x[i],) + c[i + 1:], ~r)
+                   if x[i] else r for r, (c, x) in enumerate(self.roots)]
             table.append(tuple(row) + tuple([~r for r in reversed(row)]))
         return tuple(table)
 
@@ -442,18 +418,27 @@ class Algebra:
 
     # -- dimensions and orbit sizes ----------------------------------------
 
+    def _root_pairings(self, v) -> list:
+        """(v, α) L for the positive roots α, in the order of ``self.roots``:
+        v_j L d_j at α_j, and at roots[p] + roots[s], for each step (p, s)
+        of ``_dim_steps``, the sum of the two."""
+        out = [v[j] * e for j, e in self._simple_lengths]
+        for p, s in self._dim_steps:
+            out.append(out[p] + out[s])
+        return out
+
     def weyl_dim(self, w) -> int:
-        """Dimension of the irreducible module with highest weight ``w``."""
+        """Dimension of the irreducible module with highest weight ``w``:
+        the product of (w + ρ, α) over the positive roots α, divided by that
+        of (ρ, α), each factor the sum of those at the two roots of α's step
+        (see :meth:`_root_pairings`)."""
         w = self._check_dominant(w)
         cached = self._dims.get(w)
         if cached is not None:
             return cached
-        # (w + ρ, α) * L per positive root α: (w_i + 1) L d_i at α_i, and
-        # at α = β + α_i that of β plus that of α_i
-        factors = [(x + 1) * e for x, e in zip(w, self._lengths)]
-        for lower, i in self._dim_steps:
-            factors.append(factors[lower] + factors[i])
-        value, remainder = divmod(prod(factors), self._dim_denominator)
+        value, remainder = divmod(
+            prod(self._root_pairings([x + 1 for x in w])),
+            self._dim_denominator)
         if remainder:
             raise AssertionError(f"non-integral dimension for {w}")
         self._dims[w] = value
@@ -510,7 +495,8 @@ class Algebra:
           the gap order, and keeps f(ν, γ) and f(ν, -γ) per class.
 
         So each class costs one reflection, which carries the root along,
-        and no root string is walked.
+        and no root string is walked.  The pairings (μ, γ) for f(μ, -γ)
+        come from :meth:`_root_pairings`, one addition per root.
         """
         lam = self._check_dominant(highest)
         cached = self._freudenthal.get(lam)
@@ -525,7 +511,6 @@ class Algebra:
         gaps = {mu: lam_norm - self._shifted_norm(mu) for mu in seen}
         order = sorted(seen, key=lambda w: (gaps[w], w))
         labels = [root.labels for root in self.roots]
-        terms = self._dim_terms
         mults = {}
         # μ -> (slots, sums): f(μ, γ) per class of positive roots γ, then
         # f(μ, -γ), in units of _form, each at its slot of _root_classes
@@ -550,11 +535,11 @@ class Algebra:
                 # the highest weight, with gap 0
                 value = 1
             mults[mu] = value
-            # (μ, γ) in units of _form is det(A) sum_j μ_j c_j L d_j
+            # (μ, γ) in units of _form is det(A) (μ, γ) L
             scale = value * self._det
-            strings[mu] = (slots, ups + [
-                f + scale * sum(mu[j] * e for j, e in terms[r])
-                for f, r in zip(ups, reps)])
+            pairings = self._root_pairings(mu)
+            strings[mu] = (slots, ups + [f + scale * pairings[r]
+                                         for f, r in zip(ups, reps)])
         table = WeightMultiplicityTable(Weight(lam), mults)
         self._freudenthal[lam] = table
         return table

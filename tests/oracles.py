@@ -13,6 +13,7 @@ from fractions import Fraction
 import sympy
 
 from liechar import ZPolynomial
+from liechar.rootsys import Root
 
 
 # -- Laurent polynomials as plain dicts (label tuple -> int) ----------------
@@ -163,6 +164,50 @@ def weyl_dim_by_support(alg, lam):
     value, remainder = divmod(numerator, alg._dim_denominator)
     assert not remainder
     return value
+
+
+def string_roots(cm):
+    """All positive roots of the Cartan matrix ``cm`` by repeated
+    root-string extension, the walk ``CartanMatrix.positive_roots`` ran
+    before it took the closure under simple-reflection steps.
+
+    Deterministic order: graded by height, then lexicographic on the
+    simple-root coefficients.
+    """
+    n = cm.rank
+    rows = cm.entries
+    known = {}
+    level = []
+    for i in range(n):
+        coeffs = tuple(1 if k == i else 0 for k in range(n))
+        known[coeffs] = rows[i]
+        level.append(coeffs)
+    level.sort()
+    ordered = list(level)
+    while level:
+        found = set()
+        for coeffs in level:
+            labels = known[coeffs]
+            for i in range(n):
+                # walk down the α_i-string to find p, then q = p - <β, αi∨>
+                p = 0
+                probe = list(coeffs)
+                while True:
+                    probe[i] -= 1
+                    if probe[i] < 0 or tuple(probe) not in known:
+                        break
+                    p += 1
+                if p - labels[i] >= 1:
+                    up = list(coeffs)
+                    up[i] += 1
+                    found.add(tuple(up))
+        level = sorted(t for t in found if t not in known)
+        for coeffs in level:
+            known[coeffs] = tuple(
+                sum(c * rows[i][k] for i, c in enumerate(coeffs))
+                for k in range(n))
+        ordered.extend(level)
+    return tuple(Root(coeffs, tuple(known[coeffs])) for coeffs in ordered)
 
 
 def fraction_symmetrizer(entries):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liechar
-from liechar import parse_poly
+from liechar import parse_poly, print_poly
 from liechar.cli import _operator_for, main
 import oracles
 from conftest import OPERATOR_FILE, ORDER2_FILE
@@ -324,6 +324,14 @@ class TestNegativeKappa:
             "liechar epsilon: error: argument --kappa: expected one "
             "argument\n")
 
+    def test_double_dash_value_is_a_usage_error(self, capsys):
+        # argparse drops the "--" of --kappa=-- and leaves the list []
+        with pytest.raises(SystemExit) as err:
+            main(["epsilon", "A1", "0", "--kappa=--"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "liechar: error: cannot parse rational []\n")
+
     def test_help_names_the_form(self, capsys):
         with pytest.raises(SystemExit):
             main(["epsilon", "--help"])
@@ -388,8 +396,19 @@ class TestCheapRefusalsFirst:
         assert err == ("error: rank 99999999 is above the largest supported "
                        "rank 100\n")
 
+    @pytest.mark.parametrize("digits", [5000, 4000])
+    def test_rank_of_too_many_digits(self, capsys, digits):
+        # past int()'s 4300-digit limit, or just under it: neither the
+        # interpreter's hint nor the digits reach stderr
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "dim", "A" + "9" * digits, "1")
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (f"error: rank of {digits} digits is above the largest "
+                       "supported rank 100\n")
+
     def test_cartan_builds_only_the_matrix(self, capsys):
-        # the whole Algebra of A100 takes seconds, nearly all of it in its
+        # the whole Algebra of A100 takes about 0.2 s, most of it in its
         # 5,050 positive roots; the matrix alone takes about 0.1 s
         start = time.monotonic()
         code, out, err = run_cli(capsys, "cartan", "A100")
@@ -635,7 +654,11 @@ def _request(draw, command):
 class TestEveryRequestEnds:
     """ROADMAP item 5: every request on a small algebra, well formed or not,
     ends with exit code 0, 1, 2 or 3 within a wall bound, and nothing but
-    ``SystemExit`` escapes ``main``."""
+    ``SystemExit`` escapes ``main``.  Its output agrees with the code: a
+    JSON success of a subcommand is one JSON line whose polynomial, if
+    any, re-parses and prints back the same; a refused budget is one
+    ``error:`` line naming the budget; a domain error has an ``error:``
+    line unless the request reported a failed check on stdout."""
 
     @pytest.mark.parametrize("command", _COMMANDS)
     @settings(max_examples=15, deadline=None, derandomize=True,
@@ -658,12 +681,30 @@ class TestEveryRequestEnds:
             cwd = os.getcwd()
             os.chdir(root)
             start = time.monotonic()
+            handled = True
             try:
                 code = main(argv)
             except SystemExit as exc:
-                code = exc.code
+                # argparse's exits: 2 on a usage error, 0 after -h's help
+                code, handled = exc.code, False
             finally:
                 elapsed = time.monotonic() - start
                 os.chdir(cwd)
-        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        stdout, stderr = out.getvalue(), err.getvalue().splitlines()
+        assert code in (0, 1, 2, 3), (argv, stderr)
         assert elapsed < _WALL_BOUND_S, argv
+        if code == 0 and handled and argv[:2] == ["--format", "json"]:
+            line, = stdout.splitlines()
+            result = json.loads(line)
+            if command in ("char", "delta1-apply"):
+                rank = liechar.build_cartan(argv[3]).rank
+                text = result["poly"]
+                assert print_poly(parse_poly(text, rank)) == text, argv
+        elif code == 3:
+            line, = stderr
+            assert line.startswith("error: ") and "budget" in line, argv
+        elif code == 1 and not (command in ("verify", "fixtures-check")
+                                and ("FAIL" in stdout
+                                     or '"ok": false' in stdout)):
+            assert any(line.startswith("error: ") for line in stderr), \
+                (argv, stderr)

@@ -1,7 +1,9 @@
 import random
 import re
+import time
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 import pytest
 import sympy
@@ -68,6 +70,29 @@ class TestBuild:
     def test_invalid_matrices(self, entries):
         with pytest.raises(ValueError):
             CartanMatrix(entries)
+
+    @pytest.mark.parametrize("digits", [5000, 4000, 21])
+    def test_over_long_rank_is_refused_unread(self, digits):
+        # int() refuses more than 4300 digits, and the error names no digit
+        start = time.monotonic()
+        for spec in ("A" + "9" * digits, "e" + "0" * 9000 + "1" * digits):
+            with pytest.raises(ValueError) as info:
+                build_cartan(spec)
+            assert str(info.value) == (f"rank of {digits} digits is above "
+                                       "the largest supported rank 100")
+        assert time.monotonic() - start < 1.0
+
+    def test_rank_of_20_digits_is_echoed(self):
+        with pytest.raises(ValueError) as info:
+            build_cartan("B" + "0" * 9000 + "9" * 20)
+        assert str(info.value) == (f"rank {'9' * 20} is above the largest "
+                                   "supported rank 100")
+
+    def test_leading_zeros_are_not_digits_of_the_rank(self):
+        assert build_cartan("A" + "0" * 5000 + "2") == build_cartan("A2")
+        assert build_cartan("D0100").rank == 100
+        with pytest.raises(ValueError, match="A0 is out of range"):
+            build_cartan("A000")
 
     def test_rank_bound(self):
         assert build_cartan(f"D{MAX_RANK}").rank == MAX_RANK
@@ -247,6 +272,45 @@ class TestRootLengths:
         cm.entries, cm.rank = NOT_SYMMETRIZABLE, 3
         with pytest.raises(ValueError, match="not symmetrizable"):
             getattr(cm, attr)
+
+
+# A1-A12, B2-B10, C2-C10, D3-D10, every exceptional type and A40
+DIFFERENTIAL_TYPES = sorted(set(
+    ALL_TYPES + [f"A{n}" for n in range(1, 13)]
+    + [f"B{n}" for n in range(2, 11)] + [f"C{n}" for n in range(2, 11)]
+    + [f"D{n}" for n in range(3, 11)] + ["E6", "E7", "E8", "F4", "G2", "A40"]))
+
+
+class TestRootClosure:
+    """The closure under simple-reflection steps against the root-string
+    walk it replaced, kept in ``oracles.string_roots``."""
+
+    @pytest.mark.parametrize("spec", DIFFERENTIAL_TYPES + [TWO_COMPONENTS])
+    def test_roots_match_string_walk(self, spec):
+        cm = build_cartan(spec)
+        assert cm.positive_roots == oracles.string_roots(cm)
+
+    @pytest.mark.parametrize("spec", DIFFERENTIAL_TYPES + [TWO_COMPONENTS])
+    def test_steps_add_a_simple_root(self, spec):
+        cm = build_cartan(spec)
+        roots, steps = cm._root_steps
+        assert roots is cm.positive_roots
+        assert len(steps) == len(roots) - cm.rank
+        for root, (p, s) in zip(roots[cm.rank:], steps):
+            assert roots[s].height == 1
+            assert tuple(map(add, roots[p].coeffs, roots[s].coeffs)) \
+                == root.coeffs
+            assert tuple(map(add, roots[p].labels, roots[s].labels)) \
+                == root.labels
+
+    @pytest.mark.parametrize("name,count", [("A100", 5050), ("D100", 9900)])
+    def test_rank_100_builds_quickly(self, name, count):
+        # the rank MAX_RANK admits: about 0.2 and 0.3 s on 2 cores
+        start = time.monotonic()
+        alg = Algebra(name)
+        elapsed = time.monotonic() - start
+        assert len(alg.roots) == count
+        assert elapsed < 1.5, elapsed
 
 
 class TestJson:
