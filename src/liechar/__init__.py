@@ -7,47 +7,13 @@ many-body operator that is diagonal on them.
 
 The public names are read from their modules when first used (PEP 562), so
 ``import liechar`` loads no submodule, and a CLI request loads only the
-modules its command runs.
+modules its command runs.  ``__all__`` is the keys of ``_HOME``, the map
+from each public name to the module that defines it.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Algebra",
-    "BudgetError",
-    "CACHE_ENV_VAR",
-    "CartanMatrix",
-    "CharacterCache",
-    "Decomposition",
-    "Delta1Operator",
-    "DimReport",
-    "DEFAULT_TENSOR_BUDGET",
-    "EigenReport",
-    "ExponentRangeError",
-    "FixtureRecord",
-    "LiecharError",
-    "OperatorIncompleteError",
-    "ParseError",
-    "RankMismatchError",
-    "Root",
-    "Weight",
-    "WeightMultiplicityTable",
-    "ZPolynomial",
-    "a_coeff",
-    "b_coeffs",
-    "build_cartan",
-    "build_delta1",
-    "dim_identity",
-    "epsilon",
-    "format_fixture_record",
-    "parse_poly",
-    "print_poly",
-    "read_fixture_file",
-    "read_fixture_text",
-    "verify_eigen",
-]
 
 # the module that defines each public name
 _HOME = {name: module for module, names in {
@@ -63,6 +29,8 @@ _HOME = {name: module for module, names in {
               "parse_poly", "print_poly", "read_fixture_file",
               "read_fixture_text"),
 }.items() for name in names}
+
+__all__ = list(_HOME)
 
 
 def __getattr__(name):

@@ -28,16 +28,6 @@ if TYPE_CHECKING:
 
     from . import charlib, csop
 
-_PACKAGED_OPERATOR = {"E8": "e8_delta1_operator.txt"}
-
-
-def _packaged_operator_path(label):
-    name = _PACKAGED_OPERATOR.get(label or "")
-    if name is None:
-        return None
-    return resources.files("liechar").joinpath("data", name)
-
-
 def _parse_weight(text: str, rank: int, parser: argparse.ArgumentParser):
     try:
         labels = tuple(int(x) for x in text.split(","))
@@ -53,8 +43,7 @@ def _parse_rational(text: str, parser: argparse.ArgumentParser) -> Fraction:
 
     try:
         return Fraction(text)
-    except (ValueError, TypeError, ZeroDivisionError):
-        # argparse gives --kappa=-- as the list []
+    except (ValueError, ZeroDivisionError):
         parser.error(f"cannot parse rational {text!r}")
 
 
@@ -69,7 +58,7 @@ def _emit(args, text_lines, json_obj):
 def _algebra(args) -> Algebra:
     budget = getattr(args, "budget", None)
     if budget is None:
-        budget = DEFAULT_TENSOR_BUDGET
+        return Algebra(args.algebra)
     return Algebra(args.algebra, tensor_budget=budget)
 
 
@@ -81,16 +70,15 @@ def _cache(args, algebra: Algebra) -> charlib.CharacterCache:
 
 
 def _operator_records(args, algebra: Algebra):
-    path = args.fixtures
-    if path is None and not args.no_fixtures:
-        packaged = _packaged_operator_path(algebra.cartan.label)
-        if packaged is not None:
-            return zpoly.read_fixture_text(packaged.read_text("utf-8"),
-                                           algebra.rank)
+    """The operator tables of ``--fixtures``; else none under
+    ``--no-fixtures`` or off E8; else the packaged E8 tables."""
+    if args.fixtures is not None:
+        return zpoly.read_fixture_file(args.fixtures, algebra.rank)
+    if args.no_fixtures or algebra.cartan.label != "E8":
         return None
-    if path is None:
-        return None
-    return zpoly.read_fixture_file(path, algebra.rank)
+    packaged = resources.files("liechar").joinpath(
+        "data", "e8_delta1_operator.txt")
+    return zpoly.read_fixture_text(packaged.read_text("utf-8"), algebra.rank)
 
 
 def _operator_for(algebra: Algebra, poly: ZPolynomial,
@@ -303,6 +291,7 @@ def _cmd_fixtures_check(args, parser):
 # ---------------------------------------------------------------------------
 
 def _add_common(sub, budget=False, cache=False, fixtures=False):
+    sub.set_defaults(subparser=sub)
     sub.add_argument("algebra", help="algebra type, e.g. E8, A2, D4")
     if budget:
         sub.add_argument("--budget", type=int, default=None,
@@ -396,6 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads the value -- (of --opt=--, or a bare -- where a
+    # positional goes) as the list [], and applies neither type nor choices
+    for owner in (parser, args.subparser):
+        for action in owner._actions:
+            if getattr(args, action.dest, None) == []:
+                owner.error(str(argparse.ArgumentError(
+                    action, "expected one argument")))
     try:
         return args.func(args, parser)
     except BudgetError as exc:

@@ -33,11 +33,12 @@ from typing import Iterable, Iterator
 
 from .charlib import _Record
 from .errors import OperatorIncompleteError, RankMismatchError, integer
+# epsilon is not called here but stays a module attribute: perfbench/spans.py
+# counts its calls through this name
 from .repth import Algebra, _epsilon_int, epsilon
 from .zpoly import ZPolynomial, _codec, _unpack_all
 
 __all__ = [
-    "epsilon",
     "b_coeffs",
     "a_coeff",
     "Delta1Operator",

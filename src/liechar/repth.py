@@ -45,7 +45,7 @@ from array import array
 from functools import cached_property, partial
 from itertools import islice
 from math import prod
-from operator import index, mul
+from operator import index, mul, sub
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import BudgetError, integer
@@ -546,14 +546,15 @@ class Algebra:
 
     def _dominant_weights(self, lam: tuple) -> set:
         """The dominant weights of V_lam: BFS downward by positive roots."""
+        labels = [root.labels for root in self.roots]
         seen = {lam}
         frontier = [lam]
         while frontier:
             fresh = []
             for w in frontier:
-                for root in self.roots:
-                    cand = tuple(a - b for a, b in zip(w, root.labels))
-                    if any(x < 0 for x in cand) or cand in seen:
+                for label in labels:
+                    cand = tuple(map(sub, w, label))
+                    if min(cand) < 0 or cand in seen:
                         continue
                     seen.add(cand)
                     fresh.append(cand)
@@ -703,7 +704,9 @@ class Algebra:
         of a root that is not simple shows a label 0 only once reflected; a
         dominant S has one, and is dropped, when S - K(ρ) lacks a sign
         bit.  Returns the key of each dominant sum off the walls with its
-        signed count.
+        signed count.  One body reads the ``array('Q')`` runs and the list
+        runs of wider keys alike, as slices ``keys[start:end]``; a
+        view of the array measured no faster than the copy a slice makes.
         """
         roots, lows, signs = self._lanes(bits)
         highs = signs[-1]
@@ -715,12 +718,8 @@ class Algebra:
         # the sign bit of each lane where ν has the label 0, ν + ρ the label 1
         zeros = sum(1 << bits * (k + 1) - 1 for k, x in enumerate(shifted)
                     if x == 1)
-        packed = self.rank * bits <= 64
         acc: dict = {}
         for mult, keys, ones, ends in self._weight_system(table, bits):
-            if packed:
-                # a run is read through a view of the array, not copied
-                keys = memoryview(keys)
             start = 0
             for lanes, end in zip(ones, ends):
                 if lanes & zeros:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import liechar
 from liechar import parse_poly, print_poly
-from liechar.cli import _operator_for, main
+from liechar.cli import _operator_for, build_parser, main
 import oracles
 from conftest import OPERATOR_FILE, ORDER2_FILE
 
@@ -330,12 +330,51 @@ class TestNegativeKappa:
             main(["epsilon", "A1", "0", "--kappa=--"])
         assert err.value.code == 2
         assert capsys.readouterr().err.endswith(
-            "liechar: error: cannot parse rational []\n")
+            "liechar epsilon: error: argument --kappa: expected one "
+            "argument\n")
 
     def test_help_names_the_form(self, capsys):
         with pytest.raises(SystemExit):
             main(["epsilon", "--help"])
         assert "--kappa=-1/2" in " ".join(capsys.readouterr().out.split())
+
+
+class TestDoubleDashValue:
+    """argparse reads the value ``--``, of ``--opt=--`` or of a bare ``--``
+    where a positional goes, as the list [] and applies neither the
+    argument's type nor its choices; every such request is a usage error,
+    named as argparse names a missing value."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["tensor", "A1", "1", "1", "--budget=--"],
+         "liechar tensor: error: argument --budget: expected one argument"),
+        (["char", "A1", "1", "--cache-dir=--"],
+         "liechar char: error: argument --cache-dir: expected one argument"),
+        (["fixtures-check", "x.chi", "E8", "--fixtures=--"],
+         "liechar fixtures-check: error: argument --fixtures: expected one "
+         "argument"),
+        (["delta1-apply", "A2", "--poly=--"],
+         "liechar delta1-apply: error: argument --poly: expected one "
+         "argument"),
+        (["epsilon", "A1", "0", "--kappa=--"],
+         "liechar epsilon: error: argument --kappa: expected one argument"),
+        (["--format=--", "dim", "A1", "1"],
+         "liechar: error: argument --format: expected one argument"),
+        (["dim", "A1", "--", "--"],
+         "liechar dim: error: argument weight: expected one argument"),
+        (["tensor", "A1", "--", "1", "--"],
+         "liechar tensor: error: argument right: expected one argument"),
+        (["acoeff", "E8", "--", "1", "--"],
+         "liechar acoeff: error: argument k: expected one argument"),
+    ], ids=["budget", "cache-dir", "fixtures", "poly", "kappa", "format",
+            "weight", "right", "k"])
+    def test_usage_error(self, capsys, argv, line):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        out, stderr = capsys.readouterr()
+        assert (err.value.code, out) == (2, "")
+        assert "Traceback" not in stderr
+        assert stderr.splitlines()[-1] == line
 
 
 class TestCheapRefusalsFirst:
@@ -651,6 +690,39 @@ def _request(draw, command):
     return argv, draw(poly)
 
 
+# a well-formed request of each subcommand, after its name
+_WELL_FORMED = {
+    "cartan": ["A2"], "roots": ["A2"], "dim": ["A2", "1,0"],
+    "mult": ["A2", "1,0"], "tensor": ["A2", "1,0", "0,1"],
+    "epsilon": ["A2", "1,0"], "bcoeffs": ["D4"], "acoeff": ["D4", "1", "1"],
+    "char": ["A2", "1,0"], "delta1-apply": ["D4", "--poly", "z1"],
+    "verify": ["D4", "1,0,0,0"], "fixtures-check": ["d4.chi", "D4"],
+}
+
+
+def _double_dash_requests():
+    """``(command, argv)``: each well-formed request with each option that
+    takes a value, its subcommand's or the global ``--format``, written
+    ``--opt=--``; read from the parser, so a new option is covered too."""
+    parser = build_parser()
+    subs, = (action for action in parser._actions
+             if isinstance(action.choices, dict))
+
+    def valued(p):
+        return [action.option_strings[-1] for action in p._actions
+                if action.option_strings and action.nargs is None]
+
+    requests = []
+    for command, args in _WELL_FORMED.items():
+        argvs = [[f"{option}=--", command, *args]
+                 for option in valued(parser)]
+        argvs += [[command, *args, f"{option}=--"]
+                  for option in valued(subs.choices[command])]
+        requests += [pytest.param(command, argv, id=" ".join(argv))
+                     for argv in argvs]
+    return requests
+
+
 class TestEveryRequestEnds:
     """ROADMAP item 5: every request on a small algebra, well formed or not,
     ends with exit code 0, 1, 2 or 3 within a wall bound, and nothing but
@@ -658,7 +730,9 @@ class TestEveryRequestEnds:
     JSON success of a subcommand is one JSON line whose polynomial, if
     any, re-parses and prints back the same; a refused budget is one
     ``error:`` line naming the budget; a domain error has an ``error:``
-    line unless the request reported a failed check on stdout."""
+    line unless the request reported a failed check on stdout.  A value
+    given as ``--opt=--`` is a usage error; every subcommand meets it with
+    each option it takes, in explicit examples."""
 
     @pytest.mark.parametrize("command", _COMMANDS)
     @settings(max_examples=15, deadline=None, derandomize=True,
@@ -666,45 +740,58 @@ class TestEveryRequestEnds:
     @given(data=st.data())
     def test_exit_code_in_time(self, command, data):
         argv, stdin = _request(data.draw, command)
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as root, \
-                mock.patch.dict(os.environ, {"LIECHAR_CACHE": root}), \
-                mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
-                contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            files = Path(root)
-            (files / "empty.chi").write_text("")
-            (files / "a2.chi").write_text("chi[1,1] = -1 + z1*z2\n")
-            (files / "d4.chi").write_text(
-                "chi[0,0,0,0] = 1\nchi[1,0,0,1] = -z3 + z1*z4\n")
-            (files / "junk.chi").write_text("chi[1 = (\n")
-            cwd = os.getcwd()
-            os.chdir(root)
-            start = time.monotonic()
-            handled = True
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                # argparse's exits: 2 on a usage error, 0 after -h's help
-                code, handled = exc.code, False
-            finally:
-                elapsed = time.monotonic() - start
-                os.chdir(cwd)
-        stdout, stderr = out.getvalue(), err.getvalue().splitlines()
-        assert code in (0, 1, 2, 3), (argv, stderr)
-        assert elapsed < _WALL_BOUND_S, argv
-        if code == 0 and handled and argv[:2] == ["--format", "json"]:
-            line, = stdout.splitlines()
-            result = json.loads(line)
-            if command in ("char", "delta1-apply"):
-                rank = liechar.build_cartan(argv[3]).rank
-                text = result["poly"]
-                assert print_poly(parse_poly(text, rank)) == text, argv
-        elif code == 3:
-            line, = stderr
-            assert line.startswith("error: ") and "budget" in line, argv
-        elif code == 1 and not (command in ("verify", "fixtures-check")
-                                and ("FAIL" in stdout
-                                     or '"ok": false' in stdout)):
-            assert any(line.startswith("error: ") for line in stderr), \
-                (argv, stderr)
+        _check_request(command, argv, stdin)
+
+    @pytest.mark.parametrize("command, argv", _double_dash_requests())
+    def test_double_dash_values(self, command, argv):
+        _check_request(command, argv, "")
+
+
+def _check_request(command, argv, stdin):
+    """Run ``argv`` with ``stdin`` in a fresh cache root holding a few
+    fixture files, and check its exit code, wall time and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as root, \
+            mock.patch.dict(os.environ, {"LIECHAR_CACHE": root}), \
+            mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        files = Path(root)
+        (files / "empty.chi").write_text("")
+        (files / "a2.chi").write_text("chi[1,1] = -1 + z1*z2\n")
+        (files / "d4.chi").write_text(
+            "chi[0,0,0,0] = 1\nchi[1,0,0,1] = -z3 + z1*z4\n")
+        (files / "junk.chi").write_text("chi[1 = (\n")
+        cwd = os.getcwd()
+        os.chdir(root)
+        start = time.monotonic()
+        handled = True
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse's exits: 2 on a usage error, 0 after -h's help
+            code, handled = exc.code, False
+        finally:
+            elapsed = time.monotonic() - start
+            os.chdir(cwd)
+    stdout, stderr = out.getvalue(), err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3), (argv, stderr)
+    assert elapsed < _WALL_BOUND_S, argv
+    if any(token.startswith("--") and token.endswith("=--")
+           for token in argv):
+        assert code == 2, (argv, stderr)
+    if code == 0 and handled and argv[:2] == ["--format", "json"]:
+        line, = stdout.splitlines()
+        result = json.loads(line)
+        if command in ("char", "delta1-apply"):
+            rank = liechar.build_cartan(argv[3]).rank
+            text = result["poly"]
+            assert print_poly(parse_poly(text, rank)) == text, argv
+    elif code == 3:
+        line, = stderr
+        assert line.startswith("error: ") and "budget" in line, argv
+    elif code == 1 and not (command in ("verify", "fixtures-check")
+                            and ("FAIL" in stdout
+                                 or '"ok": false' in stdout)):
+        assert any(line.startswith("error: ") for line in stderr), \
+            (argv, stderr)

@@ -157,6 +157,12 @@ class TestLabels:
                     f"weight {w!r} is not a sequence of labels")):
                 call()
 
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_fundamental_index_is_refused(self, a2, index):
+        with pytest.raises(ValueError, match=re.escape(
+                f"index {index} out of range 1..2")):
+            a2.fundamental(index)
+
     def test_integer_types_are_accepted(self, a2):
         import numpy as np
         assert a2.weyl_dim((True, np.int64(1))) == 8
@@ -535,6 +541,10 @@ class TestTensor:
 
 
 class TestEmitters:
+    def test_decomposition_iterates_sorted_items(self, a2):
+        dec = a2.tensor_decompose((1, 0), (0, 1))
+        assert list(dec) == [((0, 0), 1), ((1, 1), 1)] == dec.items()
+
     def test_decomposition_json(self, a2):
         data = a2.tensor_decompose((1, 0), (0, 1)).to_json_dict()
         assert {"labels": [1, 1], "mult": "1"} in data

@@ -53,6 +53,12 @@ class TestBuild:
         cm = build_cartan([[2, -1], [-1, 2]])
         assert cm.label is None
         assert cm.rank == 2
+        assert repr(cm) == "CartanMatrix(rank 2)"
+
+    def test_matrix_is_built_once(self):
+        cm = build_cartan("G2")
+        assert build_cartan(cm) is cm
+        assert repr(cm) == "CartanMatrix(G2)"
 
     @pytest.mark.parametrize("entries", [
         [[2, -1]],                    # not square
@@ -339,4 +345,5 @@ class TestWeight:
         import numpy as np
         w = Weight((np.int64(3), np.uint8(0), True, 2))
         assert w == (3, 0, 1, 2) and repr(w) == "Weight(3,0,1,2)"
+        assert w.rank == 4
         assert all(type(x) is int for x in w)

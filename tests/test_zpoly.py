@@ -53,6 +53,24 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             op(P("z1 + 2"))
 
+    def test_negation_repr_and_foreign_equality(self):
+        p = P("3 + 2*z1 - z2^2", rank=2)
+        assert -p == P("-3 - 2*z1 + z2^2", rank=2)
+        assert repr(p) == "ZPolynomial(rank=2, '3 + 2*z1 - z2^2')"
+        assert (p == "3 + 2*z1 - z2^2") is False
+
+    def test_keys_that_pack_alike_cancel(self):
+        # b"\x01\x00" is a second exponent sequence (1, 0): unequal as a
+        # dict key, equal once packed
+        assert ZPolynomial(2, {(1, 0): 1, b"\x01\x00": -1}).is_zero
+        assert ZPolynomial(2, {(1, 0): 1, b"\x01\x00": 2}) == P("3*z1", 2)
+
+    def test_variable_index_is_refused(self):
+        for index in (0, 9):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"variable index {index} out of range 1..8")):
+                ZPolynomial.variable(8, index)
+
     def test_zero_coefficients_dropped(self):
         p = ZPolynomial(2, {(1, 0): 5, (0, 1): 0})
         assert p.terms == {(1, 0): 5}
@@ -563,6 +581,18 @@ b[8] = 120*z8
     def test_bad_header(self):
         with pytest.raises(ParseError):
             read_fixture_text("chi{1} = z1", 1)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a[1] = z1\n", "a record needs two indices within rank"),
+        ("b[1,2] = z1\n", "b record needs one index within rank"),
+        ("a[1,9] = z1\n", "a record needs two indices within rank"),
+        ("b[0] = z1\n", "b record needs one index within rank")])
+    def test_operator_header_index_count(self, text, message):
+        good = "b[2] = z2\n\n"
+        with pytest.raises(ParseError) as err:
+            read_fixture_text(good + text, 8)
+        assert err.value.args == (message, len(good))
+        assert err.value.offset == len(good)
 
     def test_wrong_label_count(self):
         with pytest.raises(ParseError):
