@@ -109,7 +109,7 @@ class CharacterCache:
                     plan = plans[w] = self._plan(w)
                 # the characters that _expand reads for w
                 _, nu, dec = plan
-                missing = [x for x in (nu, *map(tuple, dec.entries))
+                missing = [x for x in (nu, *dec.entries)
                            if x != w and x not in self._mem]
                 if missing:
                     stack.extend(reversed(missing))

@@ -58,6 +58,15 @@ def b_coeffs(algebra: Algebra) -> tuple:
                  for j in range(1, algebra.rank + 1))
 
 
+def _pair(rank: int, j, k) -> tuple:
+    """``(min(j, k), max(j, k))`` of the indices j and k, each read with
+    :func:`~liechar.errors.integer` and checked to lie in 1..rank."""
+    j, k = integer(j, "index"), integer(k, "index")
+    if not (1 <= j <= rank and 1 <= k <= rank):
+        raise ValueError(f"indices ({j}, {k}) out of range 1..{rank}")
+    return (j, k) if j <= k else (k, j)
+
+
 def a_coeff(algebra: Algebra, j: int, k: int, char_provider) -> ZPolynomial:
     """Second-order coefficient of d_j d_k from the z_j z_k series.
 
@@ -74,9 +83,7 @@ def a_coeff(algebra: Algebra, j: int, k: int, char_provider) -> ZPolynomial:
     checked integral before any character is computed.
     """
     rank = algebra.rank
-    j, k = integer(j, "index"), integer(k, "index")
-    if not (1 <= j <= rank and 1 <= k <= rank):
-        raise ValueError(f"indices ({j}, {k}) out of range 1..{rank}")
+    j, k = _pair(rank, j, k)
     _require_simply_laced(algebra)
     lam_j = algebra.fundamental(j)
     lam_k = algebra.fundamental(k)
@@ -201,28 +208,24 @@ def _incomplete(pair: tuple) -> OperatorIncompleteError:
         f"coefficient a[{pair[0]},{pair[1]}] is not populated", pair=pair)
 
 
-def _pairs_by_cost(algebra: Algebra, pairs):
-    dims = algebra._fundamental_dims
-
-    def cost(pair):
-        j, k = pair
-        return (min(dims[j - 1], dims[k - 1]), j, k)
-    return sorted(pairs, key=cost)
-
-
 def build_delta1(algebra: Algebra, char_provider=None,
                  fixture_records: Iterable | None = None,
                  pairs: Iterable | None = None) -> Delta1Operator:
     """Assemble the operator for ``pairs`` (default: all of them).
 
-    With a character provider every pair is computed, cheapest tensor
-    product first; a product over ``algebra.tensor_budget`` raises
+    Every pair is checked first, as :func:`a_coeff` checks its indices, so
+    a bad pair raises ``ValueError`` before any work in either mode.
+    With a character provider every pair is computed, in (j, k) order,
+    j <= k; a product over ``algebra.tensor_budget`` raises
     :class:`BudgetError`.
     Without one the pairs are loaded from the a records of
     ``fixture_records``, and pairs they lack stay unpopulated.  Fixture b
     records, when present, must agree with the computed values.
     """
     rank = algebra.rank
+    if pairs is None:
+        pairs = combinations_with_replacement(range(1, rank + 1), 2)
+    pairs = sorted({_pair(rank, j, k) for j, k in pairs})
     b = b_coeffs(algebra)
     fixture_a: dict = {}
     if fixture_records is not None:
@@ -237,16 +240,13 @@ def build_delta1(algebra: Algebra, char_provider=None,
                     raise ValueError(
                         f"fixture b[{j}] disagrees with the computed value "
                         f"{b[j - 1]}*z{j}")
-    if pairs is None:
-        pairs = [(j, k) for j in range(1, rank + 1) for k in range(j, rank + 1)]
-    pairs = {(min(j, k), max(j, k)) for j, k in pairs}
     op = Delta1Operator(rank=rank, b=b)
     if char_provider is None:
-        for pair in sorted(pairs & fixture_a.keys()):
+        for pair in sorted(fixture_a.keys() & pairs):
             op.entries[pair] = fixture_a[pair]
             op.provenance[pair] = "loaded-from-fixture"
         return op
-    for j, k in _pairs_by_cost(algebra, pairs):
+    for j, k in pairs:
         op.entries[(j, k)] = a_coeff(algebra, j, k, char_provider)
         op.provenance[(j, k)] = "computed"
     return op

@@ -45,11 +45,11 @@ from array import array
 from functools import cached_property, partial
 from itertools import islice
 from math import prod
-from operator import index, mul, sub
+from operator import mul, sub
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import BudgetError, integer
-from .rootsys import CartanMatrix, Weight, build_cartan
+from .rootsys import CartanMatrix, Weight, _labels, build_cartan
 
 if TYPE_CHECKING:
     # imported where a Fraction is built: a CLI request that builds none
@@ -232,16 +232,8 @@ class Algebra:
         return Weight(1 if k == index - 1 else 0 for k in range(self.rank))
 
     def _check_weight(self, w) -> tuple:
-        try:
-            w = tuple(w)
-        except TypeError:
-            raise ValueError(
-                f"weight {w!r} is not a sequence of labels") from None
-        try:
-            t = tuple(map(index, w))
-        except TypeError:
-            raise ValueError(
-                f"weight {w} has a label that is not an integer") from None
+        """``w``'s labels, read by ``rootsys._labels``, of this rank."""
+        t = _labels(w)
         if len(t) != self.rank:
             raise ValueError(f"weight {t} does not have rank {self.rank}")
         return t
@@ -622,7 +614,7 @@ class Algebra:
         if acc.get(top) != 1:
             raise AssertionError("highest component must appear exactly once")
         # constituents whose signed sum cancelled are dropped
-        result = Decomposition({Weight(w): m for w, m in acc.items() if m})
+        result = Decomposition({w: m for w, m in acc.items() if m})
         self._tensor[key] = result
         return result
 

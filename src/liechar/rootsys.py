@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from math import lcm
-from operator import add
+from operator import add, index
 from typing import NamedTuple
 
 from .errors import integer
@@ -32,21 +32,11 @@ __all__ = [
 
 
 class Weight(tuple):
-    """Integer vector of Dynkin labels in the fundamental-weight basis.
-
-    A label is anything with ``__index__`` (int, bool, numpy integers);
-    any other label, or ``labels`` that is not iterable, raises
-    ``ValueError``.
-    """
+    """Integer vector of Dynkin labels in the fundamental-weight basis,
+    read by :func:`_labels`, the package's one label check."""
 
     def __new__(cls, labels):
-        try:
-            labels = iter(labels)
-        except TypeError:
-            raise ValueError(
-                f"weight {labels!r} is not a sequence of labels") from None
-        return super().__new__(cls, (integer(x, "weight label")
-                                     for x in labels))
+        return super().__new__(cls, _labels(labels))
 
     @property
     def rank(self) -> int:
@@ -54,6 +44,21 @@ class Weight(tuple):
 
     def __repr__(self):
         return f"Weight({','.join(str(x) for x in self)})"
+
+
+def _labels(w) -> tuple:
+    """The labels of the weight ``w`` as ints, read with ``operator.index``
+    as int, bool and numpy integers allow; ``ValueError`` when ``w`` is not
+    iterable or a label is not an integer."""
+    try:
+        w = tuple(w)
+    except TypeError:
+        raise ValueError(f"weight {w!r} is not a sequence of labels") from None
+    try:
+        return tuple(map(index, w))
+    except TypeError:
+        raise ValueError(
+            f"weight {w} has a label that is not an integer") from None
 
 
 class Root(NamedTuple):
@@ -97,34 +102,6 @@ def _adjugate(rows):
 _TYPE_RE = re.compile(r"^\s*([A-Ga-g])\s*[-_ ]?\s*(\d+)\s*$")
 
 
-def _type_edges(family: str, n: int):
-    """Edge list (i, j, a_ij, a_ji) with 0-based nodes; a_ij = row i, col j."""
-    if family == "A":
-        return [(i, i + 1, -1, -1) for i in range(n - 1)]
-    if family == "B":
-        # last node short: pairing of long α_{n-1} with short coroot is -2
-        edges = [(i, i + 1, -1, -1) for i in range(n - 2)]
-        edges.append((n - 2, n - 1, -2, -1))
-        return edges
-    if family == "C":
-        edges = [(i, i + 1, -1, -1) for i in range(n - 2)]
-        edges.append((n - 2, n - 1, -1, -2))
-        return edges
-    if family == "D":
-        edges = [(i, i + 1, -1, -1) for i in range(n - 2)]
-        edges.append((n - 3, n - 1, -1, -1))
-        return edges
-    if family == "E":
-        edges = [(0, 2, -1, -1), (1, 3, -1, -1)]
-        edges.extend((i, i + 1, -1, -1) for i in range(2, n - 1))
-        return edges
-    if family == "F":
-        return [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1)]
-    if family == "G":
-        return [(0, 1, -1, -3)]
-    raise ValueError(f"unknown family {family!r}")
-
-
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
 
 #: Largest rank accepted.  The positive roots of A_n and D_n number about
@@ -154,10 +131,21 @@ def _entries_for_type(family: str, n: int):
             raise ValueError(f"{family}{n} is out of range for the family")
     else:
         raise ValueError(f"unknown algebra family {family!r}")
+    # a chain, D's last edge moved to the fork and E's first two to the
+    # branch node; the multiple edge (i, j, k) of B, C, F, G sets A[i][j] = -k
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if family == "D":
+        edges[-1] = (n - 3, n - 1)
+    elif family == "E":
+        edges[:2] = [(0, 2), (1, 3)]
     rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j, aij, aji in _type_edges(family, n):
-        rows[i][j] = aij
-        rows[j][i] = aji
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = -1
+    multiple = {"B": (n - 2, n - 1, 2), "C": (n - 1, n - 2, 2),
+                "F": (1, 2, 2), "G": (1, 0, 3)}.get(family)
+    if multiple:
+        i, j, k = multiple
+        rows[i][j] = -k
     return rows
 
 

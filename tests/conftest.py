@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import pytest
 
 import liechar as lc
-from liechar.csop import _pairs_by_cost
 from liechar.zpoly import read_fixture_file
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -71,13 +70,13 @@ def higher_chars(e8):
 
 @pytest.fixture(scope="session")
 def e8_build(e8):
-    """Full operator: all 36 pairs computed (and timed) from nothing,
-    cheapest tensor product first."""
+    """Full operator: all 36 pairs computed (and timed) from nothing, in
+    (j, k) order."""
     cache = lc.CharacterCache(e8)
     entries = {}
     timings = {}
     all_pairs = [(j, k) for j in range(1, 9) for k in range(j, 9)]
-    for j, k in _pairs_by_cost(e8, all_pairs):
+    for j, k in sorted(all_pairs):
         start = time.monotonic()
         entries[(j, k)] = lc.a_coeff(e8, j, k, cache)
         timings[(j, k)] = time.monotonic() - start

@@ -210,6 +210,47 @@ def string_roots(cm):
     return tuple(Root(coeffs, tuple(known[coeffs])) for coeffs in ordered)
 
 
+def cartan_from_simple_roots(family, n):
+    """The Cartan matrix of type ``family`` ``n``, A_ij = 2 (α_i, α_j) /
+    (α_j, α_j) in Fractions, from the simple roots in the orthonormal basis
+    e_1, e_2, ... of N. Bourbaki, Lie Groups and Lie Algebras, ch. IV-VI,
+    Plates I-IX.  E6 and E7 take the first 6 and 7 simple roots of E8."""
+    half = Fraction(1, 2)
+
+    def vector(*pairs):
+        # sum c e_i over the (i, c) of pairs, 1-based i; E8 needs 8 of them
+        v = [Fraction(0)] * max(n + 1, 8)
+        for i, c in pairs:
+            v[i - 1] += c
+        return v
+
+    chain = [vector((i, 1), (i + 1, -1)) for i in range(1, n)]
+    if family == "A":
+        roots = chain + [vector((n, 1), (n + 1, -1))]
+    elif family == "B":
+        roots = chain + [vector((n, 1))]
+    elif family == "C":
+        roots = chain + [vector((n, 2))]
+    elif family == "D":
+        roots = chain + [vector((n - 1, 1), (n, 1))]
+    elif family == "E":
+        roots = [vector((1, half), (8, half), *((i, -half) for i in range(2, 8))),
+                 vector((1, 1), (2, 1))]
+        roots += [vector((i - 1, -1), (i, 1)) for i in range(2, 8)]
+        roots = roots[:n]
+    elif family == "F":
+        roots = [vector((2, 1), (3, -1)), vector((3, 1), (4, -1)), vector((4, 1)),
+                 vector((1, half), (2, -half), (3, -half), (4, -half))]
+    elif family == "G":
+        roots = [vector((1, 1), (2, -1)), vector((1, -2), (2, 1), (3, 1))]
+    else:
+        raise ValueError(f"unknown family {family!r}")
+
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
+    return tuple(tuple(2 * dot(a, b) / dot(b, b) for b in roots) for a in roots)
+
+
 def fraction_symmetrizer(entries):
     """Half root lengths d_i = (α_i, α_i)/2 in Fractions, long roots 1, by
     the BFS that ``CartanMatrix.symmetrizer`` ran before it kept integer

@@ -285,6 +285,25 @@ class TestOperator:
                          pairs=[(4, 4), (8, 8)])
         assert err.value.pair == ((0, 0, 0, 1, 0, 0, 0, 0),) * 2
 
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 9)], "indices (0, 9) out of range 1..8"),
+        ([(9, 9)], "indices (9, 9) out of range 1..8"),
+        ([(1, 1), (9, 9)], "indices (9, 9) out of range 1..8"),
+        ([(1, 1), (2, 2.5)], "index 2.5 is not an integer"),
+    ])
+    @pytest.mark.parametrize("computed", [False, True],
+                             ids=["fixture", "provider"])
+    def test_bad_pair_is_refused_first(self, e8, operator_fixtures, pairs,
+                                       message, computed):
+        class Untouched:
+            def character_poly(self, m):
+                raise AssertionError("a character was read before the check")
+
+        provider = Untouched() if computed else None
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_delta1(e8, provider, fixture_records=operator_fixtures.records,
+                         pairs=pairs)
+
     def test_b_fixture_mismatch_rejected(self, e8):
         from liechar.zpoly import FixtureRecord
         bad = FixtureRecord("b", (8,), parse_poly("121*z8", 8))

@@ -1,9 +1,12 @@
-"""The package's exported names and the README's library example."""
+"""The package's exported names and the README's library example and
+command-line block."""
 
 import re
+import shlex
 from pathlib import Path
 
 import liechar
+from liechar import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +27,28 @@ def test_readme_library_example_runs():
     # pad with the lines before the block, so tracebacks cite README lines
     code = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
     exec(compile(code, str(README), "exec"), {})
+
+
+# the commands of the command-line block whose comment states their output;
+# a " ... " in the comment stands for the lines between the first and last
+_STATED_OUTPUT = {"dim", "bcoeffs", "char", "delta1-apply"}
+
+
+def test_readme_command_line_block_runs(monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n.*?^```\n(.*?)^```$",
+                      text, re.M | re.S)
+    assert block is not None
+    monkeypatch.delenv("LIECHAR_CACHE", raising=False)
+    # the block names the fixture file from the root of the checkout
+    monkeypatch.chdir(README.parent)
+    for line in block.group(1).splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "liechar", line
+        assert cli.main(argv[1:]) == 0, line
+        out, err = capsys.readouterr()
+        assert err == "", line
+        if argv[1] in _STATED_OUTPUT:
+            first, _, last = line.partition("# ")[2].partition(" ... ")
+            lines = out.splitlines()
+            assert lines[0] == first and lines[-1] == (last or first), line

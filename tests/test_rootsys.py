@@ -41,6 +41,16 @@ class TestBuild:
         cm = build_cartan("E8")
         assert [list(row) for row in cm.entries] == E8_EXPECTED
 
+    @pytest.mark.parametrize("family, n", [
+        *(("A", n) for n in range(1, 13)), *(("B", n) for n in range(2, 13)),
+        *(("C", n) for n in range(2, 13)), *(("D", n) for n in range(3, 13)),
+        ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+    def test_matches_bourbaki_simple_roots(self, family, n):
+        # which row holds a multiple edge's entry, and how D's fork and E's
+        # branch are wired, at every rank checked
+        assert build_cartan(f"{family}{n}").entries == \
+            oracles.cartan_from_simple_roots(family, n)
+
     def test_case_insensitive(self):
         assert build_cartan("e8") == build_cartan("E8")
 
@@ -331,9 +341,10 @@ class TestWeight:
         ((1.5, 0.9), "1.5"), ((1, 0.0), "0.0"), ((Fraction(1, 2), 0), "Fraction(1, 2)"),
         ((2, "3"), "'3'"), ((None,), "None")])
     def test_non_integer_label_is_refused(self, labels, bad):
-        with pytest.raises(ValueError,
-                           match=re.escape(f"weight label {bad} is not an integer")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"weight {labels} has a label that is not an integer")) as err:
             Weight(labels)
+        assert bad in str(err.value)
 
     @pytest.mark.parametrize("labels", [5, None, 2.0])
     def test_non_iterable_labels_are_refused(self, labels):
