@@ -17,11 +17,12 @@ for rational kappa (:func:`~liechar.repth.epsilon`).
 cached image, or column, of each monomial of p, less shift times the
 monomial.  The operator builds the columns from ``b`` and the a_jk, and
 drops them when either changes; a :class:`ColumnStore` keeps them, packs
-each one that spans few slots when it is built, and sums a call's packed
-columns as one Kronecker integer (D. Harvey, J. Symbolic Comput. 44
-(2009)).
-:func:`~liechar.charlib.verify_eigen` calls ``apply(chi, eps)``: the
-residual of a true eigenvector is a packed sum of 0, which is not decoded.
+each one that spans few slots per term of it when it is built, and sums a
+call's packed columns as one Kronecker integer (D. Harvey, J. Symbolic
+Comput. 44 (2009)).  Every column of the shipped E8 characters is packed,
+and :func:`~liechar.charlib.verify_eigen` calls ``apply(chi, eps)``, so a
+passing check is one Kronecker sum of 0: one big-integer multiply-add per
+term, with nothing decoded or added term by term.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ class Delta1Operator(_Record):
         self._columns = (None,)
 
     def a(self, j: int, k: int) -> ZPolynomial:
-        pair = (min(j, k), max(j, k))
+        """a_jk = a_kj; indices are checked as :func:`a_coeff` checks them."""
+        pair = _pair(self.rank, j, k)
         entry = self.entries.get(pair)
         if entry is None:
             raise _incomplete(pair)
@@ -214,7 +216,10 @@ def build_delta1(algebra: Algebra, char_provider=None,
     """Assemble the operator for ``pairs`` (default: all of them).
 
     Every pair is checked first, as :func:`a_coeff` checks its indices, so
-    a bad pair raises ``ValueError`` before any work in either mode.
+    a bad pair raises ``ValueError`` before any work in either mode.  An a
+    record's indices are read the same way; only a hand-built record can
+    fail there, since :func:`~liechar.zpoly.read_fixture_text` checks the
+    ones it parses.
     With a character provider every pair is computed, in (j, k) order,
     j <= k; a product over ``algebra.tensor_budget`` raises
     :class:`BudgetError`.
@@ -232,7 +237,7 @@ def build_delta1(algebra: Algebra, char_provider=None,
         for record in fixture_records:
             if record.kind == "a":
                 j, k = record.index
-                fixture_a[(min(j, k), max(j, k))] = record.poly
+                fixture_a[_pair(rank, j, k)] = record.poly
             elif record.kind == "b":
                 (j,) = record.index
                 expected = b[j - 1] * ZPolynomial.variable(rank, j)
@@ -256,8 +261,9 @@ def build_delta1(algebra: Algebra, char_provider=None,
 # column store
 # ---------------------------------------------------------------------------
 
-#: The most slots :class:`ColumnStore` may number per term of a column it
-#: packs, and the balanced digit's offset, 2^31, in each 32-bit slot.
+#: The most slots per term of a column that :class:`ColumnStore` may
+#: number when it packs the column (three times as many when it numbers
+#: none), and the balanced digit's offset, 2^31, in each 32-bit slot.
 _SPAN = 16
 _HALF = 1 << 31
 
@@ -280,9 +286,9 @@ class ColumnStore:
     (D. Harvey, J. Symbolic Comput. 44 (2009)), sum_i c_i 2^(32 s_i), s_i
     the slot of its i-th monomial; the store numbers slots as monomials
     are first packed.  A sum costs time in proportion to the slots it
-    spans, so a column that would leave more than ``_SPAN`` slots per term
-    of it stays unpacked, as does one with a coefficient of 2^31 or more
-    in size.  A call adds its packed columns as one integer when
+    spans, so a column that spans too many per term of it stays unpacked
+    (:meth:`_pack`), as does one with a coefficient of 2^31 or more in
+    size.  A call adds its packed columns as one integer when
     B = (max peak + |shift|) sum |c| < 2^31, peak the largest |coefficient|
     of a column: no digit of the sum is larger than B in size, so the sum
     decodes exactly, its top digit the one at (bit length of |sum|) // 32.
@@ -309,33 +315,39 @@ class ColumnStore:
     def apply(self, p: ZPolynomial, shift: int, build) -> ZPolynomial:
         """sum_e c_e (column_e - shift z^e) over the terms c_e z^e of
         ``p``.  ``build`` maps the list of exponent tuples of the monomials
-        of ``p`` that have no column yet to the list of their columns."""
+        of ``p`` that have no column yet to the list of their columns.  When
+        every column of ``p`` is packed and B < 2^31 the image is the
+        Kronecker sum alone, and a sum of 0 is not decoded."""
         rank, columns, packed = self.rank, self._columns, self._packed
         terms = p._terms
-        new = [key for key in terms if key not in columns]
-        if new:
-            one = self._ints.setdefault
-            for key, column in zip(new, build(_unpack_all(rank, new))):
-                column = {one(k, k): one(c, c)
-                          for k, c in column._terms.items()}
-                columns[key] = ZPolynomial._raw(rank, column)
-                self._pack(key, column)
-        tight = [key for key in terms if key in packed]
+        if terms.keys() <= packed.keys():
+            # every column is built and packed
+            tight = list(terms)
+        else:
+            new = [key for key in terms if key not in columns]
+            if new:
+                one = self._ints.setdefault
+                for key, column in zip(new, build(_unpack_all(rank, new))):
+                    column = {one(k, k): one(c, c)
+                              for k, c in column._terms.items()}
+                    columns[key] = ZPolynomial._raw(rank, column)
+                    self._pack(key, column)
+            tight = [key for key in terms if key in packed]
         pairs = list(map(packed.__getitem__, tight))
         cs = list(map(terms.__getitem__, tight))
         if (max([peak for peak, _ in pairs], default=0)
                 + abs(shift)) * sum(map(abs, cs)) >> 31:
             tight = []
-        loose = []
+        image = ZPolynomial._raw(rank, {})
         if len(tight) < len(terms):
             # the complement of tight, not of what another thread packed
             chosen = set(tight)
             loose = [key for key in terms if key not in chosen]
-        parts = [(terms[key], columns[key], None) for key in loose]
-        if shift and loose:
-            parts.append((-shift, p if not tight else ZPolynomial._raw(
-                rank, {key: terms[key] for key in loose}), None))
-        image = ZPolynomial.combine(rank, parts)
+            parts = [(terms[key], columns[key], None) for key in loose]
+            if shift:
+                parts.append((-shift, p if not tight else ZPolynomial._raw(
+                    rank, {key: terms[key] for key in loose}), None))
+            image = ZPolynomial.combine(rank, parts)
         if not tight:
             return image
         total = sum(map(mul, cs, [value for _, value in pairs]))
@@ -361,13 +373,21 @@ class ColumnStore:
     def _pack(self, key: int, column: dict):
         """Store the column of ``key``, whose terms are ``column``, packed,
         numbering slots for its monomials and ``key``, unless a coefficient
-        is 2^31 or more in size or the slots would then number more than
-        ``_SPAN`` per term of the column, ``key`` counted."""
+        is 2^31 or more in size or the column spans more slots, ``key``
+        counted, than ``_SPAN`` per term of it plus one: fresh slots go
+        last, so a column that numbers some spans them all.  One that
+        numbers none spans up to its own top slot, and may span three times
+        as many, which caps its integer at 192 bytes per term."""
         peak = max(map(abs, column.values()), default=0)
         slots = self._slots
         fresh = sum(k not in slots for k in column) + (
             key not in slots and key not in column)
-        if peak >> 31 or len(slots) + fresh > _SPAN * (len(column) + 1):
+        if fresh:
+            span, limit = len(slots) + fresh, _SPAN
+        else:
+            span = 1 + max(map(slots.__getitem__, (key, *column)))
+            limit = 3 * _SPAN
+        if peak >> 31 or span > limit * (len(column) + 1):
             return
         for k in (key, *column):
             if k not in slots:

@@ -16,7 +16,7 @@ from liechar import (Algebra, BudgetError, CharacterCache, Delta1Operator,
                      RankMismatchError, Weight, ZPolynomial, a_coeff,
                      b_coeffs, build_delta1, epsilon, parse_poly,
                      verify_eigen)
-from liechar.csop import _SPAN
+from liechar.csop import _SPAN, ColumnStore
 from liechar.repth import _epsilon_int
 from liechar.zpoly import MAX_EXPONENT
 
@@ -303,6 +303,33 @@ class TestOperator:
         with pytest.raises(ValueError, match=re.escape(message)):
             build_delta1(e8, provider, fixture_records=operator_fixtures.records,
                          pairs=pairs)
+
+    @pytest.mark.parametrize("j, k, outcome", [
+        (9, 9, "indices (9, 9) out of range 1..8"),
+        (0, 1, "indices (0, 1) out of range 1..8"),
+        (1, 2.5, "index 2.5 is not an integer"),
+        (8, 1, (1, 8)),
+        (2, 2, OperatorIncompleteError),
+    ])
+    def test_a_reads_its_indices_as_a_coeff_does(self, partial_op, j, k,
+                                                   outcome):
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError, match=re.escape(outcome)) as err:
+                partial_op.a(j, k)
+            assert not isinstance(err.value, OperatorIncompleteError)
+        elif isinstance(outcome, tuple):
+            assert partial_op.a(j, k) is partial_op.a(*outcome)
+        else:
+            with pytest.raises(outcome) as err:
+                partial_op.a(j, k)
+            assert err.value.pair == (j, k)
+
+    def test_hand_built_a_record_out_of_range(self, e8):
+        from liechar.zpoly import FixtureRecord
+        bad = FixtureRecord("a", (9, 1), parse_poly("z1", 8))
+        with pytest.raises(ValueError, match=re.escape(
+                "indices (9, 1) out of range 1..8")):
+            build_delta1(e8, None, fixture_records=[bad], pairs=[])
 
     def test_b_fixture_mismatch_rejected(self, e8):
         from liechar.zpoly import FixtureRecord
@@ -666,6 +693,68 @@ class TestShiftedPackedSum:
                 assert report.residual == residual
                 assert verify_eigen(e8, m, chi, op).ok
 
+    @staticmethod
+    def _spy_on_combine(monkeypatch) -> list:
+        """The rank of each ``ZPolynomial.combine`` call from now on."""
+        calls = []
+        combine = ZPolynomial.combine
+
+        def spy(rank, terms):
+            calls.append(rank)
+            return combine(rank, terms)
+
+        monkeypatch.setattr(ZPolynomial, "combine", staticmethod(spy))
+        return calls
+
+    def test_a_shipped_pass_is_kronecker_sums_alone(
+            self, e8, operator_fixtures, order2_chars, higher_chars,
+            monkeypatch):
+        # every column of the 187 shipped characters is packed, so once
+        # they are built no check adds anything term by term
+        op = _fixture_operator(e8, operator_fixtures)
+        chars = {**order2_chars, **higher_chars}
+        assert len(chars) == 187
+        for m, chi in chars.items():
+            assert verify_eigen(e8, m, chi, op).ok
+        store = op._columns[1]
+        assert len(store._packed) == len(store._columns) == 249
+        assert len(store._slots) == 253
+        calls = self._spy_on_combine(monkeypatch)
+        reports = [verify_eigen(e8, m, chi, op) for m, chi in chars.items()]
+        assert calls == []
+        assert all(r.ok and r.residual.is_zero for r in reports)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("whole", [False, True],
+                             ids=["monomial", "character"])
+    def test_packed_sum_below_and_at_the_bound(
+            self, e8, operator_fixtures, order2_chars, monkeypatch, sign,
+            whole):
+        # B = (peak + |shift|) sum |c|: the largest B below 2^31 is one
+        # Kronecker sum, decoded; the smallest B from 2^31 on is added
+        # term by term.  On a monomial with c = 1 they are 2^31 - 1 and
+        # 2^31 exactly
+        op = _fixture_operator(e8, operator_fixtures)
+        chi = order2_chars[Weight((0, 0, 0, 0, 0, 0, 1, 1))]
+        exps, _ = chi.sorted_terms()[0]
+        p = chi if whole else ZPolynomial.monomial(8, exps)
+        assert op.apply(p) == oracles.delta1_apply(op, p)
+        packed = op._columns[1]._packed
+        peak = max(packed[key][0] for key in p._terms)
+        size = sum(map(abs, p._terms.values()))
+        below = (2 ** 31 - 1) // size - peak
+        at = -(-2 ** 31 // size) - peak
+        assert (peak + below) * size < 2 ** 31 <= (peak + at) * size
+        if not whole:
+            assert (peak + below, peak + at) == (2 ** 31 - 1, 2 ** 31)
+        expected = {shift: _shifted(op, p, sign * shift)
+                    for shift in (below, at)}
+        calls = self._spy_on_combine(monkeypatch)
+        for shift, combined in ((below, 0), (at, 1)):
+            calls.clear()
+            assert op.apply(p, sign * shift) == expected[shift]
+            assert len(calls) == combined
+
     def test_wide_columns_stay_unpacked(self, e8, operator_fixtures):
         # a random monomial's column has hundreds of terms over monomials
         # met nowhere else, so packing every column would number slots for
@@ -685,6 +774,29 @@ class TestShiftedPackedSum:
         for key in store._packed:
             top = max(store._slots[k] for k in (key, *store._columns[key]._terms))
             assert top < _SPAN * (len(store._columns[key]) + 1)
+        # no more than the rule that charged every column for the store's
+        # total slots packed and numbered on this traffic
+        assert len(store._slots) <= 20_855
+        assert len(store._packed) <= 22
+
+    @pytest.mark.parametrize("top, packed", [
+        (3 * _SPAN * 2 - 1, True), (3 * _SPAN * 2, False)])
+    def test_a_column_of_numbered_slots(self, top, packed):
+        # the column of 1 numbers the slots of 1, z1, ..., z1^top in turn;
+        # the column of z1, the one term z1^top, then numbers no fresh slot
+        # and is packed while its top slot is below 3 _SPAN (terms + 1)
+        power = [ZPolynomial.monomial(1, (i,)) for i in range(top + 1)]
+        columns = {(0,): ZPolynomial(1, {(i,): 1 for i in range(top + 1)}),
+                   (1,): power[top]}
+        store = ColumnStore(1)
+        for exps in ((0,), (1,), (1,)):
+            assert store.apply(power[exps[0]], 0, lambda monomials: [
+                columns[e] for e in monomials]) == columns[exps]
+        slots = [store._slots[key] for p in power for key in p._terms]
+        assert slots == list(range(top + 1))
+        (key,) = power[1]._terms
+        assert (key in store._packed) is packed
+        assert len(store._packed) == 1 + packed
 
     def test_random_traffic_within_a_wall_bound(self, e8, operator_fixtures):
         # 60 random rank-8 polynomials, each applied twice: the span rule
