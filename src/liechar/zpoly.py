@@ -17,8 +17,13 @@ it; the one other sum is that of the column store, which adds the
 operator's columns as Kronecker integers.  The module also owns the
 plain-text grammar used by the fixture files and the CLI (``-1 - z1 - z7 - z8 + z8^2`` style), including
 the one-level factored form ``-4*(31 + 7*z1 + ...)`` used by operator
-tables: one regex pass makes the tokens, and one loop reads one signed
-term at a time.
+tables.  A small term pattern reads one whole signed term per match, each
+match starting where the last one ended, and a bounded cache keyed on
+``(text, rank)`` maps each term's product text to its coefficient and
+key; text that the term pattern does not read to its end goes to a reader
+that takes one token at a time, the only source of :class:`ParseError`.
+Every pattern is compiled on first use.  A fixture file names each record
+once.
 
 Canonical emission order is the numeric order of the keys, that is
 ascending by the *reversed* exponent vector, which reproduces the layout of
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 import re
 import struct
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import mul, or_
 from typing import NamedTuple, Sequence
 
@@ -55,9 +60,11 @@ _FIELD_BITS = 32
 _FIELD_MASK = 2 ** _FIELD_BITS - 1
 
 
+@lru_cache(maxsize=256)
 def _codec(n: int) -> tuple:
     """The struct format of ``n`` 32-bit fields, and 2^31 in each of them:
-    the top bit of every exponent field, and the bias of balanced digits."""
+    the top bit of every exponent field, and the bias of balanced digits;
+    kept per ``n``, since a column store asks for one on every image."""
     return f"<{n}I", int.from_bytes(b"\0\0\0\x80" * n, "little")
 
 
@@ -300,14 +307,37 @@ class ZPolynomial:
 # text grammar
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(\s+|\\,)|(\d+)|z(\d+)|([-+*^()])|(.)", re.S)
+# blanks are whitespace and the LaTeX thin space; two factors are joined by
+# '*', blanks or nothing
+_BLANK = r"(?:\s|\\,)*+"
+_JOIN = rf"{_BLANK}(?:\*{_BLANK})?"
+_FACTOR = rf"(?:\d++|z\d++(?:{_BLANK}\^{_BLANK}\d++)?+)"
+
+#: the grammar's patterns by name, each compiled on first use by _regex
+_PATTERNS = {
+    # one token: blanks (1), integer (2), variable (3), operator (4) or any
+    # other character (5)
+    "token": (r"(\s+|\\,)|(\d+)|z(\d+)|([-+*^()])|(.)", re.S),
+    # one signed term, every part optional: sign (1), leading integer (2),
+    # the rest of its product (3), then '(' (5) after an optional '*' (4),
+    # or ')' (6)
+    "term": (rf"{_BLANK}([-+])?{_BLANK}(\d++)?+"
+             rf"(?:(?(2){_JOIN})({_FACTOR}(?:{_JOIN}{_FACTOR})*))?"
+             rf"{_BLANK}(?:(\*{_BLANK})?(\()|(\)))?{_BLANK}", 0),
+    "header": (r"^\s*(chi|a|b)\s*\[([0-9,\s]+)\]\s*=\s*(.*)$", re.S),
+}
+
+
+@cache
+def _regex(name: str) -> re.Pattern:
+    return re.compile(*_PATTERNS[name])
 
 
 def _tokenize(text: str) -> list:
     """``(kind, value, offset)`` of each token of ``text`` but blanks, then
     an "end" token: kind "int" or "var" with an int, or an operator."""
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _regex("token").finditer(text):
         group = m.lastindex
         if group == 4:
             tokens.append((m[4], None, m.start()))
@@ -325,16 +355,10 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
-def parse_poly(text: str, rank: int) -> ZPolynomial:
-    """Parse polynomial text into a :class:`ZPolynomial`.
-
-    Grammar: a signed sum of terms; a term is a product of integer
-    coefficients and factors ``zN`` / ``zN^E`` joined by ``*`` or plain
-    juxtaposition, or an integer-scaled parenthesized sum (one level only).
-    ``\\,`` and whitespace are ignored.  Terms are merged as they are read
-    and zeros dropped at the end.  Errors carry the character offset.
-    """
-    rank = _checked_rank(rank)
+def _read_tokens(text: str, rank: int) -> dict:
+    """The terms of ``text``, key to coefficient in reading order, zeros
+    kept, read one token at a time; every :class:`ParseError` of the
+    grammar is raised here."""
     top = _layout(rank)[1]
     tokens = _tokenize(text)
     acc: dict = {}
@@ -404,9 +428,81 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
                 raise ParseError("unexpected token after ')'", off)
             scale = None
         if kind == "end":
-            return ZPolynomial._raw(rank, {k: c for k, c in acc.items() if c})
+            return acc
         if kind not in ("+", "-"):
             raise ParseError("unexpected trailing input", off)
+
+
+@lru_cache(maxsize=1024)
+def _product(text: str, rank: int) -> tuple:
+    """``(coefficient, key)`` of ``text``, a product the term pattern read;
+    the token reader's :class:`ParseError` if it refuses it."""
+    (key, coeff), = _read_tokens(text, rank).items()
+    return coeff, key
+
+
+def _scan_terms(text: str, rank: int):
+    """:func:`_read_tokens` of ``text`` read one whole signed term per
+    match of the term pattern, each match starting where the last ended;
+    None for text it does not read to the end, which the token reader
+    then reads or refuses."""
+    match = _regex("term").match
+    acc: dict = {}
+    get = acc.get
+    scale = None  # the integer scaling the open parenthesized sum
+    signed = False  # whether the next term needs its sign
+    pos, end = 0, len(text)
+    try:
+        while True:
+            m = match(text, pos)
+            sign, lead, rest, star, opened, closed = m.groups()
+            if signed and not sign:
+                return None
+            coeff = 1 if scale is None else scale
+            if sign == "-":
+                coeff = -coeff
+            if lead:
+                coeff *= int(lead)
+            key = 0
+            if rest:
+                factor, key = _product(rest, rank)
+                coeff *= factor
+            if opened:
+                if scale is not None or key or star and not (lead or rest):
+                    return None
+                scale, signed = coeff, False
+            elif lead or rest:
+                acc[key] = get(key, 0) + coeff
+                if closed:
+                    if scale is None:
+                        return None
+                    scale = None
+                signed = True
+            else:
+                return None
+            pos = m.end()
+            if pos == end:
+                return acc if scale is None else None
+    except ValueError:
+        # a product the token reader refuses (a ParseError), or a leading
+        # integer longer than int() reads
+        return None
+
+
+def parse_poly(text: str, rank: int) -> ZPolynomial:
+    """Parse polynomial text into a :class:`ZPolynomial`.
+
+    Grammar: a signed sum of terms; a term is a product of integer
+    coefficients and factors ``zN`` / ``zN^E`` joined by ``*`` or plain
+    juxtaposition, or an integer-scaled parenthesized sum (one level only).
+    ``\\,`` and whitespace are ignored.  Terms are merged as they are read
+    and zeros dropped at the end.  Errors carry the character offset.
+    """
+    rank = _checked_rank(rank)
+    acc = _scan_terms(text, rank)
+    if acc is None:
+        acc = _read_tokens(text, rank)
+    return ZPolynomial._raw(rank, {k: c for k, c in acc.items() if c})
 
 
 def _format_monomial(exponents) -> str:
@@ -452,26 +548,26 @@ class FixtureRecord(NamedTuple):
     poly: ZPolynomial
 
 
-_HEADER_RE = re.compile(r"^\s*(chi|a|b)\s*\[([0-9,\s]+)\]\s*=\s*(.*)$", re.S)
-
-
 def read_fixture_text(text: str, rank: int) -> list[FixtureRecord]:
     """Parse a fixture file: blank-line-separated records, ``#`` comments.
 
     Each comment is blanked with spaces, so every error offset, in a header
     or in a record's polynomial, is an offset into ``text``.  The rank is
-    checked first, so text without records does not hide a bad one.
+    checked first, so text without records does not hide a bad one.  A
+    record whose kind and index came before, ``a[k,j]`` counting as
+    ``a[j,k]``, is refused at its header.
     """
     rank = _checked_rank(rank)
     clean = re.sub(r"#[^\r\n]*", lambda m: " " * len(m[0]), text)
     records = []
+    seen = set()
     end = 0
     # the odd parts are the separators
     for i, block in enumerate(re.split(r"(\n\s*\n)", clean)):
         start, end = end, end + len(block)
         if i % 2 or not block.strip():
             continue
-        m = _HEADER_RE.match(block)
+        m = _regex("header").match(block)
         if m is None:
             raise ParseError("fixture block does not start with a "
                              "chi[...]/a[...]/b[...] header",
@@ -495,6 +591,12 @@ def read_fixture_text(text: str, rank: int) -> list[FixtureRecord]:
             if len(index) != 1 or not 1 <= index[0] <= rank:
                 raise ParseError("b record needs one index within rank",
                                  start)
+        name = (kind, tuple(sorted(index)) if kind == "a" else index)
+        if name in seen:
+            raise ParseError(
+                f"repeated record {kind}[{','.join(map(str, index))}]",
+                start + m.start(1))
+        seen.add(name)
         try:
             poly = parse_poly(body, rank)
         except ParseError as err:

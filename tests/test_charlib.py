@@ -512,7 +512,8 @@ class TestPersistence:
         text = stored.read_text()
         cases = [
             (text[:len(text) // 2], "ParseError"),
-            (text + "\n" + text, "2 records, expected 1"),
+            (text + "\n" + text, "repeated record chi[2,2]"),
+            (text + "\nchi[1,1] = z1*z2\n", "2 records, expected 1"),
             ("chi[1,1] = z1*z2\n", "record chi[1, 1] is not chi[2, 2]"),
             # valid, but 3^2 * 3^2 = 81 at the fundamental dimensions, not 27
             ("chi[2,2] = z1^2*z2^2\n", "dimension identity fails"),

@@ -299,6 +299,23 @@ class TestExitCodes:
         assert code == 1
         assert "cannot parse" in err
 
+    @pytest.mark.parametrize("record, argv", [
+        ("chi[0,0,0,0,0,0,0,2] = -1 - z1 - z7 - z8 + z8^2\n",
+         ["fixtures-check", "{path}", "E8"]),
+        ("a[1,1] = -4 + z1^2\n", ["fixtures-check", "{path}", "A1",
+                                  "--fixtures", "{path}"]),
+    ], ids=["characters", "operator"])
+    def test_parse_error(self, capsys, tmp_path, record, argv):
+        # a record given twice is a parse error of its file
+        path = tmp_path / "twice.txt"
+        path.write_text(record + "\n" + record)
+        argv = [arg.format(path=path) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        header = record[:record.index(" =")]
+        assert (code, out) == (1, "")
+        assert err == (f"error: repeated record {header} "
+                       f"(at offset {len(record) + 1})\n")
+
     def test_budget_exit(self, capsys):
         code, _, err = run_cli(capsys, "char", "E8", "0,0,0,2,0,0,0,0",
                                "--budget", "3207120")
@@ -569,6 +586,29 @@ class TestImportCost:
             "print(code, sorted(set(sys.modules) & set("
             f"{absent!r})), file=sys.stderr)\n")
         assert out.stderr.splitlines()[-1] == "0 []"
+
+    def test_patterns_compile_on_first_use(self):
+        # the exit code, then how many patterns zpoly has compiled: none on
+        # import or for a request that reads no polynomial text
+        out = _fresh_process(
+            "import re, sys\n"
+            "compile, calls = re._compile, []\n"
+            "def recorded(pattern, flags):\n"
+            "    frame = sys._getframe(1)\n"
+            "    while frame.f_globals['__name__'] == 're':\n"
+            "        frame = frame.f_back\n"
+            "    if frame.f_globals['__name__'] == 'liechar.zpoly':\n"
+            "        calls.append(pattern)\n"
+            "    return compile(pattern, flags)\n"
+            "re._compile = recorded\n"
+            "import liechar.zpoly\n"
+            "print(len(calls), file=sys.stderr)\n"
+            "from liechar import cli\n"
+            "code = cli.main(['dim', 'E8', '0,0,0,0,0,0,0,1'])\n"
+            "print(code, len(calls), file=sys.stderr)\n"
+            "liechar.zpoly.parse_poly('1 + z1', 1)\n"
+            "print(bool(calls), file=sys.stderr)\n")
+        assert out.stderr.splitlines() == ["0", "0 0", "True"]
 
     def test_cached_character_loads_no_operator(self, tmp_path):
         argv = ["char", "E8", "0,0,0,0,0,0,2,0", "--cache-dir", str(tmp_path)]

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from liechar import (ExponentRangeError, LiecharError, ParseError,
                      RankMismatchError, ZPolynomial)
 import oracles
+from conftest import HIGHER_FILE, OPERATOR_FILE, ORDER2_FILE
+from liechar import zpoly
 from liechar.csop import ColumnStore
 from liechar.rootsys import MAX_RANK
 from liechar.zpoly import (format_fixture_record, parse_poly, print_poly,
-                           read_fixture_text)
+                           read_fixture_file, read_fixture_text)
 
 
 def P(text, rank=8):
@@ -440,6 +442,135 @@ class TestProperties:
             {e: c for e, c in expected.items() if c}
 
 
+# texts in the grammar, mostly in range: factors are integers or z_i with
+# i from 0 to rank + 1, exponents up to 2^31 - 1 and now and then past it;
+# terms come plain, as an integer-scaled sum or as a sign-only sum
+_exponent = st.sampled_from([0, 1, 2, 3, 4] * 4 + [2 ** 30, 2 ** 31 - 1] * 2
+                            + [2 ** 31])
+
+
+@st.composite
+def _grammar_text(draw, rank):
+    def product():
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                factors.append(str(draw(st.integers(0, 10 ** 6))))
+                continue
+            factor = "z" + str(draw(st.sampled_from(
+                [*range(1, rank + 1)] * 8 + [0, rank + 1])))
+            if draw(st.booleans()):
+                factor += draw(st.sampled_from(["^", " ^ ", "\\,^"]))
+                factor += str(draw(_exponent))
+            factors.append(factor)
+        text = factors[0]
+        for factor in factors[1:]:
+            join = draw(_join)
+            if not join and factor[0].isdigit():
+                join = "*"
+            text += join + factor
+        return text
+
+    def signed(body, bare):
+        # a first term may go without its sign
+        sign = draw(st.sampled_from(["", "+", "-"] if bare else ["+", "-"]))
+        return sign + draw(_blank) + body
+
+    pieces = []
+    wrap = ""
+    for _ in range(draw(st.integers(1, 4))):
+        # and now and then a term after a parenthesized sum
+        bare = not pieces or wrap and not draw(st.sampled_from([1, 1, 0]))
+        # a sum scaled by an integer, by a product of any factors, or by
+        # its sign alone
+        wrap = draw(st.sampled_from(["", "", "k*()", "k ()", "p*()", "()"]))
+        if not wrap:
+            pieces.append(signed(product(), bare))
+            continue
+        body = "(" + draw(_blank).join(
+            signed(product(), not j)
+            for j in range(draw(st.integers(1, 3)))) + ")"
+        if wrap[0] == "k":
+            body = f"{draw(st.integers(0, 999))}{wrap[1:-2]}{body}"
+        elif wrap[0] == "p":
+            body = product() + "*" + body
+        pieces.append(signed(body, bare))
+    return draw(_blank).join(pieces) + draw(_blank)
+
+
+@st.composite
+def _corrupted(draw, text):
+    """``text`` as it is, with one character deleted, inserted or replaced,
+    at any place or at either side of an operator, or with one factor cut
+    out."""
+    edit = draw(st.sampled_from(["keep", "delete", "insert", "replace",
+                                 "cut", "cut"]))
+    if edit == "keep":
+        return text
+    if edit == "cut":
+        start, end = draw(st.sampled_from(
+            [m.span() for m in re.finditer(r"z?\d+(?:\s*\^\s*\d+)?", text)]
+            or [(0, 0)]))
+        return text[:start] + text[end:]
+    operators = [i + side for i, c in enumerate(text) if c in "+-*^()"
+                 for side in (0, 1)]
+    where = draw(st.integers(0, len(text)) if not operators
+                 or draw(st.booleans()) else st.sampled_from(operators))
+    char = draw(st.sampled_from([*"*+-^()"] * 2 + [*" z019q\\,"]))
+    if edit == "insert":
+        return text[:where] + char + text[where:]
+    return text[:where] + ("" if edit == "delete" else char) + \
+        text[where + 1:]
+
+
+def _outcome(read, text, rank):
+    """The nonzero terms ``read`` finds in ``text``, in insertion order,
+    or the message and offset of its ParseError."""
+    try:
+        terms = read(text, rank)
+    except ParseError as err:
+        return err.args
+    if isinstance(terms, ZPolynomial):
+        terms = terms._terms
+    return [(key, c) for key, c in terms.items() if c]
+
+
+class TestTermScan:
+    @settings(max_examples=500)
+    @given(st.data())
+    def test_matches_the_token_reader(self, data):
+        rank = data.draw(st.integers(1, 4))
+        text = data.draw(_corrupted(data.draw(_grammar_text(rank))))
+        assert _outcome(parse_poly, text, rank) == \
+            _outcome(zpoly._read_tokens, text, rank)
+
+    def test_shipped_records_take_the_scan(self, monkeypatch):
+        # the token reader reads no record of the shipped files
+        refused = []
+        scan = zpoly._scan_terms
+
+        def recording(text, rank):
+            terms = scan(text, rank)
+            if terms is None:
+                refused.append(text)
+            return terms
+
+        monkeypatch.setattr(zpoly, "_scan_terms", recording)
+        records = [record for path in (OPERATOR_FILE, ORDER2_FILE, HIGHER_FILE)
+                   for record in read_fixture_file(path, 8)]
+        assert len(records) == 231
+        assert refused == []
+
+    def test_product_cache_is_bounded(self):
+        maxsize = zpoly._product.cache_info().maxsize
+        assert maxsize is not None
+        texts = [f"z1^{e}*z2" for e in range(maxsize + 10)]
+        first = [parse_poly(t, 2) for t in texts]
+        assert zpoly._product.cache_info().currsize <= maxsize
+        assert [parse_poly(t, 2) for t in texts] == first
+        assert first[-1].terms == {(maxsize + 9, 1): 1}
+
+
 # every field filled up to 2^30 - 1, so a product reaches 2^31 - 2 without
 # crossing into the next field; byte and half-field edges drawn often
 _boundary_exponent = st.one_of(
@@ -605,6 +736,19 @@ b[8] = 120*z8
         with pytest.raises(ParseError) as err:
             read_fixture_text(f"{good}{header} = 1\n", 2)
         assert err.value.offset == len(good)
+
+    @pytest.mark.parametrize("text, header, message", [
+        ("a[1,2] = z1\n\na[2,1] = z2\n", "a[2,1]", "repeated record a[2,1]"),
+        ("chi[0,2] = z2\n\nb[1] = z1\n\n# again\n chi[0, 2] = z2\n",
+         "chi[0, 2]", "repeated record chi[0,2]"),
+        ("b[2] = z2\n\nb[1] = z1\n\nb[2] = 3\n", "b[2] = 3",
+         "repeated record b[2]"),
+    ])
+    def test_repeated_record_is_refused(self, text, header, message):
+        # a[k,j] names a[j,k]; the offset is the repeated header's
+        with pytest.raises(ParseError) as err:
+            read_fixture_text(text, 2)
+        assert err.value.args == (message, text.rindex(header))
 
     def test_header_offset_after_a_comment(self):
         # the comment does not shift the offset of the block it sits in
