@@ -22,8 +22,10 @@ match starting where the last one ended, and a bounded cache keyed on
 ``(text, rank)`` maps each term's product text to its coefficient and
 key; text that the term pattern does not read to its end goes to a reader
 that takes one token at a time, the only source of :class:`ParseError`.
-Every pattern is compiled on first use.  A fixture file names each record
-once.
+The scan pays for its pattern where products repeat, across the records of
+a file: a fixture file of one record, such as a disk-cache entry, is read
+by the token reader alone.  Every pattern is compiled on first use.  A
+fixture file names each record once.
 
 Canonical emission order is the numeric order of the keys, that is
 ascending by the *reversed* exponent vector, which reproduces the layout of
@@ -60,11 +62,9 @@ _FIELD_BITS = 32
 _FIELD_MASK = 2 ** _FIELD_BITS - 1
 
 
-@lru_cache(maxsize=256)
 def _codec(n: int) -> tuple:
     """The struct format of ``n`` 32-bit fields, and 2^31 in each of them:
-    the top bit of every exponent field, and the bias of balanced digits;
-    kept per ``n``, since a column store asks for one on every image."""
+    the top bit of every exponent field, and the bias of balanced digits."""
     return f"<{n}I", int.from_bytes(b"\0\0\0\x80" * n, "little")
 
 
@@ -307,11 +307,11 @@ class ZPolynomial:
 # text grammar
 # ---------------------------------------------------------------------------
 
-# blanks are whitespace and the LaTeX thin space; two factors are joined by
-# '*', blanks or nothing
-_BLANK = r"(?:\s|\\,)*+"
-_JOIN = rf"{_BLANK}(?:\*{_BLANK})?"
-_FACTOR = rf"(?:\d++|z\d++(?:{_BLANK}\^{_BLANK}\d++)?+)"
+# two factors are joined by '*', whitespace or nothing; the term pattern
+# reads no LaTeX thin space '\,', so text with one, rare and slow to allow
+# for in the pattern, goes to the token reader
+_JOIN = r"\s*(?:\*\s*)?"
+_FACTOR = r"(?:\d+|z\d+(?:\s*\^\s*\d+)?)"
 
 #: the grammar's patterns by name, each compiled on first use by _regex
 _PATTERNS = {
@@ -321,9 +321,9 @@ _PATTERNS = {
     # one signed term, every part optional: sign (1), leading integer (2),
     # the rest of its product (3), then '(' (5) after an optional '*' (4),
     # or ')' (6)
-    "term": (rf"{_BLANK}([-+])?{_BLANK}(\d++)?+"
+    "term": (r"\s*([-+])?\s*(\d+)?"
              rf"(?:(?(2){_JOIN})({_FACTOR}(?:{_JOIN}{_FACTOR})*))?"
-             rf"{_BLANK}(?:(\*{_BLANK})?(\()|(\)))?{_BLANK}", 0),
+             r"\s*(?:(\*\s*)?(\()|(\)))?\s*", 0),
     "header": (r"^\s*(chi|a|b)\s*\[([0-9,\s]+)\]\s*=\s*(.*)$", re.S),
 }
 
@@ -489,6 +489,11 @@ def _scan_terms(text: str, rank: int):
         return None
 
 
+def _polynomial(rank: int, terms: dict) -> ZPolynomial:
+    """The polynomial of ``terms`` as a reader leaves them, zeros dropped."""
+    return ZPolynomial._raw(rank, {k: c for k, c in terms.items() if c})
+
+
 def parse_poly(text: str, rank: int) -> ZPolynomial:
     """Parse polynomial text into a :class:`ZPolynomial`.
 
@@ -500,9 +505,7 @@ def parse_poly(text: str, rank: int) -> ZPolynomial:
     """
     rank = _checked_rank(rank)
     acc = _scan_terms(text, rank)
-    if acc is None:
-        acc = _read_tokens(text, rank)
-    return ZPolynomial._raw(rank, {k: c for k, c in acc.items() if c})
+    return _polynomial(rank, _read_tokens(text, rank) if acc is None else acc)
 
 
 def _format_monomial(exponents) -> str:
@@ -555,7 +558,9 @@ def read_fixture_text(text: str, rank: int) -> list[FixtureRecord]:
     or in a record's polynomial, is an offset into ``text``.  The rank is
     checked first, so text without records does not hide a bad one.  A
     record whose kind and index came before, ``a[k,j]`` counting as
-    ``a[j,k]``, is refused at its header.
+    ``a[j,k]``, is refused at its header.  The records of a file of
+    several are read by :func:`parse_poly`; the one record of a file of
+    one by the token reader, which compiles no term pattern.
     """
     rank = _checked_rank(rank)
     clean = re.sub(r"#[^\r\n]*", lambda m: " " * len(m[0]), text)
@@ -563,7 +568,9 @@ def read_fixture_text(text: str, rank: int) -> list[FixtureRecord]:
     seen = set()
     end = 0
     # the odd parts are the separators
-    for i, block in enumerate(re.split(r"(\n\s*\n)", clean)):
+    blocks = re.split(r"(\n\s*\n)", clean)
+    several = sum(1 for block in blocks[::2] if block.strip()) > 1
+    for i, block in enumerate(blocks):
         start, end = end, end + len(block)
         if i % 2 or not block.strip():
             continue
@@ -598,7 +605,8 @@ def read_fixture_text(text: str, rank: int) -> list[FixtureRecord]:
                 start + m.start(1))
         seen.add(name)
         try:
-            poly = parse_poly(body, rank)
+            poly = (parse_poly(body, rank) if several
+                    else _polynomial(rank, _read_tokens(body, rank)))
         except ParseError as err:
             raise ParseError(err.args[0],
                              start + m.start(3) + err.offset) from None

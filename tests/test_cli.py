@@ -532,6 +532,21 @@ _NOT_CHEAP = ["liechar.charlib", "liechar.csop", "fractions"]
 _NOT_CHAR = ["liechar.csop", "fractions"]
 
 
+# wraps re._compile so that ``calls`` lists each pattern compiled on
+# liechar.zpoly's behalf
+_RECORD_COMPILES = (
+    "import re, sys\n"
+    "compile, calls = re._compile, []\n"
+    "def recorded(pattern, flags):\n"
+    "    frame = sys._getframe(1)\n"
+    "    while frame.f_globals['__name__'] == 're':\n"
+    "        frame = frame.f_back\n"
+    "    if frame.f_globals['__name__'] == 'liechar.zpoly':\n"
+    "        calls.append(pattern)\n"
+    "    return compile(pattern, flags)\n"
+    "re._compile = recorded\n")
+
+
 class TestImportCost:
     def test_import_loads_no_submodule(self):
         # and a name, once read, loads its own module and what it imports
@@ -591,16 +606,7 @@ class TestImportCost:
         # the exit code, then how many patterns zpoly has compiled: none on
         # import or for a request that reads no polynomial text
         out = _fresh_process(
-            "import re, sys\n"
-            "compile, calls = re._compile, []\n"
-            "def recorded(pattern, flags):\n"
-            "    frame = sys._getframe(1)\n"
-            "    while frame.f_globals['__name__'] == 're':\n"
-            "        frame = frame.f_back\n"
-            "    if frame.f_globals['__name__'] == 'liechar.zpoly':\n"
-            "        calls.append(pattern)\n"
-            "    return compile(pattern, flags)\n"
-            "re._compile = recorded\n"
+            _RECORD_COMPILES +
             "import liechar.zpoly\n"
             "print(len(calls), file=sys.stderr)\n"
             "from liechar import cli\n"
@@ -609,6 +615,22 @@ class TestImportCost:
             "liechar.zpoly.parse_poly('1 + z1', 1)\n"
             "print(bool(calls), file=sys.stderr)\n")
         assert out.stderr.splitlines() == ["0", "0 0", "True"]
+
+    def test_cached_character_compiles_no_term_pattern(self, tmp_path):
+        # a disk-cache entry holds one record, which the token reader reads
+        argv = ["char", "E8", "0,0,0,0,0,0,2,0", "--cache-dir", str(tmp_path)]
+        script = (
+            _RECORD_COMPILES +
+            "from liechar import cli, zpoly\n"
+            f"code = cli.main({argv!r})\n"
+            "names = {p: name for name, (p, _) in zpoly._PATTERNS.items()}\n"
+            "print(code, sorted(names[p] for p in calls if p in names),\n"
+            "      file=sys.stderr)\n")
+        cold = _fresh_process(script)
+        assert cold.stderr.splitlines() == ["0 []"]
+        warm = _fresh_process(script)
+        assert warm.stderr.splitlines() == ["0 ['header', 'token']"]
+        assert warm.stdout == cold.stdout
 
     def test_cached_character_loads_no_operator(self, tmp_path):
         argv = ["char", "E8", "0,0,0,0,0,0,2,0", "--cache-dir", str(tmp_path)]

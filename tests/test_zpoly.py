@@ -447,10 +447,18 @@ class TestProperties:
 # terms come plain, as an integer-scaled sum or as a sign-only sum
 _exponent = st.sampled_from([0, 1, 2, 3, 4] * 4 + [2 ** 30, 2 ** 31 - 1] * 2
                             + [2 ** 31])
+# blanks and joins without the LaTeX thin space
+_space = st.sampled_from(["", " ", "  ", "\t", "\n "])
+_plain_join = st.sampled_from(["*", " * ", " ", ""])
 
 
 @st.composite
 def _grammar_text(draw, rank):
+    # a LaTeX thin space sends a text to the token reader, so that most
+    # texts, which the term pattern reads, go without one
+    thin = draw(st.sampled_from([False, False, False, True]))
+    blanks, joins = (_blank, _join) if thin else (_space, _plain_join)
+
     def product():
         factors = []
         for _ in range(draw(st.integers(1, 3))):
@@ -460,12 +468,13 @@ def _grammar_text(draw, rank):
             factor = "z" + str(draw(st.sampled_from(
                 [*range(1, rank + 1)] * 8 + [0, rank + 1])))
             if draw(st.booleans()):
-                factor += draw(st.sampled_from(["^", " ^ ", "\\,^"]))
+                factor += draw(st.sampled_from(
+                    ["^", " ^ ", "\\,^" if thin else "\n^"]))
                 factor += str(draw(_exponent))
             factors.append(factor)
         text = factors[0]
         for factor in factors[1:]:
-            join = draw(_join)
+            join = draw(joins)
             if not join and factor[0].isdigit():
                 join = "*"
             text += join + factor
@@ -474,7 +483,7 @@ def _grammar_text(draw, rank):
     def signed(body, bare):
         # a first term may go without its sign
         sign = draw(st.sampled_from(["", "+", "-"] if bare else ["+", "-"]))
-        return sign + draw(_blank) + body
+        return sign + draw(blanks) + body
 
     pieces = []
     wrap = ""
@@ -487,7 +496,7 @@ def _grammar_text(draw, rank):
         if not wrap:
             pieces.append(signed(product(), bare))
             continue
-        body = "(" + draw(_blank).join(
+        body = "(" + draw(blanks).join(
             signed(product(), not j)
             for j in range(draw(st.integers(1, 3)))) + ")"
         if wrap[0] == "k":
@@ -495,7 +504,7 @@ def _grammar_text(draw, rank):
         elif wrap[0] == "p":
             body = product() + "*" + body
         pieces.append(signed(body, bare))
-    return draw(_blank).join(pieces) + draw(_blank)
+    return draw(blanks).join(pieces) + draw(blanks)
 
 
 @st.composite
@@ -560,6 +569,58 @@ class TestTermScan:
                    for record in read_fixture_file(path, 8)]
         assert len(records) == 231
         assert refused == []
+
+    def test_one_record_takes_the_token_reader(self, monkeypatch):
+        # the scan pays for its pattern where products repeat, across the
+        # records of a file; the one record of a file is read token by token
+        scanned = []
+        scan = zpoly._scan_terms
+
+        def recording(text, rank):
+            scanned.append(text)
+            return scan(text, rank)
+
+        monkeypatch.setattr(zpoly, "_scan_terms", recording)
+        text = "chi[1,1] = -2*(z1 + 3 z2^2) + z1 - 0*z2\n"
+        (one,) = read_fixture_text(text, 2)
+        assert scanned == []
+        first, _ = read_fixture_text(text + "\nb[1] = z1\n", 2)
+        assert scanned == [text[11:-1], "z1\n"]
+        assert list(one.poly._terms.items()) == \
+            list(first.poly._terms.items())
+        assert one == first
+
+    def test_long_blank_runs_read_in_linear_time(self):
+        # blanks the product loop must give back cost their length once,
+        # not its square
+        blanks = " " * 20000
+        start = time.perf_counter()
+        for text in (f"z1{blanks}+ z2", f"3{blanks}*{blanks}z2 - 1",
+                     f"-2*(z1{blanks}){blanks}"):
+            assert parse_poly(text, 2) == parse_poly(" ".join(text.split()), 2)
+        assert time.perf_counter() - start < 1
+
+    def test_patterns_need_no_python_3_11_syntax(self):
+        # possessive quantifiers and atomic groups arrived in Python 3.11;
+        # the package runs on 3.10
+        parser = getattr(re, "_parser", None)
+        if parser is None:
+            import sre_parse as parser
+
+        def ops(items):
+            for op, av in items:
+                yield str(op)
+                for part in av if isinstance(av, (tuple, list)) else ():
+                    if isinstance(part, parser.SubPattern):
+                        yield from ops(part)
+                    elif isinstance(part, list):
+                        for sub in part:
+                            if isinstance(sub, parser.SubPattern):
+                                yield from ops(sub)
+
+        for name, (pattern, flags) in zpoly._PATTERNS.items():
+            found = set(ops(parser.parse(pattern, flags)))
+            assert not found & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, name
 
     def test_product_cache_is_bounded(self):
         maxsize = zpoly._product.cache_info().maxsize
