@@ -5,21 +5,24 @@ that V_{λ_i} is the cheapest factor present in m and ν = m - e_i,
 
     χ_m = z_i · χ_ν  -  sum over the other constituents of V_{λ_i} ⊗ V_ν,
 
-all strictly lower weights being resolved through the cache.  Computed
-characters are validated (unit leading coefficient, every monomial weight
-below m in dominance order) and optionally persisted, one fixture-grammar
-file per weight.  The eigen-equation and the dimension identity are kept as
-independent verification layers.  The eigen-equation reads eps_m(1) in
-integers.  The dimension identity reads each monomial's value at the
-fundamental dimensions from a memo kept by the algebra, so the characters
-of one algebra, which share most of their monomials, evaluate each
-monomial once.
+all strictly lower weights being resolved through the cache, which packs
+each as a Kronecker integer on its first use as a constituent: the sum is
+one multiply-add per constituent, decoded once, while its bound allows.
+Computed characters are validated (unit leading coefficient, every
+monomial weight below m in dominance order) and optionally persisted, one
+fixture-grammar file per weight.  The eigen-equation, in integers, and the
+dimension identity are kept as independent verification layers.  The
+dominance check and the dimension identity read each monomial's root
+coordinates and value at the fundamental dimensions from memos kept by the
+algebra, so the characters of one algebra, which share most of their
+monomials, work each of them out once.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from operator import ge, sub
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -27,8 +30,8 @@ from typing import TYPE_CHECKING
 # counts its calls through this name
 from .repth import Algebra, _epsilon_int, epsilon
 from .rootsys import Weight
-from .zpoly import (FixtureRecord, ZPolynomial, format_fixture_record,
-                    read_fixture_file)
+from .zpoly import (_HALF, FixtureRecord, ZPolynomial, _Slots,
+                    _unpack_all, format_fixture_record, read_fixture_file)
 
 if TYPE_CHECKING:
     # csop imports this module; a cached character read needs no operator
@@ -46,7 +49,7 @@ __all__ = [
 CACHE_ENV_VAR = "LIECHAR_CACHE"
 
 
-class CharacterCache:
+class CharacterCache(_Slots):
     """Memoized (and optionally disk-backed) store of character polynomials.
 
     One re-entrant lock is held while characters are computed, so each
@@ -55,9 +58,12 @@ class CharacterCache:
     """
 
     def __init__(self, algebra: Algebra, cache_dir=None):
+        super().__init__()
         self.algebra = algebra
         self.rank = algebra.rank
         self._mem: dict = {}
+        # weight -> (peak, packed character), or None if _pack_terms refuses
+        self._packed: dict = {}
         self._lock = threading.RLock()
         self.cache_dir = Path(cache_dir) if cache_dir else None
         one = ZPolynomial.const(self.rank, 1)
@@ -134,22 +140,49 @@ class CharacterCache:
         return i, nu, alg.tensor_decompose(alg.fundamental(i), nu)
 
     def _expand(self, m: tuple, plan: tuple) -> ZPolynomial:
-        """The character of ``m`` from ``plan``, made by :meth:`_plan`."""
+        """The character of ``m`` from ``plan``, made by :meth:`_plan`: z_i
+        χ_ν, one ``combine``, less the other constituents, each packed on
+        its first use here, as one Kronecker sum decoded once, while B =
+        peak(z_i χ_ν) + sum N_μ peak_μ < 2^31; else one ``combine`` of all."""
         i, nu, decomposition = plan
-        terms = [(1, ZPolynomial.variable(self.rank, i), self._get(nu))]
-        terms += [(-mult, self._get(mu), None)
-                  for mu, mult in decomposition.items() if mu != m]
-        poly = ZPolynomial.combine(self.rank, terms)
+        rank, packed = self.rank, self._packed
+        others = [(-mult, mu) for mu, mult in decomposition.items() if mu != m]
+        packed.update({mu: self._pack_terms(self._get(mu)._terms)
+                       for _, mu in others if mu not in packed})
+        head = [(1, ZPolynomial.variable(rank, i), self._get(nu))]
+        poly = None
+        if all(packed[mu] for _, mu in others):
+            z_nu = ZPolynomial.combine(rank, head)
+            head = [(1, z_nu, None)]
+            # a z_i χ_ν that does not pack fails the bound
+            peak, total = self._pack_terms(z_nu._terms) or (_HALF, 0)
+            if peak - sum(c * packed[mu][0] for c, mu in others) < _HALF:
+                total += sum(c * packed[mu][1] for c, mu in others)
+                poly = ZPolynomial._raw(rank, {})
+                self._add_digits(total, poly._terms)
+        if poly is None:
+            poly = ZPolynomial.combine(rank, head + [
+                (c, self._get(mu), None) for c, mu in others])
         self._validate(m, poly)
         return poly
 
     def _validate(self, m: tuple, poly: ZPolynomial):
+        """A unit leading coefficient, and each monomial's memoized
+        ``_coords`` at most those of ``m`` and congruent to them mod det(A)."""
         if poly.coefficient(m) != 1:
             raise AssertionError(f"character of {m} lacks a unit leading term")
-        below = self.algebra._below
-        for exps in poly.terms:
-            # the weight of z^e is sum_i e_i λ_i, i.e. the label vector e
-            if exps != m and not below(m, exps):
+        alg = self.algebra
+        memo, det, top = alg._monomial_coords, alg._det, alg._coords(m)
+        terms = poly._terms
+        new = [key for key in terms if key not in memo]
+        # the weight of z^e is sum_i e_i λ_i, i.e. the label vector e
+        for key, exps in zip(new, _unpack_all(self.rank, new)):
+            memo[key] = alg._coords(exps)
+        for key in terms:
+            coords = memo[key]
+            if not all(map(ge, top, coords)) or det > 1 and any(
+                    map(det.__rmod__, map(sub, top, coords))):
+                exps, = _unpack_all(self.rank, (key,))
                 raise AssertionError(
                     f"monomial {exps} of character {m} is not below it "
                     "in dominance order")

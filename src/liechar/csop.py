@@ -27,8 +27,7 @@ term, with nothing decoded or added term by term.
 
 from __future__ import annotations
 
-import struct
-from itertools import combinations_with_replacement, count
+from itertools import combinations_with_replacement
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -37,7 +36,7 @@ from .errors import OperatorIncompleteError, RankMismatchError, integer
 # epsilon is not called here but stays a module attribute: perfbench/spans.py
 # counts its calls through this name
 from .repth import Algebra, _epsilon_int, epsilon
-from .zpoly import ZPolynomial, _codec, _unpack_all
+from .zpoly import ZPolynomial, _kronecker, _Slots, _unpack_all
 
 __all__ = [
     "b_coeffs",
@@ -261,52 +260,24 @@ def build_delta1(algebra: Algebra, char_provider=None,
 # column store
 # ---------------------------------------------------------------------------
 
-#: The most slots per term of a column that :class:`ColumnStore` may
-#: number when it packs the column (three times as many when it numbers
-#: none), and the balanced digit's offset, 2^31, in each 32-bit slot.
-_SPAN = 16
-_HALF = 1 << 31
-
-
-def _kronecker(pairs, n: int) -> int:
-    """sum c 2^(32 s) over the ``(s, c)`` of ``pairs``, each s below ``n``
-    and each |c| below 2^31."""
-    digits = [_HALF] * n
-    for slot, c in pairs:
-        digits[slot] = _HALF + c
-    fmt, bias = _codec(n)
-    return int.from_bytes(struct.pack(fmt, *digits), "little") - bias
-
-
-class ColumnStore:
+class ColumnStore(_Slots):
     """Columns, polynomials kept under the keys of the monomials they
     belong to, and the linear map they define (:meth:`apply`).
 
-    A column is packed once, when it is built, as one Kronecker integer
-    (D. Harvey, J. Symbolic Comput. 44 (2009)), sum_i c_i 2^(32 s_i), s_i
-    the slot of its i-th monomial; the store numbers slots as monomials
-    are first packed.  A sum costs time in proportion to the slots it
-    spans, so a column that spans too many per term of it stays unpacked
-    (:meth:`_pack`), as does one with a coefficient of 2^31 or more in
-    size.  A call adds its packed columns as one integer when
+    Each column is packed when it is built, unless ``_pack_terms``
+    refuses it.  A call adds its packed columns as one integer when
     B = (max peak + |shift|) sum |c| < 2^31, peak the largest |coefficient|
-    of a column: no digit of the sum is larger than B in size, so the sum
-    decodes exactly, its top digit the one at (bit length of |sum|) // 32.
-    Every other column, and every column of a call with a larger B, is
-    added term by term, as ``combine`` does.  Slots come from ``next`` on
-    a counter and ``dict.setdefault``, each atomic, and a slot's key is
-    stored before the slot is published, so threads agree on every slot
-    without a lock.
+    of a column, so that the sum decodes exactly; it adds every other
+    column, and every column of a call with a larger B, term by term, as
+    ``combine`` does.
     """
 
     def __init__(self, rank: int):
+        super().__init__()
         self.rank = rank
         self._columns: dict = {}
-        # key -> (peak, packed column), and the slots both ways
+        # key -> (peak, packed column)
         self._packed: dict = {}
-        self._slots: dict = {}
-        self._keys: dict = {}
-        self._counter = count()
         # one instance of each key and coefficient the columns hold: the
         # 249 columns of the shipped E8 characters hold 12,120 terms but
         # only 253 distinct keys and 427 distinct coefficients
@@ -331,7 +302,9 @@ class ColumnStore:
                     column = {one(k, k): one(c, c)
                               for k, c in column._terms.items()}
                     columns[key] = ZPolynomial._raw(rank, column)
-                    self._pack(key, column)
+                    entry = self._pack_terms(column, (key,))
+                    if entry is not None:
+                        packed[key] = entry
             tight = [key for key in terms if key in packed]
         pairs = list(map(packed.__getitem__, tight))
         cs = list(map(terms.__getitem__, tight))
@@ -355,45 +328,6 @@ class ColumnStore:
             where = list(map(self._slots.__getitem__, tight))
             total -= shift * _kronecker(zip(where, cs), max(where) + 1)
         if total:
-            n = abs(total).bit_length() // 32 + 1
-            fmt, bias = _codec(n)
-            out = image._terms
-            get = out.get
-            for slot, digit in enumerate(struct.unpack(
-                    fmt, (total + bias).to_bytes(4 * n, "little"))):
-                if digit != _HALF:
-                    k = self._keys[slot]
-                    value = get(k, 0) + digit - _HALF
-                    if value:
-                        out[k] = value
-                    else:
-                        del out[k]
+            self._add_digits(total, image._terms)
         return image
 
-    def _pack(self, key: int, column: dict):
-        """Store the column of ``key``, whose terms are ``column``, packed,
-        numbering slots for its monomials and ``key``, unless a coefficient
-        is 2^31 or more in size or the column spans more slots, ``key``
-        counted, than ``_SPAN`` per term of it plus one: fresh slots go
-        last, so a column that numbers some spans them all.  One that
-        numbers none spans up to its own top slot, and may span three times
-        as many, which caps its integer at 192 bytes per term."""
-        peak = max(map(abs, column.values()), default=0)
-        slots = self._slots
-        fresh = sum(k not in slots for k in column) + (
-            key not in slots and key not in column)
-        if fresh:
-            span, limit = len(slots) + fresh, _SPAN
-        else:
-            span = 1 + max(map(slots.__getitem__, (key, *column)))
-            limit = 3 * _SPAN
-        if peak >> 31 or span > limit * (len(column) + 1):
-            return
-        for k in (key, *column):
-            if k not in slots:
-                slot = next(self._counter)
-                self._keys[slot] = k
-                slots.setdefault(k, slot)
-        where = list(map(slots.__getitem__, column))
-        self._packed[key] = (peak, _kronecker(
-            zip(where, column.values()), max(where, default=-1) + 1))

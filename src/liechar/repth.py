@@ -214,8 +214,10 @@ class Algebra:
         self._short_norm = 2 * self._det * min(self._lengths)
         self._dims: dict = {}
         # packed monomial key -> its value at _fundamental_dims, which
-        # charlib.dim_identity fills and reads
+        # charlib.dim_identity fills and reads, and -> its _coords, which
+        # the character cache fills and reads to check dominance
         self._monomial_dims: dict = {}
+        self._monomial_coords: dict = {}
         self._freudenthal: dict = {}
         self._tensor: dict = {}
         self._weight_systems: dict = {}
@@ -268,23 +270,21 @@ class Algebra:
 
         high = self._check_weight(high)
         low = self._check_weight(low)
-        diff = tuple(a - b for a, b in zip(high, low))
-        return tuple(Fraction(sum(map(mul, diff, col)), self._det)
-                     for col in self._adj_cols)
+        return tuple(Fraction(g, self._det)
+                     for g in map(sub, self._coords(high), self._coords(low)))
+
+    def _coords(self, labels) -> tuple:
+        """det(A) times the root coordinates of the label vector
+        ``labels``: column m of the adjugate gives coordinate m."""
+        return tuple(sum(map(mul, labels, col)) for col in self._adj_cols)
 
     def _below(self, high: tuple, low: tuple) -> bool:
-        """``low <= high`` for checked label tuples, in integers.
-
-        det(A) times each root coordinate of high - low must be >= 0 and
-        divisible by det(A).
-        """
-        diff = [a - b for a, b in zip(high, low)]
+        """``low <= high`` for checked label tuples: each difference of
+        their :meth:`_coords` >= 0 and divisible by det(A), the rule that
+        the character cache checks from its memo, which tests compare."""
         det = self._det
-        for col in self._adj_cols:
-            g = sum(map(mul, diff, col))
-            if g < 0 or g % det:
-                return False
-        return True
+        return all(g >= 0 and not g % det
+                   for g in map(sub, self._coords(high), self._coords(low)))
 
     # -- reflections ------------------------------------------------------
 

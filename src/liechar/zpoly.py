@@ -9,19 +9,20 @@ subtraction.  Every exponent stays within 0..2^31 - 1, so the sum of two
 fields cannot carry into the next one; larger exponents raise
 :class:`ExponentRangeError`; a rank outside 1..``rootsys.MAX_RANK`` raises
 ``ValueError`` before anything is built.  The packing stays inside this
-module and the column store of :mod:`liechar.csop`: the public accessors
+module, the column store and the character cache: the public accessors
 and the constructor speak exponent tuples.  :meth:`ZPolynomial.combine`,
-one fused sum of products, is the only accumulation routine: the ring
-operators and every linear combination of polynomials in the package call
-it; the one other sum is that of the column store, which adds the
-operator's columns as Kronecker integers.  The module also owns the
-plain-text grammar used by the fixture files and the CLI (``-1 - z1 - z7 - z8 + z8^2`` style), including
-the one-level factored form ``-4*(31 + 7*z1 + ...)`` used by operator
-tables.  A small term pattern reads one whole signed term per match, each
-match starting where the last one ended, and a bounded cache keyed on
-``(text, rank)`` maps each term's product text to its coefficient and
-key; text that the term pattern does not read to its end goes to a reader
-that takes one token at a time, the only source of :class:`ParseError`.
+one fused sum of products, is the accumulation routine of the ring
+operators and every linear combination of polynomials, but for sums of
+polynomials packed as Kronecker integers (``_Slots``): the operator's
+columns and the character recursion's constituents.  The module also owns
+the plain-text grammar of the fixture files and the CLI (``-1 - z1 - z7 -
+z8 + z8^2`` style), including the one-level factored form ``-4*(31 +
+7*z1 + ...)`` used by operator tables.  A small term pattern reads one
+whole signed term per match, each match starting where the last one
+ended, and a bounded cache keyed on ``(text, rank)`` maps each term's
+product text to its coefficient and key; text that the term pattern does
+not read to its end goes to a reader that takes one token at a time, the
+only source of :class:`ParseError`.
 The scan pays for its pattern where products repeat, across the records of
 a file: a fixture file of one record, such as a disk-cache entry, is read
 by the token reader alone.  Every pattern is compiled on first use.  A
@@ -38,6 +39,7 @@ import math
 import re
 import struct
 from functools import cache, lru_cache, reduce
+from itertools import count
 from operator import mul, or_
 from typing import NamedTuple, Sequence
 
@@ -73,6 +75,81 @@ def _layout(rank: int) -> tuple:
     """``(struct of rank uint32 fields, mask of every field's top bit)``."""
     fmt, top = _codec(rank)
     return struct.Struct(fmt), top
+
+
+#: Slots per term that :meth:`_Slots._pack_terms` lets terms span, and the
+#: balanced digit's offset, 2^31, in each 32-bit slot.
+_SPAN = 16
+_HALF = 1 << 31
+
+
+def _kronecker(pairs, n: int) -> int:
+    """sum c 2^(32 s) over the ``(s, c)`` of ``pairs``, each s below ``n``
+    and each |c| below 2^31."""
+    digits = [_HALF] * n
+    for slot, c in pairs:
+        digits[slot] = _HALF + c
+    fmt, bias = _codec(n)
+    return int.from_bytes(struct.pack(fmt, *digits), "little") - bias
+
+
+class _Slots:
+    """Polynomials packed as Kronecker integers (D. Harvey, J. Symbolic
+    Comput. 44 (2009)), sum_i c_i 2^(32 s_i), s_i the slot of the i-th
+    monomial, numbered per instance as monomials are first packed.  Slots
+    come from ``next`` on a counter and ``dict.setdefault``, each atomic,
+    and a slot's key is stored before the slot is published, so threads
+    agree on every slot without a lock."""
+
+    def __init__(self):
+        self._slots: dict = {}
+        self._keys: dict = {}
+        self._counter = count()
+
+    def _pack_terms(self, terms: dict, extra=()) -> tuple | None:
+        """``(peak, packed terms)``, peak the largest |coefficient|,
+        numbering slots for the keys of ``terms`` and ``extra``; None for a
+        coefficient of 2^31 or more in size, or for terms that span more
+        than ``_SPAN`` slots per term plus one, ``extra`` counted: a sum
+        costs time in proportion to its slots, and fresh slots go last.
+        Terms that number none may span three times as many, which caps
+        their integer at 192 bytes per term."""
+        peak = max(map(abs, terms.values()), default=0)
+        slots = self._slots
+        fresh = sum(k not in slots for k in terms) + sum(
+            k not in slots and k not in terms for k in extra)
+        if fresh:
+            span, limit = len(slots) + fresh, _SPAN
+        else:
+            span = 1 + max(map(slots.__getitem__, (*extra, *terms)))
+            limit = 3 * _SPAN
+        if peak >> 31 or span > limit * (len(terms) + 1):
+            return None
+        for k in (*extra, *terms):
+            if k not in slots:
+                slot = next(self._counter)
+                self._keys[slot] = k
+                slots.setdefault(k, slot)
+        where = list(map(slots.__getitem__, terms))
+        return peak, _kronecker(zip(where, terms.values()),
+                                max(where, default=-1) + 1)
+
+    def _add_digits(self, total: int, out: dict):
+        """Add each balanced 32-bit digit of ``total``, none 2^31 or more in
+        size, to the terms ``out`` at the key of its slot, dropping the keys
+        that reach 0; the top digit is at (bit length of |total|) // 32."""
+        n = abs(total).bit_length() // 32 + 1
+        fmt, bias = _codec(n)
+        keys, get = self._keys, out.get
+        for slot, digit in enumerate(struct.unpack(
+                fmt, (total + bias).to_bytes(4 * n, "little"))):
+            if digit != _HALF:
+                k = keys[slot]
+                value = get(k, 0) + digit - _HALF
+                if value:
+                    out[k] = value
+                else:
+                    del out[k]
 
 
 def _checked_rank(rank) -> int:
@@ -574,35 +651,29 @@ def read_fixture_text(text: str, rank: int) -> list[FixtureRecord]:
         start, end = end, end + len(block)
         if i % 2 or not block.strip():
             continue
+        at = start + len(block) - len(block.lstrip())  # the header's offset
         m = _regex("header").match(block)
         if m is None:
             raise ParseError("fixture block does not start with a "
-                             "chi[...]/a[...]/b[...] header",
-                             start + len(block) - len(block.lstrip()))
+                             "chi[...]/a[...]/b[...] header", at)
         kind, index_text, body = m.groups()
         try:
             index = tuple(int(x) for x in index_text.split(","))
         except ValueError:
             raise ParseError(f"malformed index list [{index_text}]",
-                             start) from None
-        if kind == "chi":
-            if len(index) != rank:
-                raise ParseError(
-                    f"chi record has {len(index)} labels, expected {rank}",
-                    start)
-        elif kind == "a":
-            if len(index) != 2 or not all(1 <= j <= rank for j in index):
-                raise ParseError("a record needs two indices within rank",
-                                 start)
-        else:
-            if len(index) != 1 or not 1 <= index[0] <= rank:
-                raise ParseError("b record needs one index within rank",
-                                 start)
+                             at) from None
+        if kind == "chi" and len(index) != rank:
+            raise ParseError(
+                f"chi record has {len(index)} labels, expected {rank}", at)
+        if kind == "a" and (len(index) != 2
+                            or not all(1 <= j <= rank for j in index)):
+            raise ParseError("a record needs two indices within rank", at)
+        if kind == "b" and (len(index) != 1 or not 1 <= index[0] <= rank):
+            raise ParseError("b record needs one index within rank", at)
         name = (kind, tuple(sorted(index)) if kind == "a" else index)
         if name in seen:
             raise ParseError(
-                f"repeated record {kind}[{','.join(map(str, index))}]",
-                start + m.start(1))
+                f"repeated record {kind}[{','.join(map(str, index))}]", at)
         seen.add(name)
         try:
             poly = (parse_poly(body, rank) if several

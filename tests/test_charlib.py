@@ -11,6 +11,7 @@ import pytest
 import liechar
 import oracles
 from conftest import expand_through
+from liechar import charlib
 from liechar import (Algebra, BudgetError, CharacterCache, Delta1Operator,
                      DimReport, EigenReport, RankMismatchError, Weight,
                      ZPolynomial, build_delta1, dim_identity, epsilon, print_poly,
@@ -167,6 +168,47 @@ class TestValidationLayers:
         with pytest.raises(AssertionError, match="dominance"):
             CharacterCache(a2)._validate(m, ZPolynomial(2, terms))
 
+    def test_monomial_of_another_lattice_class_is_rejected(self, a2):
+        # (1, 0) lies in the cone below m = (2, 2), every coordinate of
+        # their difference times det(A) = 3 being >= 0, but in another
+        # class of the weight lattice modulo the root lattice
+        m = (2, 2)
+        gaps = [a - b for a, b in zip(a2._coords(m), a2._coords((1, 0)))]
+        assert min(gaps) >= 0 and any(g % 3 for g in gaps)
+        assert not a2._below(m, (1, 0))
+        terms = CharacterCache(a2).character_poly(m).terms
+        terms[(1, 0)] = terms.pop((3, 0))
+        with pytest.raises(AssertionError, match=r"monomial \(1, 0\) .* "
+                           "not below it in dominance order"):
+            CharacterCache(a2)._validate(m, ZPolynomial(2, terms))
+
+    @pytest.mark.parametrize("name", ["D4", "E6"])
+    def test_memo_check_matches_below(self, name):
+        # every monomial met in a set of characters, checked against each
+        # of their highest weights, on one cache whose memo warms as it goes
+        alg = Algebra(name)
+        cache = CharacterCache(alg)
+        rng = random.Random(29)
+        weights = {tuple(rng.randint(0, 1) for _ in range(alg.rank))
+                   for _ in range(12)} | {(0,) * (alg.rank - 1) + (2,)}
+        monomials = set()
+        for m in weights:
+            monomials |= cache.character_poly(m).terms.keys()
+        verdicts = set()
+        for m in weights:
+            for e in monomials - {m}:
+                below = alg._below(m, e)
+                poly = ZPolynomial(alg.rank, {m: 1, e: 1})
+                if below:
+                    cache._validate(m, poly)
+                else:
+                    with pytest.raises(AssertionError, match="dominance"):
+                        cache._validate(m, poly)
+                gaps = [a - b for a, b in zip(alg._coords(m), alg._coords(e))]
+                verdicts.add((below, min(gaps) >= 0))
+        # accepted, refused outside the cone and refused in it by class
+        assert verdicts == {(True, True), (False, False), (False, True)}
+
     def test_dim_identity(self, e8, order2_chars):
         m = Weight((0, 0, 0, 0, 0, 0, 0, 2))
         report = dim_identity(e8, m, order2_chars[m])
@@ -223,6 +265,108 @@ def _unmemoized(alg, m, chi):
     """The dimension identity's report, by the public ``evaluate``."""
     return DimReport(Weight(m), chi.evaluate(alg._fundamental_dims),
                      alg.weyl_dim(m))
+
+
+class TestPackedExpand:
+    """The packed expand, its bound and its fallback: the same characters
+    as one ``combine`` of every constituent, which a bound of 0 forces."""
+
+    @staticmethod
+    def both_paths(monkeypatch, alg, weights):
+        """``(characters, packed, expanded)``: the characters of
+        ``weights`` from a fresh cache, the number of its expansions that
+        decoded a packed sum and the number of all of them, after checking
+        that a fresh cache with the bound at 0 expands the same characters
+        without decoding any."""
+        cache = CharacterCache(alg)
+        decoded = []
+        add = cache._add_digits
+        cache._add_digits = lambda total, out: (decoded.append(total),
+                                                add(total, out))
+        chars = [cache.character_poly(m) for m in weights]
+        with monkeypatch.context() as mp:
+            mp.setattr(charlib, "_HALF", 0)
+            plain = CharacterCache(alg)
+            plain._add_digits = None
+            assert [plain.character_poly(m) for m in weights] == chars
+            assert plain.cached_weights() == cache.cached_weights()
+        # every character but the constant and the fundamentals is expanded
+        return chars, len(decoded), len(cache._mem) - alg.rank - 1
+
+    def test_a2_every_weight_up_to_3(self, monkeypatch, a2):
+        weights = [(a, b) for a in range(4) for b in range(4)]
+        chars, packed, expanded = self.both_paths(monkeypatch, a2, weights)
+        assert packed == expanded
+        assert [oracles.torus_value(a2, chi) for chi in chars] == \
+            [oracles.wcf_character(a2, m) for m in weights]
+
+    @pytest.mark.parametrize("name, labels", [("D4", (0, 0, 1, 1, 2)),
+                                              ("E6", (0, 0, 1))])
+    def test_seeded_weights(self, monkeypatch, name, labels):
+        alg = Algebra(name)
+        rng = random.Random(37)
+        weights = [tuple(rng.choice(labels) for _ in range(alg.rank))
+                   for _ in range(15)]
+        _, packed, expanded = self.both_paths(monkeypatch, alg, weights)
+        if name == "D4":
+            assert packed == expanded == 94
+        else:
+            # a z_i χ_ν of few terms that numbers a slot late spans too many
+            # to be packed
+            assert (packed, expanded) == (137, 152)
+
+    def test_e8_shipped_characters(self, monkeypatch, e8, order2_chars,
+                                   higher_chars):
+        tables = {**order2_chars, **higher_chars}
+        assert len(tables) == 187
+        chars, packed, expanded = self.both_paths(monkeypatch, e8,
+                                                  list(tables))
+        assert packed > 0.9 * expanded
+        assert chars == list(tables.values())
+
+    def test_a1_chain_takes_the_fallback(self, monkeypatch):
+        # the coefficients of chi_n pass 2^31 in size on the way to n = 600,
+        # and from there on every constituent is refused when first packed
+        alg = Algebra("A1")
+        cache = CharacterCache(alg)
+        chi = cache.character_poly((600,))
+        assert chi.evaluate([2]) == 601
+        refused = [w for w, entry in cache._packed.items() if entry is None]
+        assert len(refused) > 500
+        assert all(max(map(abs, cache._mem[w]._terms.values())) >> 31
+                   for w in refused)
+        with monkeypatch.context() as mp:
+            mp.setattr(charlib, "_HALF", 0)
+            assert CharacterCache(alg).character_poly((600,)) == chi
+
+    def test_one_combine_per_character(self, monkeypatch):
+        # once the constituents are packed, z_i χ_ν is the only combine
+        alg = Algebra("D4")
+        cache = CharacterCache(alg)
+        combine = ZPolynomial.combine.__func__
+        expansions = []
+
+        def spy(cls, rank, terms):
+            terms = list(terms)
+            expansions[-1][2].append(terms)
+            return combine(cls, rank, terms)
+
+        expand = cache._expand
+
+        def recording_expand(m, plan):
+            expansions.append((m, plan, []))
+            return expand(m, plan)
+
+        monkeypatch.setattr(ZPolynomial, "combine", classmethod(spy))
+        cache._expand = recording_expand
+        for m in [(2, 0, 0, 0), (1, 1, 0, 1), (0, 2, 0, 0), (1, 0, 2, 1)]:
+            cache.character_poly(m)
+        assert len(expansions) > 10
+        for m, (i, nu, decomposition), calls in expansions:
+            assert len(decomposition) > 1
+            (c, p, q), = calls[0]
+            assert len(calls) == 1 and c == 1 and q is cache._mem[nu]
+            assert p == ZPolynomial.variable(4, i)
 
 
 class TestDimIdentityMemo:

@@ -1,6 +1,7 @@
-"""The package's exported names and the README's library example and
-command-line block."""
+"""The package's exported names, the README's library example and
+command-line block, and the oldest Python grammar the sources keep to."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -52,3 +53,15 @@ def test_readme_command_line_block_runs(monkeypatch, capsys):
             first, _, last = line.partition("# ")[2].partition(" ... ")
             lines = out.splitlines()
             assert lines[0] == first and lines[-1] == (last or first), line
+
+
+def test_sources_parse_under_the_oldest_supported_grammar():
+    # pyproject.toml declares requires-python >= 3.10; patterns are checked
+    # by test_zpoly's test_patterns_need_no_python_3_11_syntax
+    root = README.parent
+    paths = sorted((root / "src" / "liechar").glob("*.py")) + sorted(
+        (root / "tests").glob("*.py"))
+    assert len(paths) > 15
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))

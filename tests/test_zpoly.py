@@ -818,6 +818,23 @@ b[8] = 120*z8
             read_fixture_text(text, 2)
         assert err.value.offset == text.index("chi[1]")
 
+    @pytest.mark.parametrize("lead", [
+        # the first block, after a comment
+        "# E8 table\n",
+        # a later block, after blanks and a comment
+        "b[1] = z1\n\n  # note\n  "])
+    @pytest.mark.parametrize("header, message", [
+        ("chi[1,2]", "chi record has 2 labels, expected 1"),
+        ("a[1]", "a record needs two indices within rank"),
+        ("b[2]", "b record needs one index within rank"),
+        ("chi[1,,0]", "malformed index list [1,,0]")])
+    def test_header_error_offset_is_the_header(self, lead, header, message):
+        text = f"{lead}{header} = z1\n"
+        with pytest.raises(ParseError) as err:
+            read_fixture_text(text, 1)
+        assert err.value.args == (message, len(lead))
+        assert text.index(header) == len(lead)
+
     def test_polynomial_error_offset_is_into_the_file(self):
         text = "b[1] = 192*z1\n\nb[2] = 288*z2 + z9\n"
         with pytest.raises(ParseError, match="variable z9 exceeds rank 2") \
