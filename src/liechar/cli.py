@@ -295,8 +295,10 @@ def _add_common(sub, budget=False, cache=False, fixtures=False):
     sub.add_argument("algebra", help="algebra type, e.g. E8, A2, D4")
     if budget:
         sub.add_argument("--budget", type=int, default=None,
-                         help="most distinct weights a tensor product may "
-                              f"visit (default {DEFAULT_TENSOR_BUDGET})")
+                         help="most distinct weights the smaller factor of "
+                              "a tensor product may have, an upper bound on "
+                              "the weights it sums (default "
+                              f"{DEFAULT_TENSOR_BUDGET})")
     if cache:
         sub.add_argument("--cache-dir", default=None,
                          help="character cache root (default: "

@@ -29,7 +29,8 @@ class BudgetError(LiecharError, RuntimeError):
     """A tensor product was refused because its Klimyk sum is too large.
 
     Carries the offending pair, the cost (the number of distinct weights of
-    the smaller factor that the sum would visit) and the budget it exceeds.
+    the smaller factor, an upper bound on the weights the sum visits) and
+    the budget it exceeds.
     """
 
     def __init__(self, message, pair=None, cost=None, budget=None):

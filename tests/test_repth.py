@@ -534,6 +534,18 @@ class TestTensor:
         fresh.tensor_decompose((1, 1), (1, 1))
         with pytest.raises(BudgetError):
             fresh.tensor_decompose((1, 1), (1, 1), budget=6)
+        # after V_(3,0) ⊗ V_(2,2), the memo holds the orbit sums of (1,1)
+        # and (0,0) against (2,2), all that V_(1,1) ⊗ V_(2,2) needs; the
+        # product still costs the 7 distinct weights of V_(1,1)
+        fresh.tensor_decompose((3, 0), (2, 2))
+        assert all((mu, (2, 2)) in fresh._orbit_sums
+                   for mu in fresh.freudenthal((1, 1)).entries)
+        refusals = []
+        for alg in (fresh, Algebra("A2")):
+            with pytest.raises(BudgetError) as err:
+                alg.tensor_decompose((1, 1), (2, 2), budget=6)
+            refusals.append(err.value.cost)
+        assert refusals == [7, 7]
 
     def test_non_dominant_rejected(self, a2):
         with pytest.raises(ValueError):
@@ -573,16 +585,36 @@ def e8_fresh():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The highest weight of each table that the array kernel sums."""
+    """The set of dominant weights whose orbits each call of the array
+    kernel sums."""
     calls = []
     array_kernel = repth._klimyk_array
 
     def spy(*args):
-        calls.append(args[1].highest)
+        calls.append(set(args[1]))
         return array_kernel(*args)
 
     monkeypatch.setattr(repth, "_klimyk_array", spy)
     return calls
+
+
+# per algebra, the products that test_kernels_agree takes beside its own:
+# they share larger factors ν, and the smaller factors of each ν have nested
+# Freudenthal tables, so which orbit sums a product finds in the memo
+# depends on the order of the products
+MEMO_SEQUENCES = {
+    "A2": [((2, 2), (3, 0)), ((1, 1), (2, 2)), ((2, 2), (0, 3)),
+           ((2, 2), (2, 2)), ((1, 1), (2, 1)), ((2, 1), (1, 0))],
+    "B3": [((1, 0, 2), (0, 0, 2)), ((0, 1, 0), (1, 0, 2)),
+           ((1, 0, 2), (1, 0, 0)), ((0, 0, 1), (0, 1, 1))],
+    "G2": [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (1, 1)),
+           ((1, 1), (1, 1))],
+    "D4": [((2, 0, 0, 0), (1, 0, 0, 1)), ((0, 1, 0, 0), (1, 0, 0, 1)),
+           ((1, 0, 0, 1), (0, 0, 0, 1))],
+    "E6": [((0, 0, 0, 0, 0, 1), (1, 0, 0, 1, 0, 0)),
+           ((0, 1, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1)),
+           ((0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 1))],
+}
 
 
 class TestKlimykKernels:
@@ -599,29 +631,29 @@ class TestKlimykKernels:
         ("E8", (0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
     ])
     def test_kernels_agree(self, monkeypatch, name, left, right):
+        # each path takes the products in a shuffled order and in its
+        # reverse, each order on a fresh algebra
+        products = [(left, right), *MEMO_SEQUENCES.get(name, ())]
+        order = random.Random(len(products)).sample(products, len(products))
         results = []
         for threshold in (FORCE_LOOP, FORCE_ARRAY):
             monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
-            results.append(Algebra(name).tensor_decompose(left, right))
-        assert results[0] == results[1]
+            for pairs in (order, order[::-1]):
+                alg = Algebra(name)
+                results.append({pair: alg.tensor_decompose(*pair)
+                                for pair in pairs})
+        assert all(result == results[0] for result in results)
         if name in ("A2", "B3", "C3", "G2", "D4"):
-            assert results[1].entries == oracles.tensor_oracle(
-                Algebra(name), left, right)
+            for (left, right), dec in results[0].items():
+                assert dec.entries == oracles.tensor_oracle(
+                    Algebra(name), left, right)
 
     @pytest.mark.parametrize("index", [4, 5])
-    def test_array_kernel_on_the_largest_e8_squares(self, monkeypatch,
+    def test_array_kernel_on_the_largest_e8_squares(self, kernel_calls,
                                                     e8_fresh, index):
-        calls = []
-        array_kernel = repth._klimyk_array
-
-        def spy(*args):
-            calls.append(args[1].highest)
-            return array_kernel(*args)
-
-        monkeypatch.setattr(repth, "_klimyk_array", spy)
         lam = e8_fresh.fundamental(index)
         dec = e8_fresh.tensor_decompose(lam, lam)
-        assert calls == [lam]
+        assert kernel_calls == [set(e8_fresh.freudenthal(lam).entries)]
         total = sum(m * e8_fresh.weyl_dim(w) for w, m in dec.items())
         assert total == e8_fresh.weyl_dim(lam) ** 2
         top = tuple(2 * x for x in lam)
@@ -655,7 +687,7 @@ class TestKlimykKernels:
                 > max(e8._orbit_sizes(lam6).values()))
         for lam in (lam3, lam6, lam2):
             e8.tensor_decompose(lam, lam)
-        assert kernel_calls == [lam3]
+        assert kernel_calls == [set(e8.freudenthal(lam3).entries)]
 
     def test_lambda6_character_request_does_not_import_numpy(self):
         # the CLI computes χ(3λ7) through λ6⊗λ6, which stays on the loop;
@@ -761,7 +793,7 @@ class TestKlimykKernels:
         array_kernel = repth._klimyk_array
 
         def spy(*args):
-            calls.append(args[4])
+            calls.append(args[3])
             return array_kernel(*args)
 
         monkeypatch.setattr(repth, "_klimyk_array", spy)
@@ -792,12 +824,12 @@ class TestKlimykKernels:
         received = []
         loop, array_kernel = Algebra._klimyk_loop, repth._klimyk_array
 
-        def loop_spy(self, table, shifted, bits):
+        def loop_spy(self, table, missing, shifted, bits):
             received.append(("loop", bits))
-            return loop(self, table, shifted, bits)
+            return loop(self, table, missing, shifted, bits)
 
         def kernel_spy(*args):
-            received.append(("kernel", args[4]))
+            received.append(("kernel", args[3]))
             return array_kernel(*args)
 
         monkeypatch.setattr(Algebra, "_klimyk_loop", loop_spy)
@@ -898,8 +930,8 @@ def unskipped_loop(monkeypatch):
     build = Algebra._weight_system
 
     def whole(self, table, bits):
-        return [(mult, keys, [0], [len(keys)])
-                for mult, keys, _, _ in build(self, table, bits)]
+        return [(mu, keys, [0], [len(keys)])
+                for mu, keys, _, _ in build(self, table, bits)]
 
     monkeypatch.setattr(Algebra, "_weight_system", whole)
 
@@ -1071,8 +1103,7 @@ class TestPackedWalk:
         mu = max(orbits, key=orbits.get)
         orbits[mu] += delta
         with pytest.raises(AssertionError, match="orbit of"):
-            repth._klimyk_array(b3, b3.freudenthal(small), orbits,
-                                (2, 1, 2), bits)
+            repth._klimyk_array(b3, orbits, (2, 1, 2), bits)
 
     def test_overrun_orbit_stops_the_walk(self, monkeypatch):
         # after the whole walk, the first level comes again and overruns
@@ -1092,8 +1123,7 @@ class TestPackedWalk:
         big, small = (1, 0, 1), (0, 1, 1)
         bits = b3._lane_width((2, 1, 2), small)
         with pytest.raises(AssertionError, match="orbit of"):
-            repth._klimyk_array(b3, b3.freudenthal(small),
-                                b3._orbit_sizes(small), (2, 1, 2), bits)
+            repth._klimyk_array(b3, b3._orbit_sizes(small), (2, 1, 2), bits)
 
     def test_working_set_of_the_lambda5_square(self, e8_fresh):
         # the 763,681 keys of λ5 alone take 6.1 MB, so a kernel that
@@ -1103,13 +1133,12 @@ class TestPackedWalk:
         import numpy  # noqa: F401
 
         lam = e8_fresh.fundamental(5)
-        table = e8_fresh.freudenthal(lam)
         orbits = e8_fresh._orbit_sizes(lam)
         shifted = tuple(x + 1 for x in lam)
         bits = e8_fresh._lane_width(shifted, lam)
         tracemalloc.start()
         try:
-            repth._klimyk_array(e8_fresh, table, orbits, shifted, bits)
+            repth._klimyk_array(e8_fresh, orbits, shifted, bits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1180,6 +1209,74 @@ class TestWeightSystemCache:
                             lambda self, w: orbit_size(self, w) + 1)
         with pytest.raises(AssertionError, match="orbit of"):
             Algebra("A2").tensor_decompose((1, 1), (1, 0))
+
+
+class TestOrbitSums:
+    def test_product_with_every_sum_in_the_memo_walks_nothing(
+            self, monkeypatch):
+        # every dominant weight of V_λ6 is one of V_λ5, so λ5⊗λ5 leaves in
+        # the memo every orbit sum against λ5 that λ6⊗λ5 needs
+        def walked(*args):
+            raise AssertionError("a product whose sums are all in the memo "
+                                 "walked an orbit")
+
+        e8 = Algebra("E8")
+        lam5, lam6 = e8.fundamental(5), e8.fundamental(6)
+        e8.tensor_decompose(lam5, lam5)
+        assert set(e8.freudenthal(lam6).entries) <= \
+            set(e8.freudenthal(lam5).entries)
+        sums = dict(e8._orbit_sums)
+        monkeypatch.setattr(Algebra, "_klimyk_loop", walked)
+        monkeypatch.setattr(Algebra, "_weight_system", walked)
+        monkeypatch.setattr(repth, "_klimyk_array", walked)
+        dec = e8.tensor_decompose(lam6, lam5)
+        assert e8._orbit_sums == sums
+        monkeypatch.undo()
+        assert dec == Algebra("E8").tensor_decompose(lam6, lam5)
+
+    @pytest.mark.parametrize("path", ["kernel", "loop"])
+    def test_a_failed_product_leaves_no_sum(self, monkeypatch, path):
+        # V_(0,1,1) ⊗ V_(1,0,2) of B3 after V_(0,0,1) ⊗ V_(1,0,2): the sum
+        # of the orbit of (0,0,1) is in the memo, and those of (0,1,1) and
+        # (1,0,1) fail their orbit-length check
+        big, small = (1, 0, 2), (0, 1, 1)
+        b3 = Algebra("B3")
+        b3.tensor_decompose((0, 0, 1), big)
+        sums = dict(b3._orbit_sums)
+        if path == "kernel":
+            # the overrun walk of test_overrun_orbit_stops_the_walk, in
+            # batches of 7 keys, so that batches are summed before the
+            # overrun level
+            monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
+            monkeypatch.setattr(repth, "_ARRAY_CHUNK", 7)
+            owner, name, walk = repth, "_packed_orbits", repth._packed_orbits
+
+            def broken(alg, weights, bits):
+                levels = walk(alg, weights, bits)
+                first = next(levels)
+                yield first
+                yield from levels
+                yield first
+        else:
+            # the loop's weight system misses a weight of the orbit of
+            # (1,0,1), as in test_orbit_length_is_checked, but by a walk
+            # that can be restored: orbit sizes are cached per factor
+            monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_LOOP)
+            owner, name, walk = repth.WeylOrbit, "keys", repth.WeylOrbit.keys
+
+            def broken(self, bits):
+                keys = walk(self, bits)
+                if self.highest == (1, 0, 1):
+                    next(keys)
+                return keys
+
+        monkeypatch.setattr(owner, name, broken)
+        with pytest.raises(AssertionError, match="orbit of"):
+            b3.tensor_decompose(small, big)
+        assert b3._orbit_sums == sums
+        monkeypatch.setattr(owner, name, walk)
+        assert b3.tensor_decompose(small, big) == \
+            Algebra("B3").tensor_decompose(small, big)
 
 
 class TestSharedAlgebra:
