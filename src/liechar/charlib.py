@@ -6,8 +6,10 @@ that V_{λ_i} is the cheapest factor present in m and ν = m - e_i,
     χ_m = z_i · χ_ν  -  sum over the other constituents of V_{λ_i} ⊗ V_ν,
 
 all strictly lower weights being resolved through the cache, which packs
-each as a Kronecker integer on its first use as a constituent: the sum is
-one multiply-add per constituent, decoded once, while its bound allows.
+each as a Kronecker integer on its first use as a constituent.  The sum is
+all or nothing: when every constituent packs and sum N_μ peak_μ < 2^31, it
+is one multiply-add per constituent, decoded once into z_i · χ_ν; else it
+is one ``combine`` of z_i · χ_ν and every constituent.
 Computed characters are validated (unit leading coefficient, every
 monomial weight below m in dominance order) and optionally persisted, one
 fixture-grammar file per weight.  The eigen-equation, in integers, and the
@@ -142,25 +144,22 @@ class CharacterCache(_Slots):
     def _expand(self, m: tuple, plan: tuple) -> ZPolynomial:
         """The character of ``m`` from ``plan``, made by :meth:`_plan`: z_i
         χ_ν, one ``combine``, less the other constituents, each packed on
-        its first use here, as one Kronecker sum decoded once, while B =
-        peak(z_i χ_ν) + sum N_μ peak_μ < 2^31; else one ``combine`` of all."""
+        its first use here, as one Kronecker sum decoded into the terms of
+        z_i χ_ν, when every constituent packs and B = sum N_μ peak_μ < 2^31;
+        else one ``combine`` of all.  The digits hold the constituents
+        alone, so they decode exactly whatever the size of z_i χ_ν."""
         i, nu, decomposition = plan
         rank, packed = self.rank, self._packed
         others = [(-mult, mu) for mu, mult in decomposition.items() if mu != m]
         packed.update({mu: self._pack_terms(self._get(mu)._terms)
                        for _, mu in others if mu not in packed})
         head = [(1, ZPolynomial.variable(rank, i), self._get(nu))]
-        poly = None
-        if all(packed[mu] for _, mu in others):
-            z_nu = ZPolynomial.combine(rank, head)
-            head = [(1, z_nu, None)]
-            # a z_i χ_ν that does not pack fails the bound
-            peak, total = self._pack_terms(z_nu._terms) or (_HALF, 0)
-            if peak - sum(c * packed[mu][0] for c, mu in others) < _HALF:
-                total += sum(c * packed[mu][1] for c, mu in others)
-                poly = ZPolynomial._raw(rank, {})
-                self._add_digits(total, poly._terms)
-        if poly is None:
+        if all(packed[mu] for _, mu in others) and \
+                -sum(c * packed[mu][0] for c, mu in others) < _HALF:
+            poly = ZPolynomial.combine(rank, head)
+            self._add_digits(sum(c * packed[mu][1] for c, mu in others),
+                             poly._terms)
+        else:
             poly = ZPolynomial.combine(rank, head + [
                 (c, self._get(mu), None) for c, mu in others])
         self._validate(m, poly)

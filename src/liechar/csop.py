@@ -16,11 +16,13 @@ for rational kappa (:func:`~liechar.repth.epsilon`).
 :meth:`Delta1Operator.apply` returns Δ1 p - shift p as the sum of the
 cached image, or column, of each monomial of p, less shift times the
 monomial.  The operator builds the columns from ``b`` and the a_jk, and
-drops them when either changes; a :class:`ColumnStore` keeps them, packs
-each one that spans few slots per term of it when it is built, and sums a
-call's packed columns as one Kronecker integer (D. Harvey, J. Symbolic
-Comput. 44 (2009)).  Every column of the shipped E8 characters is packed,
-and :func:`~liechar.charlib.verify_eigen` calls ``apply(chi, eps)``, so a
+drops them when either changes; a :class:`ColumnStore` keeps them and packs
+each one that spans few slots per term of it when it is built.  A call
+whose columns are all packed, within the bound that lets the sum decode
+exactly, is one Kronecker integer (D. Harvey, J. Symbolic Comput. 44
+(2009)); any other call is one ``combine`` of all its columns.  Every
+column of the shipped E8 characters is packed, and
+:func:`~liechar.charlib.verify_eigen` calls ``apply(chi, eps)``, so a
 passing check is one Kronecker sum of 0: one big-integer multiply-add per
 term, with nothing decoded or added term by term.
 """
@@ -144,10 +146,10 @@ class Delta1Operator(_Record):
         coefficient (both orders of the symmetric double sum), so each
         pair is applied once.  The image is the sum over the monomials
         z^e of ``p`` of c_e (column_e - shift z^e), which the column store
-        adds: its packed columns as one integer when the call's bound
-        allows it, the rest term by term, with a packed sum of 0 never
-        decoded.  So ``apply(chi, eps)`` checks the eigen-equation without
-        building the image.
+        adds as one integer when every column is packed and the call's
+        bound allows it, a sum of 0 never decoded, and else term by term.
+        So ``apply(chi, eps)`` checks the eigen-equation without building
+        the image.
         """
         if p.rank != self.rank:
             raise RankMismatchError(
@@ -265,11 +267,11 @@ class ColumnStore(_Slots):
     belong to, and the linear map they define (:meth:`apply`).
 
     Each column is packed when it is built, unless ``_pack_terms``
-    refuses it.  A call adds its packed columns as one integer when
-    B = (max peak + |shift|) sum |c| < 2^31, peak the largest |coefficient|
-    of a column, so that the sum decodes exactly; it adds every other
-    column, and every column of a call with a larger B, term by term, as
-    ``combine`` does.
+    refuses it.  A call is all or nothing: when every column of its
+    polynomial is packed and B = (max peak + |shift|) sum |c| < 2^31, peak
+    the largest |coefficient| of a column, so that the sum decodes
+    exactly, it is one Kronecker sum; otherwise it is one ``combine`` of
+    every column and -shift p.
     """
 
     def __init__(self, rank: int):
@@ -288,13 +290,11 @@ class ColumnStore(_Slots):
         ``p``.  ``build`` maps the list of exponent tuples of the monomials
         of ``p`` that have no column yet to the list of their columns.  When
         every column of ``p`` is packed and B < 2^31 the image is the
-        Kronecker sum alone, and a sum of 0 is not decoded."""
+        Kronecker sum alone, and a sum of 0 is not decoded; otherwise it is
+        one ``combine`` of every column and -shift p."""
         rank, columns, packed = self.rank, self._columns, self._packed
         terms = p._terms
-        if terms.keys() <= packed.keys():
-            # every column is built and packed
-            tight = list(terms)
-        else:
+        if not terms.keys() <= packed.keys():
             new = [key for key in terms if key not in columns]
             if new:
                 one = self._ints.setdefault
@@ -305,29 +305,20 @@ class ColumnStore(_Slots):
                     entry = self._pack_terms(column, (key,))
                     if entry is not None:
                         packed[key] = entry
-            tight = [key for key in terms if key in packed]
-        pairs = list(map(packed.__getitem__, tight))
-        cs = list(map(terms.__getitem__, tight))
-        if (max([peak for peak, _ in pairs], default=0)
-                + abs(shift)) * sum(map(abs, cs)) >> 31:
-            tight = []
-        image = ZPolynomial._raw(rank, {})
-        if len(tight) < len(terms):
-            # the complement of tight, not of what another thread packed
-            chosen = set(tight)
-            loose = [key for key in terms if key not in chosen]
-            parts = [(terms[key], columns[key], None) for key in loose]
+        pairs = list(map(packed.get, terms))
+        cs = list(terms.values())
+        if None in pairs or (max([peak for peak, _ in pairs], default=0)
+                             + abs(shift)) * sum(map(abs, cs)) >> 31:
+            parts = [(c, columns[key], None) for key, c in terms.items()]
             if shift:
-                parts.append((-shift, p if not tight else ZPolynomial._raw(
-                    rank, {key: terms[key] for key in loose}), None))
-            image = ZPolynomial.combine(rank, parts)
-        if not tight:
-            return image
+                parts.append((-shift, p, None))
+            return ZPolynomial.combine(rank, parts)
+        image = ZPolynomial._raw(rank, {})
         total = sum(map(mul, cs, [value for _, value in pairs]))
         if shift:
-            where = list(map(self._slots.__getitem__, tight))
-            total -= shift * _kronecker(zip(where, cs), max(where) + 1)
+            where = list(map(self._slots.__getitem__, terms))
+            total -= shift * _kronecker(zip(where, cs),
+                                       max(where, default=-1) + 1)
         if total:
             self._add_digits(total, image._terms)
         return image
-

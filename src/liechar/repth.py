@@ -285,14 +285,6 @@ class Algebra:
         ``labels``: column m of the adjugate gives coordinate m."""
         return tuple(sum(map(mul, labels, col)) for col in self._adj_cols)
 
-    def _below(self, high: tuple, low: tuple) -> bool:
-        """``low <= high`` for checked label tuples: each difference of
-        their :meth:`_coords` >= 0 and divisible by det(A), the rule that
-        the character cache checks from its memo, which tests compare."""
-        det = self._det
-        return all(g >= 0 and not g % det
-                   for g in map(sub, self._coords(high), self._coords(low)))
-
     # -- reflections ------------------------------------------------------
 
     def _reflect(self, v: list, root: int = 0) -> tuple:

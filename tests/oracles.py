@@ -8,6 +8,7 @@ The operator's action is applied here by derivatives, independent of its
 column cache.
 """
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -319,6 +320,28 @@ def _height(alg, w):
     """Sum of the simple-root coordinates of w, sum_jk w_j (A^-1)_jk."""
     ainv = cartan_inverse(alg)
     return sum((wj * x for wj, row in zip(w, ainv) for x in row), Fraction(0))
+
+
+_scaled_inverse_cache = {}
+
+
+def below(alg, high, low):
+    """``low <= high`` in dominance order: high - low has nonnegative
+    integer coordinates sum_j (high - low)_j (A^-1)_jk on the simple roots,
+    read as integers from d A^-1, d the least common denominator of the
+    sympy inverse."""
+    key = alg.cartan.entries
+    hit = _scaled_inverse_cache.get(key)
+    if hit is None:
+        rows = cartan_inverse(alg)
+        d = math.lcm(*(x.denominator for row in rows for x in row))
+        hit = _scaled_inverse_cache[key] = (
+            d, [[int(x * d) for x in row] for row in rows])
+    d, rows = hit
+    diff = [h - l for h, l in zip(high, low)]
+    coords = (sum(g * row[k] for g, row in zip(diff, rows))
+              for k in range(alg.rank))
+    return all(c >= 0 and not c % d for c in coords)
 
 
 def tensor_oracle(alg, lam, nu):

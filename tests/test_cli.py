@@ -514,14 +514,48 @@ class TestDeterminism:
         assert result.returncode == 0
         assert result.stdout.startswith("b[1] = 192*z1")
 
+    def test_other_interpreters_print_the_same(self, capsys, tmp_path):
+        # each pyenv interpreter of Python 3.10 or later, which need not
+        # have numpy, answers as this one: a character expanded without
+        # numpy, an operator applied to parsed text and a product
+        here = Path(sys.executable).resolve()
+        pythons = [path for path in sorted(
+            (Path.home() / ".pyenv" / "versions").glob("3.1*/bin/python3"))
+            if tuple(map(int, path.parents[1].name.split(".")[:2])) >= (3, 10)
+            and path.resolve() != here]
+        if not pythons:
+            pytest.skip("no other interpreter of Python 3.10 or later under "
+                        "~/.pyenv/versions")
 
-def _fresh_process(code: str):
-    """Run ``code`` in a new interpreter on this tree's package, with no
-    user character cache; the finished process."""
+        def requests(cache_dir):
+            return [["char", "E8", "0,0,0,0,0,0,3,0", "--cache-dir",
+                     str(cache_dir)],
+                    ["delta1-apply", "E8", "--poly", "z1*z8 - 3*z7"],
+                    ["tensor", "E6", "1,0,0,0,0,0", "0,0,0,0,0,1"]]
+
+        expected = ""
+        for argv in requests(tmp_path / "here"):
+            code, out, _ = run_cli(capsys, *argv)
+            expected += f"{out}exit {code}\n"
+        assert expected.count("exit 0") == 3
+        code = ("import json, sys\n"
+                "from liechar.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    print('exit', main(argv), flush=True)\n")
+        for python in pythons:
+            # a cache of its own, so that each child expands the character
+            argv = json.dumps(requests(tmp_path / python.parents[1].name))
+            child = _fresh_process(code, argv, python=python)
+            assert (child.stdout, child.stderr) == (expected, ""), python
+
+
+def _fresh_process(code: str, *args, python=sys.executable):
+    """Run ``code`` with ``args`` in a new interpreter, ``python``, on this
+    tree's package, with no user character cache; the finished process."""
     src = str(Path(liechar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("LIECHAR_CACHE", None)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([python, "-c", code, *args], capture_output=True,
                           text=True, env=env)
 
 

@@ -344,7 +344,7 @@ class TestOperator:
             top = tuple((1 if i == j - 1 else 0) + (1 if i == k - 1 else 0)
                         for i in range(8))
             for exps in poly.terms:
-                assert e8._below(top, exps)
+                assert oracles.below(e8, top, exps)
 
     def test_requires_simply_laced(self):
         b2 = Algebra("B2")
@@ -755,20 +755,33 @@ class TestShiftedPackedSum:
             assert op.apply(p, sign * shift) == expected[shift]
             assert len(calls) == combined
 
-    def test_wide_columns_stay_unpacked(self, e8, operator_fixtures):
+    def test_wide_columns_stay_unpacked(self, e8, operator_fixtures,
+                                        monkeypatch):
         # a random monomial's column has hundreds of terms over monomials
         # met nowhere else, so packing every column would number slots for
         # all of them; a column is packed only while the slots stay within
-        # _SPAN per term of it
+        # _SPAN per term of it.  A call with an unpacked column is one
+        # combine and decodes nothing, even of its packed columns
         op = _fixture_operator(e8, operator_fixtures)
+        decoded = []
+        add = ColumnStore._add_digits
+        monkeypatch.setattr(ColumnStore, "_add_digits", lambda self, total,
+                            out: (decoded.append(total), add(self, total, out)))
         rng = random.Random(47)
+        mixed = 0
         for _ in range(30):
             p = ZPolynomial(8, {
                 tuple(rng.randint(0, 3) for _ in range(8)): rng.randint(1, 9)
                 for _ in range(rng.randint(1, 8))})
             expected = _shifted(op, p, 7)
             for _ in range(3):
+                decoded.clear()
                 assert op.apply(p, 7) == expected
+                packed = op._columns[1]._packed
+                if not p._terms.keys() <= packed.keys():
+                    assert decoded == []
+                    mixed += bool(p._terms.keys() & packed.keys())
+        assert mixed > 0
         store = op._columns[1]
         assert store._packed and store._columns.keys() - store._packed.keys()
         for key in store._packed:

@@ -313,7 +313,7 @@ class TestDominanceOrder:
             gap = alg.dominance_gap(high, low)
             integral = all(x.denominator == 1 for x in gap)
             below = integral and all(x >= 0 for x in gap)
-            assert alg._below(high, low) == below
+            assert oracles.below(alg, high, low) == below
             seen.add((integral, below))
         # both outcomes occur, and so do gaps that are not integral
         # wherever det(A) > 1
@@ -343,7 +343,7 @@ class TestFreudenthal:
         table = d4.freudenthal((2, 1, 0, 1))
         for w in table.entries:
             assert all(x >= 0 for x in w)
-            assert d4._below((2, 1, 0, 1), w)
+            assert oracles.below(d4, (2, 1, 0, 1), w)
 
     def test_dimension_sums(self, a2, a3, d4):
         rng = random.Random(5)
