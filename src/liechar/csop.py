@@ -221,9 +221,12 @@ def build_delta1(algebra: Algebra, char_provider=None,
     record's indices are read the same way; only a hand-built record can
     fail there, since :func:`~liechar.zpoly.read_fixture_text` checks the
     ones it parses.
-    With a character provider every pair is computed, in (j, k) order,
-    j <= k; a product over ``algebra.tensor_budget`` raises
-    :class:`BudgetError`.
+    With a character provider every pair's product V_λj ⊗ V_λk is taken
+    first, and then every pair is computed, each in (j, k) order, j <= k.
+    So a product over ``algebra.tensor_budget`` raises
+    :class:`BudgetError` before any character is expanded, and in E8 the
+    λ3 products load numpy before the first λ6 product, which then takes
+    the array kernel.
     Without one the pairs are loaded from the a records of
     ``fixture_records``, and pairs they lack stay unpopulated.  Fixture b
     records, when present, must agree with the computed values.
@@ -252,6 +255,9 @@ def build_delta1(algebra: Algebra, char_provider=None,
             op.entries[pair] = fixture_a[pair]
             op.provenance[pair] = "loaded-from-fixture"
         return op
+    fundamental = algebra.fundamental
+    for j, k in pairs:
+        algebra.tensor_decompose(fundamental(j), fundamental(k))
     for j, k in pairs:
         op.entries[(j, k)] = a_coeff(algebra, j, k, char_provider)
         op.provenance[(j, k)] = "computed"

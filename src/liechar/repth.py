@@ -27,23 +27,24 @@ the sign bit w - 1 of lane k is clear.  Orbits are walked as trees of keys
 :meth:`Algebra._lane_width`, gives each product the first lane width of 8,
 16, 32, ... bits that holds every label its sum forms, 8 for every E8
 product of the paper.  When the smaller factor's largest Weyl orbit has
-fewer than ``_ARRAY_MIN_ORBIT`` (2^16) weights, a Python loop reflects one
-key at a time from the factor's weight system, cached per algebra; numpy is
-never imported.  The system holds each orbit's keys in runs, one per set of
-lanes where the weight's label is -1, and the loop skips every run whose
-set meets a label 0 of the larger factor ν: ν + ρ + u has the label 0 there
-for each u of the run.  Longer orbits go to a numpy kernel, which walks
-the factor's missing orbits together, level by level, gathers the levels
-into batches of ``_ARRAY_CHUNK`` (2^16) keys and reflects each batch's sums
-on the same keys, held as ``uint64`` beside the index of each key's orbit;
-a product whose keys are wider than 64 bits stays on the loop.  Both paths
-drop a sum S = K(ν + ρ + u) with a label 0, which lies on a wall
-(Racah-Speiser cancellation), by one SWAR test: a label 0 is a zero lane of
-S ^ highs, highs holding each lane's sign bit.
+fewer than ``_ARRAY_MIN_ORBIT`` (2^16) weights, or 2^15 once numpy is
+loaded, a Python loop reflects one key at a time from the factor's weight
+system, cached per algebra; it imports no numpy.  The system holds each
+orbit's keys in runs, one per set of lanes where the weight's label is -1,
+and the loop skips every run whose set meets a label 0 of the larger factor
+ν: ν + ρ + u has the label 0 there for each u of the run.  Longer orbits go
+to a numpy kernel, which walks the factor's missing orbits together, level
+by level, gathers the levels into batches of ``_ARRAY_CHUNK`` (2^16) keys
+and reflects each batch's sums on the same keys, held as ``uint64`` beside
+the index of each key's orbit; a product whose keys are wider than 64 bits
+stays on the loop.  Both paths drop a sum S = K(ν + ρ + u) with a label 0,
+which lies on a wall (Racah-Speiser cancellation), by one SWAR test: a
+label 0 is a zero lane of S ^ highs, highs holding each lane's sign bit.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import cached_property, partial
 from itertools import islice
@@ -73,9 +74,9 @@ DEFAULT_TENSOR_BUDGET = 20_000_000
 # array kernel, which is faster but imports numpy (about 12 MB).  Below it
 # the loop's time is small, and a process that takes only such products, as
 # a CLI request for a small E8 character does, keeps numpy out of its peak
-# memory.  In E8 this sends λ3, λ4 and λ5 to the kernel; 2^15 would also
-# send λ6 (largest orbit 60,480), and `char E8 0,0,0,0,0,0,3,0` takes
-# λ6⊗λ6.
+# memory.  In E8 this sends λ3, λ4 and λ5 to the kernel.  Once numpy is
+# loaded, half of it also sends λ6 (largest orbit 60,480), which is faster
+# there; `char E8 0,0,0,0,0,0,3,0` still takes λ6⊗λ6 on the loop.
 _ARRAY_MIN_ORBIT = 2 ** 16
 # keys per batch of the array kernel, which bounds its working memory
 _ARRAY_CHUNK = 2 ** 16
@@ -581,9 +582,10 @@ class Algebra:
         sums are cached or not.  Both paths sum keys of the same lane width,
         the first of 8, 16, 32, ... bits that holds every label of the small
         factor and of the sums.  When that factor has a Weyl orbit of at
-        least 2^16 weights and its keys fit 64 bits, the missing orbits are
-        summed in the numpy array kernel, in batches of 2^16 keys gathered
-        across the levels of their orbit walk.
+        least 2^16 weights, or 2^15 once numpy is loaded, and its keys fit
+        64 bits, the missing orbits are summed in the numpy array kernel, in
+        batches of 2^16 keys gathered across the levels of their orbit
+        walk.
         """
         lam = self._check_dominant(left)
         nu = self._check_dominant(right)
@@ -611,9 +613,11 @@ class Algebra:
             shifted = tuple(x + 1 for x in big)
             bits = self._lane_width(shifted, small)
             # the kernel's keys are uint64, and its counts, bounded by an
-            # orbit's size, int64
-            if (max(orbits.values()) >= _ARRAY_MIN_ORBIT
-                    and self.rank * bits <= 64):
+            # orbit's size, int64; the threshold prices numpy's import, so
+            # it halves once the process has paid that
+            least = (_ARRAY_MIN_ORBIT // 2 if "numpy" in sys.modules
+                     else _ARRAY_MIN_ORBIT)
+            if max(orbits.values()) >= least and self.rank * bits <= 64:
                 found = _klimyk_array(self, missing, shifted, bits)
             else:
                 found = self._klimyk_loop(table, missing, shifted, bits)

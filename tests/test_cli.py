@@ -516,8 +516,10 @@ class TestDeterminism:
 
     def test_other_interpreters_print_the_same(self, capsys, tmp_path):
         # each pyenv interpreter of Python 3.10 or later, which need not
-        # have numpy, answers as this one: a character expanded without
-        # numpy, an operator applied to parsed text and a product
+        # have numpy, answers as this one: a dimension, a multiplicity
+        # table, a character expanded and one verified, an operator applied
+        # to parsed text and two products, which a child without numpy
+        # takes on the loop
         here = Path(sys.executable).resolve()
         pythons = [path for path in sorted(
             (Path.home() / ".pyenv" / "versions").glob("3.1*/bin/python3"))
@@ -528,16 +530,21 @@ class TestDeterminism:
                         "~/.pyenv/versions")
 
         def requests(cache_dir):
-            return [["char", "E8", "0,0,0,0,0,0,3,0", "--cache-dir",
+            return [["dim", "E8", "0,0,0,0,0,0,0,1"],
+                    ["mult", "D4", "1,0,0,1"],
+                    ["char", "E8", "0,0,0,0,0,0,3,0", "--cache-dir",
+                     str(cache_dir)],
+                    ["verify", "E8", "0,0,0,0,0,0,0,2", "--cache-dir",
                      str(cache_dir)],
                     ["delta1-apply", "E8", "--poly", "z1*z8 - 3*z7"],
-                    ["tensor", "E6", "1,0,0,0,0,0", "0,0,0,0,0,1"]]
+                    ["tensor", "E6", "1,0,0,0,0,0", "0,0,0,0,0,1"],
+                    ["tensor", "G2", "1,1", "0,1"]]
 
         expected = ""
         for argv in requests(tmp_path / "here"):
             code, out, _ = run_cli(capsys, *argv)
             expected += f"{out}exit {code}\n"
-        assert expected.count("exit 0") == 3
+        assert expected.count("exit 0") == 7
         code = ("import json, sys\n"
                 "from liechar.cli import main\n"
                 "for argv in json.loads(sys.argv[1]):\n"

@@ -285,6 +285,45 @@ class TestOperator:
                          pairs=[(4, 4), (8, 8)])
         assert err.value.pair == ((0, 0, 0, 1, 0, 0, 0, 0),) * 2
 
+    def test_over_budget_pair_raises_before_any_character(self):
+        # (1, 8) comes first in (j, k) order, and its constituent λ1 + λ8
+        # is expanded from z1 z8; (4, 4) is refused before that, so the
+        # cache holds only the identity and the 8 fundamentals it starts
+        # with
+        tight = Algebra("E8", tensor_budget=3_207_120)
+        cache = CharacterCache(tight)
+        with pytest.raises(BudgetError) as err:
+            build_delta1(tight, cache, pairs=[(4, 4), (8, 1)])
+        assert err.value.pair == ((0, 0, 0, 1, 0, 0, 0, 0),) * 2
+        assert err.value.cost == 3_207_121
+        assert len(cache._mem) == 9
+
+    @pytest.mark.parametrize("name", ["D4", "E7"])
+    def test_every_pair_product_comes_first(self, monkeypatch, name):
+        # the 36 products of E8 from nothing, taken before the character
+        # recursion, import numpy for λ3 before λ6 is multiplied
+        events = []
+        product, expand = Algebra.tensor_decompose, CharacterCache._expand
+
+        def product_spy(self, left, right, *args):
+            events.append((tuple(left), tuple(right)))
+            return product(self, left, right, *args)
+
+        def expand_spy(self, *args):
+            events.append("expand")
+            return expand(self, *args)
+
+        monkeypatch.setattr(Algebra, "tensor_decompose", product_spy)
+        monkeypatch.setattr(CharacterCache, "_expand", expand_spy)
+        alg = Algebra(name)
+        op = build_delta1(alg, CharacterCache(alg))
+        pairs = sorted(op.entries)
+        assert len(pairs) == alg.rank * (alg.rank + 1) // 2
+        assert events[:len(pairs)] == [
+            (tuple(alg.fundamental(j)), tuple(alg.fundamental(k)))
+            for j, k in pairs]
+        assert "expand" in events[len(pairs):]
+
     @pytest.mark.parametrize("pairs, message", [
         ([(0, 9)], "indices (0, 9) out of range 1..8"),
         ([(9, 9)], "indices (9, 9) out of range 1..8"),

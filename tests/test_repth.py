@@ -629,6 +629,7 @@ class TestKlimykKernels:
         ("E7", (0, 0, 0, 0, 0, 1, 1), (1, 0, 0, 0, 0, 0, 1)),
         ("E8", (0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0)),
         ("E8", (0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+        ("E8", (0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0)),
     ])
     def test_kernels_agree(self, monkeypatch, name, left, right):
         # each path takes the products in a shuffled order and in its
@@ -679,15 +680,42 @@ class TestKlimykKernels:
         assert Algebra(name).tensor_decompose(left, right) == expected
         assert len(kernel_calls) == 1
 
-    def test_crossover_sends_lambda3_to_the_kernel(self, kernel_calls):
-        # largest orbits: λ3 69,120 weights, λ6 60,480, λ2 17,280
-        e8 = Algebra("E8")
-        lam2, lam3, lam6 = (e8.fundamental(i) for i in (2, 3, 6))
-        assert (max(e8._orbit_sizes(lam3).values()) >= repth._ARRAY_MIN_ORBIT
-                > max(e8._orbit_sizes(lam6).values()))
-        for lam in (lam3, lam6, lam2):
-            e8.tensor_decompose(lam, lam)
-        assert kernel_calls == [set(e8.freudenthal(lam3).entries)]
+    def test_crossover_halves_once_numpy_is_loaded(self):
+        # largest orbits: λ3 69,120 weights, λ6 60,480, λ2 17,280.  In a
+        # fresh process λ6 takes the loop and numpy stays out; after a λ3
+        # product has imported it, a λ6 product takes the kernel and λ2
+        # still takes the loop.  Each answer equals the loop's
+        code = (
+            "import sys\n"
+            "from liechar import Algebra, repth\n"
+            "calls, kernel = [], repth._klimyk_array\n"
+            "def spy(alg, orbits, *rest):\n"
+            "    calls.append(set(orbits))\n"
+            "    return kernel(alg, orbits, *rest)\n"
+            "repth._klimyk_array = spy\n"
+            "e8 = Algebra('E8')\n"
+            "l2, l3, l5, l6 = map(e8.fundamental, (2, 3, 5, 6))\n"
+            "x3, x6, x2 = (max(e8._orbit_sizes(lam).values())\n"
+            "              for lam in (l3, l6, l2))\n"
+            "least = repth._ARRAY_MIN_ORBIT\n"
+            "assert x3 >= least > x6 >= least // 2 > x2\n"
+            "products = [(l6, l6), (l3, l3), (l6, l5), (l2, l2)]\n"
+            "results, seen = [], []\n"
+            "for pair in products:\n"
+            "    results.append(e8.tensor_decompose(*pair))\n"
+            "    seen.append(('numpy' in sys.modules, len(calls)))\n"
+            "assert seen == [(False, 0), (True, 1), (True, 2), (True, 2)]\n"
+            "tables = [set(e8.freudenthal(lam).entries) for lam in (l3, l6)]\n"
+            "assert calls == tables\n"
+            "repth._ARRAY_MIN_ORBIT = 2 ** 200\n"
+            "loop = Algebra('E8')\n"
+            "assert results == [loop.tensor_decompose(*p) for p in products]\n"
+            "assert calls == tables\n")
+        src = str(Path(liechar.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 0, out.stderr
 
     def test_lambda6_character_request_does_not_import_numpy(self):
         # the CLI computes χ(3λ7) through λ6⊗λ6, which stays on the loop;
