@@ -32,14 +32,14 @@ loaded, a Python loop reflects one key at a time from the factor's weight
 system, cached per algebra; it imports no numpy.  The system holds each
 orbit's keys in runs, one per set of lanes where the weight's label is -1,
 and the loop skips every run whose set meets a label 0 of the larger factor
-ν: ν + ρ + u has the label 0 there for each u of the run.  Longer orbits go
-to a numpy kernel, which walks the factor's missing orbits together, level
-by level, gathers the levels into batches of ``_ARRAY_CHUNK`` (2^16) keys
-and reflects each batch's sums on the same keys, held as ``uint64`` beside
-the index of each key's orbit; a product whose keys are wider than 64 bits
-stays on the loop.  Both paths drop a sum S = K(ν + ρ + u) with a label 0,
-which lies on a wall (Racah-Speiser cancellation), by one SWAR test: a
-label 0 is a zero lane of S ^ highs, highs holding each lane's sign bit.
+ν: ν + ρ + u has the label 0 there for each u of the run, and it drops
+the other sums S = K(ν + ρ + u) with a label 0, which lie on a wall
+(Racah-Speiser cancellation), by one SWAR test: a label 0 is a zero lane
+of S ^ highs, highs holding each lane's sign bit.  Longer orbits go to a
+numpy kernel that forms only the sums that survive, each a point w(κ+ρ)
+within |μ| of ν + ρ: it walks the orbits of the constituents κ of a ball
+around ν, pruned to those points, on ``uint64`` keys; a product whose
+keys are wider than 64 bits stays on the loop.
 """
 
 from __future__ import annotations
@@ -76,9 +76,11 @@ DEFAULT_TENSOR_BUDGET = 20_000_000
 # a CLI request for a small E8 character does, keeps numpy out of its peak
 # memory.  In E8 this sends λ3, λ4 and λ5 to the kernel.  Once numpy is
 # loaded, half of it also sends λ6 (largest orbit 60,480), which is faster
-# there; `char E8 0,0,0,0,0,0,3,0` still takes λ6⊗λ6 on the loop.
+# there; `char E8 0,0,0,0,0,0,3,0` still takes λ6⊗λ6 on the loop.  The
+# kernel walks the chambers of a ball's candidates, not these orbits.
 _ARRAY_MIN_ORBIT = 2 ** 16
-# keys per batch of the array kernel, which bounds its working memory
+# candidates per batch of the kernel's chamber walk, which bounds its
+# working memory to about one batch plus one level of the walk
 _ARRAY_CHUNK = 2 ** 16
 # keys of an orbit walk that the loop's weight system sorts into runs at
 # once, which bounds the memory it holds besides the system
@@ -567,10 +569,8 @@ class Algebra:
         S(μ, ν) the signed sum over the Weyl orbit of μ.  The memo
         ``_orbit_sums`` keeps each S by (μ, ν), as constituent labels with
         their nonzero counts; a product sums only the orbits whose S it
-        lacks, and enters them once every one has passed its length check.
-        In E8 from nothing it ends with 407 sums of 13,584 entries, and the
-        244 products sum 5,017,812 weights where their costs add up to
-        6,895,684.
+        lacks, and enters them once every one has passed its check.  In E8
+        from nothing it ends with 407 sums of 13,584 entries.
 
         Raises :class:`BudgetError` when the product's cost, the sum of the
         orbit sizes over the smaller factor's Freudenthal table (the number
@@ -581,11 +581,11 @@ class Algebra:
         The budget is checked on every call, whether the product or its
         sums are cached or not.  Both paths sum keys of the same lane width,
         the first of 8, 16, 32, ... bits that holds every label of the small
-        factor and of the sums.  When that factor has a Weyl orbit of at
-        least 2^16 weights, or 2^15 once numpy is loaded, and its keys fit
-        64 bits, the missing orbits are summed in the numpy array kernel, in
-        batches of 2^16 keys gathered across the levels of their orbit
-        walk.
+        factor and of the sums.  The loop walks each orbit and checks its
+        length.  When that factor has a Weyl orbit of at least 2^16 weights,
+        or 2^15 once numpy is loaded, and its keys fit 64 bits, the numpy
+        kernel walks instead the chambers of candidate constituents in a
+        ball around ν, and checks each sum by the dimension identity.
         """
         lam = self._check_dominant(left)
         nu = self._check_dominant(right)
@@ -613,7 +613,7 @@ class Algebra:
             shifted = tuple(x + 1 for x in big)
             bits = self._lane_width(shifted, small)
             # the kernel's keys are uint64, and its counts, bounded by an
-            # orbit's size, int64; the threshold prices numpy's import, so
+            # orbit's size, int32; the threshold prices numpy's import, so
             # it halves once the process has paid that
             least = (_ARRAY_MIN_ORBIT // 2 if "numpy" in sys.modules
                      else _ARRAY_MIN_ORBIT)
@@ -808,140 +808,140 @@ def _decode(keys, bits: int, n: int, offset: int) -> Iterator[tuple]:
 
 
 def _klimyk_array(alg, orbits, shifted, bits: int) -> dict:
-    """Klimyk sum over the orbits of ``orbits``, in batches of numpy arrays.
+    """Klimyk sum over the orbits of ``orbits`` by a walk of Weyl chambers.
 
-    ``orbits`` maps each dominant weight to sum to its orbit size, checked
-    against the walk of :func:`_packed_orbits`, and ``shifted`` is the
-    larger factor's highest weight plus ρ.  The levels of the walk are
-    gathered into batches of ``_ARRAY_CHUNK`` keys, and each batch's sums
-    are reflected at once on their ``uint64`` keys, each with the index of
-    its orbit.  A level longer than a batch is cut, and the keys still held
-    when the walk ends make the last batch, so the kernel holds about one
-    batch plus one level.  Returns the same dict per orbit as
-    :meth:`Algebra._klimyk_loop`.  ``bits`` is the lane width that
-    :meth:`Algebra.tensor_decompose` computes, with rank * bits <= 64.
+    With y = ``shifted`` = ν + ρ, a weight u of Wμ with u + y regular is
+    v - y for one v = w(κ+ρ), κ dominant, and adds det(w) at κ.  Such a v
+    lies within R of y, R^2 the largest |μ|^2 of ``orbits``, and so does
+    κ+ρ, which maximises (·, y) on its orbit: :func:`_ball` gives the
+    candidates κ, :func:`_chamber_walk` the points v, and each v - y is
+    reflected to the dominant chamber and matched against ``orbits``.
+    Every sum must meet the dimension identity sum_κ S_κ dim V_κ = |Wμ|
+    dim V_ν, m_μ χ_ν at the identity.  Returns the same dict per orbit as
+    :meth:`Algebra._klimyk_loop`; rank * bits <= 64.
     """
     import numpy as np
 
-    roots, lows, signs = alg._lanes(bits)
-    bias = 1 << bits - 1
-    mask = (1 << bits) - 1
-    highs = signs[-1]
-    top = sum(x << bits * k for k, x in enumerate(shifted))
-    weights = list(orbits)
-    found = {mu: {} for mu in weights}
-    # per batch: its dominant keys, signed orbit indices and counts
-    parts = []
-
-    def tally(keys, vals, counts):
-        # the counts summed per key and signed orbit index
-        order = np.lexsort((keys, vals))
-        keys, vals = keys[order], vals[order]
-        starts = np.flatnonzero(np.concatenate((
-            [True], (keys[1:] != keys[:-1]) | (vals[1:] != vals[:-1]))))
-        return keys[starts], vals[starts], np.add.reduceat(counts[order],
-                                                           starts)
-
-    def flush(s, origin):
-        # ρ-shifted sums S = K(u) + K(ν + ρ), reflected to the dominant
-        # chamber at every negative label: with c = B - lane > 0, S += c
-        # K(α_i) and the sign flips.  A sum with a label 0, a zero lane of
-        # S ^ highs, lies on a wall and cancels, so it is dropped as soon
-        # as it shows one; a sum with every sign bit set is dominant.  The
-        # batch s is the caller's copy and is summed in place.
-        s += top
-        # the index of each sum's orbit plus 1, negated when its sign flips
-        vals = origin.astype(np.int64) + 1
-        keys, signed = [], []
-        while len(s):
-            # y = S ^ highs has a zero lane iff (y - lows) & ~y & highs is
-            # nonzero, and ~y & highs = S & highs
-            off = ((s ^ highs) - lows) & s & highs == 0
-            keep = off & ((s & highs) == highs)
-            keys.append(s[keep])
-            signed.append(vals[keep])
-            rest = off ^ keep
-            s, vals = s[rest], vals[rest]
-            for i, root in enumerate(roots):
-                c = s >> bits * i
-                c &= mask
-                np.minimum(c, bias, out=c)
-                np.subtract(bias, c, out=c)
-                np.negative(vals, out=vals, where=c > 0)
-                c *= root % (1 << 64)
-                s += c
-        keys = np.concatenate(keys)
-        if len(keys):
-            parts.append(tally(keys, np.concatenate(signed),
-                               np.ones(len(keys), dtype=np.int64)))
-
-    sizes = np.array([orbits[mu] for mu in weights], dtype=np.int64)
-    counts = np.zeros(len(weights), dtype=np.int64)
-    # levels held for the next batch, fewer than _ARRAY_CHUNK keys in all
-    held, pending = [], 0
-    for keys, origin in _packed_orbits(alg, weights, bits):
-        counts += np.bincount(origin, minlength=len(weights))
-        if (counts > sizes).any():
-            break
-        held.append((keys, origin))
-        pending += len(keys)
-        if pending < _ARRAY_CHUNK:
-            continue
-        keys, origin = map(np.concatenate, zip(*held))
-        held, pending = [], pending % _ARRAY_CHUNK
-        end = len(keys) - pending
-        for start in range(0, end, _ARRAY_CHUNK):
-            part = slice(start, start + _ARRAY_CHUNK)
-            flush(keys[part], origin[part])
-        if pending:
-            held.append((keys[end:].copy(), origin[end:].copy()))
-    for mu, size, count in zip(weights, sizes.tolist(), counts.tolist()):
-        if count != size:
-            raise AssertionError(f"orbit of {mu} reached {count} weights, "
-                                 f"expected {size}")
-    if held:
-        flush(*map(np.concatenate, zip(*held)))
-    if parts:
-        keys, vals, totals = tally(*map(np.concatenate, zip(*parts)))
-        for k, i, n in zip(keys.tolist(), vals.tolist(), totals.tolist()):
-            acc = found[weights[abs(i) - 1]]
-            acc[k] = acc.get(k, 0) + (n if i > 0 else -n)
+    roots, _, signs = alg._lanes(bits)
+    bias, mask, highs = 1 << bits - 1, (1 << bits) - 1, signs[-1]
+    lanes = np.array([1 << bits * k for k in range(alg.rank)], np.uint64)
+    top = np.uint64(sum(x << bits * k for k, x in enumerate(shifted)))
+    weights = sorted(orbits, key=lambda mu: mu[::-1])
+    targets = (np.array(weights).astype(np.uint64) + bias) @ lanes
+    radius = max(alg._form(mu, mu) for mu in weights)
+    steps = [2 * alg._form(row, shifted) for row in alg.cartan.entries]
+    # a slack lies within (2|y| + R)^2 <= 8|y|^2 + 2R^2 of 0, which
+    # passes int64 only for lanes of 32 bits or more
+    wide = 8 * alg._form(shifted, shifted) + 2 * radius >> 63
+    # (κ+ρ) @ pairings: the factors (κ+ρ, α) L < 2^63 of Weyl's numerator,
+    # formed for 1024 candidates at a time (1 MB in E8)
+    pairings = (np.array([root.coeffs for root in alg.roots]).T
+                * np.array(alg._lengths)[:, None])
+    found, totals = {mu: {} for mu in weights}, [0] * len(weights)
+    for ts, norms in _ball(alg, [1 - x for x in shifted], radius,
+                           weights[0]):
+        keys = (ts.astype(np.uint64) + bias) @ lanes + top
+        slack = (radius - norms).astype(object if wide else np.int64)
+        # |S| <= |W| <= |W(E8)| < 2^31 at rank <= 8
+        counts = np.zeros((len(ts), len(weights)), np.int32)
+        for sign, v, index in _chamber_walk(alg, keys, slack, steps, bits):
+            # u = v - y, reflected at each negative label: u += c K(α_i)
+            u = v - top
+            while len(u):
+                done = u & highs == highs
+                j = np.searchsorted(targets, u[done]) % len(weights)
+                hit = targets[j] == u[done]
+                np.add.at(counts, (index[done][hit], j[hit]), sign)
+                u, index = u[~done], index[~done]
+                for i, root in enumerate(roots):
+                    c = u >> bits * i
+                    c &= mask
+                    np.minimum(c, bias, out=c)
+                    u += np.subtract(bias, c, out=c) * (root % (1 << 64))
+        for start in range(0, len(ts), 1024):
+            part = slice(start, start + 1024)
+            factors = (ts[part] + shifted) @ pairings
+            group = 63 // int(factors.max()).bit_length()
+            numerators = list(map(prod, np.multiply.reduceat(
+                factors, range(0, factors.shape[1], group), axis=1).tolist()))
+            rows, cols = np.nonzero(counts[part])
+            for r, c, n in zip(rows.tolist(), cols.tolist(),
+                               counts[part][rows, cols].tolist()):
+                found[weights[c]][int(keys[start + r])] = n
+                totals[c] += n * numerators[r]
+    target = prod(alg._root_pairings(shifted))
+    for mu, total in zip(weights, totals):
+        if total != orbits[mu] * target:
+            raise AssertionError(f"orbit of {mu} fails the dimension identity")
     return found
 
 
-def _packed_orbits(alg, weights, bits: int):
-    """The Weyl orbits of the dominant ``weights``, walked together.
-
-    Yields ``(keys, origin)`` per level of the trees of
-    :meth:`WeylOrbit.keys`: the ``uint64`` keys of ``bits`` bits per label,
-    and the index in ``weights`` of each key's orbit.  Level 0 holds
-    ``weights``.  The caller checks that every label lies in [-B, B) and
-    that rank * bits <= 64; uint64 arithmetic wraps modulo 2^64, which
-    leaves the exact key of every weight.
+def _ball(alg, low, radius: int, coset):
+    """Batches of ``_ARRAY_CHUNK`` label vectors t or fewer, with (t, t) in
+    ``_form`` units: each t with t_j >= ``low[j]``, t - ``coset`` in the
+    root lattice and (t, t) <= ``radius``.  Fincke-Pohst: with (t, t) =
+    |U t|^2, U upper triangular, each step fixes the next coordinate, the
+    last first, over the interval the norm left allows, widened in floats.
     """
     import numpy as np
 
-    bias = 1 << bits - 1
-    mask = (1 << bits) - 1
+    adj = np.array(alg.cartan.adjugate)
+    gram = adj * alg._lengths
+    upper = np.linalg.cholesky(gram).T
+    stack = [(np.zeros((1, 0), np.int64), np.array([radius + 0.5]))]
+    while stack:
+        rows, rest = stack.pop()
+        j = alg.rank - 1 - rows.shape[1]
+        centre = -(rows @ upper[j, j + 1:]) / upper[j, j]
+        half = np.sqrt(np.maximum(rest, 0)) / upper[j, j] + 1e-6
+        lo = np.maximum(np.ceil(centre - half), low[j]).astype(np.int64)
+        n = np.maximum(np.floor(centre + half).astype(np.int64) - lo + 1, 0)
+        parent = np.repeat(np.arange(len(rows)), n)
+        x = lo[parent] + np.arange(len(parent)) - (np.cumsum(n) - n)[parent]
+        rest = rest[parent] - (upper[j, j] * (x - centre[parent])) ** 2
+        rows = np.column_stack((x, rows[parent]))
+        if j:
+            stack += [(rows[k:k + _ARRAY_CHUNK], rest[k:k + _ARRAY_CHUNK])
+                      for k in range(0, len(rows), _ARRAY_CHUNK)]
+            continue
+        norms = np.einsum("ij,jk,ik->i", rows, gram, rows)
+        keep = (norms <= radius) & ((rows - coset) @ adj % alg._det
+                                    == 0).all(axis=1)
+        rows, norms = rows[keep], norms[keep]
+        for k in range(0, len(rows), _ARRAY_CHUNK):
+            yield rows[k:k + _ARRAY_CHUNK], norms[k:k + _ARRAY_CHUNK]
+
+
+def _chamber_walk(alg, keys, slack, steps, bits: int):
+    """The points v of the orbits W(κ+ρ) within R of y, by levels of D.
+    Snow's trees (see :meth:`WeylOrbit.keys`), as ``(sign, keys, index)``:
+    det(w) = (-1)^depth for v = w(κ+ρ), and each key's candidate.
+
+    ``keys`` holds K(κ+ρ) per candidate κ, ``slack`` R^2 - |κ+ρ - y|^2 and
+    ``steps[i]`` 2 (α_i, y), in ``_form`` units.  A child s_i v, v_i > 0,
+    has the slack slack(v) - v_i steps[i], and v's parent s_f v, v_f < 0,
+    more: the points within R of y make subtrees.  Every key the kernel
+    forms fits the lanes of ``bits``: v and its children have the norm
+    |κ+ρ| <= |y| + R, v - y and its reflections at most R, and R <= |λ|
+    for the smaller factor λ, within the bound of ``_lane_width``.
+    """
+    import numpy as np
+
     roots, _, signs = alg._lanes(bits)
-    keys = np.array([sum(x + bias << bits * k for k, x in enumerate(mu))
-                     for mu in weights], dtype=np.uint64)
-    origin = np.arange(len(weights), dtype=np.min_scalar_type(len(weights)))
+    bias, mask = 1 << bits - 1, (1 << bits) - 1
+    index = np.arange(len(keys), dtype=np.int32)
+    sign = 1
     while len(keys):
-        yield keys, origin
-        children, origins = [], []
-        for i in range(alg.rank):
-            lane = keys >> bits * i
-            lane &= mask
+        yield sign, keys, index
+        level = []
+        for i, root in enumerate(roots):
+            lane = keys >> bits * i & mask
             pick = np.flatnonzero(lane > bias)
-            child = lane[pick]
-            child -= bias
-            child *= -roots[i] % (1 << 64)
-            child += keys[pick]
-            if i:
-                first = (child & signs[i]) == signs[i]
-                child, pick = child[first], pick[first]
-            children.append(child)
-            origins.append(origin[pick])
-        keys = np.concatenate(children)
-        origin = np.concatenate(origins)
+            x = lane[pick] - bias
+            rest = slack[pick] - x.astype(slack.dtype) * steps[i]
+            pick, x, rest = pick[rest >= 0], x[rest >= 0], rest[rest >= 0]
+            child = keys[pick] - x * (root % (1 << 64))
+            first = child & signs[i] == signs[i]
+            level.append((child[first], rest[first], index[pick[first]]))
+        keys, slack, index = map(np.concatenate, zip(*level))
+        sign = -sign

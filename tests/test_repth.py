@@ -1,10 +1,12 @@
 import itertools
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -838,6 +840,26 @@ class TestKlimykKernels:
             monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_LOOP)
             assert forced == Algebra("A3").tensor_decompose(big, small)
 
+    @pytest.mark.parametrize("name, big, small", [
+        # 64-bit keys whose walk slacks pass int64, 8 |ν + ρ|^2 >= 2^63:
+        # A1's 64-bit lanes and A2's 32-bit ones
+        ("A1", (2 ** 61,), (3,)),
+        ("A2", (2 ** 30, 0), (1, 1)),
+    ])
+    def test_kernel_takes_slacks_beyond_int64(self, monkeypatch,
+                                              kernel_calls, name, big,
+                                              small):
+        alg = Algebra(name)
+        shifted = tuple(x + 1 for x in big)
+        assert alg.rank * alg._lane_width(shifted, small) == 64
+        assert 8 * alg._form(shifted, shifted) >= 1 << 63
+        results = []
+        for threshold in (FORCE_LOOP, FORCE_ARRAY):
+            monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
+            results.append(Algebra(name).tensor_decompose(big, small))
+        assert len(kernel_calls) == 1
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("name, left, right", [
         ("A2", (2, 1), (1, 2)),
         ("A2", (200, 0), (1, 1)),
@@ -1064,10 +1086,88 @@ class TestKeyLoop:
             assert results[0].entries == oracles.tensor_oracle(alg, nu, small)
 
 
+def box_ball(alg, low, radius, coset=None):
+    """The label vectors t with t_j >= low[j], _form(t, t) <= radius and,
+    unless ``coset`` is None, t - coset in the root lattice (integral root
+    coordinates from the sympy inverse), by a search of a box: t_j = 2 (t,
+    α_j) / (α_j, α_j), so t_j^2 <= 4 (t, t) / (α_j, α_j) (Cauchy-Schwarz)."""
+    ainv = oracles.cartan_inverse(alg)
+    ranges = []
+    for j, row in enumerate(alg.cartan.entries):
+        bound = math.isqrt(4 * radius // alg._form(row, row))
+        ranges.append(range(max(low[j], -bound), bound + 1))
+    return [t for t in itertools.product(*ranges)
+            if alg._form(t, t) <= radius and (coset is None or all(
+                sum((a - b) * row[k] for a, b, row in zip(t, coset, ainv))
+                .denominator == 1 for k in range(alg.rank)))]
+
+
+def chamber_points(alg, big, small):
+    """(κ+ρ, v, (-1)^l(w)) for each regular v = w(κ+ρ) within R of y = big
+    + ρ, R^2 the largest |μ|^2 of V_small: the Weyl orbits of the dominant
+    weights within R, in small's coset, shifted by y."""
+    y = tuple(x + 1 for x in big)
+    radius = max(alg._form(mu, mu) for mu in alg.freudenthal(small).entries)
+    points = Counter()
+    for mu in box_ball(alg, [0] * alg.rank, radius, small):
+        for u in alg.weyl_orbit(mu):
+            v = tuple(a + b for a, b in zip(u, y))
+            pairings = alg._root_pairings(v)
+            if 0 not in pairings:
+                length = sum(p < 0 for p in pairings)
+                points[alg._reflect(list(v))[0], v, (-1) ** length] += 1
+    return points
+
+
+def walked_points(monkeypatch):
+    """Spy on the chamber walk: (κ+ρ, v, sign) per point it yields."""
+    walked = Counter()
+    walk = repth._chamber_walk
+
+    def spy(alg, keys, slack, steps, bits):
+        tops = None
+        for sign, level, index in walk(alg, keys, slack, steps, bits):
+            labels = list(repth._decode(level.tolist(), bits, alg.rank,
+                                        1 << bits - 1))
+            tops = tops or labels
+            for v, i in zip(labels, index.tolist()):
+                walked[tops[i], v, sign] += 1
+            yield sign, level, index
+
+    monkeypatch.setattr(repth, "_chamber_walk", spy)
+    return walked
+
+
+def broken_walk(drop=None):
+    """A chamber walk whose first level loses the node of key ``drop`` or,
+    with no ``drop``, comes again after the last level."""
+    walk = repth._chamber_walk
+
+    def broken(alg, keys, *rest):
+        levels = walk(alg, keys, *rest)
+        sign, first, index = next(levels)
+        if drop is None:
+            yield sign, first, index
+            yield from levels
+            yield sign, first, index
+        else:
+            keep = first != drop
+            yield sign, first[keep], index[keep]
+            yield from levels
+
+    return broken
+
+
+def top_key(big, small, bits):
+    """The key of the top constituent plus ρ, big + small + ρ."""
+    return sum(a + b + 1 + (1 << bits - 1) << bits * k
+               for k, (a, b) in enumerate(zip(big, small)))
+
+
 class TestPackedWalk:
     @pytest.mark.parametrize("name, left, right", [
-        # 9 orbits, 186,481 weights
-        ("E8", (0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0)),
+        # 35 candidates, 132 points
+        ("E6", (1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 1)),
         # asymmetric Cartan rows: a transposed K(α_i) walks wrong weights
         ("B3", (1, 0, 1), (0, 1, 1)),
         ("C3", (1, 1, 0), (0, 1, 1)),
@@ -1076,47 +1176,61 @@ class TestPackedWalk:
     ])
     def test_walk_yields_each_orbit_once(self, monkeypatch, name, left,
                                          right):
-        levels = []
-        walk = repth._packed_orbits
-
-        def spy(alg, weights, bits):
-            levels.append((list(weights), bits))
-            for keys, origin in walk(alg, weights, bits):
-                levels.append((keys.copy(), origin.copy()))
-                yield keys, origin
-
+        # each v of W(κ+ρ) within R of y once, with det(w), for every
+        # candidate κ, checked against alg.weyl_orbit
         monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
-        monkeypatch.setattr(repth, "_packed_orbits", spy)
+        walked = walked_points(monkeypatch)
         alg = Algebra(name)
         alg.tensor_decompose(left, right)
-        (weights, bits), *levels = levels
-        small = left if alg.weyl_dim(left) <= alg.weyl_dim(right) else right
-        assert sorted(weights) == sorted(alg.freudenthal(small).entries)
-        walked = {mu: [] for mu in weights}
-        for keys, origin in levels:
-            labels = repth._decode(keys.tolist(), bits, alg.rank,
-                                   1 << bits - 1)
-            for u, i in zip(labels, origin.tolist()):
-                walked[weights[i]].append(tuple(u))
-        for mu, orbit in walked.items():
-            assert len(orbit) == alg.orbit_size(mu)
-            assert set(orbit) == set(alg.weyl_orbit(mu))
+        big, small = sorted((left, right), key=alg.weyl_dim, reverse=True)
+        expected = chamber_points(alg, big, small)
+        assert set(expected.values()) == set(walked.values()) == {1}
+        assert walked == expected
+
+    def test_every_key_fits_the_lanes_at_the_edge(self, monkeypatch):
+        # 18,916 λ1 ⊗ (1,0,1) of A3 is the last such product on 16-bit
+        # lanes (see test_lane_guard_decides_where_the_sum_labels_fit).
+        # Every label the kernel forms, at a node v, at a child of v before
+        # the prune, or at v - y and its reflections, is a Weyl image of a
+        # weight within |y| + |small| of 0, so _lane_width's bound holds
+        # for it, and that bound is at its edge here
+        monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
+        walked = walked_points(monkeypatch)
+        a3 = Algebra("A3")
+        big, small, y = (18_916, 0, 0), (1, 0, 1), (18_917, 1, 1)
+        a3.tensor_decompose(big, small)
+        assert walked == chamber_points(a3, big, small)
+        labels = []
+        for _, v, _ in walked:
+            labels += v
+            for i, row in enumerate(a3.cartan.entries):
+                if v[i] > 0:
+                    labels += (a - v[i] * b for a, b in zip(v, row))
+            u = a3._reflect([a - b for a, b in zip(v, y)])[0]
+            labels += itertools.chain(*a3.weyl_orbit(u))
+        worst = max(map(abs, labels))
+        square = 8 * (a3._form(y, y) + a3._form(small, small))
+        assert a3._short_norm * worst * worst <= square
+        assert square < a3._short_norm << 30
+        wider = (18_918, 1, 1)
+        assert 8 * (a3._form(wider, wider) + a3._form(small, small)) >= \
+            a3._short_norm << 30
 
     def test_e8_keys_use_the_top_bit(self, monkeypatch):
-        # E8's 8 lanes of 8 bits fill a uint64 key; the key of u has bit 63
-        # set exactly when u_8 >= 0
+        # E8's 8 lanes of 8 bits fill a uint64 key; the key of v has bit 63
+        # set exactly when v_8 >= 0
         import numpy as np
 
         tops = []
-        walk = repth._packed_orbits
+        walk = repth._chamber_walk
 
-        def spy(alg, weights, bits):
-            for keys, origin in walk(alg, weights, bits):
+        def spy(*args):
+            for sign, keys, index in walk(*args):
                 assert keys.dtype == np.uint64
                 tops.append(int(keys.max()))
-                yield keys, origin
+                yield sign, keys, index
 
-        monkeypatch.setattr(repth, "_packed_orbits", spy)
+        monkeypatch.setattr(repth, "_chamber_walk", spy)
         e8 = Algebra("E8")
         lam = e8.fundamental(4)
         e8.tensor_decompose(lam, lam)
@@ -1133,23 +1247,15 @@ class TestPackedWalk:
         with pytest.raises(AssertionError, match="orbit of"):
             repth._klimyk_array(b3, orbits, (2, 1, 2), bits)
 
-    def test_overrun_orbit_stops_the_walk(self, monkeypatch):
-        # after the whole walk, the first level comes again and overruns
-        # every orbit; the kernel must stop there, not ask for more
-        walk = repth._packed_orbits
-
-        def overrun(alg, weights, bits):
-            levels = walk(alg, weights, bits)
-            first = next(levels)
-            yield first
-            yield from levels
-            yield first
-            raise RuntimeError("the walk went on past an overrun orbit")
-
-        monkeypatch.setattr(repth, "_packed_orbits", overrun)
+    @pytest.mark.parametrize("how", ["drop", "repeat"])
+    def test_broken_walk_fails_the_identity(self, monkeypatch, how):
+        # one node fewer, at the top constituent, or a level again: the
+        # dimension identity fails
         b3 = Algebra("B3")
         big, small = (1, 0, 1), (0, 1, 1)
         bits = b3._lane_width((2, 1, 2), small)
+        drop = top_key(big, small, bits) if how == "drop" else None
+        monkeypatch.setattr(repth, "_chamber_walk", broken_walk(drop))
         with pytest.raises(AssertionError, match="orbit of"):
             repth._klimyk_array(b3, b3._orbit_sizes(small), (2, 1, 2), bits)
 
@@ -1171,6 +1277,64 @@ class TestPackedWalk:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+    def test_no_cancellation_worst_case(self, monkeypatch):
+        # E8 λ5 ⊗ ρ has 19,466 constituents, so few sums cancel: the walk
+        # visits 179,886 points from 19,586 candidates in one batch (λ4⊗λ4:
+        # 100,984 from 280).  The kernel's traced peak stays below 12 MB
+        # (10.7 MB for the walk of whole orbits it replaced)
+        import tracemalloc
+
+        import numpy  # noqa: F401
+
+        peaks = []
+        array_kernel = repth._klimyk_array
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                found = array_kernel(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return found
+
+        monkeypatch.setattr(repth, "_klimyk_array", traced)
+        e8 = Algebra("E8")
+        lam, rho = e8.fundamental(5), (1,) * 8
+        dec = e8.tensor_decompose(lam, rho)
+        assert len(peaks) == 1 and peaks[0] < 12_000_000
+        assert_dimension_and_casimir(e8, lam, rho, dec)
+
+
+class TestBall:
+    @pytest.mark.parametrize("name, seed", [
+        ("A3", 1), ("B3", 2), ("C3", 3), ("D4", 4), ("G2", 5), ("F4", 6)])
+    def test_ball_equals_a_box_search(self, monkeypatch, name, seed):
+        # batches of 5 vectors, so that levels are cut and stacked
+        monkeypatch.setattr(repth, "_ARRAY_CHUNK", 5)
+        alg = Algebra(name)
+        rng = random.Random(seed)
+        cases = [(tuple(rng.randint(0, 3) for _ in range(alg.rank)),
+                  tuple(rng.randint(0, 2) for _ in range(alg.rank)),
+                  rng.randrange(alg._short_norm)) for _ in range(3)]
+        if name == "A3":
+            # the lanes' edge (test_every_key_fits_the_lanes_at_the_edge)
+            cases += [((18_916, 0, 0), (1, 0, 1), 0),
+                      ((18_917, 0, 0), (1, 0, 1), 0)]
+        for nu, coset, extra in cases:
+            radius = alg._form(coset, coset) + extra
+            low = [-x for x in nu]
+            batches = list(repth._ball(alg, low, radius, coset))
+            assert all(len(ts) <= 5 for ts, _ in batches)
+            got = [tuple(t) for ts, _ in batches for t in ts.tolist()]
+            assert [n for _, norms in batches for n in norms.tolist()] == \
+                [alg._form(t, t) for t in got]
+            expected = box_ball(alg, low, radius, coset)
+            assert sorted(got) == expected
+            # the coset matters where the weight lattice is larger
+            assert (len(box_ball(alg, low, radius)) > len(expected)) == \
+                (alg._det > 1)
 
 
 class TestWeightSystemCache:
@@ -1265,26 +1429,21 @@ class TestOrbitSums:
     @pytest.mark.parametrize("path", ["kernel", "loop"])
     def test_a_failed_product_leaves_no_sum(self, monkeypatch, path):
         # V_(0,1,1) ⊗ V_(1,0,2) of B3 after V_(0,0,1) ⊗ V_(1,0,2): the sum
-        # of the orbit of (0,0,1) is in the memo, and those of (0,1,1) and
-        # (1,0,1) fail their orbit-length check
+        # of the orbit of (0,0,1) is in the memo, and that of (0,1,1) or
+        # (1,0,1) fails its check
         big, small = (1, 0, 2), (0, 1, 1)
         b3 = Algebra("B3")
         b3.tensor_decompose((0, 0, 1), big)
         sums = dict(b3._orbit_sums)
         if path == "kernel":
-            # the overrun walk of test_overrun_orbit_stops_the_walk, in
-            # batches of 7 keys, so that batches are summed before the
-            # overrun level
+            # the walk of test_broken_walk_fails_the_identity that drops the
+            # top constituent's node, in batches of 7 candidates, so that
+            # other batches are summed beside the one that drops it
             monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
             monkeypatch.setattr(repth, "_ARRAY_CHUNK", 7)
-            owner, name, walk = repth, "_packed_orbits", repth._packed_orbits
-
-            def broken(alg, weights, bits):
-                levels = walk(alg, weights, bits)
-                first = next(levels)
-                yield first
-                yield from levels
-                yield first
+            owner, name, walk = repth, "_chamber_walk", repth._chamber_walk
+            bits = b3._lane_width((2, 1, 3), small)
+            broken = broken_walk(top_key(big, small, bits))
         else:
             # the loop's weight system misses a weight of the orbit of
             # (1,0,1), as in test_orbit_length_is_checked, but by a walk
