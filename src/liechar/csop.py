@@ -23,8 +23,7 @@ exactly, is one Kronecker integer (D. Harvey, J. Symbolic Comput. 44
 (2009)); any other call is one ``combine`` of all its columns.  Every
 column of the shipped E8 characters is packed, and
 :func:`~liechar.charlib.verify_eigen` calls ``apply(chi, eps)``, so a
-passing check is one Kronecker sum of 0: one big-integer multiply-add per
-term, with nothing decoded or added term by term.
+passing check is one Kronecker sum of 0, nothing decoded.
 """
 
 from __future__ import annotations
@@ -145,11 +144,9 @@ class Delta1Operator(_Record):
         Off-diagonal entries already hold the full mixed-derivative
         coefficient (both orders of the symmetric double sum), so each
         pair is applied once.  The image is the sum over the monomials
-        z^e of ``p`` of c_e (column_e - shift z^e), which the column store
-        adds as one integer when every column is packed and the call's
-        bound allows it, a sum of 0 never decoded, and else term by term.
-        So ``apply(chi, eps)`` checks the eigen-equation without building
-        the image.
+        z^e of ``p`` of c_e (column_e - shift z^e), which
+        :meth:`ColumnStore.apply` adds, so ``apply(chi, eps)`` checks the
+        eigen-equation without building the image.
         """
         if p.rank != self.rank:
             raise RankMismatchError(
@@ -222,11 +219,11 @@ def build_delta1(algebra: Algebra, char_provider=None,
     fail there, since :func:`~liechar.zpoly.read_fixture_text` checks the
     ones it parses.
     With a character provider every pair's product V_λj ⊗ V_λk is taken
-    first, and then every pair is computed, each in (j, k) order, j <= k.
-    So a product over ``algebra.tensor_budget`` raises
-    :class:`BudgetError` before any character is expanded, and in E8 the
-    λ3 products load numpy before the first λ6 product, which then takes
-    the array kernel.
+    first, the costliest for the tensor budget first (ties in (j, k)
+    order), and then every pair is computed in (j, k) order, j <= k.  So a
+    product over ``algebra.tensor_budget`` raises :class:`BudgetError`
+    before any character is expanded, and in E8 λ4⊗λ4 comes first: it
+    loads numpy before any λ6 product, which then takes the array kernel.
     Without one the pairs are loaded from the a records of
     ``fixture_records``, and pairs they lack stay unpopulated.  Fixture b
     records, when present, must agree with the computed values.
@@ -255,9 +252,10 @@ def build_delta1(algebra: Algebra, char_provider=None,
             op.entries[pair] = fixture_a[pair]
             op.provenance[pair] = "loaded-from-fixture"
         return op
-    fundamental = algebra.fundamental
-    for j, k in pairs:
-        algebra.tensor_decompose(fundamental(j), fundamental(k))
+    products = [(algebra.fundamental(j), algebra.fundamental(k))
+                for j, k in pairs]
+    for product in sorted(products, key=lambda p: -algebra._cost(*p)[0]):
+        algebra.tensor_decompose(*product)
     for j, k in pairs:
         op.entries[(j, k)] = a_coeff(algebra, j, k, char_provider)
         op.provenance[(j, k)] = "computed"

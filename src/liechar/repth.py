@@ -11,13 +11,11 @@ product walks only the orbits it has not met against ν.  Weight
 multiplicities come from the Freudenthal recursion, evaluated in integers
 with the invariant form :meth:`Algebra._form` and asserted integral; it
 takes the dominant weights μ in the order of its own denominator
-|λ + ρ|^2 - |μ + ρ|^2.  In the orbit form of R. V. Moody and J. Patera
-(Bull. AMS 7, 1982), it sums one root per class of the positive roots, up
-to sign, under the stabilizer of μ, and takes each root string's sum from
-the string one step up, kept at the dominant weight that step reflects to,
-so that no string is walked.  The excitation energy :func:`epsilon` is one
-exact rational of the same form; the operator and the character checks read
-its value at unit coupling in integers, from ``_epsilon_int``.
+|λ + ρ|^2 - |μ + ρ|^2, in the orbit form of R. V. Moody and J. Patera
+(Bull. AMS 7, 1982) that walks no root string.  The excitation energy
+:func:`epsilon` is one exact rational of the same form; the operator and
+the character checks read its value at unit coupling in integers, from
+``_epsilon_int``.
 
 Both Klimyk paths hold a weight u as one integer key, K(u) = sum_k
 (u_k + B) 2^(w k) with B = 2^(w-1), w bits per label.  A reflection is one
@@ -29,17 +27,13 @@ the sign bit w - 1 of lane k is clear.  Orbits are walked as trees of keys
 product of the paper.  When the smaller factor's largest Weyl orbit has
 fewer than ``_ARRAY_MIN_ORBIT`` (2^16) weights, or 2^15 once numpy is
 loaded, a Python loop reflects one key at a time from the factor's weight
-system, cached per algebra; it imports no numpy.  The system holds each
-orbit's keys in runs, one per set of lanes where the weight's label is -1,
-and the loop skips every run whose set meets a label 0 of the larger factor
-ν: ν + ρ + u has the label 0 there for each u of the run, and it drops
-the other sums S = K(ν + ρ + u) with a label 0, which lie on a wall
-(Racah-Speiser cancellation), by one SWAR test: a label 0 is a zero lane
-of S ^ highs, highs holding each lane's sign bit.  Longer orbits go to a
-numpy kernel that forms only the sums that survive, each a point w(κ+ρ)
-within |μ| of ν + ρ: it walks the orbits of the constituents κ of a ball
-around ν, pruned to those points, on ``uint64`` keys; a product whose
-keys are wider than 64 bits stays on the loop.
+system, cached per algebra; it imports no numpy, and skips by SWAR tests
+the runs of keys and the sums that lie on a wall (Racah-Speiser
+cancellation).  Longer orbits go to a numpy kernel that forms only the sums
+that survive, each a point w(κ+ρ) within |μ| of ν + ρ: it walks the orbits
+of the constituents κ of a ball around ν, pruned to those points, on
+``uint64`` keys; a product whose keys are wider than 64 bits stays on the
+loop.
 """
 
 from __future__ import annotations
@@ -71,17 +65,16 @@ __all__ = [
 DEFAULT_TENSOR_BUDGET = 20_000_000
 
 # Products whose smaller factor has a Weyl orbit at least this long use the
-# array kernel, which is faster but imports numpy (about 12 MB).  Below it
-# the loop's time is small, and a process that takes only such products, as
-# a CLI request for a small E8 character does, keeps numpy out of its peak
-# memory.  In E8 this sends λ3, λ4 and λ5 to the kernel.  Once numpy is
-# loaded, half of it also sends λ6 (largest orbit 60,480), which is faster
-# there; `char E8 0,0,0,0,0,0,3,0` still takes λ6⊗λ6 on the loop.  The
-# kernel walks the chambers of a ball's candidates, not these orbits.
+# array kernel, which is faster but imports numpy (about 12 MB); a process
+# that takes only shorter ones, as a CLI request for a small E8 character
+# does, keeps numpy out of its peak memory.  In E8 this sends λ3, λ4 and λ5
+# to the kernel, and once numpy is loaded, half of it also sends λ6
+# (largest orbit 60,480); `char E8 0,0,0,0,0,0,3,0` takes λ6⊗λ6 on the loop.
 _ARRAY_MIN_ORBIT = 2 ** 16
-# candidates per batch of the kernel's chamber walk, which bounds its
-# working memory to about one batch plus one level of the walk
-_ARRAY_CHUNK = 2 ** 16
+# candidates per batch of the kernel's chamber walk, and points per group
+# that it reflects at once: its working set is about one level of a batch
+# plus one group
+_ARRAY_CHUNK = 2 ** 14
 # keys of an orbit walk that the loop's weight system sorts into runs at
 # once, which bounds the memory it holds besides the system
 _RUN_CHUNK = 2 ** 12
@@ -569,38 +562,30 @@ class Algebra:
         S(μ, ν) the signed sum over the Weyl orbit of μ.  The memo
         ``_orbit_sums`` keeps each S by (μ, ν), as constituent labels with
         their nonzero counts; a product sums only the orbits whose S it
-        lacks, and enters them once every one has passed its check.  In E8
-        from nothing it ends with 407 sums of 13,584 entries.
+        lacks, and enters them once every one has passed its check.
 
-        Raises :class:`BudgetError` when the product's cost, the sum of the
-        orbit sizes over the smaller factor's Freudenthal table (the number
-        of distinct weights it has), exceeds the budget (default
-        ``self.tensor_budget``).  The cost is an upper bound on the weights
-        summed, which the memo makes fewer, and at most the dimension, so a
-        factor whose dimension is within the budget is always accepted.
-        The budget is checked on every call, whether the product or its
-        sums are cached or not.  Both paths sum keys of the same lane width,
-        the first of 8, 16, 32, ... bits that holds every label of the small
-        factor and of the sums.  The loop walks each orbit and checks its
-        length.  When that factor has a Weyl orbit of at least 2^16 weights,
-        or 2^15 once numpy is loaded, and its keys fit 64 bits, the numpy
-        kernel walks instead the chambers of candidate constituents in a
-        ball around ν, and checks each sum by the dimension identity.
+        Raises :class:`BudgetError`, on every call, cached or not, when the
+        product's :meth:`_cost`, the number of distinct weights of the
+        smaller factor, exceeds the budget (default ``self.tensor_budget``).
+        The cost bounds the weights summed, which the memo makes fewer, and
+        is at most the dimension, so a factor whose dimension is within the
+        budget is always accepted.  Both paths sum keys of one lane width
+        (:meth:`_lane_width`).  The loop walks each orbit and checks its
+        length; the numpy kernel, which takes the factors with long orbits
+        (see ``_ARRAY_MIN_ORBIT``), walks the chambers of candidate
+        constituents in a ball around ν, and checks each sum by the
+        dimension identity.
         """
         lam = self._check_dominant(left)
         nu = self._check_dominant(right)
         budget = self.tensor_budget if budget is None else _budget(budget)
-        dim_l = self.weyl_dim(lam)
-        dim_r = self.weyl_dim(nu)
-        big, small = (lam, nu) if dim_l >= dim_r else (nu, lam)
-        orbits = self._orbit_sizes(small)
-        cost = sum(orbits.values())
+        cost, big, small, orbits = self._cost(lam, nu)
         if cost > budget:
             raise BudgetError(
-                f"tensor product V{lam} (dim {dim_l}) x V{nu} "
-                f"(dim {dim_r}): Klimyk would visit {cost} distinct "
-                f"weights of the smaller factor, exceeding the budget "
-                f"{budget}",
+                f"tensor product V{lam} (dim {self.weyl_dim(lam)}) x "
+                f"V{nu} (dim {self.weyl_dim(nu)}): Klimyk would visit "
+                f"{cost} distinct weights of the smaller factor, exceeding "
+                f"the budget {budget}",
                 pair=(Weight(lam), Weight(nu)), cost=cost, budget=budget)
         key = (lam, nu) if lam <= nu else (nu, lam)
         cached = self._tensor.get(key)
@@ -642,6 +627,15 @@ class Algebra:
         self._tensor[key] = result
         return result
 
+    def _cost(self, lam, nu) -> tuple:
+        """``(cost, big, small, orbits)`` of V_lam ⊗ V_nu: the factors by
+        dimension, nu the smaller on a tie, the orbit sizes of the smaller
+        and their sum, the price of the tensor budget."""
+        big, small = ((lam, nu) if self.weyl_dim(lam) >= self.weyl_dim(nu)
+                      else (nu, lam))
+        orbits = self._orbit_sizes(small)
+        return sum(orbits.values()), big, small, orbits
+
     def _orbit_sizes(self, highest) -> dict:
         """Orbit size of each dominant weight of V_highest, cached."""
         cached = self._orbit_tables.get(highest)
@@ -662,8 +656,7 @@ class Algebra:
         lows keeps a lane's sign bit iff its lower bits are not all 0, so
         ((y | highs) - lows | y) & highs has the sign bit of each lane of y
         that is not 0.  The walk is sorted into runs ``_RUN_CHUNK`` keys at
-        a time, so a run lies within one such chunk, and the sort holds
-        little memory besides the system.  Every sequence is an
+        a time, so a run lies within one such chunk.  Every sequence is an
         ``array('Q')`` when rank * bits <= 64, so that every key is below
         2^64, and a list of ints otherwise.
         """
@@ -707,24 +700,21 @@ class Algebra:
         key at a time.
 
         The keys, ``bits`` bits per label, come from the cached weight
-        system of ``table``'s highest weight, in runs by the lanes where
-        the weight's label is -1.  A run whose -1 lanes meet a lane where ν
-        has the label 0 is skipped whole: each of its sums ν + ρ + u has
-        the label 0 there.  Within the other runs, a sum S = K(u) + K(ν + ρ)
-        with a label 0, a zero lane of y = S ^ highs, lies on a wall and is
-        skipped: (y - lows) & ~y & highs is then nonzero, and ~y & highs =
-        S & highs, the same test as the array kernel's.  Any other sum is
-        reflected at its last negative label, the highest set bit of
-        (S & highs) ^ highs; off the walls each step shortens the Weyl
-        element that makes S dominant by one, so whatever the order of the
-        steps, the sign is (-1)^length of that element.  A sum on the wall
-        of a root that is not simple shows a label 0 only once reflected; a
-        dominant S has one, and is dropped, when S - K(ρ) lacks a sign
-        bit.  Returns, per orbit summed, the key of each dominant sum off
-        the walls with its signed count, the multiplicity left out.  One
-        body reads the ``array('Q')`` runs and the list runs of wider keys
-        alike, as slices ``keys[start:end]``; a view of the array measured
-        no faster than the copy a slice makes.
+        system of ``table``'s highest weight, in runs by the lanes where the
+        weight's label is -1.  A run whose -1 lanes meet a lane where ν has
+        the label 0 is skipped whole: each of its sums ν + ρ + u has the
+        label 0 there.  Within the other runs, a sum S = K(u) + K(ν + ρ) with
+        a label 0, a zero lane of y = S ^ highs, lies on a wall and is
+        skipped: (y - lows) & ~y & highs is then nonzero, and ~y & highs = S
+        & highs.  Any other sum is reflected at its last negative label, the
+        highest set bit of (S & highs) ^ highs; off the walls each step
+        shortens the Weyl element that makes S dominant by one, so whatever
+        the order of the steps, the sign is (-1)^length of that element.  A
+        sum on the wall of a root that is not simple shows a label 0 only
+        once reflected; a dominant S has one, and is dropped, when S - K(ρ)
+        lacks a sign bit.  Returns, per orbit summed, the key of each
+        dominant sum off the walls with its signed count, the multiplicity
+        left out.
         """
         roots, lows, signs = self._lanes(bits)
         highs = signs[-1]
@@ -814,8 +804,10 @@ def _klimyk_array(alg, orbits, shifted, bits: int) -> dict:
     v - y for one v = w(κ+ρ), κ dominant, and adds det(w) at κ.  Such a v
     lies within R of y, R^2 the largest |μ|^2 of ``orbits``, and so does
     κ+ρ, which maximises (·, y) on its orbit: :func:`_ball` gives the
-    candidates κ, :func:`_chamber_walk` the points v, and each v - y is
-    reflected to the dominant chamber and matched against ``orbits``.
+    candidates κ, :func:`_chamber_walk` the points v, and :func:`_groups`
+    groups of them across levels: the v - y of a group are reflected to the
+    dominant chamber together, then matched against ``orbits`` by one
+    search and counted by one ``np.add.at``.
     Every sum must meet the dimension identity sum_κ S_κ dim V_κ = |Wμ|
     dim V_ν, m_μ χ_ν at the identity.  Returns the same dict per orbit as
     :meth:`Algebra._klimyk_loop`; rank * bits <= 64.
@@ -844,20 +836,24 @@ def _klimyk_array(alg, orbits, shifted, bits: int) -> dict:
         slack = (radius - norms).astype(object if wide else np.int64)
         # |S| <= |W| <= |W(E8)| < 2^31 at rank <= 8
         counts = np.zeros((len(ts), len(weights)), np.int32)
-        for sign, v, index in _chamber_walk(alg, keys, slack, steps, bits):
-            # u = v - y, reflected at each negative label: u += c K(α_i)
-            u = v - top
-            while len(u):
-                done = u & highs == highs
-                j = np.searchsorted(targets, u[done]) % len(weights)
-                hit = targets[j] == u[done]
-                np.add.at(counts, (index[done][hit], j[hit]), sign)
-                u, index = u[~done], index[~done]
+        walk = _chamber_walk(alg, keys, slack, steps, bits)
+        for signs, u, index in _groups(walk):
+            # u = v - y in place (a group is a copy), reflected at each
+            # negative label, u += c K(α_i), until every u is dominant
+            u -= top
+            live = np.flatnonzero(u & highs != highs)
+            while len(live):
+                w = u[live]
                 for i, root in enumerate(roots):
-                    c = u >> bits * i
+                    c = w >> bits * i
                     c &= mask
                     np.minimum(c, bias, out=c)
-                    u += np.subtract(bias, c, out=c) * (root % (1 << 64))
+                    w += np.subtract(bias, c, out=c) * (root % (1 << 64))
+                u[live] = w
+                live = live[w & highs != highs]
+            j = np.searchsorted(targets, u) % len(weights)
+            hit = targets[j] == u
+            np.add.at(counts, (index[hit], j[hit]), signs[hit])
         for start in range(0, len(ts), 1024):
             part = slice(start, start + 1024)
             factors = (ts[part] + shifted) @ pairings
@@ -874,6 +870,26 @@ def _klimyk_array(alg, orbits, shifted, bits: int) -> dict:
         if total != orbits[mu] * target:
             raise AssertionError(f"orbit of {mu} fails the dimension identity")
     return found
+
+
+def _groups(levels):
+    """The points of the levels ``(sign, keys, index)`` as copies ``(signs,
+    keys, index)``, one sign per point, ``_ARRAY_CHUNK`` points but the
+    last."""
+    import numpy as np
+
+    held, size = [], 0
+    for sign, keys, index in levels:
+        held.append((np.full(len(keys), sign, np.int8), keys, index))
+        size += len(keys)
+        if size >= _ARRAY_CHUNK:
+            group = [np.concatenate(x) for x in zip(*held)]
+            cut = size - size % _ARRAY_CHUNK
+            held, size = [[x[cut:] for x in group]], size - cut
+            for k in range(0, cut, _ARRAY_CHUNK):
+                yield [x[k:k + _ARRAY_CHUNK] for x in group]
+    if size:
+        yield [np.concatenate(x) for x in zip(*held)]
 
 
 def _ball(alg, low, radius: int, coset):

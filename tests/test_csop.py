@@ -300,8 +300,9 @@ class TestOperator:
 
     @pytest.mark.parametrize("name", ["D4", "E7"])
     def test_every_pair_product_comes_first(self, monkeypatch, name):
-        # the 36 products of E8 from nothing, taken before the character
-        # recursion, import numpy for λ3 before λ6 is multiplied
+        # the products are taken before the character recursion, the
+        # costliest for the tensor budget first, ties in (j, k) order: in
+        # E8 from nothing λ4⊗λ4 imports numpy before λ6 is multiplied
         events = []
         product, expand = Algebra.tensor_decompose, CharacterCache._expand
 
@@ -319,10 +320,38 @@ class TestOperator:
         op = build_delta1(alg, CharacterCache(alg))
         pairs = sorted(op.entries)
         assert len(pairs) == alg.rank * (alg.rank + 1) // 2
+
+        def cost(pair):
+            # the distinct weights of the factor of smaller dimension
+            left, right = (alg.fundamental(i) for i in pair)
+            small = min(right, left, key=alg.weyl_dim)
+            return sum(map(alg.orbit_size, alg.freudenthal(small).entries))
+
+        costs = {pair: cost(pair) for pair in pairs}
+        order = sorted(pairs, key=lambda pair: (-costs[pair], pair))
+        assert order != pairs
         assert events[:len(pairs)] == [
             (tuple(alg.fundamental(j)), tuple(alg.fundamental(k)))
-            for j, k in pairs]
+            for j, k in order]
         assert "expand" in events[len(pairs):]
+
+    @pytest.mark.parametrize("name", ["D4", "E7"])
+    def test_pair_order_does_not_change_the_operator(self, name):
+        # each order on a fresh algebra and cache: the products taken in
+        # the order of ``pairs`` before the build, and the build's own order
+        ordered = list(itertools.combinations_with_replacement(
+            range(1, int(name[1:]) + 1), 2))
+        shuffled = random.Random(39).sample(ordered, len(ordered))
+        results = []
+        for pairs in (None, ordered, ordered[::-1], shuffled):
+            alg = Algebra(name)
+            for j, k in pairs or ():
+                alg.tensor_decompose(alg.fundamental(j), alg.fundamental(k))
+            op = build_delta1(alg, CharacterCache(alg), pairs=pairs)
+            results.append((op.entries, dict(alg._tensor),
+                            dict(alg._orbit_sums)))
+        assert all(result == results[0] for result in results)
+        assert len(results[0][0]) == len(ordered)
 
     @pytest.mark.parametrize("pairs, message", [
         ([(0, 9)], "indices (0, 9) out of range 1..8"),

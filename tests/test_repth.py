@@ -619,25 +619,34 @@ MEMO_SEQUENCES = {
 }
 
 
+# products that both Klimyk paths take in test_kernels_agree
+KERNEL_CASES = [
+    ("A2", (2, 1), (1, 2)),
+    ("B3", (1, 0, 1), (0, 1, 1)),
+    ("C3", (1, 1, 0), (0, 1, 1)),
+    ("G2", (2, 1), (1, 1)),
+    ("D4", (1, 0, 0, 1), (0, 1, 0, 0)),
+    ("F4", (0, 0, 1, 1), (1, 0, 0, 1)),
+    ("E6", (1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 1)),
+    ("E7", (0, 0, 0, 0, 0, 1, 1), (1, 0, 0, 0, 0, 0, 1)),
+    ("E8", (0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0)),
+    ("E8", (0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+    ("E8", (0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0)),
+]
+
+
+def memo_order(name, left, right):
+    """The products of test_kernels_agree, in a shuffled order."""
+    products = [(left, right), *MEMO_SEQUENCES.get(name, ())]
+    return random.Random(len(products)).sample(products, len(products))
+
+
 class TestKlimykKernels:
-    @pytest.mark.parametrize("name, left, right", [
-        ("A2", (2, 1), (1, 2)),
-        ("B3", (1, 0, 1), (0, 1, 1)),
-        ("C3", (1, 1, 0), (0, 1, 1)),
-        ("G2", (2, 1), (1, 1)),
-        ("D4", (1, 0, 0, 1), (0, 1, 0, 0)),
-        ("F4", (0, 0, 1, 1), (1, 0, 0, 1)),
-        ("E6", (1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 1)),
-        ("E7", (0, 0, 0, 0, 0, 1, 1), (1, 0, 0, 0, 0, 0, 1)),
-        ("E8", (0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0)),
-        ("E8", (0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
-        ("E8", (0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0)),
-    ])
+    @pytest.mark.parametrize("name, left, right", KERNEL_CASES)
     def test_kernels_agree(self, monkeypatch, name, left, right):
         # each path takes the products in a shuffled order and in its
         # reverse, each order on a fresh algebra
-        products = [(left, right), *MEMO_SEQUENCES.get(name, ())]
-        order = random.Random(len(products)).sample(products, len(products))
+        order = memo_order(name, left, right)
         results = []
         for threshold in (FORCE_LOOP, FORCE_ARRAY):
             monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
@@ -673,8 +682,9 @@ class TestKlimykKernels:
     def test_batch_size_does_not_change_the_sum(self, monkeypatch,
                                                 kernel_calls, chunk, name,
                                                 left, right):
-        # a batch of one key, batches that cut levels and batches that
-        # hold several levels or the whole walk
+        # batches of one candidate and groups of one point, batches and
+        # groups that cut levels, and groups that hold several levels or
+        # the whole walk
         monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_LOOP)
         expected = Algebra(name).tensor_decompose(left, right)
         monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
@@ -1251,38 +1261,25 @@ class TestPackedWalk:
     def test_broken_walk_fails_the_identity(self, monkeypatch, how):
         # one node fewer, at the top constituent, or a level again: the
         # dimension identity fails
-        b3 = Algebra("B3")
-        big, small = (1, 0, 1), (0, 1, 1)
-        bits = b3._lane_width((2, 1, 2), small)
-        drop = top_key(big, small, bits) if how == "drop" else None
-        monkeypatch.setattr(repth, "_chamber_walk", broken_walk(drop))
-        with pytest.raises(AssertionError, match="orbit of"):
-            repth._klimyk_array(b3, b3._orbit_sizes(small), (2, 1, 2), bits)
+        assert_broken_walk_fails(monkeypatch, how)
 
     def test_working_set_of_the_lambda5_square(self, e8_fresh):
         # the 763,681 keys of λ5 alone take 6.1 MB, so a kernel that
         # holds the whole weight system at once fails this bound
-        import tracemalloc
+        assert square_peak(e8_fresh, 5) < 4_000_000
 
-        import numpy  # noqa: F401
-
-        lam = e8_fresh.fundamental(5)
-        orbits = e8_fresh._orbit_sizes(lam)
-        shifted = tuple(x + 1 for x in lam)
-        bits = e8_fresh._lane_width(shifted, lam)
-        tracemalloc.start()
-        try:
-            repth._klimyk_array(e8_fresh, orbits, shifted, bits)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
+    def test_working_set_of_the_lambda4_square(self, e8_fresh):
+        # the walk's levels hold up to 28,244 of its 100,984 points.  The
+        # kernel reflects them in groups of at most _ARRAY_CHUNK points:
+        # about 3.1 MB, against 2.8 MB level by level and 6.9 MB in one
+        # group per batch of candidates, which fails this bound
+        assert square_peak(e8_fresh, 4) < 4_000_000
 
     def test_no_cancellation_worst_case(self, monkeypatch):
         # E8 λ5 ⊗ ρ has 19,466 constituents, so few sums cancel: the walk
-        # visits 179,886 points from 19,586 candidates in one batch (λ4⊗λ4:
-        # 100,984 from 280).  The kernel's traced peak stays below 12 MB
-        # (10.7 MB for the walk of whole orbits it replaced)
+        # visits 179,886 points from 19,586 candidates in two batches
+        # (λ4⊗λ4: 100,984 from 280).  The kernel's traced peak stays below
+        # 12 MB (10.7 MB for the walk of whole orbits it replaced)
         import tracemalloc
 
         import numpy  # noqa: F401
@@ -1305,6 +1302,81 @@ class TestPackedWalk:
         dec = e8.tensor_decompose(lam, rho)
         assert len(peaks) == 1 and peaks[0] < 12_000_000
         assert_dimension_and_casimir(e8, lam, rho, dec)
+
+
+def square_peak(alg, index):
+    """The traced peak of the kernel's sum of V_λ ⊗ V_λ, λ = λ_index, with
+    the Freudenthal table and the orbit sizes already in hand."""
+    import tracemalloc
+
+    import numpy  # noqa: F401
+
+    lam = alg.fundamental(index)
+    orbits = alg._orbit_sizes(lam)
+    shifted = tuple(x + 1 for x in lam)
+    bits = alg._lane_width(shifted, lam)
+    tracemalloc.start()
+    try:
+        repth._klimyk_array(alg, orbits, shifted, bits)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_broken_walk_fails(monkeypatch, how):
+    """B3 (0,1,1) ⊗ (1,0,1) on a walk that drops the top constituent's
+    node or repeats its first level fails the dimension identity."""
+    b3 = Algebra("B3")
+    big, small = (1, 0, 1), (0, 1, 1)
+    bits = b3._lane_width((2, 1, 2), small)
+    drop = top_key(big, small, bits) if how == "drop" else None
+    monkeypatch.setattr(repth, "_chamber_walk", broken_walk(drop))
+    with pytest.raises(AssertionError, match="orbit of"):
+        repth._klimyk_array(b3, b3._orbit_sizes(small), (2, 1, 2), bits)
+
+
+class TestGroups:
+    # _ARRAY_CHUNK bounds the candidates of a batch and the points of a
+    # group that the kernel reflects at once; at 7, groups split the
+    # walk's levels and hold points of several levels, of either sign
+
+    def test_groups_are_copies_of_the_points_in_order(self, monkeypatch):
+        import numpy as np
+
+        monkeypatch.setattr(repth, "_ARRAY_CHUNK", 7)
+        levels = [((-1) ** depth, np.arange(n, dtype=np.uint64) + 100 * depth,
+                   np.arange(n, dtype=np.int32) % 3)
+                  for depth, n in enumerate([3, 0, 20, 1, 5, 7])]
+        groups = list(repth._groups(iter(levels)))
+        assert [len(keys) for _, keys, _ in groups] == [7] * 5 + [1]
+        points = [np.concatenate([np.full(len(keys), sign)
+                                  for sign, keys, _ in levels]),
+                  np.concatenate([keys for _, keys, _ in levels]),
+                  np.concatenate([index for _, _, index in levels])]
+        for expected, column in zip(points, zip(*groups)):
+            assert np.concatenate(column).tolist() == expected.tolist()
+        # the kernel changes a group's keys in place
+        for _, keys, index in groups:
+            for _, walked, walked_index in levels:
+                assert not np.shares_memory(keys, walked)
+                assert not np.shares_memory(index, walked_index)
+
+    @pytest.mark.parametrize("name, left, right", KERNEL_CASES)
+    def test_kernels_agree(self, monkeypatch, name, left, right):
+        monkeypatch.setattr(repth, "_ARRAY_CHUNK", 7)
+        order = memo_order(name, left, right)
+        results = []
+        for threshold in (FORCE_LOOP, FORCE_ARRAY):
+            monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", threshold)
+            alg = Algebra(name)
+            results.append({pair: alg.tensor_decompose(*pair)
+                            for pair in order})
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("how", ["drop", "repeat"])
+    def test_broken_walk_fails_the_identity(self, monkeypatch, how):
+        monkeypatch.setattr(repth, "_ARRAY_CHUNK", 7)
+        assert_broken_walk_fails(monkeypatch, how)
 
 
 class TestBall:
@@ -1437,8 +1509,9 @@ class TestOrbitSums:
         sums = dict(b3._orbit_sums)
         if path == "kernel":
             # the walk of test_broken_walk_fails_the_identity that drops the
-            # top constituent's node, in batches of 7 candidates, so that
-            # other batches are summed beside the one that drops it
+            # top constituent's node, in batches of 7 candidates and groups
+            # of 7 points, so that other batches and groups are summed
+            # beside the one that drops it
             monkeypatch.setattr(repth, "_ARRAY_MIN_ORBIT", FORCE_ARRAY)
             monkeypatch.setattr(repth, "_ARRAY_CHUNK", 7)
             owner, name, walk = repth, "_chamber_walk", repth._chamber_walk
